@@ -15,9 +15,9 @@ import mpmath
 import numpy as np
 
 from . import prasym, sphere, tetra, uniform
-from .core import (HalfInt, OnCausticError, SixJError, SixJLabels,
-                   TRIANGLES, ValidationError, WrongRegionError, bounds,
-                   exact_sixj, lengths)
+from .core import (MP_DPS, HalfInt, OnCausticError, SixJError, SixJLabels,
+                   TRIANGLES, ValidationError, WrongRegionError, _root_form,
+                   bounds, exact_sixj, lengths)
 
 LABEL_FLAGS = ("j1", "j2", "j12", "j3", "j4", "j23")
 METHODS = ("exact", "pr", "uniform")
@@ -91,6 +91,8 @@ def _labels_from(args):
 # ---------------------------------------------------------------- eval
 
 def eval_record(labels, methods, digits=17):
+    if digits < 1:
+        raise ValidationError(f"--digits must be at least 1, got {digits}")
     b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
     region = tetra.classify(lengths(labels), b)
     rec = {
@@ -104,9 +106,11 @@ def eval_record(labels, methods, digits=17):
     if "exact" in methods:
         ev = exact_sixj(labels)
         exact_v = float(ev)
+        # R and P are exact: print no digit the evaluation did not hold
+        held = _root_form(ev.rational, ev.radicand, max(MP_DPS, digits + 10))
         rec["exact"] = {
             "value": exact_v,
-            "digits": mpmath.nstr(ev.value, digits),
+            "digits": mpmath.nstr(held, digits),
             "rational": str(ev.rational),
             "radicand": str(ev.radicand),
         }
@@ -462,27 +466,25 @@ def amplitude_reference(labels, b=None, region=None):
     itself is inflated by the nearby caustic."""
     if b is None:
         b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    J = lengths(labels)
     if region is None:
-        region = tetra.classify(J, b)
+        region = tetra.classify(lengths(labels), b)
     if region.is_forbidden:
         return abs(float(exact_sixj(labels)))
     in_lobe = region.is_caustic or labels.j12.twice in (b.j12_min.twice,
                                                         b.j12_max.twice)
     if region.is_allowed and not in_lobe:
-        return 1.0 / math.sqrt(12.0 * math.pi * tetra.construct(J).vol_abs)
+        return 1.0 / math.sqrt(12.0 * math.pi * region.vol_abs)
     toward = 2 if labels.j12.twice < b.j12_avg.twice else -2
     t12 = labels.j12.twice + toward
     while b.j12_min.twice <= t12 <= b.j12_max.twice:
         nb = SixJLabels(labels.j1, labels.j2, HalfInt(t12),
                         labels.j3, labels.j4, labels.j23)
-        Jn = lengths(nb)
-        if tetra.classify(Jn, b).is_allowed:
-            return 1.0 / math.sqrt(12.0 * math.pi
-                                   * tetra.construct(Jn).vol_abs)
+        region_n = tetra.classify(lengths(nb), b)
+        if region_n.is_allowed:
+            return 1.0 / math.sqrt(12.0 * math.pi * region_n.vol_abs)
         t12 += toward
     if region.is_allowed:
-        return 1.0 / math.sqrt(12.0 * math.pi * tetra.construct(J).vol_abs)
+        return 1.0 / math.sqrt(12.0 * math.pi * region.vol_abs)
     return abs(float(exact_sixj(labels)))
 
 
@@ -524,6 +526,8 @@ def _random_labels(rng, j_max):
 
 
 def worstcase_report(family, j_max=20, seed=0, count=200):
+    if j_max < 1:
+        raise ValidationError(f"--j-max must be at least 1, got {j_max}")
     rows = []
     if family == "equal-pairs":
         for tj in range(2, 2 * j_max + 1):

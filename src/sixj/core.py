@@ -374,6 +374,13 @@ def _delta_sq(ta, tb, tc):
     )
 
 
+def _root_form(rational, radicand, dps):
+    """R*sqrt(P) as an mpmath.mpf at dps significant digits."""
+    ctx = _mp(dps)
+    return (ctx.mpf(rational.numerator) / rational.denominator
+            * ctx.sqrt(ctx.mpf(radicand.numerator) / radicand.denominator))
+
+
 def exact_sixj(labels):
     """The 6j symbol by the Racah single sum, exactly."""
     require_valid(labels)
@@ -395,10 +402,8 @@ def exact_sixj(labels):
         total = total - term if k % 2 else total + term
     radicand = (_delta_sq(ta, tb, tc) * _delta_sq(ta, te, tf)
                 * _delta_sq(td, tb, tf) * _delta_sq(td, te, tc))
-    ctx = _mp(MP_DPS)
-    val = (ctx.mpf(total.numerator) / total.denominator
-           * ctx.sqrt(ctx.mpf(radicand.numerator) / radicand.denominator))
-    return ExactValue(rational=total, radicand=radicand, value=val)
+    return ExactValue(rational=total, radicand=radicand,
+                      value=_root_form(total, radicand, MP_DPS))
 
 
 def _d_sum_range(tj, tm, tmp):

@@ -189,13 +189,6 @@ def nu_d(kind, j, m, mp):
     return twice // 2
 
 
-def _phibar_sign_ok(kind, ph, scale):
-    tol = 1e-8 * scale
-    if kind in (tetra.REGION_A, tetra.REGION_D):
-        return ph <= tol
-    return ph >= -tol
-
-
 def d_asym(j, m, mp, beta):
     """One-term asymptotic approximation to d^j_{m m'}(beta)."""
     j, m, mp = _coerce(j, m, mp)
@@ -214,7 +207,7 @@ def d_asym(j, m, mp, beta):
                            region=g.region)
     nu = nu_d(g.region, g.j, g.m, g.mp)
     ph = phi_d_bar(g)
-    if not _phibar_sign_ok(g.region, ph, 1.0 + g.J):
+    if not tetra._phibar_sign_ok(g.region, ph, 1.0 + g.J):
         raise InvariantError(
             f"Phi_bar_d = {ph} has the wrong sign for region {g.region}")
     samp = phase(lead + nu) * amp / 2.0

@@ -62,13 +62,6 @@ def nu_6j(region, labels):
     return twice // 2
 
 
-def _phibar_sign_ok(kind, ph, scale):
-    tol = 1e-8 * scale
-    if kind in (tetra.REGION_A, tetra.REGION_D):
-        return ph <= tol
-    return ph >= -tol
-
-
 def pr_value(labels):
     """The Ponzano-Regge value with diagnostics."""
     require_valid(labels)
@@ -78,16 +71,15 @@ def pr_value(labels):
     if region.is_caustic:
         raise OnCausticError(
             f"{labels} lies on a caustic; the PR amplitude diverges there")
-    t = tetra.construct(J)
-    dih = tetra.dihedrals(t)
-    amp = 1.0 / math.sqrt(12.0 * math.pi * t.vol_abs)
+    dih = region.angles
+    amp = 1.0 / math.sqrt(12.0 * math.pi * region.vol_abs)
     if region.is_allowed:
         ph = phi_pr(J, dih)
         return PRResult(value=amp * math.cos(ph + math.pi / 4),
                         region=region, phase=ph, amplitude=amp, nu6j=None)
     nu = nu_6j(region, labels)
     ph = phi_pr_bar(J, dih)
-    if not _phibar_sign_ok(region.kind, ph, 1.0 + sum(J)):
+    if not tetra._phibar_sign_ok(region.kind, ph, 1.0 + sum(J)):
         raise InvariantError(
             f"Phi_bar_PR = {ph} has the wrong sign for region {region.kind}")
     samp = phase(nu) * amp / 2.0

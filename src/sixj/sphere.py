@@ -45,6 +45,21 @@ def sphere_point(bnds, J12, phi12):
 
 
 def _butterfly_heights(four, J12):
+    """Heights along J12 of the J2 and J3 tips (J2z, J3z) and squared
+    distances from the J12 axis (h2sq, h3sq); J12 broadcasts."""
+    J1, J2, J3, J4 = (float(x) for x in four)
+    J12 = np.asarray(J12, float)
+    J2z = (J12 * J12 + J2 * J2 - J1 * J1) / (2.0 * J12)
+    J3z = (J4 * J4 - J3 * J3 - J12 * J12) / (2.0 * J12)
+    h2sq = np.maximum(J2 * J2 - J2z * J2z, 0.0)
+    h3sq = np.maximum(J3 * J3 - J3z * J3z, 0.0)
+    return J2z, J3z, h2sq, h3sq
+
+
+def butterfly(four, J12, phi12):
+    """Tetrahedron with the given (J1, J2, J3, J4), intermediate J12, and
+    dihedral angle phi12 about the J12 edge.  Volume > 0 for
+    phi12 in (0, pi); J23 is read off t.lengths[5]."""
     J1, J2, J3, J4 = (float(x) for x in four)
     J12 = float(J12)
     lo = max(abs(J1 - J2), abs(J3 - J4))
@@ -52,19 +67,8 @@ def _butterfly_heights(four, J12):
     if not lo - _EDGE_TOL <= J12 <= hi + _EDGE_TOL:
         raise ValidationError(
             f"J12 = {J12} is outside the classical window [{lo}, {hi}]")
-    J2z = (J12 * J12 + J2 * J2 - J1 * J1) / (2.0 * J12)
-    J3z = (J4 * J4 - J3 * J3 - J12 * J12) / (2.0 * J12)
-    h2 = math.sqrt(max(J2 * J2 - J2z * J2z, 0.0))
-    h3 = math.sqrt(max(J3 * J3 - J3z * J3z, 0.0))
-    return J2z, J3z, h2, h3
-
-
-def butterfly(four, J12, phi12):
-    """Tetrahedron with the given (J1, J2, J3, J4), intermediate J12, and
-    dihedral angle phi12 about the J12 edge.  Volume > 0 for
-    phi12 in (0, pi); J23 is read off t.lengths[5]."""
-    J2z, J3z, h2, h3 = _butterfly_heights(four, J12)
-    J12 = float(J12)
+    J2z, J3z, h2sq, h3sq = _butterfly_heights(four, J12)
+    h2, h3 = math.sqrt(h2sq), math.sqrt(h3sq)
     c, s = math.cos(phi12), math.sin(phi12)
     a1 = np.array([-h2 * c, -h2 * s, J12 - J2z])
     a2 = np.array([0.0, 0.0, J12])
@@ -74,12 +78,7 @@ def butterfly(four, J12, phi12):
 
 def butterfly_j23(four, J12, phi12):
     """J23 on the chart; J12 and phi12 broadcast as numpy arrays."""
-    J1, J2, J3, J4 = (float(x) for x in four)
-    J12 = np.asarray(J12, float)
-    J2z = (J12 * J12 + J2 * J2 - J1 * J1) / (2.0 * J12)
-    J3z = (J4 * J4 - J3 * J3 - J12 * J12) / (2.0 * J12)
-    h2sq = np.maximum(J2 * J2 - J2z * J2z, 0.0)
-    h3sq = np.maximum(J3 * J3 - J3z * J3z, 0.0)
+    J2z, J3z, h2sq, h3sq = _butterfly_heights(four, J12)
     h2h3 = np.sqrt(h2sq * h3sq)
     zz = (J2z + J3z) ** 2
     return np.sqrt(h2sq + h3sq - 2.0 * h2h3 * np.cos(phi12) + zz)
@@ -229,12 +228,7 @@ def j23_contour_grid(j1, j2, j3, j4, n_J12=201, n_phi=256, levels=None):
 
 def _phi_star(four, J, level):
     """Half-width in phi12 of the region {J23 <= level} at height J."""
-    J1, J2, J3, J4 = four
-    J = np.asarray(J, float)
-    J2z = (J * J + J2 * J2 - J1 * J1) / (2.0 * J)
-    J3z = (J4 * J4 - J3 * J3 - J * J) / (2.0 * J)
-    h2sq = np.maximum(J2 * J2 - J2z * J2z, 0.0)
-    h3sq = np.maximum(J3 * J3 - J3z * J3z, 0.0)
+    J2z, J3z, h2sq, h3sq = _butterfly_heights(four, J)
     den = 2.0 * np.sqrt(h2sq * h3sq)
     num = h2sq + h3sq + (J2z + J3z) ** 2 - level * level
     c = np.where(den > 1e-300, num / np.maximum(den, 1e-300),

@@ -1,13 +1,16 @@
 """Tetrahedron geometry from the six edge lengths via the Gram matrix.
 
 The vector realization uses A1 = J1, A2 = J12, A3 = -J4, from which all
-Gram entries follow from the lengths alone.  Diagonalizing G gives edge
-vectors in both the classically allowed (det G > 0) and forbidden
-(det G < 0) cases; in the forbidden case the z components are pure
-imaginary and are stored as their real coefficients with a flag.  The
-six exterior dihedral angles come from outward face normals; in the
-forbidden case every cos psi lies outside [-1, 1] and the sign pattern
-against the caustic table classifies the region.
+Gram entries follow from the lengths alone.  classify() builds the one
+geometry record per point from G and its cofactors: det G = 36 V^2, |V|
+and the six exterior dihedral angles.  The same formulas hold in the
+forbidden case (det G < 0), where every cos psi lies outside [-1, 1]
+and the sign pattern against the caustic table classifies the region.
+
+construct() diagonalizes G to realize the edge vectors (with pure
+imaginary z components, stored as real coefficients with a flag, when
+det G < 0); it serves only the vector picture: the phase-space sphere
+and the Poisson bracket.
 """
 
 import math
@@ -46,12 +49,32 @@ _PATTERN_TO_COLUMN = {pat: i for i, (_, pat) in enumerate(SIGN_PATTERNS)}
 
 
 @dataclass(frozen=True)
+class DihedralAngles:
+    """Exterior dihedral angles in EDGE_ORDER.
+
+    psi holds the principal values arccos(clip(cos_psi)); psi_bar holds
+    sign(cos psi)*arccosh|cos psi| (zero wherever |cos psi| <= 1).
+    """
+
+    cos_psi: np.ndarray
+    psi: np.ndarray
+    psi_bar: np.ndarray
+
+
+@dataclass(frozen=True)
 class RegionClass:
-    """Classification of a point of the (J12, J23) square."""
+    """Geometry of a point of the (J12, J23) square: its region, Table-1
+    column, det G = 36 V^2 and exterior dihedral angles."""
 
     kind: str                  # ALLOWED, CAUSTIC, or REGION_A..REGION_D
     pattern_index: int | None  # index into SIGN_PATTERNS where applicable
     det_g: float
+    angles: DihedralAngles | None  # None where a face degenerates
+
+    @property
+    def vol_abs(self):
+        """|V|, the magnitude used in semiclassical amplitudes."""
+        return math.sqrt(abs(self.det_g) / 36.0)
 
     @property
     def pattern(self):
@@ -92,10 +115,6 @@ class Tetrahedron:
     imag_z: bool
     volume_sq: float
     volume: float
-
-    @property
-    def det_g(self):
-        return 36.0 * self.volume_sq
 
     @property
     def vol_abs(self):
@@ -225,80 +244,38 @@ def from_vectors(A):
                        volume_sq=vol * vol, volume=vol)
 
 
-# Faces as (normal template, Heron length triple).  Normals are outward
-# for positive-volume real tetrahedra and are carried verbatim into the
-# forbidden case, where crossing two (r,r,i) vectors gives the (i,i,r)
-# pattern.
-_FACE_LENGTHS = {
-    "012": ("J1", "J2", "J12"),
-    "023": ("J12", "J3", "J4"),
-    "013": ("J1", "J23", "J4"),
-    "123": ("J2", "J3", "J23"),
-}
+def _angles(G):
+    """Exterior dihedral angles from the cofactors of the Gram matrix.
 
-# Edge -> pair of adjacent faces, in EDGE_ORDER.
-_EDGE_FACES = (
-    ("J1", "012", "013"),
-    ("J2", "012", "123"),
-    ("J3", "023", "123"),
-    ("J4", "023", "013"),
-    ("J12", "012", "023"),
-    ("J23", "013", "123"),
-)
-
-
-def _heron_area_sq(a, b, c):
-    s16 = (2.0 * a * a * b * b + 2.0 * b * b * c * c + 2.0 * c * c * a * a
-           - a ** 4 - b ** 4 - c ** 4)
-    return s16 / 16.0
-
-
-@dataclass(frozen=True)
-class DihedralAngles:
-    """Exterior dihedral angles in EDGE_ORDER.
-
-    psi holds the principal values arccos(clip(cos_psi)); psi_bar holds
-    sign(cos psi)*arccosh|cos psi| (zero wherever |cos psi| <= 1); base
-    is the 0-or-pi limit angle, defined where |cos psi| >= 1.
+    With b1, b2, b3 = A2 x A3, A3 x A1, A1 x A2 the cofactors are the
+    bilinear products C_ik = b_i . b_k, so nothing changes when
+    det G < 0.  The outward face normals are 012: -b3, 023: -b1,
+    013: -b2 and 123: b1 + b2 + b3; n.n is four times the squared face
+    area, and cos psi_e = n_a.n_b / sqrt(n_a.n_a n_b.n_b) over the two
+    faces on edge e.
     """
-
-    cos_psi: np.ndarray
-    psi: np.ndarray
-    psi_bar: np.ndarray
-    base: np.ndarray
+    (g11, g12, g13), (_, g22, g23), (_, _, g33) = G.tolist()
+    c11, c22, c33, c12, c13, c23 = (
+        g22 * g33 - g23 * g23, g11 * g33 - g13 * g13, g11 * g22 - g12 * g12,
+        g23 * g13 - g12 * g33, g12 * g23 - g22 * g13, g12 * g13 - g11 * g23)
+    s1, s2, s3 = c11 + c12 + c13, c12 + c22 + c23, c13 + c23 + c33
+    faces = {"012": c33, "023": c11, "013": c22, "123": s1 + s2 + s3}
+    for face, nn in faces.items():
+        if nn <= 0.0:
+            raise ValidationError(
+                f"degenerate face {face}: area^2 = {nn / 4.0}")
+    n012, n023, n013, n123 = faces.values()
+    cos_psi = np.array([c23, -s3, -s1, c12, c13, -s2]) / np.sqrt(np.array([
+        n012 * n013, n012 * n123, n023 * n123,
+        n023 * n013, n012 * n023, n013 * n123]))
+    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
+    psi_bar = np.sign(cos_psi) * np.arccosh(np.maximum(np.abs(cos_psi), 1.0))
+    return DihedralAngles(cos_psi=cos_psi, psi=psi, psi_bar=psi_bar)
 
 
 def dihedrals(t):
     """Exterior dihedral angles of the (possibly complex) tetrahedron."""
-    lens = dict(zip(EDGE_ORDER, t.lengths))
-    a1, a2, a3 = t.A[:, 0], t.A[:, 1], t.A[:, 2]
-    normals = {
-        "012": np.cross(a2, a1),
-        "023": np.cross(a3, a2),
-        "013": np.cross(a1, a3),
-        "123": np.cross(a2 - a1, a3 - a1),
-    }
-    areas = {}
-    for face, (la, lb, lc) in _FACE_LENGTHS.items():
-        asq = _heron_area_sq(lens[la], lens[lb], lens[lc])
-        if asq <= 0.0:
-            raise ValidationError(f"degenerate face {face}: area^2 = {asq}")
-        areas[face] = math.sqrt(asq)
-    cos_psi = np.empty(6)
-    for i, (_, fa, fb) in enumerate(_EDGE_FACES):
-        na, nb = normals[fa], normals[fb]
-        if t.imag_z:
-            # normals follow the (i, i, r) pattern; dot without conjugation
-            dot = -na[0] * nb[0] - na[1] * nb[1] + na[2] * nb[2]
-        else:
-            dot = float(na @ nb)
-        cos_psi[i] = dot / (4.0 * areas[fa] * areas[fb])
-    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
-    mag = np.maximum(np.abs(cos_psi), 1.0)
-    psi_bar = np.sign(cos_psi) * np.arccosh(mag)
-    base = np.where(cos_psi <= -1.0, math.pi,
-                    np.where(cos_psi >= 1.0, 0.0, math.nan))
-    return DihedralAngles(cos_psi=cos_psi, psi=psi, psi_bar=psi_bar, base=base)
+    return _angles(t.gram)
 
 
 def _caustic_scale(J):
@@ -307,7 +284,8 @@ def _caustic_scale(J):
 
 
 def classify(J, bnds=None):
-    """Region of the point: allowed, caustic, or forbidden A-D.
+    """Region and geometry of the point: allowed, caustic, or forbidden
+    A-D, with det G and the dihedral angles from the Gram cofactors.
 
     When bnds is given, lengths outside the classical square raise
     ValidationError.
@@ -321,26 +299,38 @@ def classify(J, bnds=None):
                 f"(J12, J23) = ({J12}, {J23}) outside the classical square "
                 f"[{bnds.J12_min}, {bnds.J12_max}] x "
                 f"[{bnds.J23_min}, {bnds.J23_max}]")
-    t = construct(J)
-    det_g = t.det_g
-    if abs(det_g) <= EPS_CAUSTIC * _caustic_scale(J):
-        try:
-            dih = dihedrals(t)
-            pat = tuple(0 if c > 0 else 1 for c in dih.cos_psi)
-            col = _PATTERN_TO_COLUMN.get(pat)
-        except ValidationError:
-            col = None  # tangency point: a face degenerates with the tetra
-        return RegionClass(kind=CAUSTIC, pattern_index=col, det_g=det_g)
-    if det_g > 0.0:
-        return RegionClass(kind=ALLOWED, pattern_index=None, det_g=det_g)
-    dih = dihedrals(t)
+    G = gram(J)
+    det_g = float(_det3(G))
+    caustic = abs(det_g) <= EPS_CAUSTIC * _caustic_scale(J)
+    try:
+        dih = _angles(G)
+    except ValidationError:
+        if not caustic:
+            raise
+        # tangency point: a face degenerates with the tetrahedron
+        return RegionClass(kind=CAUSTIC, pattern_index=None, det_g=det_g,
+                           angles=None)
     pat = tuple(0 if c > 0 else 1 for c in dih.cos_psi)
     col = _PATTERN_TO_COLUMN.get(pat)
-    if col is None:
+    if caustic:
+        kind = CAUSTIC
+    elif det_g > 0.0:
+        kind, col = ALLOWED, None
+    elif col is None:
         raise InvariantError(
             f"forbidden-region cos psi pattern {pat} matches no caustic "
             f"table column (lengths {J})")
-    return RegionClass(kind=SIGN_PATTERNS[col][0], pattern_index=col, det_g=det_g)
+    else:
+        kind = SIGN_PATTERNS[col][0]
+    return RegionClass(kind=kind, pattern_index=col, det_g=det_g, angles=dih)
+
+
+def _phibar_sign_ok(kind, ph, scale):
+    """The continued phase is <= 0 in regions A and D, >= 0 in B and C."""
+    tol = 1e-8 * scale
+    if kind in (REGION_A, REGION_D):
+        return ph <= tol
+    return ph >= -tol
 
 
 def poisson_bracket_check(t):

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, replace
 
 from . import dasym, prasym, tetra
-from .core import (HalfInt, InvariantError, SolverError, bounds,
-                   exact_wigner_d, lengths, phase, require_valid)
+from .core import (HalfInt, InvariantError, SolverError, ValidationError,
+                   bounds, exact_wigner_d, lengths, phase, require_valid)
 
 BETA_GEOM_EPS = 1e-12    # keep d_geometry off beta = 0, pi during solves
 NEAR_CAUSTIC_VOL = 1e-6  # |V|/(J1 J12 J4) below this switches the ratio
@@ -81,20 +81,22 @@ def _geom(umap, beta):
     return dasym.d_geometry(umap.j, umap.m, umap.mp, beta)
 
 
+def _residual(umap, beta, target):
+    """The (continued) d-matrix phase at beta minus target, and its
+    beta derivative."""
+    g = _geom(umap, beta)
+    val = (dasym.phi_d(g) if g.region in (dasym.ALLOWED, dasym.CAUSTIC)
+           else dasym.phi_d_bar(g))
+    return val - target, dasym.dphi_d_dbeta(g)
+
+
 def _newton(umap, target, lo, hi, seed, scale):
-    """Find beta in [lo, hi] with f(beta) = target, f the (continued)
-    d-matrix phase, monotone decreasing; safeguarded Newton."""
+    """Find beta in [lo, hi] with phase(beta) = target, the phase
+    monotone decreasing; safeguarded Newton."""
     tol = _SOLVE_TOL * scale
-
-    def f(beta):
-        g = _geom(umap, beta)
-        val = (dasym.phi_d(g) if g.region in (dasym.ALLOWED, dasym.CAUSTIC)
-               else dasym.phi_d_bar(g))
-        return val - target, dasym.dphi_d_dbeta(g)
-
     x = min(max(seed, lo), hi)
     for it in range(1, _MAX_NEWTON + 1):
-        fx, fpx = f(x)
+        fx, fpx = _residual(umap, x, target)
         if abs(fx) <= tol:
             return x, it, abs(fx)
         if fx > 0.0:
@@ -112,31 +114,29 @@ def _newton(umap, target, lo, hi, seed, scale):
         f"residual {fx} against tolerance {tol}")
 
 
-def _phi_d_at(umap, beta):
-    g = _geom(umap, beta)
-    return (dasym.phi_d(g) if g.region in (dasym.ALLOWED, dasym.CAUSTIC)
-            else dasym.phi_d_bar(g))
-
-
 def _phibar_d_at(umap, beta):
     return dasym.phi_d_bar(_geom(umap, beta))
 
 
 def _solve_for_lengths(J, umap, region):
-    """beta matching the PR phase of the lengths J, plus a report."""
-    t = tetra.construct(J)
-    dih = tetra.dihedrals(t)
+    """beta matching the PR phase of the point (lengths J, geometry
+    region from tetra.classify), plus a report."""
+    dih = region.angles
+    if dih is None:
+        raise ValidationError(
+            f"lengths {J} are a caustic tangency point: a face "
+            "degenerates, so the dihedral angles are undefined")
     beta1, beta2 = dasym.turning_points(umap.j, umap.m, umap.mp)
     if region.is_forbidden:
         return _solve_forbidden(J, dih, umap, region.kind, beta1, beta2)
+    target = prasym.phi_pr(J, dih) - umap.Phi0
     if region.is_caustic and region.segment is not None:
         # on the caustic the matched beta is the turning point itself
         beta = (beta1 if region.segment in (tetra.REGION_B, tetra.REGION_C)
                 else beta2)
-        res = abs(prasym.phi_pr(J, dih) - umap.Phi0 - _phi_d_at(umap, beta))
+        res = abs(_residual(umap, beta, target)[0])
         return beta, SolveReport(iterations=0, residual=res,
                                  bracket=(beta, beta), region=region.kind)
-    target = prasym.phi_pr(J, dih) - umap.Phi0
     a_hi = (float(umap.j) + 0.5 - max(float(umap.m), float(umap.mp))) * math.pi
     a_lo = max(0.0, -(float(umap.m) + float(umap.mp))) * math.pi
     scale = max(1.0, abs(target))
@@ -220,16 +220,14 @@ def beta_field(j1, j2, j3, j4, J12, J23):
     return _solve_for_lengths(J, umap, region)
 
 
-def solve_beta(labels, umap=None, region=None):
+def solve_beta(labels, umap=None):
     """beta for a quantized symbol; returns (beta, SolveReport)."""
     require_valid(labels)
     b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
     if umap is None:
         umap = map_quantum(labels, b)
     J = lengths(labels)
-    if region is None:
-        region = tetra.classify(J, b)
-    return _solve_for_lengths(J, umap, region)
+    return _solve_for_lengths(J, umap, tetra.classify(J, b))
 
 
 def _near_caustic_ratio(labels, bnds, umap):
@@ -243,11 +241,10 @@ def _near_caustic_ratio(labels, bnds, umap):
             continue
         Js = J[:5] + (j23s,)
         region_s = tetra.classify(Js)
-        ts = tetra.construct(Js)
         beta_s, _ = _solve_for_lengths(Js, umap, region_s)
         g = _geom(umap, beta_s)
         num += math.sqrt(abs(g.Vd_sq))
-        den += ts.vol_abs
+        den += region_s.vol_abs
     if den == 0.0:
         raise InvariantError(
             f"amplitude ratio undefined at {labels}: no usable neighbors")
@@ -283,10 +280,9 @@ def uniform_6j(labels):
             raise InvariantError(
                 f"parity mismatch in region {region.kind}: nu_ex={umap.nu_ex} "
                 f"nu_6j={nu6} nu_d={nud} do not cancel")
-    t = tetra.construct(J)
     g = _geom(umap, beta)
     vd = math.sqrt(abs(g.Vd_sq))
-    vol = t.vol_abs
+    vol = region.vol_abs
     near = region.is_caustic or vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
     ratio = _near_caustic_ratio(labels, b, umap) if near else vd / vol
     Jd = b.D / 2.0

@@ -55,16 +55,48 @@ def cayley_menger_volume_sq(J):
     |OP1| = J1, |OP2| = J12, |OP3| = J4, |P1P2| = J2, |P2P3| = J3,
     |P1P3| = J23.  288 V^2 = det CM.
     """
+    return _fraction_det(_cayley_menger(J)) / 288
+
+
+def _cayley_menger(J):
+    """Bordered 5x5 Cayley-Menger matrix of exact squared lengths, in the
+    vertex layout of cayley_menger_volume_sq (row/column 0 the border)."""
     J1, J2, J3, J4, J12, J23 = [exact_rational(x) for x in J]
     d2 = {(0, 1): J1 ** 2, (0, 2): J12 ** 2, (0, 3): J4 ** 2,
           (1, 2): J2 ** 2, (2, 3): J3 ** 2, (1, 3): J23 ** 2}
     m = [[Fraction(0)] * 5 for _ in range(5)]
     for i in range(1, 5):
         m[0][i] = m[i][0] = Fraction(1)
-    for i in range(1, 5):
-        for k in range(i + 1, 5):
-            m[i][k] = m[k][i] = d2[(i - 1, k - 1)]
-    return _fraction_det(m) / 288
+    for (a, b), v in d2.items():
+        m[a + 1][b + 1] = m[b + 1][a + 1] = v
+    return m
+
+
+# Edge (in the package's J1, J2, J3, J4, J12, J23 order) -> the two
+# vertices not on it, as Cayley-Menger indices (vertex + 1).
+_CM_OPPOSITE = ((3, 4), (1, 4), (1, 2), (2, 3), (2, 4), (1, 3))
+
+
+def cayley_menger_cos_psi(J):
+    """Exterior dihedral cosines from exact Cayley-Menger cofactors.
+
+    For edge e with vertices i, k off it, cos psi_e = -C_ik / sqrt(C_ii
+    C_kk), C the cofactors of the 5x5 Cayley-Menger matrix.  Works on
+    both sides of the caustic: no vectors, no eigen step, no imaginary
+    coordinates.  Returns a list of six floats.
+    """
+    m = _cayley_menger(J)
+
+    def cof(i, k):
+        minor = [row[:k] + row[k + 1:] for r, row in enumerate(m) if r != i]
+        return (-1) ** (i + k) * _fraction_det(minor)
+
+    out = []
+    for i, k in _CM_OPPOSITE:
+        cik = cof(i, k)
+        c2 = cik * cik / (cof(i, i) * cof(k, k))
+        out.append(-math.copysign(math.sqrt(c2), cik))
+    return out
 
 
 def _fraction_det(m):

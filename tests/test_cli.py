@@ -106,6 +106,30 @@ class TestExitCodes:
         assert rc == 2 and "conflicts" in err
 
 
+class TestDigits:
+    NEAR = ["eval", "--j1", "9/2", "--j2", "3", "--j12", "9/2", "--j3",
+            "11/2", "--j4", "6", "--j23", "17/2", "--methods", "exact"]
+
+    def test_many_digits_are_all_held(self, capsys):
+        # 120-digit evaluation of the same exact R*sqrt(P)
+        want = ("-0.02991079858565193244441664224870530009858375249894172831"
+                "4782032941162891159627161")
+        rc, out, _ = run(capsys, self.NEAR + ["--digits", "80"])
+        assert rc == 0
+        assert json.loads(out)["exact"]["digits"] == want
+
+    def test_default_digits(self, capsys):
+        rc, out, _ = run(capsys, self.NEAR)
+        assert rc == 0
+        assert json.loads(out)["exact"]["digits"] == "-0.029910798585651932"
+
+    @pytest.mark.parametrize("digits", ["0", "-5"])
+    def test_rejects_fewer_than_one_digit(self, capsys, digits):
+        rc, out, err = run(capsys, self.NEAR + ["--digits", digits])
+        assert rc == 2 and out == ""
+        assert err.startswith("sixj: error:") and "--digits" in err
+
+
 class TestSweep:
     def test_csv_schema_and_row_count(self, capsys):
         rc, out, _ = run(capsys, [
@@ -224,6 +248,15 @@ class TestWorstcase:
         assert lines[0] == "block,j1,j2,j12,j3,j4,j23,region,err_pr," \
                            "err_uniform"
         assert any(ln.startswith("worst_err_pr,") for ln in lines)
+
+
+    @pytest.mark.parametrize("family,j_max", [("random", "0"),
+                                              ("equal-pairs", "-3")])
+    def test_rejects_j_max_below_one(self, capsys, family, j_max):
+        rc, out, err = run(capsys, ["worstcase", "--family", family,
+                                    "--j-max", j_max])
+        assert rc == 2 and out == ""
+        assert "--j-max" in err
 
 
 class TestDeterminism:

@@ -184,6 +184,35 @@ class TestClassify:
             tetra.classify((5.0, 3.5, 6.0, 6.5, 0.5, 6.0), b)
 
 
+class TestCayleyMengerAngles:
+    def test_cos_psi_matches_exact_cofactors_in_every_region(self):
+        # an independent check of the Gram-cofactor normals: exact
+        # Cayley-Menger cofactors, on both sides of the caustic
+        rng = random.Random(31)
+        counts = {k: 0 for k in ("allowed", "A", "B", "C", "D")}
+        for _ in range(5000):
+            if min(counts.values()) >= 8:
+                break
+            J = lengths(_random_labels(rng, 25))
+            reg = tetra.classify(J)
+            if counts.get(reg.kind, 8) >= 8:   # caustic points skipped
+                continue
+            counts[reg.kind] += 1
+            want = oracles.cayley_menger_cos_psi(J)
+            for got in (tetra.dihedrals(tetra.construct(J)).cos_psi,
+                        reg.angles.cos_psi):
+                assert np.allclose(got, want, rtol=1e-11, atol=0.0), J
+        assert min(counts.values()) >= 8, counts
+
+    def test_degenerate_face_raises_validation_error(self):
+        # J12 = J1 - J2 flattens face 012 at a caustic tangency point
+        J = (5.0, 3.5, 6.0, 6.5, 1.5, 6.238322445473239)
+        with pytest.raises(ValidationError, match="degenerate face 012"):
+            tetra.dihedrals(tetra.construct(J))
+        reg = tetra.classify(J, bounds("9/2", 3, "11/2", 6))
+        assert reg.is_caustic and reg.angles is None
+
+
 class TestPoissonBracket:
     def test_bracket_identity(self):
         # {J23, J12} = J1 . (J2 x J3) / (J12 J23) = 6V / (J12 J23)

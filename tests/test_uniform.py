@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from sixj import (HalfInt, SixJLabels, bounds, dasym, exact_sixj, lengths,
-                  prasym, tetra, uniform)
+from sixj import (HalfInt, SixJLabels, ValidationError, bounds, dasym,
+                  exact_sixj, lengths, prasym, tetra, uniform)
 from sixj.cli import _random_labels
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
@@ -186,6 +186,36 @@ class TestUniformValue:
         direct = math.sqrt(abs(g.Vd_sq)) / t.vol_abs
         avg = uniform._near_caustic_ratio(labels, b, um)
         assert avg == pytest.approx(direct, rel=1e-6)
+
+
+class TestGeometryRecord:
+    def test_one_geometry_build_per_call(self, monkeypatch):
+        # off the near-caustic branch each method classifies its point
+        # once and reads angles and |V| from that record
+        labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "13/2")
+        calls = []
+        classify = tetra.classify
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return classify(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the vector picture is off the hot path")
+
+        monkeypatch.setattr(tetra, "classify", counted)
+        monkeypatch.setattr(tetra, "construct", forbidden)
+        monkeypatch.setattr(tetra, "dihedrals", forbidden)
+        prasym.pr_value(labels)
+        assert len(calls) == 1
+        res = uniform.uniform_6j(labels)
+        assert not res.near_caustic
+        assert len(calls) == 2
+
+    def test_beta_field_at_tangency_point_raises_validation_error(self):
+        # the face (J1, J2, J12) is flat at J12 = J1 - J2: no angles
+        with pytest.raises(ValidationError):
+            uniform.beta_field("9/2", 3, "11/2", 6, 1.5, 6.238322445473239)
 
 
 class TestPermutation:
