@@ -26,6 +26,10 @@ FAMILIES = ("equal-pairs", "three-zeros", "random")
 
 _FIGURE_GRID_DEFAULT = {"spots": 201, "beta-contours": 41,
                         "j23-orbits": 128, "caustic-diagrams": 201}
+# Upper bounds on the inputs that set the runtime: caustic-diagrams and
+# j23-orbits fill grid x grid cells, worstcase evaluates symbols up to j-max.
+GRID_MAX = 1000
+J_MAX_MAX = 1000
 _TOUCH_TOL = 1e-6   # |det G| / caustic scale at an accepted touch point
 
 
@@ -414,9 +418,10 @@ def cmd_figure(args):
         if v is None:
             raise ValidationError(f"--{name} is required for figures")
         js.append(HalfInt.of(v))
-    grid = args.grid or _FIGURE_GRID_DEFAULT[args.kind]
-    if grid < 8:
-        raise ValidationError("--grid must be at least 8")
+    grid = _FIGURE_GRID_DEFAULT[args.kind] if args.grid is None else args.grid
+    if not 8 <= grid <= GRID_MAX:
+        raise ValidationError(
+            f"--grid must be between 8 and {GRID_MAX}, got {grid}")
     builder = {
         "spots": figure_spots,
         "beta-contours": figure_beta_contours,
@@ -526,8 +531,9 @@ def _random_labels(rng, j_max):
 
 
 def worstcase_report(family, j_max=20, seed=0, count=200):
-    if j_max < 1:
-        raise ValidationError(f"--j-max must be at least 1, got {j_max}")
+    if not 1 <= j_max <= J_MAX_MAX:
+        raise ValidationError(
+            f"--j-max must be between 1 and {J_MAX_MAX}, got {j_max}")
     rows = []
     if family == "equal-pairs":
         for tj in range(2, 2 * j_max + 1):
@@ -609,13 +615,15 @@ def build_parser():
     pf = sub.add_parser("figure", help="emit figure data")
     pf.add_argument("--kind", choices=FIGURE_KINDS, required=True)
     _add_label_flags(pf, ("j1", "j2", "j3", "j4"))
-    pf.add_argument("--grid", type=int)
+    pf.add_argument("--grid", type=int,
+                    help=f"samples per axis, 8 to {GRID_MAX}")
     pf.add_argument("--format", choices=("json", "csv"), default="json")
     pf.add_argument("--out")
 
     pw = sub.add_parser("worstcase", help="scan an error family")
     pw.add_argument("--family", choices=FAMILIES, required=True)
-    pw.add_argument("--j-max", type=int, default=20)
+    pw.add_argument("--j-max", type=int, default=20,
+                    help=f"largest j, 1 to {J_MAX_MAX}")
     pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--format", choices=("json", "csv"), default="json")
     pw.add_argument("--out")

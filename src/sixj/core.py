@@ -1,20 +1,28 @@
 """Exact half-integer arithmetic and exact reference values.
 
 Quantum numbers are stored as twice their value so triangle and parity
-checks stay in integer arithmetic.  The 6j symbol is the Racah single
-sum carried over exact rationals, with the square-root prefactor
-applied once at emission time (50 significant digits).  The Wigner
-d-matrix element is a compensated double-precision sum over exact
-rational term coefficients, escalated to adaptive-precision mpmath when
-cancellation or matrix size would otherwise eat into the 12th digit.
+checks stay in integer arithmetic; the HalfInt of each |2j| <= 4096 is
+one shared instance.  The 6j symbol is the Racah single sum, summed
+exactly by a Horner recurrence over the integer ratios of consecutive
+terms, with the square-root prefactor applied once at emission time (50
+significant digits).  The Wigner d-matrix element is a compensated
+double-precision sum over exact rational term coefficients, escalated
+to adaptive-precision mpmath when cancellation or matrix size would
+otherwise eat into the 12th digit; the escalated sum steps from term to
+term by the exact term ratio.
+
+mpmath work runs on one shared context per precision (see _mp).  The
+contexts are set up once and never changed afterwards, and the code
+calls on them only operations that read their precision, never set it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath
 
@@ -47,22 +55,51 @@ class SolverError(InvariantError):
     """Root finder failed to converge within its iteration budget."""
 
 
+@functools.lru_cache(maxsize=64)
 def _mp(dps):
-    """Fresh mpmath context at the given precision (thread-safe)."""
+    """The shared mpmath context at the given precision.
+
+    One context per dps, made on first use (a clone costs about 0.6 ms
+    and 41 KB).  Callers must not change it: no setting of dps or prec,
+    and no mpmath function that raises the working precision for a
+    while (the special functions wrapped by mpmath's _wrap_specfun do).
+    Arithmetic, mpf, sqrt, cos, sin and log10 only read ctx.prec, so a
+    shared context is safe to use from several threads at once.
+    """
     ctx = mpmath.mp.clone()
     ctx.dps = dps
     return ctx
 
 
+_SHARED_TWICE_MAX = 4096
+_shared_halfints = {}   # twice -> HalfInt, filled on first use
+
+
 class HalfInt:
-    """Integer or half-odd-integer, stored as twice its value."""
+    """Integer or half-odd-integer, stored as twice its value.
+
+    Instances with |twice| <= 4096 are shared: HalfInt(t) returns the
+    same object each time, so symbol pools hold six pointers per symbol.
+    Never assign to ``twice``.
+    """
 
     __slots__ = ("twice",)
 
-    def __init__(self, twice):
+    def __new__(cls, twice):
         if not isinstance(twice, int):
             raise ValidationError(f"HalfInt stores 2j as int, got {twice!r}")
-        self.twice = twice
+        twice = int(twice)   # a bool is an int; store the plain int
+        self = _shared_halfints.get(twice)
+        if self is None:
+            self = super().__new__(cls)
+            self.twice = twice
+            if abs(twice) <= _SHARED_TWICE_MAX:
+                self = _shared_halfints.setdefault(twice, self)
+        return self
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, so shared stays shared
+        return (self.twice,)
 
     @classmethod
     def of(cls, x):
@@ -183,7 +220,7 @@ TRIANGLES = (
 LABEL_NAMES = ("j1", "j2", "j12", "j3", "j4", "j23")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SixJLabels:
     """The six quantum numbers of {j1 j2 j12; j3 j4 j23}."""
 
@@ -345,7 +382,11 @@ def lengths(labels):
 
 @dataclass(frozen=True)
 class ExactValue:
-    """Exact 6j value R*sqrt(P) with R, P rational."""
+    """Exact 6j value R*sqrt(P) with R, P rational.
+
+    ``value`` is an mpf of the shared MP_DPS context (see _mp); callers
+    must not change that context, e.g. through ``value.context.dps``.
+    """
 
     rational: Fraction   # R, the Racah k-sum
     radicand: Fraction   # P, product of the four triangle coefficients
@@ -364,14 +405,11 @@ class ExactValue:
         return float(self.value)
 
 
-def _delta_sq(ta, tb, tc):
-    """Triangle coefficient Delta^2(a,b,c) as an exact Fraction."""
-    return Fraction(
-        factorial((ta + tb - tc) // 2)
-        * factorial((ta - tb + tc) // 2)
-        * factorial((-ta + tb + tc) // 2),
-        factorial((ta + tb + tc) // 2 + 1),
-    )
+def _inverse_delta_sq(ta, tb, tc):
+    """1/Delta^2(a,b,c) = (a+b+c+1)!/((a+b-c)!(a-b+c)!(-a+b+c)!), an
+    integer: (n+1) times a multinomial coefficient, n = a+b+c."""
+    x, y, n = (ta + tb - tc) // 2, (ta - tb + tc) // 2, (ta + tb + tc) // 2
+    return (n + 1) * comb(n, x) * comb(n - x, y)
 
 
 def _root_form(rational, radicand, dps):
@@ -382,7 +420,14 @@ def _root_form(rational, radicand, dps):
 
 
 def exact_sixj(labels):
-    """The 6j symbol by the Racah single sum, exactly."""
+    """The 6j symbol by the Racah single sum, exactly.
+
+    The sum over k of (-1)^k (k+1)! / (prod (k-s_i)! prod (q_j-k)!) is
+    t_kmin times a Horner sum over the ratios t_{k+1}/t_k =
+    -(k+2)(q1-k)(q2-k)(q3-k) / prod (k+1-s_i), evaluated from the top in
+    integers; one Fraction is built at the end.  The radicand P is 1 over
+    an integer, so it needs no gcd.
+    """
     require_valid(labels)
     ta, tb, tc = labels.j1.twice, labels.j2.twice, labels.j12.twice
     td, te, tf = labels.j3.twice, labels.j4.twice, labels.j23.twice
@@ -393,15 +438,22 @@ def exact_sixj(labels):
     q1 = (ta + tb + td + te) // 2
     q2 = (tb + tc + te + tf) // 2
     q3 = (ta + tc + td + tf) // 2
-    total = Fraction(0)
-    for k in range(max(s1, s2, s3, s4), min(q1, q2, q3) + 1):
-        den = (factorial(k - s1) * factorial(k - s2) * factorial(k - s3)
-               * factorial(k - s4) * factorial(q1 - k) * factorial(q2 - k)
-               * factorial(q3 - k))
-        term = Fraction(factorial(k + 1), den)
-        total = total - term if k % 2 else total + term
-    radicand = (_delta_sq(ta, tb, tc) * _delta_sq(ta, te, tf)
-                * _delta_sq(td, tb, tf) * _delta_sq(td, te, tc))
+    kmin, kmax = max(s1, s2, s3, s4), min(q1, q2, q3)
+    num = den = 1
+    for k in range(kmax - 1, kmin - 1, -1):
+        up = (k + 2) * (q1 - k) * (q2 - k) * (q3 - k)
+        down = (k + 1 - s1) * (k + 1 - s2) * (k + 1 - s3) * (k + 1 - s4)
+        num = den * down - num * up
+        den *= down
+    for x in (kmin - s1, kmin - s2, kmin - s3, kmin - s4,
+              q1 - kmin, q2 - kmin, q3 - kmin):
+        den *= factorial(x)
+    num *= phase(kmin) * factorial(kmin + 1)
+    total = Fraction(num, den)
+    radicand = Fraction(1, _inverse_delta_sq(ta, tb, tc)
+                        * _inverse_delta_sq(ta, te, tf)
+                        * _inverse_delta_sq(td, tb, tf)
+                        * _inverse_delta_sq(td, te, tc))
     return ExactValue(rational=total, radicand=radicand,
                       value=_root_form(total, radicand, MP_DPS))
 
@@ -447,25 +499,35 @@ def _wigner_d_f64(tj, tm, tmp, beta):
 
 
 def _wigner_d_mp(tj, tm, tmp, beta, dps0):
-    """Adaptive-precision pass with exact rational term coefficients."""
+    """Adaptive-precision pass.  The terms alternate in sign; their
+    magnitudes start from the exact factorial coefficient of the first
+    and step by the exact ratio (j+m'-k)(j-m-k) / ((k+1)(m-m'+k+1)) times
+    tan^2(beta/2).  Summing the two signs apart gives the sum and the
+    sum of magnitudes from the same two partial sums."""
     _, jm, jpmp, _, mm, smin, smax, N = _d_sum_range(tj, tm, tmp)
+    den0 = (factorial(jpmp - smin) * factorial(smin) * factorial(mm + smin)
+            * factorial(jm - smin))
     dps = max(30, dps0)
     for _ in range(8):
         ctx = _mp(dps)
         half = ctx.mpf(beta) / 2
         c = ctx.cos(half)
         s = ctx.sin(half)
-        pref = ctx.sqrt(ctx.mpf(N))
-        total = ctx.mpf(0)
-        absum = ctx.mpf(0)
-        for k in range(smin, smax + 1):
-            den = (factorial(jpmp - k) * factorial(k) * factorial(mm + k)
-                   * factorial(jm - k))
-            t = pref / den * c ** (tj - 2 * k - mm) * s ** (mm + 2 * k)
-            if (mm + k) % 2:
-                t = -t
-            total += t
-            absum += abs(t)
+        tan2 = (s / c) ** 2
+        mag = (ctx.sqrt(ctx.mpf(N)) / den0 * c ** (tj - 2 * smin - mm)
+               * s ** (mm + 2 * smin))
+        same, other = mag, ctx.mpf(0)   # |terms| with the first's sign, rest
+        for k in range(smin, smax):
+            mag = (mag * tan2 * ((jpmp - k) * (jm - k))
+                   / ((k + 1) * (mm + k + 1)))
+            if (k - smin) % 2:
+                same += mag
+            else:
+                other += mag
+        total = same - other
+        if (mm + smin) % 2:
+            total = -total
+        absum = same + other
         if total == 0:
             lost = dps
         else:

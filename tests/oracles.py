@@ -10,7 +10,9 @@ of eigenvectors, plain bisection instead of safeguarded Newton.
 
 import math
 from fractions import Fraction
+from math import factorial
 
+import mpmath
 import numpy as np
 
 # exact 6j values, 37 digits, from sympy.physics.wigner.wigner_6j
@@ -41,6 +43,67 @@ def sympy_wigner_d(j, m, mp, beta):
     mmp = Rational(mp.twice, 2) if hasattr(mp, "twice") else Rational(mp)
     expr = Rotation.d(jj, mm, mmp, nsimplify(beta, rational=True)).doit()
     return float(expr.evalf(25))
+
+
+def racah_k_range(labels):
+    """(k_min, k_max) of the Racah single sum of {j1 j2 j12; j3 j4 j23}."""
+    ta, tb, tc, td, te, tf = (x.twice for x in labels.as_tuple())
+    s = ((ta + tb + tc) // 2, (ta + te + tf) // 2,
+         (td + tb + tf) // 2, (td + te + tc) // 2)
+    q = ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2,
+         (ta + tc + td + tf) // 2)
+    return max(s), min(q), s, q
+
+
+def racah_fraction_sum(labels):
+    """The Racah sum R, one Fraction per term, each from 8 factorials."""
+    kmin, kmax, s, q = racah_k_range(labels)
+    total = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        den = 1
+        for x in [k - si for si in s] + [qj - k for qj in q]:
+            den *= factorial(x)
+        term = Fraction(factorial(k + 1), den)
+        total = total - term if k % 2 else total + term
+    return total
+
+
+def triangle_radicand(labels):
+    """P, the product of the four triangle coefficients, as a product
+    of four Fractions."""
+    ta, tb, tc, td, te, tf = (x.twice for x in labels.as_tuple())
+    out = Fraction(1)
+    for a, b, c in ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc)):
+        out *= Fraction(factorial((a + b - c) // 2)
+                        * factorial((a - b + c) // 2)
+                        * factorial((-a + b + c) // 2),
+                        factorial((a + b + c) // 2 + 1))
+    return out
+
+
+def direct_wigner_d(tj, tm, tmp, beta, dps):
+    """d^j_{mm'}(beta) by Wigner's sum, every term from its factorials,
+    on a private mpmath context at dps digits; twice-valued j, m, m'.
+
+    d = sum_k (-1)^(m-m'+k) sqrt((j+m)!(j-m)!(j+m')!(j-m')!)
+        cos^(2j-2k-m+m') sin^(m-m'+2k)
+        / ((j+m'-k)! k! (m-m'+k)! (j-m-k)!),  all of beta/2.
+    """
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    j_m, j_pm = (tj - tm) // 2, (tj + tm) // 2
+    j_mp, j_pmp = (tj - tmp) // 2, (tj + tmp) // 2
+    dm = (tm - tmp) // 2
+    c, s = ctx.cos(ctx.mpf(beta) / 2), ctx.sin(ctx.mpf(beta) / 2)
+    root = ctx.sqrt(factorial(j_pm) * factorial(j_m) * factorial(j_pmp)
+                    * factorial(j_mp))
+    total = ctx.mpf(0)
+    for k in range(max(0, -dm), min(j_pmp, j_m) + 1):
+        den = (factorial(j_pmp - k) * factorial(k) * factorial(dm + k)
+               * factorial(j_m - k))
+        term = root / den * c ** (tj - 2 * k - dm) * s ** (dm + 2 * k)
+        total += -term if (dm + k) % 2 else term
+    return total
 
 
 def exact_rational(x):

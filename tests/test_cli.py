@@ -259,6 +259,42 @@ class TestWorstcase:
         assert "--j-max" in err
 
 
+class TestInputBounds:
+    """Inputs that set the runtime are bounded; the checks run before any
+    work, so the large cases are never evaluated."""
+
+    @pytest.mark.parametrize("kind,grid", [
+        ("caustic-diagrams", str(cli.GRID_MAX + 1)), ("spots", "100000"),
+        ("j23-orbits", "7"), ("beta-contours", "0")])
+    def test_rejects_grid_out_of_range(self, capsys, kind, grid):
+        rc, out, err = run(capsys, ["figure", "--kind", kind, *SQUARE_FLAGS,
+                                    "--grid", grid])
+        assert rc == 2 and out == ""
+        assert "--grid" in err and str(cli.GRID_MAX) in err
+
+    def test_grid_max_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "figure_caustic_diagram",
+                            lambda js, grid: {"grid": grid})
+        rc, out, _ = run(capsys, ["figure", "--kind", "caustic-diagrams",
+                                  *SQUARE_FLAGS, "--grid",
+                                  str(cli.GRID_MAX)])
+        assert rc == 0 and json.loads(out) == {"grid": cli.GRID_MAX}
+
+    @pytest.mark.parametrize("family", ["random", "equal-pairs"])
+    def test_rejects_j_max_above_limit(self, capsys, family):
+        rc, out, err = run(capsys, ["worstcase", "--family", family,
+                                    "--j-max", str(cli.J_MAX_MAX + 1)])
+        assert rc == 2 and out == ""
+        assert "--j-max" in err and str(cli.J_MAX_MAX) in err
+
+    def test_j_max_limit_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "worstcase_row",
+                            lambda labels: {"err_pr": None,
+                                            "err_uniform": None})
+        report = cli.worstcase_report("three-zeros", cli.J_MAX_MAX)
+        assert len(report["rows"]) == 2 * cli.J_MAX_MAX - 1
+
+
 class TestDeterminism:
     def test_worstcase_bytes_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,7 +1,12 @@
 """Quantum-number plumbing, exact 6j values, exact d-matrix entries."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +18,8 @@ import oracles
 from sixj import (Bounds, HalfInt, InvariantError, SixJLabels,
                   ValidationError, bounds, exact_sixj, exact_wigner_d,
                   lengths, validate)
-from sixj.core import phase
+from sixj import cli, core, tetra
+from sixj.core import MP_DPS, _mp, phase
 
 
 halfints = st.integers(min_value=-60, max_value=60).map(HalfInt)
@@ -280,3 +286,262 @@ class TestExactWignerD:
             exact_wigner_d(2, 1, 0, -0.5)
         with pytest.raises(ValidationError):
             exact_wigner_d(HalfInt(4), HalfInt(1), HalfInt(0), 1.0)
+
+
+def _random_symbol(rng, tmax):
+    """A valid symbol with twice-values of j1..j4 in [0, tmax]."""
+    while True:
+        t = [rng.randint(0, tmax) for _ in range(4)]
+        try:
+            b = bounds(*(HalfInt(x) for x in t))
+        except ValidationError:
+            continue
+        t12 = rng.randrange(b.j12_min.twice, b.j12_max.twice + 1, 2)
+        t23 = rng.randrange(b.j23_min.twice, b.j23_max.twice + 1, 2)
+        return SixJLabels(HalfInt(t[0]), HalfInt(t[1]), HalfInt(t12),
+                          HalfInt(t[2]), HalfInt(t[3]), HalfInt(t23))
+
+
+# Nontrivial zeros: every Racah term is nonzero, the sum cancels exactly.
+EXACT_ZEROS = (("5/2", "5/2", 4, "5/2", "7/2", 2),
+               ("3/2", "9/2", 5, "9/2", "5/2", 2),
+               (5, 5, 4, "3/2", "7/2", "9/2"),
+               (5, 4, 6, 6, 6, 3))
+
+
+class TestRacahRecurrence:
+    """The integer term-ratio sum against the Fraction-per-term sum."""
+
+    def assert_exact(self, labels):
+        v = exact_sixj(labels)
+        assert v.rational == oracles.racah_fraction_sum(labels), labels
+        assert v.radicand == oracles.triangle_radicand(labels), labels
+
+    def test_seeded_corpus_up_to_j_200(self):
+        rng = random.Random(41)
+        for tmax in (8, 40, 120, 400):
+            for _ in range(25):
+                self.assert_exact(_random_symbol(rng, tmax))
+
+    def test_single_term_sums(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            # j12 = j1 + j2 stretches a triangle: k_min = k_max
+            t1, t2, t3 = (rng.randint(0, 200) for _ in range(3))
+            t4 = t1 + t2 + t3 - 2 * rng.randint(0, min(t1 + t2, t3))
+            b = bounds(HalfInt(t1), HalfInt(t2), HalfInt(t3), HalfInt(t4))
+            t23 = rng.randrange(b.j23_min.twice, b.j23_max.twice + 1, 2)
+            labels = SixJLabels(HalfInt(t1), HalfInt(t2), HalfInt(t1 + t2),
+                                HalfInt(t3), HalfInt(t4), HalfInt(t23))
+            kmin, kmax, _, _ = oracles.racah_k_range(labels)
+            assert kmin == kmax
+            self.assert_exact(labels)
+        self.assert_exact(SixJLabels.of(0, 0, 0, 0, 0, 0))
+        self.assert_exact(SixJLabels.of(0, "7/2", "7/2", 3, "11/2", "11/2"))
+
+    def test_exact_zeros(self):
+        for js in EXACT_ZEROS:
+            labels = SixJLabels.of(*js)
+            kmin, kmax, _, _ = oracles.racah_k_range(labels)
+            assert kmax > kmin
+            assert oracles.racah_fraction_sum(labels) == 0
+            v = exact_sixj(labels)
+            assert v.rational == 0 and v.sign == 0 and v.value == 0
+            self.assert_exact(labels)
+
+
+def _symmetry_group():
+    """The 144 symmetries of the 6j symbol (24 tetrahedral times 6
+    Regge) as 6x6 rational matrices on the twice-values in the order
+    (j1, j2, j12, j3, j4, j23), closed from four generators."""
+    def perm(p):
+        return tuple(tuple(Fraction(int(p[i] == k)) for k in range(6))
+                     for i in range(6))
+
+    def regge_row(i):
+        # Regge: with s = (j2 + j12 + j4 + j23)/2, each of those four
+        # labels x -> s - x; the column (j1, j3) stays.
+        if i in (0, 3):
+            return tuple(Fraction(int(i == k)) for k in range(6))
+        return tuple(Fraction(int(k not in (0, 3)), 2) - int(i == k)
+                     for k in range(6))
+
+    gens = (perm((1, 0, 2, 4, 3, 5)),    # swap columns 1 and 2
+            perm((0, 2, 1, 3, 5, 4)),    # swap columns 2 and 3
+            perm((3, 4, 2, 0, 1, 5)),    # up-down swap in columns 1 and 2
+            tuple(regge_row(i) for i in range(6)))
+    ident = perm(range(6))
+    group, frontier = {ident}, [ident]
+    while frontier:
+        grown = []
+        for g in frontier:
+            for s in gens:
+                x = tuple(tuple(sum(s[i][k] * g[k][n] for k in range(6))
+                                for n in range(6)) for i in range(6))
+                if x not in group:
+                    group.add(x)
+                    grown.append(x)
+        frontier = grown
+    return group
+
+
+class TestSixJSymmetries:
+    def test_exact_value_invariant_under_144_symmetries(self):
+        group = _symmetry_group()
+        assert len(group) == 144
+        # Lattice points rarely classify as caustic (a full scan of
+        # j1..j4 <= 5 finds none), so the regions required are allowed
+        # and A-D; a caustic point drawn would be checked as well.
+        rng = random.Random(47)
+        picked = {}
+        for _ in range(20000):
+            labels = _random_symbol(rng, 24)
+            b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
+            kind = tetra.classify(lengths(labels), b).kind
+            if len(picked.setdefault(kind, [])) < 3:
+                picked[kind].append(labels)
+            if len(picked) >= 5 and all(len(v) == 3 for v in picked.values()):
+                break
+        assert set(picked) >= {tetra.ALLOWED, "A", "B", "C", "D"}, picked
+        corpus = [x for v in picked.values() for x in v]
+        corpus.append(SixJLabels.of(*EXACT_ZEROS[0]))
+        for labels in corpus:
+            t = [x.twice for x in labels.as_tuple()]
+            key = exact_sixj(labels).key()
+            for g in group:
+                image = [sum(g[i][k] * t[k] for k in range(6))
+                         for i in range(6)]
+                assert all(x.denominator == 1 for x in image)
+                moved = SixJLabels(*(HalfInt(int(x)) for x in image))
+                assert exact_sixj(moved).key() == key, (labels, moved)
+
+
+class TestWignerDRecurrence:
+    """The escalated path's term ratios against Wigner's direct sum."""
+
+    @staticmethod
+    def assert_close(tj, tm, tmp, beta):
+        got = exact_wigner_d(HalfInt(tj), HalfInt(tm), HalfInt(tmp), beta)
+        want = oracles.direct_wigner_d(tj, tm, tmp, beta, 60 + tj)
+        assert abs(got - want) <= 1e-15 * abs(want), (tj, tm, tmp, beta)
+        return float(want)
+
+    def test_escalated_path_j_60_to_400(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            tj = rng.randint(121, 800)
+            tm = rng.randrange(-tj, tj + 1, 2)
+            tmp = rng.randrange(-tj, tj + 1, 2)
+            self.assert_close(tj, tm, tmp, rng.uniform(0.05, 3.09))
+
+    def test_forbidden_tails_relative(self):
+        cases = ((400, 300, -300, 0.3), (800, 600, 200, 0.2),
+                 (300, 200, 200, 2.9), (160, 150, -10, 0.4),
+                 (601, 401, -399, 0.5), (500, 0, 400, 0.3),
+                 (240, 200, 120, 0.1))
+        for case in cases:
+            want = self.assert_close(*case)
+            assert 0.0 < abs(want) < 1e-20, case
+
+    def test_second_precision_pass(self, monkeypatch):
+        shared = core._mp
+        passes = []
+
+        def recording_mp(dps):
+            passes.append(dps)
+            return shared(dps)
+
+        monkeypatch.setattr(core, "_mp", recording_mp)
+        # d^56_{35,0}(pi/2) vanishes; at the double nearest pi/2 the sum
+        # cancels by more digits than the first pass carries.
+        self.assert_close(112, 70, 0, math.pi / 2)
+        assert len(passes) >= 2 and passes[1] > passes[0], passes
+
+
+class TestSharedContexts:
+    def test_one_context_per_precision(self):
+        assert _mp(77) is _mp(77)
+        assert _mp(77).dps == 77 and _mp(78).dps == 78
+        assert _mp(77) is not _mp(78)
+        v = exact_sixj(SixJLabels.of(2, 2, 2, 2, 2, 2))
+        assert v.value.context is _mp(MP_DPS)
+
+    def test_eval_digits_leaves_contexts_unchanged(self, capsys):
+        rc = cli.main(["eval", "--j1", "9/2", "--j2", "3", "--j12", "9/2",
+                       "--j3", "11/2", "--j4", "6", "--j23", "17/2",
+                       "--methods", "exact", "--digits", "80"])
+        capsys.readouterr()
+        assert rc == 0
+        assert _mp(MP_DPS).dps == MP_DPS
+        assert _mp(90).dps == 90
+
+    def test_threads_match_serial(self):
+        rng = random.Random(59)
+        symbols = [_random_symbol(rng, 120) for _ in range(16)]
+        points = []
+        for tj in [rng.randint(2, 120) for _ in range(8)] + [
+                rng.randint(121, 300) for _ in range(8)]:
+            points.append((HalfInt(tj), HalfInt(rng.randrange(-tj, tj + 1, 2)),
+                           HalfInt(rng.randrange(-tj, tj + 1, 2)),
+                           rng.uniform(0.05, 3.09)))
+
+        def work(shift):
+            """Every result, keyed by its index, computed from index
+            shift onwards so the threads interleave different inputs."""
+            out = {}
+            for i in range(len(symbols)):
+                i = (i + shift) % len(symbols)
+                v = exact_sixj(symbols[i])
+                out["sixj", i] = (v.rational, v.radicand, v.value)
+            for i in range(len(points)):
+                i = (i + shift) % len(points)
+                out["d", i] = exact_wigner_d(*points[i])
+            return out
+
+        serial = work(0)
+        results = {}
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda s=s: results.__setitem__(s, work(s)))
+                for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for out in results.values():
+            assert out == serial
+
+
+class TestSharedLabels:
+    def test_small_halfints_are_shared(self):
+        assert HalfInt(39) is HalfInt(39) is HalfInt.of("39/2")
+        assert HalfInt(-4096) is HalfInt(-4096)
+        big = HalfInt(4097)
+        assert big == HalfInt(4097) and big is not HalfInt(4097)
+        assert type(HalfInt(True).twice) is int
+        assert HalfInt(True) is HalfInt(1)
+
+    def test_copy_and_pickle_roundtrip(self):
+        for h in (HalfInt(39), HalfInt(-4096), HalfInt(0), HalfInt(10 ** 6)):
+            copies = [copy.copy(h), copy.deepcopy(h)] + [
+                pickle.loads(pickle.dumps(h, protocol=p))
+                for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+            for c in copies:
+                assert c == h and type(c) is HalfInt
+                assert (c is h) == (abs(h.twice) <= 4096)
+        labels = SixJLabels.of("39/2", 23, "31/2", "17/2", 20, "47/2")
+        for c in (copy.deepcopy(labels), pickle.loads(pickle.dumps(labels))):
+            assert c == labels and hash(c) == hash(labels)
+            assert all(a is b for a, b in zip(c.as_tuple(), labels.as_tuple()))
+
+    def test_labels_are_slotted_and_frozen(self):
+        labels = SixJLabels.of(1, 1, 0, 1, 1, 0)
+        assert not hasattr(labels, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            labels.j1 = HalfInt(4)
