@@ -27,10 +27,14 @@ FAMILIES = ("equal-pairs", "three-zeros", "random")
 _FIGURE_GRID_DEFAULT = {"spots": 201, "beta-contours": 41,
                         "j23-orbits": 128, "caustic-diagrams": 201}
 # Upper bounds on the inputs that set the runtime: caustic-diagrams and
-# j23-orbits fill grid x grid cells, worstcase evaluates symbols up to j-max.
+# j23-orbits fill grid x grid cells; eval, sweep and worstcase evaluate
+# symbols with labels up to J_MAX_MAX.
 GRID_MAX = 1000
 J_MAX_MAX = 1000
 _TOUCH_TOL = 1e-6   # |det G| / caustic scale at an accepted touch point
+# det G samples per call in the caustic scan of figure spots: arrays of
+# 64 KB stay on the heap and are reused instead of raising peak memory
+_SCAN_BLOCK = 8192
 
 
 def _fmt(x):
@@ -82,13 +86,22 @@ def _parse_methods(arg):
     return methods
 
 
+def _bounded_label(name, v):
+    """The half-integer of --name, at most J_MAX_MAX."""
+    j = HalfInt.of(v)
+    if j > J_MAX_MAX:
+        raise ValidationError(
+            f"--{name} = {j} is above the limit {J_MAX_MAX}")
+    return j
+
+
 def _labels_from(args):
     vals = []
     for name in LABEL_FLAGS:
         v = getattr(args, name)
         if v is None:
             raise ValidationError(f"--{name} is required")
-        vals.append(v)
+        vals.append(_bounded_label(name, v))
     return SixJLabels.of(*vals)
 
 
@@ -250,7 +263,11 @@ def cmd_sweep(args):
         v = getattr(args, name)
         if v is None:
             raise ValidationError(f"--{name} is required for this sweep")
-        fixed[name] = HalfInt.of(v)
+        fixed[name] = _bounded_label(name, v)
+    top = HalfInt(sweep_range(fixed, swept)[-1])
+    if top > J_MAX_MAX:
+        raise ValidationError(f"--sweep {swept} reaches {top}, above the "
+                              f"limit {J_MAX_MAX}")
     rows = sweep_rows(fixed, swept, _parse_methods(args.methods))
     if args.format == "json":
         _write(args, _json(rows))
@@ -276,30 +293,55 @@ def _square_grid(b, n):
     return xs, ys
 
 
-def _caustic_roots_on_line(lo, hi, n, f):
-    """Roots of f (det G along one grid line) by scan and bisection."""
-    roots = []
-    prev_s, prev_v = lo, f(lo)
-    for i in range(1, n):
-        s = lo + (hi - lo) * i / (n - 1)
-        v = f(s)
-        if prev_v == 0.0:
-            roots.append(prev_s)
-        elif v != 0.0 and (prev_v < 0.0) != (v < 0.0):
-            a, fa, bb = prev_s, prev_v, s
-            for _ in range(80):
-                mid = 0.5 * (a + bb)
-                fm = f(mid)
-                if fm == 0.0:
-                    a = bb = mid
-                    break
-                if (fm < 0.0) == (fa < 0.0):
-                    a, fa = mid, fm
-                else:
-                    bb = mid
-            roots.append(0.5 * (a + bb))
-        prev_s, prev_v = s, v
-    return roots
+def _scan(lo, hi, n):
+    """n evenly spaced samples from lo to hi, both ends included."""
+    return lo + (hi - lo) * np.arange(n) / (n - 1)
+
+
+def _caustic_curve(four, b, grid):
+    """Roots of det G on every grid line of the square: the lines at
+    fixed J23 first, then those at fixed J12, each in scan order.
+
+    Each line is scanned at grid samples, a block of lines per call.  A
+    sample where det G is exactly zero is a root; every sign change
+    between two nonzero samples is bisected 80 times, all brackets in
+    lockstep.
+    """
+    xs, ys = _square_grid(b, grid)
+    samples = np.array([_scan(b.J12_min, b.J12_max, grid),
+                        _scan(b.J23_min, b.J23_max, grid)])
+    lines = np.array([ys, xs])   # direction 0: lines at fixed J23
+    block = max(1, _SCAN_BLOCK // grid)
+    found = []
+    for d in (0, 1):
+        for first in range(0, grid, block):
+            c, s = lines[d, first:first + block, None], samples[d]
+            v = tetra.det_gram(four + ((s, c) if d == 0 else (c, s)))
+            v0, v1 = v[:, :-1], v[:, 1:]
+            zero = v0 == 0.0
+            change = (v0 != 0.0) & (v1 != 0.0) & ((v0 < 0.0) != (v1 < 0.0))
+            line, k = np.nonzero(zero | change)
+            found.append((np.full(len(k), d), first + line, k,
+                          v0[line, k], zero[line, k]))
+    d, line, k, fa, done = (np.concatenate(x) for x in zip(*found))
+    along_j12 = d == 0
+    fixed = lines[d, line]
+
+    def point(s):
+        return (np.where(along_j12, s, fixed), np.where(along_j12, fixed, s))
+
+    # an exact zero starts done, with both ends of its bracket on it
+    a = samples[d, k]
+    bb = np.where(done, a, samples[d, k + 1])
+    for _ in range(80):
+        mid = 0.5 * (a + bb)
+        fm = tetra.det_gram(four + point(mid))
+        done |= fm == 0.0
+        low = ~done & ((fm < 0.0) == (fa < 0.0))
+        a = np.where(low | done, mid, a)
+        fa = np.where(low, fm, fa)
+        bb = np.where(low, bb, mid)
+    return np.column_stack(point(0.5 * (a + bb))).tolist()
 
 
 def _side_touch(four, b, side, n=2001):
@@ -314,9 +356,10 @@ def _side_touch(four, b, side, n=2001):
         c = b.J23_min if side == "J23_min" else b.J23_max
         lo, hi = b.J12_min, b.J12_max
         f = lambda s: tetra.det_gram((J1, J2, J3, J4, s, c))
-    best_i = max(range(n), key=lambda i: f(lo + (hi - lo) * i / (n - 1)))
-    a = lo + (hi - lo) * max(best_i - 1, 0) / (n - 1)
-    bb = lo + (hi - lo) * min(best_i + 1, n - 1) / (n - 1)
+    scan = _scan(lo, hi, n)
+    best_i = int(np.argmax(f(scan)))
+    a = float(scan[max(best_i - 1, 0)])
+    bb = float(scan[min(best_i + 1, n - 1)])
     for _ in range(200):
         m1 = a + (bb - a) / 3.0
         m2 = bb - (bb - a) / 3.0
@@ -349,15 +392,6 @@ def figure_spots(js, grid):
             points.append({"j12": str(HalfInt(t12)), "j23": str(HalfInt(t23)),
                            "J12": J12, "J23": J23,
                            "region": region.kind, "margin": margin})
-    curve = []
-    for J23 in _square_grid(b, grid)[1]:
-        f = lambda s: tetra.det_gram((J1, J2, J3, J4, s, J23))
-        for r in _caustic_roots_on_line(b.J12_min, b.J12_max, grid, f):
-            curve.append([r, J23])
-    for J12 in _square_grid(b, grid)[0]:
-        f = lambda s: tetra.det_gram((J1, J2, J3, J4, J12, s))
-        for r in _caustic_roots_on_line(b.J23_min, b.J23_max, grid, f):
-            curve.append([J12, r])
     touches = [_side_touch(four, b, side)
                for side in ("J12_min", "J12_max", "J23_min", "J23_max")]
     return {
@@ -365,7 +399,7 @@ def figure_spots(js, grid):
                    "J23": [b.J23_min, b.J23_max]},
         "D": b.D,
         "points": points,
-        "caustic": curve,
+        "caustic": _caustic_curve(four, b, grid),
         "touches": touches,
     }
 
@@ -401,10 +435,7 @@ def figure_caustic_diagram(js, grid):
     x = np.linspace(b.J12_min, b.J12_max, grid)
     y = np.linspace(b.J23_min, b.J23_max, grid)
     four = tuple(float(v) + 0.5 for v in js)
-    Z = np.empty((grid, grid))
-    for i, J12 in enumerate(x):
-        for k, J23 in enumerate(y):
-            Z[i, k] = tetra.det_gram(four + (J12, J23))
+    Z = tetra.det_gram(four + (x[:, None], y[None, :]))
     polys = sphere.contour_polylines(x, y, Z, 0.0, wrap_y=False)
     return {"square": {"J12": [b.J12_min, b.J12_max],
                        "J23": [b.J23_min, b.J23_max]},

@@ -6,6 +6,13 @@ conjugate angle is the dihedral angle phi12 about the J12 edge, and the
 area form is dJ12 ^ dphi12.  The butterfly construction realizes a point
 of the chart as an explicit tetrahedron; J23 is then a function on the
 sphere whose level curves are the quantization orbits.
+
+The contours come from marching squares.  One uint8 mask marks the
+samples above the level, and slices of it give the corner-sign index
+b00 + 2 b10 + 4 b11 + 8 b01 of every cell at once (a copy of the first
+column closes the periodic phi axis).  Python then visits only the
+cells the contour crosses, index neither 0 nor 15, in row-major order;
+the saddle cells 5 and 10 are split by the mean of their corners.
 """
 
 import math
@@ -144,19 +151,25 @@ def _marching_squares(x, y, Z, level, wrap_y=True):
         "left": lambda i, k: crossing("y", i, k),
         "right": lambda i, k: crossing("y", i + 1, k),
     }
-    for i in range(nx - 1):
-        for k in range(ny if wrap_y else ny - 1):
-            kn = (k + 1) % ny
-            z00, z10 = Z[i, k], Z[i + 1, k]
-            z01, z11 = Z[i, kn], Z[i + 1, kn]
-            index = ((z00 > level) + 2 * (z10 > level) + 4 * (z11 > level)
-                     + 8 * (z01 > level))
-            if index in (0, 15):
-                continue
-            center_high = (z00 + z10 + z01 + z11) / 4.0 > level
-            for ea, eb in _cell_segments(index, center_high):
-                segments.append((edge_key[ea](i, k), edge_key[eb](i, k)))
+    above = (Z > level).astype(np.uint8)
+    if wrap_y:
+        above = np.concatenate([above, above[:, :1]], axis=1)
+    index = (above[:-1, :-1] + 2 * above[1:, :-1] + 4 * above[1:, 1:]
+             + 8 * above[:-1, 1:])
+    ii, kk = np.nonzero((index != 0) & (index != 15))
+    kn = (kk + 1) % ny
+    center_high = (Z[ii, kk] + Z[ii + 1, kk] + Z[ii, kn]
+                   + Z[ii + 1, kn]) / 4.0 > level
+    for i, k, idx, high in zip(ii.tolist(), kk.tolist(),
+                               index[ii, kk].tolist(), center_high.tolist()):
+        for ea, eb in _cell_segments(idx, high):
+            segments.append((edge_key[ea](i, k), edge_key[eb](i, k)))
+    return _join_segments(segments, nodes, wrap_y)
 
+
+def _join_segments(segments, nodes, wrap_y):
+    """Chain the segments (pairs of node keys) into polylines of the
+    node points, in the order the segments were found."""
     adj = {}
     for a, b in segments:
         adj.setdefault(a, []).append(b)

@@ -130,19 +130,26 @@ class Tetrahedron:
         }
 
 
-def gram(J):
-    """Gram matrix of (A1, A2, A3) = (J1, J12, -J4) from the lengths."""
-    J1, J2, J3, J4, J12, J23 = (float(x) for x in J)
-    for val, name in zip((J1, J2, J3, J4, J12, J23), EDGE_ORDER):
-        if not val > 0.0:
-            raise ValidationError(f"length {name} = {val} must be positive")
+def _gram_entries(J1, J2, J3, J4, J12, J23):
+    """(g11, g22, g33, g12, g13, g23) of the Gram matrix; the lengths
+    may be floats or numpy arrays that broadcast."""
     g12 = 0.5 * (J12 * J12 + J1 * J1 - J2 * J2)
     g13 = 0.5 * (J1 * J1 + J4 * J4 - J23 * J23)
     g23 = 0.5 * (J12 * J12 + J4 * J4 - J3 * J3)
+    return J1 * J1, J12 * J12, J4 * J4, g12, g13, g23
+
+
+def gram(J):
+    """Gram matrix of (A1, A2, A3) = (J1, J12, -J4) from the lengths."""
+    J = tuple(float(x) for x in J)
+    for val, name in zip(J, EDGE_ORDER):
+        if not val > 0.0:
+            raise ValidationError(f"length {name} = {val} must be positive")
+    g11, g22, g33, g12, g13, g23 = _gram_entries(*J)
     return np.array([
-        [J1 * J1, g12, g13],
-        [g12, J12 * J12, g23],
-        [g13, g23, J4 * J4],
+        [g11, g12, g13],
+        [g12, g22, g23],
+        [g13, g23, g33],
     ])
 
 
@@ -189,8 +196,21 @@ def _det3(M):
 
 
 def det_gram(J):
-    """det G = 36 V^2 from the lengths alone (no eigen step)."""
-    return _det3(gram(J))
+    """det G = 36 V^2 from the lengths alone (no eigen step).
+
+    The six lengths may be floats or numpy arrays; the result has their
+    broadcast shape.  The expansion is the one of _det3(gram(J)), so
+    every element equals the determinant of its own point bit for bit.
+    """
+    J = [x if isinstance(x, np.ndarray) else float(x) for x in J]
+    for val, name in zip(J, EDGE_ORDER):
+        ok = val > 0.0
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+            raise ValidationError(f"length {name} = {float(np.min(val))} "
+                                  "must be positive")
+    g11, g22, g33, g12, g13, g23 = _gram_entries(*J)
+    return (g11 * (g22 * g33 - g23 * g23) - g12 * (g12 * g33 - g23 * g13)
+            + g13 * (g12 * g23 - g22 * g13))
 
 
 def construct(J):

@@ -15,6 +15,8 @@ from math import factorial
 import mpmath
 import numpy as np
 
+from sixj import sphere
+
 # exact 6j values, 37 digits, from sympy.physics.wigner.wigner_6j
 SIXJ_39_23_31H = "0.0042963739532310908909939163424148461"
 SIXJ_NEAR_CAUSTIC = "-0.029910798585651932444416642248705300"   # {9/2 3 9/2; 11/2 6 17/2}
@@ -280,3 +282,76 @@ def bisect_beta(j, m, mp, target, lo, hi, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def caustic_roots_on_line(lo, hi, n, f):
+    """Roots of f along one line, one scalar call per sample: scan n
+    points from lo to hi; a sample with f exactly zero is a root, and a
+    sign change between two nonzero samples is bisected 80 times."""
+    roots = []
+    prev_s, prev_v = lo, f(lo)
+    for i in range(1, n):
+        s = lo + (hi - lo) * i / (n - 1)
+        v = f(s)
+        if prev_v == 0.0:
+            roots.append(prev_s)
+        elif v != 0.0 and (prev_v < 0.0) != (v < 0.0):
+            a, fa, bb = prev_s, prev_v, s
+            for _ in range(80):
+                mid = 0.5 * (a + bb)
+                fm = f(mid)
+                if fm == 0.0:
+                    a = bb = mid
+                    break
+                if (fm < 0.0) == (fa < 0.0):
+                    a, fa = mid, fm
+                else:
+                    bb = mid
+            roots.append(0.5 * (a + bb))
+        prev_s, prev_v = s, v
+    return roots
+
+
+def cell_loop_marching_squares(x, y, Z, level, wrap_y):
+    """Marching squares with one Python iteration per cell, corner
+    values read one at a time.  The case table and the chaining of the
+    segments into polylines are the package's (sphere._cell_segments,
+    sphere._join_segments): only the classification of the cells is
+    independent here."""
+    nx, ny = Z.shape
+    dx, dy = x[1] - x[0], y[1] - y[0]
+    nodes = {}
+    segments = []
+
+    def crossing(kind, i, k):
+        key = (kind, i, k % ny if wrap_y else k)
+        if key not in nodes:
+            if kind == "x":
+                za, zb = Z[i, k % ny], Z[i + 1, k % ny]
+                t = 0.5 if zb == za else (level - za) / (zb - za)
+                nodes[key] = (x[i] + t * dx, y[k % ny])
+            else:
+                za, zb = Z[i, k % ny], Z[i, (k + 1) % ny]
+                t = 0.5 if zb == za else (level - za) / (zb - za)
+                nodes[key] = (x[i], y[k % ny] + t * dy)
+        return key
+
+    edge_key = {
+        "bottom": lambda i, k: crossing("x", i, k),
+        "top": lambda i, k: crossing("x", i, k + 1),
+        "left": lambda i, k: crossing("y", i, k),
+        "right": lambda i, k: crossing("y", i + 1, k),
+    }
+    for i in range(nx - 1):
+        for k in range(ny if wrap_y else ny - 1):
+            kn = (k + 1) % ny
+            z00, z10 = Z[i, k], Z[i + 1, k]
+            z01, z11 = Z[i, kn], Z[i + 1, kn]
+            index = ((z00 > level) + 2 * (z10 > level) + 4 * (z11 > level)
+                     + 8 * (z01 > level))
+            if index in (0, 15):
+                continue
+            center_high = (z00 + z10 + z01 + z11) / 4.0 > level
+            for ea, eb in sphere._cell_segments(index, center_high):
+                segments.append((edge_key[ea](i, k), edge_key[eb](i, k)))
+    return sphere._join_segments(segments, nodes, wrap_y)

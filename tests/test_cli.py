@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sixj import SixJLabels, bounds, cli
+import oracles
+from sixj import HalfInt, SixJLabels, bounds, cli, sphere, tetra
 
 SQUARE_FLAGS = ["--j1", "9/2", "--j2", "3", "--j3", "11/2", "--j4", "6"]
 
@@ -218,6 +220,109 @@ class TestFigure:
         assert len(lines) > 10
 
 
+FIGURE_QUADS = {"demo": ("9/2", 3, "11/2", 6),
+                "large": ("39/2", 23, "17/2", 20)}
+
+
+def _four(js):
+    return tuple(float(j) + 0.5 for j in js)
+
+
+each_quad = pytest.mark.parametrize(
+    "js", [tuple(HalfInt.of(j) for j in q) for q in FIGURE_QUADS.values()],
+    ids=list(FIGURE_QUADS))
+each_grid = pytest.mark.parametrize("grid", [12, 41])
+
+
+class TestWholeGridFigures:
+    """The figure builders work on whole grids; every root and polyline
+    equals the one of the scalar code they replaced.  (beta-contours runs
+    one beta solve per point and none of this code.)"""
+
+    @staticmethod
+    def scalar_caustic_curve(four, b, grid):
+        """The roots on every grid line, one line and one point at a time."""
+        xs, ys = cli._square_grid(b, grid)
+        curve = []
+        for J23 in ys:
+            f = lambda s: tetra.det_gram(four + (s, J23))
+            curve += [[r, J23] for r in oracles.caustic_roots_on_line(
+                b.J12_min, b.J12_max, grid, f)]
+        for J12 in xs:
+            f = lambda s: tetra.det_gram(four + (J12, s))
+            curve += [[J12, r] for r in oracles.caustic_roots_on_line(
+                b.J23_min, b.J23_max, grid, f)]
+        return curve
+
+    @each_grid
+    @each_quad
+    def test_spots_roots_equal_scalar_scan(self, js, grid):
+        want = self.scalar_caustic_curve(_four(js), bounds(*js), grid)
+        got = cli.figure_spots(js, grid)["caustic"]
+        assert want and got == want
+
+    @each_grid
+    @each_quad
+    def test_exact_zeros_equal_scalar_scan(self, js, grid, monkeypatch):
+        # det G replaced by a product with roots on scan samples (exact
+        # zeros), at a bracket midpoint (bisection hits 0.0 at once) and
+        # between samples
+        b = bounds(*js)
+        s12 = cli._scan(b.J12_min, b.J12_max, grid)
+        s23 = cli._scan(b.J23_min, b.J23_max, grid)
+        c, d, m = s12[3], s23[5], 0.5 * (s12[7] + s12[8])
+        e = 0.37 * (b.J12_max + b.J23_max)
+        monkeypatch.setattr(tetra, "det_gram", lambda J: (
+            (J[4] - c) * (J[4] - m) * (J[5] - d) * (J[4] + J[5] - e)))
+        want = self.scalar_caustic_curve(_four(js), b, grid)
+        xs, ys = cli._square_grid(b, grid)
+        assert [c, ys[0]] in want and [m, ys[0]] in want
+        assert [xs[0], d] in want
+        assert cli._caustic_curve(_four(js), b, grid) == want
+
+    @each_grid
+    @each_quad
+    def test_caustic_diagram_equals_point_loop(self, js, grid):
+        b = bounds(*js)
+        four = _four(js)
+        x = np.linspace(b.J12_min, b.J12_max, grid)
+        y = np.linspace(b.J23_min, b.J23_max, grid)
+        Z = np.array([[tetra.det_gram(four + (J12, J23)) for J23 in y]
+                      for J12 in x])
+        want = oracles.cell_loop_marching_squares(x, y, Z, 0.0, False)
+        got = cli.figure_caustic_diagram(js, grid)["polylines"]
+        assert want and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.array(g), w)
+
+    @each_grid
+    @each_quad
+    def test_j23_orbits_equal_cell_loop(self, js, grid):
+        x, y, Z, contours = sphere.j23_contour_grid(*js, n_J12=grid,
+                                                    n_phi=grid)
+        for lev, got in contours.items():
+            want = oracles.cell_loop_marching_squares(x, y, Z, lev, True)
+            assert len(got) == len(want), lev
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("side", ["J12_min", "J12_max", "J23_min",
+                                      "J23_max"])
+    @each_quad
+    def test_side_touch_refines_first_scan_maximum(self, js, side):
+        b, four = bounds(*js), _four(js)
+        t = cli._side_touch(four, b, side)
+        on_j12 = side.startswith("J12")
+        lo, hi = ((b.J23_min, b.J23_max) if on_j12
+                  else (b.J12_min, b.J12_max))
+        s = [lo + (hi - lo) * i / 2000 for i in range(2001)]
+        v = [tetra.det_gram(four + ((t["J12"], p) if on_j12
+                                    else (p, t["J23"]))) for p in s]
+        best = max(range(2001), key=v.__getitem__)
+        got = t["J23"] if on_j12 else t["J12"]
+        assert s[max(best - 1, 0)] <= got <= s[min(best + 1, 2000)]
+
+
 class TestWorstcase:
     def test_equal_pairs_worst_at_top(self):
         rep = cli.worstcase_report("equal-pairs", j_max=10)
@@ -293,6 +398,54 @@ class TestInputBounds:
                                             "err_uniform": None})
         report = cli.worstcase_report("three-zeros", cli.J_MAX_MAX)
         assert len(report["rows"]) == 2 * cli.J_MAX_MAX - 1
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a symbol was evaluated")
+        for name in ("exact_sixj", "eval_record", "sweep_rows"):
+            monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(tetra, "classify", fail)
+
+    @pytest.mark.parametrize("flag", ["--j1", "--j12", "--j23"])
+    def test_eval_rejects_label_above_limit(self, capsys, no_evaluation,
+                                            flag):
+        labels = dict(zip(["--j1", "--j2", "--j12", "--j3", "--j4", "--j23"],
+                          ["1000", "1", "1000", "1000", "1", "1000"]))
+        labels[flag] = str(cli.J_MAX_MAX + 1)
+        rc, out, err = run(capsys, ["eval", *sum(labels.items(), ())])
+        assert rc == 2 and out == ""
+        assert flag in err and str(cli.J_MAX_MAX) in err
+
+    def test_sweep_rejects_label_above_limit(self, capsys, no_evaluation):
+        rc, out, err = run(capsys, [
+            "sweep", "--j1", "1001", "--j2", "1", "--j3", "1000",
+            "--j4", "1", "--j23", "1000"])
+        assert rc == 2 and out == ""
+        assert "--j1" in err and str(cli.J_MAX_MAX) in err
+
+    def test_sweep_rejects_swept_range_above_limit(self, capsys,
+                                                   no_evaluation):
+        # every given label is allowed, but j12 would run up to 1200
+        rc, out, err = run(capsys, [
+            "sweep", "--j1", "600", "--j2", "600", "--j3", "600",
+            "--j4", "600", "--j23", "0"])
+        assert rc == 2 and out == ""
+        assert "j12" in err and str(cli.J_MAX_MAX) in err
+
+    def test_label_limit_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "eval_record", lambda labels, methods,
+                            digits: {"j12": str(labels.j12)})
+        monkeypatch.setattr(cli, "sweep_rows", lambda fixed, swept,
+                            methods: [{"j12": 1000.0}])
+        rc, out, _ = run(capsys, [
+            "eval", "--j1", "1000", "--j2", "1", "--j12", "1000",
+            "--j3", "1000", "--j4", "1", "--j23", "1000"])
+        assert rc == 0 and json.loads(out) == {"j12": "1000"}
+        rc, out, _ = run(capsys, [
+            "sweep", "--j1", "500", "--j2", "500", "--j3", "500",
+            "--j4", "500", "--j23", "1000", "--format", "json"])
+        assert rc == 0 and json.loads(out) == [{"j12": 1000.0}]
 
 
 class TestDeterminism:

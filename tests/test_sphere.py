@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from sixj import (SixJLabels, ValidationError, WrongRegionError, bounds,
                   lengths, prasym, sphere, tetra, uniform)
 
@@ -135,6 +136,28 @@ class TestContours:
                                               2 * math.pi) - math.pi)
                 assert np.max(np.abs(vals - lev)) < 0.1
                 assert np.median(np.abs(vals - lev)) < 0.02
+
+    @pytest.mark.parametrize("eps", [1e-3, -1e-3])
+    def test_saddle_cells_equal_cell_loop(self, eps):
+        # the cell around each saddle has corner index 5 or 10; the sign
+        # of eps picks the center_high branch
+        x = np.linspace(-1.0, 1.0, 8)
+        for Z in (x[:, None] * x[None, :] + eps,
+                  -x[:, None] * x[None, :] + eps):
+            got = sphere.contour_polylines(x, x, Z, 0.0)
+            want = oracles.cell_loop_marching_squares(x, x, Z, 0.0, False)
+            assert len(got) == len(want) == 2
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+        # periodic y: saddles of x sin(y) at y = 0 and, across the wrap,
+        # at y = pi (index 5 and index 10 cells)
+        y = -math.pi + 2.0 * math.pi * (np.arange(16) + 0.5) / 16
+        Z = x[:, None] * np.sin(y)[None, :] + eps
+        got = sphere._marching_squares(x, y, Z, 0.0, wrap_y=True)
+        want = oracles.cell_loop_marching_squares(x, y, Z, 0.0, True)
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_wrap_unwraps_continuously(self):
         # a contour crossing phi = +-pi stays continuous when wrapped

@@ -213,6 +213,42 @@ class TestCayleyMengerAngles:
         assert reg.is_caustic and reg.angles is None
 
 
+class TestDetGramBroadcast:
+    def test_array_equals_scalar_on_both_sides_of_the_caustic(self):
+        rng = random.Random(41)
+        points = [lengths(_random_labels(rng, 30)) for _ in range(400)]
+        # continuous points off the lattice as well
+        points += [tuple(x + rng.uniform(-0.25, 0.25) for x in J)
+                   for J in points[:100]]
+        scalar = [tetra.det_gram(J) for J in points]
+        assert min(scalar) < 0.0 < max(scalar)
+        assert scalar == [tetra._det3(tetra.gram(J)) for J in points]
+        cols = [np.array(c) for c in zip(*points)]
+        got = tetra.det_gram(cols)
+        assert got.shape == (len(points),)
+        assert got.tolist() == scalar
+        # a grid of (J12, J23) against one scalar call per point
+        four = points[0][:4]
+        x, y = cols[4][:7], cols[5][:9]
+        grid = tetra.det_gram(four + (x[:, None], y[None, :]))
+        assert grid.tolist() == [[tetra.det_gram(four + (a, c)) for c in y]
+                                 for a in x]
+
+    def test_scalar_input_gives_a_float(self):
+        J = lengths(NEAR_CAUSTIC)
+        assert isinstance(tetra.det_gram(J), float)
+        assert isinstance(tetra.det_gram(np.array(J)), float)
+
+    def test_one_nonpositive_element_raises(self):
+        J12 = np.array([1.5, 2.5, 0.0, 3.5])
+        with pytest.raises(ValidationError, match="J12 = 0.0"):
+            tetra.det_gram((5.0, 3.5, 6.0, 6.5, J12, 6.0))
+        J23 = np.full((3, 3), 6.0)
+        J23[1, 2] = -1.0
+        with pytest.raises(ValidationError, match="J23"):
+            tetra.det_gram((5.0, 3.5, 6.0, 6.5, 2.0, J23))
+
+
 class TestPoissonBracket:
     def test_bracket_identity(self):
         # {J23, J12} = J1 . (J2 x J3) / (J12 J23) = 6V / (J12 J23)
