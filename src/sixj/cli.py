@@ -32,8 +32,9 @@ _FIGURE_GRID_DEFAULT = {"spots": 201, "beta-contours": 41,
 GRID_MAX = 1000
 J_MAX_MAX = 1000
 _TOUCH_TOL = 1e-6   # |det G| / caustic scale at an accepted touch point
-# det G samples per call in the caustic scan of figure spots: arrays of
-# 64 KB stay on the heap and are reused instead of raising peak memory
+# points per call in the caustic scan of figure spots and the beta
+# solve of beta-contours: arrays of 64 KB stay on the heap and are
+# reused instead of raising peak memory
 _SCAN_BLOCK = 8192
 
 
@@ -298,6 +299,22 @@ def _scan(lo, hi, n):
     return lo + (hi - lo) * np.arange(n) / (n - 1)
 
 
+def _det_g(four, J12, J23):
+    """tetra.det_gram on the square, floats or arrays.
+
+    The square has a side J12 = 0 when J1 = J2 and J3 = J4, and a side
+    J23 = 0 when J2 = J3 and J1 = J4.  The tetrahedron is flat there:
+    the Gram matrix has a zero row, or two equal rows, so det G is 0.0
+    exactly, and no zero length reaches det_gram.
+    """
+    on_side = np.equal(J12, 0.0) | np.equal(J23, 0.0)
+    if not on_side.any():
+        return tetra.det_gram(four + (J12, J23))
+    det = np.where(on_side, 0.0, tetra.det_gram(
+        four + (np.where(on_side, 1.0, J12), np.where(on_side, 1.0, J23))))
+    return det if det.ndim else float(det)
+
+
 def _caustic_curve(four, b, grid):
     """Roots of det G on every grid line of the square: the lines at
     fixed J23 first, then those at fixed J12, each in scan order.
@@ -316,7 +333,7 @@ def _caustic_curve(four, b, grid):
     for d in (0, 1):
         for first in range(0, grid, block):
             c, s = lines[d, first:first + block, None], samples[d]
-            v = tetra.det_gram(four + ((s, c) if d == 0 else (c, s)))
+            v = _det_g(four, *((s, c) if d == 0 else (c, s)))
             v0, v1 = v[:, :-1], v[:, 1:]
             zero = v0 == 0.0
             change = (v0 != 0.0) & (v1 != 0.0) & ((v0 < 0.0) != (v1 < 0.0))
@@ -335,7 +352,7 @@ def _caustic_curve(four, b, grid):
     bb = np.where(done, a, samples[d, k + 1])
     for _ in range(80):
         mid = 0.5 * (a + bb)
-        fm = tetra.det_gram(four + point(mid))
+        fm = _det_g(four, *point(mid))
         done |= fm == 0.0
         low = ~done & ((fm < 0.0) == (fa < 0.0))
         a = np.where(low | done, mid, a)
@@ -347,15 +364,15 @@ def _caustic_curve(four, b, grid):
 def _side_touch(four, b, side, n=2001):
     """Maximum of det G along one square side, refined by ternary
     search; the caustic touches the side where this maximum vanishes."""
-    J1, J2, J3, J4 = four
+    J1, _, _, J4 = four
     if side in ("J12_min", "J12_max"):
         c = b.J12_min if side == "J12_min" else b.J12_max
         lo, hi = b.J23_min, b.J23_max
-        f = lambda s: tetra.det_gram((J1, J2, J3, J4, c, s))
+        f = lambda s: _det_g(four, c, s)
     else:
         c = b.J23_min if side == "J23_min" else b.J23_max
         lo, hi = b.J12_min, b.J12_max
-        f = lambda s: tetra.det_gram((J1, J2, J3, J4, s, c))
+        f = lambda s: _det_g(four, s, c)
     scan = _scan(lo, hi, n)
     best_i = int(np.argmax(f(scan)))
     a = float(scan[max(best_i - 1, 0)])
@@ -381,17 +398,20 @@ def _side_touch(four, b, side, n=2001):
 def figure_spots(js, grid):
     b = bounds(*js)
     four = tuple(float(x) + 0.5 for x in js)
-    J1, J2, J3, J4 = four
+    t12s = range(b.j12_min.twice, b.j12_max.twice + 1, 2)
+    t23s = range(b.j23_min.twice, b.j23_max.twice + 1, 2)
+    kinds = iter(tetra.classify_grid(four, [t / 2.0 + 0.5 for t in t12s],
+                                     [t / 2.0 + 0.5 for t in t23s],
+                                     b).kind.tolist())
     points = []
-    for t12 in range(b.j12_min.twice, b.j12_max.twice + 1, 2):
-        for t23 in range(b.j23_min.twice, b.j23_max.twice + 1, 2):
+    for t12 in t12s:
+        for t23 in t23s:
             J12, J23 = t12 / 2.0 + 0.5, t23 / 2.0 + 0.5
-            region = tetra.classify((J1, J2, J3, J4, J12, J23), b)
             margin = min(J12 - b.J12_min, b.J12_max - J12,
                          J23 - b.J23_min, b.J23_max - J23)
             points.append({"j12": str(HalfInt(t12)), "j23": str(HalfInt(t23)),
                            "J12": J12, "J23": J23,
-                           "region": region.kind, "margin": margin})
+                           "region": next(kinds), "margin": margin})
     touches = [_side_touch(four, b, side)
                for side in ("J12_min", "J12_max", "J23_min", "J23_max")]
     return {
@@ -408,11 +428,14 @@ def figure_beta_contours(js, grid):
     b = bounds(*js)
     xs, ys = _square_grid(b, grid)
     rows = []
-    for J12 in xs:
-        for J23 in ys:
-            beta, rep = uniform.beta_field(*js, J12, J23)
-            rows.append({"J12": J12, "J23": J23, "beta": beta,
-                         "region": rep.region})
+    block = max(1, _SCAN_BLOCK // grid)
+    for first in range(0, grid, block):
+        J12s = xs[first:first + block]
+        beta, region = uniform.beta_grid(*js, J12s, ys)
+        rows += [{"J12": J12, "J23": J23, "beta": bt, "region": rg}
+                 for (J12, J23), bt, rg in zip(
+                     ((J12, J23) for J12 in J12s for J23 in ys),
+                     beta.tolist(), region.tolist())]
     return {"square": {"J12": [b.J12_min, b.J12_max],
                        "J23": [b.J23_min, b.J23_max]},
             "grid": grid, "rows": rows}
@@ -435,7 +458,7 @@ def figure_caustic_diagram(js, grid):
     x = np.linspace(b.J12_min, b.J12_max, grid)
     y = np.linspace(b.J23_min, b.J23_max, grid)
     four = tuple(float(v) + 0.5 for v in js)
-    Z = tetra.det_gram(four + (x[:, None], y[None, :]))
+    Z = _det_g(four, x[:, None], y[None, :])
     polys = sphere.contour_polylines(x, y, Z, 0.0, wrap_y=False)
     return {"square": {"J12": [b.J12_min, b.J12_max],
                        "J23": [b.J23_min, b.J23_max]},
@@ -448,7 +471,7 @@ def cmd_figure(args):
         v = getattr(args, name)
         if v is None:
             raise ValidationError(f"--{name} is required for figures")
-        js.append(HalfInt.of(v))
+        js.append(_bounded_label(name, v))
     grid = _FIGURE_GRID_DEFAULT[args.kind] if args.grid is None else args.grid
     if not 8 <= grid <= GRID_MAX:
         raise ValidationError(

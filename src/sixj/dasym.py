@@ -103,6 +103,17 @@ def _soft_coerce(j, m, mp):
     return j, m, mp
 
 
+def _cone_cosines(ct, ctp, st, stp, cb, sb):
+    """cos kappa, cos phi, cos eta and V_d^2 of the cones at cos theta =
+    ct, cos theta' = ctp (sines st, stp) about axes beta apart (cosine
+    cb, sine sb); floats or numpy arrays."""
+    cos_phi = (ctp - cb * ct) / (sb * st)
+    cos_eta = (ct - cb * ctp) / (sb * stp)
+    cos_kappa = (ct * ctp - cb) / (st * stp)
+    vd_sq = 1.0 + 2.0 * cb * ct * ctp - cb * cb - ct * ct - ctp * ctp
+    return cos_kappa, cos_phi, cos_eta, vd_sq
+
+
 def d_geometry(j, m, mp, beta):
     """Cone geometry of d^j_{m m'}(beta) for 0 < beta < pi."""
     j, m, mp = _soft_coerce(j, m, mp)
@@ -112,11 +123,8 @@ def d_geometry(j, m, mp, beta):
     J = (j.twice + 1) / 2.0
     ct, ctp = float(m) / J, float(mp) / J
     st, stp = math.sqrt(1.0 - ct * ct), math.sqrt(1.0 - ctp * ctp)
-    cb, sb = math.cos(beta), math.sin(beta)
-    cos_phi = (ctp - cb * ct) / (sb * st)
-    cos_eta = (ct - cb * ctp) / (sb * stp)
-    cos_kappa = (ct * ctp - cb) / (st * stp)
-    vd_sq = 1.0 + 2.0 * cb * ct * ctp - cb * cb - ct * ct - ctp * ctp
+    cos_kappa, cos_phi, cos_eta, vd_sq = _cone_cosines(
+        ct, ctp, st, stp, math.cos(beta), math.sin(beta))
     if abs(vd_sq) <= VD_CAUSTIC_TOL:
         region = CAUSTIC
     elif vd_sq > 0.0:
@@ -136,6 +144,43 @@ def d_geometry(j, m, mp, beta):
                      theta=math.acos(ct), theta_p=math.acos(ctp),
                      cos_kappa=cos_kappa, cos_phi=cos_phi, cos_eta=cos_eta,
                      angles=angles, Vd_sq=vd_sq, region=region)
+
+
+# the (kappa, phi, eta) patterns of PIN_PATTERNS read as 3-bit numbers
+_PIN_BITS = tuple(4 * k + 2 * p + e for _, (k, p, e) in PIN_PATTERNS)
+
+
+def phase_grid(J, m, mp, ct, ctp, st, stp, beta):
+    """d_geometry and the phases at many points at once: numpy arrays of
+    m, m' (cosines ct, ctp and sines st, stp of theta, theta') and
+    beta, in (0, pi), for one J.
+
+    Returns Phi_d, the continued Phi_bar_d, dPhi_d/dbeta and a mask of
+    the points in the allowed region or on the caustic, where Phi_d is
+    the phase.  A forbidden sign pattern that matches no region raises
+    InvariantError, as in d_geometry.
+    """
+    sb = np.sin(beta)
+    cos_kappa, cos_phi, cos_eta, vd_sq = _cone_cosines(
+        ct, ctp, st, stp, np.cos(beta), sb)
+    real = (np.abs(vd_sq) <= VD_CAUSTIC_TOL) | (vd_sq > 0.0)
+    bits = (4 * ~(cos_kappa > 0.0) + 2 * ~(cos_phi > 0.0)
+            + ~(cos_eta > 0.0))
+    wrong = ~real & ~np.isin(bits, _PIN_BITS)
+    if wrong.any():
+        p = int(np.argmax(wrong))
+        b = int(bits[p])
+        raise InvariantError(
+            f"sign pattern {(b >> 2, b >> 1 & 1, b & 1)} matches no "
+            f"forbidden region at (J={J}, m={m[p]}, m'={mp[p]}, "
+            f"beta={beta[p]})")
+    cosines = np.array([cos_kappa, cos_phi, cos_eta])
+    kappa, phi, eta = np.arccos(np.clip(cosines, -1.0, 1.0))
+    kappa_bar, phi_bar, eta_bar = np.copysign(
+        np.arccosh(np.maximum(np.abs(cosines), 1.0)), cosines)
+    return (J * kappa - m * phi - mp * eta,
+            J * kappa_bar - m * phi_bar - mp * eta_bar,
+            -J * np.sqrt(np.abs(vd_sq)) / sb, real)
 
 
 def turning_points(j, m, mp):

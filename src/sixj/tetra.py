@@ -264,32 +264,51 @@ def from_vectors(A):
                        volume_sq=vol * vol, volume=vol)
 
 
-def _angles(G):
-    """Exterior dihedral angles from the cofactors of the Gram matrix.
+def _cofactor_cos_psi(g11, g22, g33, g12, g13, g23):
+    """The squared face normals and cos psi from the Gram cofactors.
 
     With b1, b2, b3 = A2 x A3, A3 x A1, A1 x A2 the cofactors are the
     bilinear products C_ik = b_i . b_k, so nothing changes when
     det G < 0.  The outward face normals are 012: -b3, 023: -b1,
     013: -b2 and 123: b1 + b2 + b3; n.n is four times the squared face
     area, and cos psi_e = n_a.n_b / sqrt(n_a.n_a n_b.n_b) over the two
-    faces on edge e.
+    faces on edge e.  Returns the four n.n (faces 012, 023, 013, 123),
+    and the numerators and the squared denominators of cos psi in
+    EDGE_ORDER as arrays of six rows.  The entries may be floats or
+    numpy arrays of one shape.
     """
-    (g11, g12, g13), (_, g22, g23), (_, _, g33) = G.tolist()
     c11, c22, c33, c12, c13, c23 = (
         g22 * g33 - g23 * g23, g11 * g33 - g13 * g13, g11 * g22 - g12 * g12,
         g23 * g13 - g12 * g33, g12 * g23 - g22 * g13, g12 * g13 - g11 * g23)
     s1, s2, s3 = c11 + c12 + c13, c12 + c22 + c23, c13 + c23 + c33
-    faces = {"012": c33, "023": c11, "013": c22, "123": s1 + s2 + s3}
-    for face, nn in faces.items():
+    faces = (c33, c11, c22, s1 + s2 + s3)
+    n012, n023, n013, n123 = faces
+    return faces, np.array([c23, -s3, -s1, c12, c13, -s2]), np.array([
+        n012 * n013, n012 * n123, n023 * n123,
+        n023 * n013, n012 * n023, n013 * n123])
+
+
+_FACE_NAMES = ("012", "023", "013", "123")
+
+
+def _psi_pair(cos_psi):
+    """(psi, psi_bar) from cos psi: the principal angles and the
+    continued ones, sign(cos psi) * arccosh|cos psi|."""
+    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
+    psi_bar = np.sign(cos_psi) * np.arccosh(np.maximum(np.abs(cos_psi), 1.0))
+    return psi, psi_bar
+
+
+def _angles(G):
+    """Exterior dihedral angles from the cofactors of the Gram matrix."""
+    (g11, g12, g13), (_, g22, g23), (_, _, g33) = G.tolist()
+    faces, num, den = _cofactor_cos_psi(g11, g22, g33, g12, g13, g23)
+    for face, nn in zip(_FACE_NAMES, faces):
         if nn <= 0.0:
             raise ValidationError(
                 f"degenerate face {face}: area^2 = {nn / 4.0}")
-    n012, n023, n013, n123 = faces.values()
-    cos_psi = np.array([c23, -s3, -s1, c12, c13, -s2]) / np.sqrt(np.array([
-        n012 * n013, n012 * n123, n023 * n123,
-        n023 * n013, n012 * n023, n013 * n123]))
-    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
-    psi_bar = np.sign(cos_psi) * np.arccosh(np.maximum(np.abs(cos_psi), 1.0))
+    cos_psi = num / np.sqrt(den)
+    psi, psi_bar = _psi_pair(cos_psi)
     return DihedralAngles(cos_psi=cos_psi, psi=psi, psi_bar=psi_bar)
 
 
@@ -301,6 +320,12 @@ def dihedrals(t):
 def _caustic_scale(J):
     J1, _, _, J4, J12, _ = J
     return (J1 * J12 * J4) ** (4.0 / 3.0)
+
+
+def _outside_square(bnds, J12, J23):
+    return ValidationError(
+        f"(J12, J23) = ({J12}, {J23}) outside the classical square "
+        f"[{bnds.J12_min}, {bnds.J12_max}] x [{bnds.J23_min}, {bnds.J23_max}]")
 
 
 def classify(J, bnds=None):
@@ -315,10 +340,7 @@ def classify(J, bnds=None):
         J12, J23 = J[4], J[5]
         if not (bnds.J12_min <= J12 <= bnds.J12_max
                 and bnds.J23_min <= J23 <= bnds.J23_max):
-            raise ValidationError(
-                f"(J12, J23) = ({J12}, {J23}) outside the classical square "
-                f"[{bnds.J12_min}, {bnds.J12_max}] x "
-                f"[{bnds.J23_min}, {bnds.J23_max}]")
+            raise _outside_square(bnds, J12, J23)
     G = gram(J)
     det_g = float(_det3(G))
     caustic = abs(det_g) <= EPS_CAUSTIC * _caustic_scale(J)
@@ -343,6 +365,104 @@ def classify(J, bnds=None):
     else:
         kind = SIGN_PATTERNS[col][0]
     return RegionClass(kind=kind, pattern_index=col, det_g=det_g, angles=dih)
+
+
+@dataclass(frozen=True)
+class GridClass:
+    """classify() on every point of a grid, as arrays over the N points
+    in row order (J12 outer, J23 inner).
+
+    pattern_index is -1 where classify gives None; cos_psi, psi and
+    psi_bar have shape (6, N) and are NaN at a tangency point.
+    """
+
+    kind: np.ndarray           # strings, as RegionClass.kind
+    pattern_index: np.ndarray
+    det_g: np.ndarray
+    cos_psi: np.ndarray
+    psi: np.ndarray
+    psi_bar: np.ndarray
+
+    @property
+    def segment(self):
+        """The caustic segment / forbidden region letters, "" where no
+        column applies."""
+        return np.where(self.pattern_index >= 0,
+                        _KINDS[self.pattern_index], "")
+
+
+# Table-1 column of each cos psi sign pattern read as a 6-bit number
+# (edge J1 the high bit), -1 where no column has it
+_PATTERN_BITS = 1 << np.arange(5, -1, -1)
+_COLUMN_OF_BITS = np.full(64, -1)
+for _col, (_, _pat) in enumerate(SIGN_PATTERNS):
+    _COLUMN_OF_BITS[_PATTERN_BITS @ _pat] = _col
+# The kind of each Table-1 column, then ALLOWED and CAUSTIC.  An object
+# array holds the strings themselves: taking from it shares them, where
+# numpy strings would make one new str per point of a large grid.
+_KINDS = np.array([kind for kind, _ in SIGN_PATTERNS] + [ALLOWED, CAUSTIC],
+                  dtype=object)
+
+
+def _first_point(bad12, bad23):
+    """(i, k) of the first grid point in row order whose J12 axis value
+    i or J23 axis value k is bad, or None."""
+    if any(bad23):
+        return 0, 0 if bad12[0] else bad23.index(True)
+    if any(bad12):
+        return bad12.index(True), 0
+    return None
+
+
+def classify_grid(four, J12, J23, bnds):
+    """classify() on the grid J12 x J23 at fixed (J1, J2, J3, J4) = four,
+    as one GridClass; J12 and J23 are the axes.
+
+    Every decision is the one classify makes at the point, and det G,
+    the Table-1 column and the angles are its values bit for bit.  A
+    tangency point is CAUSTIC with no angles; a degenerate face off the
+    caustic, or a point outside the square of bnds (core.Bounds),
+    raises ValidationError.
+    """
+    J1, J2, J3, J4 = (float(x) for x in four)
+    J12 = [float(x) for x in J12]
+    J23 = [float(x) for x in J23]
+    first = _first_point([not bnds.J12_min <= x <= bnds.J12_max for x in J12],
+                         [not bnds.J23_min <= y <= bnds.J23_max for y in J23])
+    if first is not None:
+        raise _outside_square(bnds, J12[first[0]], J23[first[1]])
+    n = len(J23)
+    J = (J1, J2, J3, J4, np.repeat(J12, n), np.tile(J23, len(J12)))
+    det_g = det_gram(J)
+    # Python's ** and numpy's power differ in the last bit for some
+    # inputs: the scale is the one of classify only from Python floats
+    scale = np.repeat([_caustic_scale(J[:4] + (x, 0.0)) for x in J12], n)
+    caustic = np.abs(det_g) <= EPS_CAUSTIC * scale
+    faces, num, den = _cofactor_cos_psi(*_gram_entries(*J))
+    flat = np.logical_or.reduce([nn <= 0.0 for nn in faces])
+    if (flat & ~caustic).any():
+        p = int(np.argmax(flat & ~caustic))
+        face, nn = next((face, nn[p]) for face, nn in zip(_FACE_NAMES, faces)
+                        if nn[p] <= 0.0)
+        raise ValidationError(f"degenerate face {face}: area^2 = {nn / 4.0}")
+    cos_psi = num / np.sqrt(np.where(flat, 1.0, den))
+    cos_psi[:, flat] = np.nan
+    psi, psi_bar = _psi_pair(cos_psi)
+    # NaN reads as all ones, a pattern of no column
+    col = _COLUMN_OF_BITS[_PATTERN_BITS @ ~(cos_psi > 0)]
+    allowed = ~caustic & (det_g > 0.0)
+    unmatched = ~caustic & ~allowed & (col < 0)
+    if unmatched.any():
+        p = int(np.argmax(unmatched))
+        pat = tuple(0 if c > 0 else 1 for c in cos_psi[:, p].tolist())
+        raise InvariantError(
+            f"forbidden-region cos psi pattern {pat} matches no caustic "
+            f"table column (lengths {J[:4] + (J[4][p], J[5][p])})")
+    col[allowed] = -1
+    kind = _KINDS[np.where(caustic, len(_KINDS) - 1,
+                           np.where(allowed, len(_KINDS) - 2, col))]
+    return GridClass(kind=kind, pattern_index=col, det_g=det_g,
+                     cos_psi=cos_psi, psi=psi, psi_bar=psi_bar)
 
 
 def _phibar_sign_ok(kind, ph, scale):

@@ -6,14 +6,21 @@ from the centers of their ranges, and beta is fixed by matching the
 Ponzano-Regge phase to the d-matrix phase.  The amplitudes match at a
 common caustic, so the approximation stays finite there and reduces to
 the primitive forms deep in each region.
+
+beta_field solves beta at one continuous point of the (J12, J23)
+square; beta_grid runs the same branches on a whole grid with numpy
+arrays, all Newton solves in lockstep, for the beta-contours figure.
 """
 
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import dasym, prasym, tetra
 from .core import (HalfInt, InvariantError, SolverError, ValidationError,
-                   bounds, exact_wigner_d, lengths, phase, require_valid)
+                   WrongRegionError, bounds, exact_wigner_d, lengths, phase,
+                   require_valid)
 
 BETA_GEOM_EPS = 1e-12    # keep d_geometry off beta = 0, pi during solves
 NEAR_CAUSTIC_VOL = 1e-6  # |V|/(J1 J12 J4) below this switches the ratio
@@ -218,6 +225,168 @@ def beta_field(j1, j2, j3, j4, J12, J23):
     umap = UniformMap(j=HalfInt(b.D - 1), m=m, mp=mp, nu_ex=nu_ex,
                       Phi0=(nu_ex + 1.5) * math.pi, beta=None, solver=None)
     return _solve_for_lengths(J, umap, region)
+
+
+def beta_grid(j1, j2, j3, j4, J12, J23):
+    """beta_field on every point of the grid J12 x J23 (the two axes),
+    all points solved together; returns (beta, region) arrays over the
+    points in row order, J12 outer and J23 inner.
+
+    Each branch of _solve_for_lengths runs, with its constants, tests
+    and errors, on the points it applies to: the caustic-segment pin,
+    the pins at the ends of the d-matrix phase range, the forbidden
+    windows and their bracket searches, and one safeguarded Newton
+    solve in lockstep.  The geometry of the square comes from
+    tetra.classify_grid, the d-matrix phases from dasym.phase_grid.
+    """
+    js = tuple(HalfInt.of(x) for x in (j1, j2, j3, j4))
+    b = bounds(*js)
+    four = tuple(float(x) + 0.5 for x in js)
+    J12 = [float(x) for x in J12]
+    J23 = [float(x) for x in J23]
+    g = tetra.classify_grid(four, J12, J23, b)
+    n12, n = len(J12), len(J23)
+    tangent = np.isnan(g.cos_psi[0])
+    if tangent.any():
+        p = int(np.argmax(tangent))
+        raise ValidationError(
+            f"lengths {four + (J12[p // n], J23[p % n])} are a caustic "
+            "tangency point: a face degenerates, so the dihedral angles "
+            "are undefined")
+    # the map and the turning points, per axis value in Python floats as
+    # beta_field and dasym compute them
+    Jd = b.D / 2.0
+    m = [x - b.J12_avg for x in J12]
+    mp = [b.J23_avg - y for y in J23]
+    first = tetra._first_point([abs(x) >= Jd for x in m],
+                               [abs(y) >= Jd for y in mp])
+    if first is not None:
+        raise ValidationError(f"projections ({m[first[0]]}, {mp[first[1]]}) "
+                              f"reach the poles of J = {Jd}")
+    ct, ctp = [x / Jd for x in m], [x / Jd for x in mp]
+    st, stp = ([math.sqrt(1.0 - c * c) for c in v] for v in (ct, ctp))
+    th, thp = ([math.acos(c) for c in v] for v in (ct, ctp))
+    m, ct, st, th, L12 = (np.repeat(v, n) for v in (m, ct, st, th, J12))
+    mp, ctp, stp, thp, L23 = (np.tile(v, n12) for v in (mp, ctp, stp, thp,
+                                                        J23))
+    beta1 = np.abs(th - thp)
+    beta2 = np.minimum(th + thp, 2.0 * math.pi - th - thp)
+
+    def phases(pts, beta):
+        beta = np.minimum(np.maximum(beta, BETA_GEOM_EPS),
+                          math.pi - BETA_GEOM_EPS)
+        return dasym.phase_grid(Jd, m[pts], mp[pts], ct[pts], ctp[pts],
+                                st[pts], stp[pts], beta)
+
+    # the PR targets of _solve_for_lengths and _solve_forbidden
+    forbidden = np.isin(g.kind, (tetra.REGION_A, tetra.REGION_B,
+                                 tetra.REGION_C, tetra.REGION_D))
+    if (~forbidden & (np.abs(g.cos_psi) > 1.0 + 1e-8).any(axis=0)).any():
+        raise WrongRegionError("phi_pr is defined in the allowed region; "
+                               "use phi_pr_bar beyond the caustic")
+    lengths6 = four + (L12, L23)
+    nu_ex = sum(float(x) for x in js) + L12 - 0.5 - float(b.j12_max)
+    target = np.where(
+        forbidden, sum(x * a for x, a in zip(lengths6, g.psi_bar)),
+        sum(x * a for x, a in zip(lengths6, g.psi)) - (nu_ex + 1.5) * math.pi)
+    scale = np.maximum(1.0, np.abs(target))
+    near_beta1 = np.isin(g.segment, (tetra.REGION_B, tetra.REGION_C))
+    beta = np.where(near_beta1, beta1, beta2)   # the pinned values
+
+    # allowed points and caustic points off the segments
+    free = ~forbidden & ((g.kind != tetra.CAUSTIC) | (g.segment == ""))
+    jf = (b.D - 1) / 2.0
+    a_hi = (jf + 0.5 - np.maximum(m, mp)) * math.pi
+    a_lo = np.maximum(0.0, -(m + mp)) * math.pi
+    at_hi = free & (target >= a_hi - 1e-9 * scale)
+    at_lo = free & ~at_hi & (target <= a_lo + 1e-9 * scale)
+    for pin, wrong, side in (
+            (at_hi, target > a_hi + 1e-6 * scale, "above"),
+            (at_lo, target < a_lo - 1e-6 * scale, "below")):
+        if (pin & wrong).any():
+            p = int(np.argmax(pin & wrong))
+            raise InvariantError(
+                f"PR phase {target[p]} {side} the d-matrix range "
+                f"[{a_lo[p]}, {a_hi[p]}]")
+    beta[at_hi] = beta1[at_hi]
+    beta[at_lo] = beta2[at_lo]
+    pts = np.flatnonzero(free & ~at_hi & ~at_lo)
+    b1, b2, t = beta1[pts], beta2[pts], target[pts]
+    a1, a0 = a_hi[pts], a_lo[pts]
+    solves = [(pts, np.maximum(b1, BETA_GEOM_EPS),
+               np.minimum(b2, math.pi - BETA_GEOM_EPS),
+               b1 + (a1 - t) / (a1 - a0) * (b2 - b1))]
+
+    # forbidden points: B and C solve below beta1, A and D above beta2
+    for window, edge, side in ((near_beta1, beta1 <= BETA_GEOM_EPS, "beta1"),
+                               (~near_beta1,
+                                beta2 >= math.pi - BETA_GEOM_EPS, "beta2")):
+        if (forbidden & window & edge).any():
+            p = int(np.argmax(forbidden & window & edge))
+            raise SolverError(
+                f"region {g.kind[p]} has no beta window: "
+                f"{side} = {beta[p]}")
+    pts = np.flatnonzero(forbidden)
+    # sign > 0 where Phi_bar_d falls toward the window, so that a point
+    # is pinned where sign * (Phi_bar_d - target) > 0 at the turning
+    # point, and a bracket end has sign * (Phi_bar_d - target) >= 0
+    sign = np.where(near_beta1[pts], 1.0, -1.0)
+    pinned = sign * (phases(pts, beta[pts])[1] - target[pts]) > 0.0
+    pts, sign = pts[~pinned], sign[~pinned]
+    below = near_beta1[pts]
+    far = np.where(below, beta1[pts] / 2.0,
+                   math.pi - (math.pi - beta2[pts]) / 2.0)
+    search = np.arange(len(pts))
+    for _ in range(200):
+        if not len(search):
+            break
+        found = sign[search] * (phases(pts[search], far[search])[1]
+                                - target[pts[search]]) >= 0.0
+        search = search[~found]
+        f = far[search]
+        far[search] = np.where(below[search], f / 2.0,
+                               math.pi - (math.pi - f) / 2.0)
+    if len(search):
+        p = search[0]
+        raise SolverError(
+            f"no bracket {'below beta1' if below[p] else 'above beta2'} "
+            f"for target {target[pts[p]]}")
+    solves.append((pts, np.where(below, far, beta2[pts]),
+                   np.where(below, beta1[pts], far),
+                   np.where(below, beta1[pts] / 2.0,
+                            (beta2[pts] + math.pi) / 2.0)))
+    for pts, lo, hi, seed in solves:
+        beta[pts] = _newton_grid(phases, pts, target[pts], lo, hi, seed,
+                                 scale[pts])
+    return beta, g.kind
+
+
+def _newton_grid(phases, pts, target, lo, hi, seed, scale):
+    """_newton on the points pts in lockstep; phases(pts, beta) gives
+    the d-matrix phases there (dasym.phase_grid)."""
+    tol = _SOLVE_TOL * scale
+    x = np.minimum(np.maximum(seed, lo), hi)
+    out = np.empty(len(pts))
+    pos = np.arange(len(pts))
+    for _ in range(_MAX_NEWTON):
+        ph, ph_bar, fpx, real = phases(pts, x)
+        fx = np.where(real, ph, ph_bar) - target
+        up = fx > 0.0
+        lo = np.where(up, x, lo)
+        hi = np.where(up, hi, x)
+        flat = fpx == 0.0
+        xn = np.where(flat, lo, x - fx / np.where(flat, 1.0, fpx))
+        xn = np.where((lo < xn) & (xn < hi), xn, 0.5 * (lo + hi))
+        done = (np.abs(fx) <= tol) | (xn == x)
+        out[pos[done]] = x[done]
+        if done.all():
+            return out
+        keep = ~done
+        fx, pos, pts, target, tol, lo, hi, x = (
+            v[keep] for v in (fx, pos, pts, target, tol, lo, hi, xn))
+    raise SolverError(
+        f"beta solve stalled after {_MAX_NEWTON} iterations; "
+        f"residual {fx[0]} against tolerance {tol[0]}")
 
 
 def solve_beta(labels, umap=None):

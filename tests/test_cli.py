@@ -236,8 +236,8 @@ each_grid = pytest.mark.parametrize("grid", [12, 41])
 
 class TestWholeGridFigures:
     """The figure builders work on whole grids; every root and polyline
-    equals the one of the scalar code they replaced.  (beta-contours runs
-    one beta solve per point and none of this code.)"""
+    equals the one of the scalar code they replaced.  (beta-contours is
+    checked against the scalar beta solve in test_uniform.TestGridSolve.)"""
 
     @staticmethod
     def scalar_caustic_curve(four, b, grid):
@@ -321,6 +321,44 @@ class TestWholeGridFigures:
         best = max(range(2001), key=v.__getitem__)
         got = t["J23"] if on_j12 else t["J12"]
         assert s[max(best - 1, 0)] <= got <= s[min(best + 1, 2000)]
+
+
+class TestFlatSides:
+    """With j1 = j2 and j3 = j4 the square has a side J12 = 0, and with
+    j2 = j3 and j1 = j4 a side J23 = 0; the tetrahedron is flat there and
+    the figures take det G = 0.0 on those samples."""
+
+    flat = pytest.mark.parametrize("js", [(40, 40, 40, 40),
+                                          ("5/2", "5/2", 3, 3)], ids=str)
+
+    @flat
+    @pytest.mark.parametrize("grid", [8, 41])
+    @pytest.mark.parametrize("kind", ["spots", "caustic-diagrams"])
+    def test_figure_succeeds(self, capsys, js, grid, kind):
+        flags = sum((["--" + n, str(j)] for n, j in
+                     zip(("j1", "j2", "j3", "j4"), js)), [])
+        rc, out, err = run(capsys, ["figure", "--kind", kind, *flags,
+                                    "--grid", str(grid)])
+        assert rc == 0 and err == "" and json.loads(out)
+
+    @flat
+    @pytest.mark.parametrize("grid", [8, 41])
+    def test_flat_side_samples_are_exact_zeros(self, js, grid):
+        js = tuple(HalfInt.of(j) for j in js)
+        b, four = bounds(*js), _four(js)
+        assert b.J12_min == 0.0
+        x = np.linspace(b.J12_min, b.J12_max, grid)
+        y = np.linspace(b.J23_min, b.J23_max, grid)
+        Z = cli._det_g(four, x[:, None], y[None, :])
+        assert Z[0].tolist() == [0.0] * grid
+        inner = slice(1 if b.J23_min == 0.0 else 0, None)
+        assert np.array_equal(Z[1:, inner], tetra.det_gram(
+            four + (x[1:, None], y[None, inner])))
+        # every line at fixed J23 has its exact zero at J12 = 0
+        _, ys = cli._square_grid(b, grid)
+        caustic = cli.figure_spots(js, grid)["caustic"]
+        assert all([0.0, J23] in caustic for J23 in ys)
+        assert cli._det_g(four, 0.0, ys[0]) == 0.0
 
 
 class TestWorstcase:
@@ -432,6 +470,27 @@ class TestInputBounds:
             "--j4", "600", "--j23", "0"])
         assert rc == 2 and out == ""
         assert "j12" in err and str(cli.J_MAX_MAX) in err
+
+    def test_figure_rejects_label_above_limit(self, capsys, monkeypatch):
+        def fail(js, grid):
+            raise AssertionError("a figure was built")
+        for name in ("figure_spots", "figure_beta_contours",
+                     "figure_j23_orbits", "figure_caustic_diagram"):
+            monkeypatch.setattr(cli, name, fail)
+        rc, out, err = run(capsys, [
+            "figure", "--kind", "spots", "--j1", "1001", "--j2", "1",
+            "--j3", "1000", "--j4", "2"])
+        assert rc == 2 and out == ""
+        assert "--j1" in err and str(cli.J_MAX_MAX) in err
+
+    def test_figure_label_limit_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "figure_spots",
+                            lambda js, grid: {"js": [str(j) for j in js]})
+        rc, out, _ = run(capsys, [
+            "figure", "--kind", "spots", "--j1", "1000", "--j2", "1",
+            "--j3", "1000", "--j4", "1"])
+        assert rc == 0 and json.loads(out) == {"js": ["1000", "1", "1000",
+                                                      "1"]}
 
     def test_label_limit_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "eval_record", lambda labels, methods,

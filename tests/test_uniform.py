@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sixj import (HalfInt, SixJLabels, ValidationError, bounds, dasym,
+from sixj import (HalfInt, SixJLabels, ValidationError, bounds, cli, dasym,
                   exact_sixj, lengths, prasym, tetra, uniform)
 from sixj.cli import _random_labels
 
@@ -241,3 +241,181 @@ class TestPermutation:
         permuted, perm = uniform.permute_columns_for_accuracy(labels)
         assert perm == (0, 1, 2)
         assert permuted == labels
+
+
+GRID_QUADS = [("9/2", 3, "11/2", 6), ("39/2", 23, "17/2", 20),
+              (10, 10, 10, 10), ("5/2", 7, 4, "13/2"), (30, 25, 28, 31)]
+each_grid_quad = pytest.mark.parametrize("js", GRID_QUADS, ids=str)
+each_grid = pytest.mark.parametrize("grid", [12, 41])
+DEMO = GRID_QUADS[0]
+TANGENCY = (1.5, 6.238322445473239)   # (J12, J23) where a face is flat
+
+
+def _four(js):
+    return tuple(float(HalfInt.of(j)) + 0.5 for j in js)
+
+
+def _caustic_line(J12, inside, outside):
+    """The 80 J23 midpoints of a bisection for the caustic of the demo
+    square along the line J12, from J23 = inside (the allowed side) and
+    outside; the last ones lie within rounding of the caustic."""
+    b, four = bounds(*DEMO), _four(DEMO)
+    mids = []
+    for _ in range(80):
+        mids.append(0.5 * (inside + outside))
+        if tetra.classify(four + (J12, mids[-1]), b).is_allowed:
+            inside = mids[-1]
+        else:
+            outside = mids[-1]
+    return mids
+
+
+# lines across the caustic of the demo square: they reach the pins on
+# the caustic segments B, C and D, the pins of allowed points at both
+# ends of the d-matrix phase range, and forbidden points next to the
+# caustic
+NEAR_CAUSTIC_LINES = {
+    "C-segment": (5.0, _caustic_line(5.0, 6.0, 9.4)),
+    "C-forbidden": (7.0, _caustic_line(7.0, 1.0, 9.0)),
+    "allowed-low": (3.0, _caustic_line(3.0, 1.0, 9.0)),
+    "allowed-high": (5.0, _caustic_line(5.0, 0.5, 6.0)),
+    "B-segment": (1.6, _caustic_line(1.6, 5.0, 4.2)),
+    "D-segment": (1.6, _caustic_line(1.6, 7.4, 7.8)),
+}
+
+
+class TestGridSolve:
+    """tetra.classify_grid and uniform.beta_grid solve whole grids; the
+    scalar classify and beta_field are their oracles."""
+
+    @staticmethod
+    def scalar_acceptance(js, J12, J23, beta):
+        """The residual test of the scalar Newton solve, or the turning
+        point that the scalar pin rule picks for the point."""
+        b = bounds(*js)
+        J = _four(js) + (J12, J23)
+        region = tetra.classify(J, b)
+        m, mp = J12 - b.J12_avg, b.J23_avg - J23
+        nu_ex = (sum(float(HalfInt.of(x)) for x in js) + J12 - 0.5
+                 - float(b.j12_max))
+        umap = uniform.UniformMap(j=HalfInt(b.D - 1), m=m, mp=mp,
+                                  nu_ex=nu_ex, Phi0=(nu_ex + 1.5) * math.pi,
+                                  beta=None, solver=None)
+        target = (prasym.phi_pr_bar(J, region.angles) if region.is_forbidden
+                  else prasym.phi_pr(J, region.angles) - umap.Phi0)
+        scale = max(1.0, abs(target))
+        if abs(uniform._residual(umap, beta, target)[0]) \
+                <= uniform._SOLVE_TOL * scale:
+            return True
+        beta1, beta2 = dasym.turning_points(umap.j, m, mp)
+        if region.segment is not None:
+            on_beta1 = region.segment in (tetra.REGION_B, tetra.REGION_C)
+        else:
+            a_hi = (float(umap.j) + 0.5 - max(m, mp)) * math.pi
+            a_lo = max(0.0, -(m + mp)) * math.pi
+            on_beta1 = target >= 0.5 * (a_hi + a_lo)
+        return beta == (beta1 if on_beta1 else beta2)
+
+    @each_grid
+    @each_grid_quad
+    def test_classify_grid_equals_classify(self, js, grid):
+        b, four = bounds(*js), _four(js)
+        xs, ys = cli._square_grid(b, grid)
+        got = tetra.classify_grid(four, xs, ys, b)
+        want = [tetra.classify(four + (x, y), b) for x in xs for y in ys]
+        assert got.kind.tolist() == [r.kind for r in want]
+        assert got.pattern_index.tolist() == [
+            -1 if r.pattern_index is None else r.pattern_index for r in want]
+        assert got.det_g.tolist() == [r.det_g for r in want]
+        for name in ("cos_psi", "psi", "psi_bar"):
+            assert np.array_equal(getattr(got, name), np.array(
+                [getattr(r.angles, name) for r in want]).T)
+
+    def test_spots_lattice_equals_classify(self):
+        js = (100, 99, 100, 99)
+        b, four = bounds(*js), _four(js)
+        axis = [t / 2.0 + 0.5 for t in range(b.j12_min.twice,
+                                             b.j12_max.twice + 1, 2)]
+        got = tetra.classify_grid(four, axis, axis, b)
+        want = [tetra.classify(four + (x, y), b) for x in axis for y in axis]
+        assert got.kind.tolist() == [r.kind for r in want]
+        assert got.det_g.tolist() == [r.det_g for r in want]
+        assert [p["region"] for p in cli.figure_spots(js, 8)["points"]] \
+            == got.kind.tolist()
+
+    @each_grid
+    @each_grid_quad
+    def test_beta_grid_equals_beta_field(self, js, grid):
+        xs, ys = cli._square_grid(bounds(*js), grid)
+        beta, region = uniform.beta_grid(*js, xs, ys)
+        want = [uniform.beta_field(*js, x, y) for x in xs for y in ys]
+        assert region.tolist() == [rep.region for _, rep in want]
+        assert np.max(np.abs(beta - [bt for bt, _ in want])) <= 1e-10
+
+    @each_grid
+    @each_grid_quad
+    def test_every_beta_passes_the_scalar_acceptance(self, js, grid):
+        xs, ys = cli._square_grid(bounds(*js), grid)
+        beta, _ = uniform.beta_grid(*js, xs, ys)
+        points = [(x, y) for x in xs for y in ys]
+        assert all(self.scalar_acceptance(js, x, y, bt)
+                   for (x, y), bt in zip(points, beta.tolist()))
+
+    @pytest.mark.parametrize("line", list(NEAR_CAUSTIC_LINES))
+    def test_near_caustic_lines(self, line):
+        # within rounding of the caustic the phase is flat in beta, so a
+        # residual inside the tolerance leaves beta free by about 1e-8:
+        # the grid and the scalar solve both pass the scalar acceptance,
+        # and the pins on the caustic segment agree exactly.  Where the
+        # scalar solve itself fails the acceptance (its Newton stops at
+        # a floating-point fixed point), the grid stops at the same beta.
+        J12, ys = NEAR_CAUSTIC_LINES[line]
+        beta, region = uniform.beta_grid(*DEMO, [J12], ys)
+        want = [uniform.beta_field(*DEMO, J12, y) for y in ys]
+        assert region.tolist() == [rep.region for _, rep in want]
+        for y, got, (bt, _) in zip(ys, beta.tolist(), want):
+            if self.scalar_acceptance(DEMO, J12, y, bt):
+                assert self.scalar_acceptance(DEMO, J12, y, got)
+            else:
+                assert got == bt
+        pinned = [i for i, (_, rep) in enumerate(want)
+                  if rep.region == tetra.CAUSTIC and rep.iterations == 0]
+        assert [beta[i] for i in pinned] == [want[i][0] for i in pinned]
+        assert np.max(np.abs(beta - [bt for bt, _ in want])) <= 1e-8
+
+    def test_tangency_point(self):
+        b, four = bounds(*DEMO), _four(DEMO)
+        r = tetra.classify(four + TANGENCY, b)
+        assert r.is_caustic and r.angles is None
+        got = tetra.classify_grid(four, [TANGENCY[0]], [TANGENCY[1]], b)
+        assert got.kind.tolist() == [tetra.CAUSTIC]
+        assert got.pattern_index.tolist() == [-1]
+        assert got.det_g.tolist() == [r.det_g]
+        assert np.isnan(got.cos_psi).all() and np.isnan(got.psi).all()
+        with pytest.raises(ValidationError, match="tangency"):
+            uniform.beta_field(*DEMO, *TANGENCY)
+        with pytest.raises(ValidationError, match="tangency"):
+            uniform.beta_grid(*DEMO, [5.0, TANGENCY[0]], [TANGENCY[1]])
+
+    @pytest.mark.parametrize("xs,ys,bad", [
+        ([5.0, 9.0], [5.0, 6.0], (9.0, 5.0)),
+        ([5.0, 6.0], [6.0, 2.0], (5.0, 2.0)),
+        ([9.0, 5.0], [5.0, 2.0], (9.0, 5.0))])
+    def test_outside_the_square(self, xs, ys, bad):
+        b, four = bounds(*DEMO), _four(DEMO)
+        with pytest.raises(ValidationError, match="outside") as scalar:
+            uniform.beta_field(*DEMO, *bad)
+        for solve in (lambda: tetra.classify_grid(four, xs, ys, b),
+                      lambda: uniform.beta_grid(*DEMO, xs, ys)):
+            with pytest.raises(ValidationError) as grid:
+                solve()
+            assert str(grid.value) == str(scalar.value)
+
+    def test_beta_contours_rows_in_blocks(self, monkeypatch):
+        grid = 12
+        whole = cli.figure_beta_contours(DEMO, grid)
+        xs, ys = cli._square_grid(bounds(*DEMO), grid)
+        assert [(r["J12"], r["J23"]) for r in whole["rows"]] \
+            == [(x, y) for x in xs for y in ys]
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", 5 * grid)
+        assert cli.figure_beta_contours(DEMO, grid) == whole
