@@ -17,6 +17,7 @@ from .core import (
     bounds,
     exact_sixj,
     exact_wigner_d,
+    wigner_d,
     lengths,
 )
 from . import tetra, prasym, dasym, uniform, sphere
@@ -28,5 +29,5 @@ __all__ = [
     "SixJError", "ValidationError", "WrongRegionError", "OnCausticError",
     "InvariantError", "SolverError",
     "validate", "require_valid", "bounds", "exact_sixj", "exact_wigner_d",
-    "lengths", "tetra", "prasym", "dasym", "uniform", "sphere",
+    "wigner_d", "lengths", "tetra", "prasym", "dasym", "uniform", "sphere",
 ]

@@ -557,13 +557,16 @@ def worstcase_row(labels):
     except OnCausticError:
         pr_v = None
     uni_v = uniform.uniform_6j(labels).value
+    # a reference below the double range gives no relative error
+    scaled = ref != 0.0
     return {
         "labels": {n: str(getattr(labels, n)) for n in LABEL_FLAGS},
         "region": region.kind,
         "exact": exact_v,
         "reference": ref,
-        "err_pr": abs(pr_v - exact_v) / ref if pr_v is not None else None,
-        "err_uniform": abs(uni_v - exact_v) / ref,
+        "err_pr": (abs(pr_v - exact_v) / ref
+                   if pr_v is not None and scaled else None),
+        "err_uniform": abs(uni_v - exact_v) / ref if scaled else None,
     }
 
 

@@ -1,15 +1,21 @@
-"""Exact half-integer arithmetic and exact reference values.
+"""Exact half-integer arithmetic, exact reference values, and the
+double-precision d-matrix.
 
 Quantum numbers are stored as twice their value so triangle and parity
 checks stay in integer arithmetic; the HalfInt of each |2j| <= 4096 is
 one shared instance.  The 6j symbol is the Racah single sum, summed
 exactly by a Horner recurrence over the integer ratios of consecutive
 terms, with the square-root prefactor applied once at emission time (50
-significant digits).  The Wigner d-matrix element is a compensated
-double-precision sum over exact rational term coefficients, escalated
-to adaptive-precision mpmath when cancellation or matrix size would
-otherwise eat into the 12th digit; the escalated sum steps from term to
-term by the exact term ratio.
+significant digits).
+
+The Wigner d-matrix element comes two ways.  wigner_d, the one the
+uniform approximation calls, runs the three-term recurrence in m in
+double precision, O(j) steps with a power-of-two scale carried along.
+exact_wigner_d is the reference: a compensated double-precision sum
+over exact rational term coefficients, escalated to adaptive-precision
+mpmath when cancellation or matrix size would otherwise eat into the
+12th digit; the escalated sum steps from term to term by the exact term
+ratio.  Both share one entry check.
 
 mpmath work runs on one shared context per precision (see _mp).  The
 contexts are set up once and never changed afterwards, and the code
@@ -29,6 +35,9 @@ import mpmath
 MP_DPS = 50            # emission precision for exact 6j values
 CANCEL_LIMIT = 1.0e3   # max sum(|term|)/|sum| tolerated in the double path
 _F64_MAX_TWICE_J = 120 # double path only below j = 60; see _wigner_d_f64
+_TINY_SIN_BETA = 2.0 ** -900  # below it wigner_d takes first order in beta
+_RESCALE_ABOVE = 256.0        # wigner_d renormalizes its running pair above
+                              # this; one step can grow it by 4j * 2**901
 
 
 class SixJError(Exception):
@@ -541,10 +550,11 @@ def _wigner_d_mp(tj, tm, tmp, beta, dps0):
         f"wigner d escalation did not stabilize at dps={dps}")
 
 
-def exact_wigner_d(j, m, mp, beta):
-    """d^j_{mm'}(beta) = <jm| exp(-i beta Jy) |jm'>, as a double.
+def _d_entry(j, m, mp, beta):
+    """The entry check of the d-matrix functions.
 
-    Accurate to at least 12 significant digits for j <= 200.
+    Returns (tj, tm, tmp, beta, edge): the twice-values, beta as a float,
+    and the exact element at beta = 0 or pi (None for 0 < beta < pi).
     """
     j, m, mp = HalfInt.of(j), HalfInt.of(m), HalfInt.of(mp)
     tj, tm, tmp = j.twice, m.twice, mp.twice
@@ -555,10 +565,22 @@ def exact_wigner_d(j, m, mp, beta):
     beta = float(beta)
     if not 0.0 <= beta <= math.pi:
         raise ValidationError(f"beta must be in [0, pi], got {beta}")
+    edge = None
     if beta == 0.0:
-        return 1.0 if tm == tmp else 0.0
-    if beta == math.pi:
-        return float(phase((tj - tmp) // 2)) if tm == -tmp else 0.0
+        edge = 1.0 if tm == tmp else 0.0
+    elif beta == math.pi:
+        edge = float(phase((tj - tmp) // 2)) if tm == -tmp else 0.0
+    return tj, tm, tmp, beta, edge
+
+
+def exact_wigner_d(j, m, mp, beta):
+    """d^j_{mm'}(beta) = <jm| exp(-i beta Jy) |jm'>, as a double.
+
+    Accurate to at least 12 significant digits for j <= 200.
+    """
+    tj, tm, tmp, beta, edge = _d_entry(j, m, mp, beta)
+    if edge is not None:
+        return edge
     dps0 = 40 + tj // 4
     if tj <= _F64_MAX_TWICE_J:
         val, cancel, ok = _wigner_d_f64(tj, tm, tmp, beta)
@@ -567,3 +589,75 @@ def exact_wigner_d(j, m, mp, beta):
         if math.isfinite(cancel) and cancel > 0:
             dps0 = 25 + int(math.log10(cancel))
     return _wigner_d_mp(tj, tm, tmp, beta, dps0)
+
+
+def _pow_scaled(x, n):
+    """x**n for 0 < x <= 1 as (mantissa, exponent), with no underflow."""
+    f, e = math.frexp(x)
+    mant, expo = 1.0, e * n
+    while n:
+        step = min(n, 1000)     # f**1000 >= 2**-1000 is still normal
+        mant, k = math.frexp(mant * f ** step)
+        expo += k
+        n -= step
+    return mant, expo
+
+
+def wigner_d(j, m, mp, beta):
+    """d^j_{mm'}(beta) in double precision, by the three-term recurrence
+    in m at fixed j, m' and beta (Schulten and Gordon):
+
+        A(m) d_{m+1} = 2 (m' - m cos beta) / sin beta * d_m - A(m-1) d_{m-1},
+        A(m) = sqrt((j + m + 1)(j - m)).
+
+    An m above the band centre m' cos beta is reflected by
+    d_{mm'} = (-1)^(m-m') d_{-m,-m'}, so the recurrence always runs up
+    from m = -j, where d_{-j,m'} = sqrt(C(2j, j+m')) cos^(j-m')(beta/2)
+    sin^(j+m')(beta/2).  That way it grows through the forbidden zone
+    and stays neutral inside the band.  The start value is a mantissa
+    times a power of two and the running pair is rescaled by powers of
+    two, so the exponential tails reach the subnormal range and round to
+    0.0 below it.  Argument checks and the exact values at beta = 0 and
+    pi are those of exact_wigner_d.
+
+    Tolerance, against exact_wigner_d for 2j <= 2000: relative error at
+    most 1e-11 wherever |d| >= 1e-300 in the tails; inside the band and
+    next to the turning points, where d has nodes, the error is at most
+    1e-11 times the largest |d| at m - 1, m and m + 1.
+    """
+    tj, tm, tmp, beta, edge = _d_entry(j, m, mp, beta)
+    if edge is not None:
+        return edge
+    sign = 1.0
+    if tm > tmp * math.cos(beta):
+        tm, tmp = -tm, -tmp
+        sign = float(phase((tm - tmp) // 2))
+    sin_b = math.sin(beta)
+    if sin_b < _TINY_SIN_BETA:
+        # the recurrence coefficient would overflow.  Here cos beta = 1.0,
+        # so tm <= tmp, and to first order in beta d is 1 on the diagonal,
+        # (beta/2) sqrt((j + m')(j - m' + 1)) at m = m' - 1 and 0 beyond
+        if tm == tmp:
+            return 1.0
+        if tm == tmp - 2:
+            return sign * beta * math.sqrt((tj + tmp) * (tj - tmp + 2)) / 4.0
+        return 0.0
+    binom = comb(tj, (tj + tmp) // 2)
+    shift = max(0, binom.bit_length() - 64) & ~1
+    mc, ec = _pow_scaled(math.cos(beta / 2), (tj - tmp) // 2)
+    ms, es = _pow_scaled(math.sin(beta / 2), (tj + tmp) // 2)
+    cur, k = math.frexp(math.sqrt(binom >> shift) * mc * ms)
+    expo = shift // 2 + ec + es + k
+    prev = a_prev = 0.0
+    cos_b, two_over_sin = math.cos(beta), 2.0 / sin_b
+    sqrt = math.sqrt
+    for t in range(-tj, tm, 2):     # t = 2m; each pass gives d at m + 1
+        a = sqrt((tj + t + 2) * (tj - t))      # 2 A(m)
+        prev, cur = cur, ((tmp - t * cos_b) * two_over_sin * cur
+                          - a_prev * prev) / a
+        a_prev = a
+        if abs(cur) > _RESCALE_ABOVE:
+            cur, k = math.frexp(cur)
+            prev = math.ldexp(prev, -k)
+            expo += k
+    return sign * math.ldexp(cur, expo)

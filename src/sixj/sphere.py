@@ -53,11 +53,17 @@ def sphere_point(bnds, J12, phi12):
 
 def _butterfly_heights(four, J12):
     """Heights along J12 of the J2 and J3 tips (J2z, J3z) and squared
-    distances from the J12 axis (h2sq, h3sq); J12 broadcasts."""
+    distances from the J12 axis (h2sq, h3sq); J12 broadcasts.
+
+    J12 = 0 lies in the window only when J1 = J2 and J3 = J4; there
+    J2z = J12/2 and J3z = -J12/2, so both heights take their limit 0.0.
+    """
     J1, J2, J3, J4 = (float(x) for x in four)
     J12 = np.asarray(J12, float)
-    J2z = (J12 * J12 + J2 * J2 - J1 * J1) / (2.0 * J12)
-    J3z = (J4 * J4 - J3 * J3 - J12 * J12) / (2.0 * J12)
+    flat = J12 == 0.0
+    twice = np.where(flat, 1.0, 2.0 * J12)
+    J2z = np.where(flat, 0.0, (J12 * J12 + J2 * J2 - J1 * J1) / twice)
+    J3z = np.where(flat, 0.0, (J4 * J4 - J3 * J3 - J12 * J12) / twice)
     h2sq = np.maximum(J2 * J2 - J2z * J2z, 0.0)
     h3sq = np.maximum(J3 * J3 - J3z * J3z, 0.0)
     return J2z, J3z, h2sq, h3sq

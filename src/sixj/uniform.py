@@ -19,8 +19,8 @@ import numpy as np
 
 from . import dasym, prasym, tetra
 from .core import (HalfInt, InvariantError, SolverError, ValidationError,
-                   WrongRegionError, bounds, exact_wigner_d, lengths, phase,
-                   require_valid)
+                   WrongRegionError, bounds, lengths, phase, require_valid,
+                   wigner_d)
 
 BETA_GEOM_EPS = 1e-12    # keep d_geometry off beta = 0, pi during solves
 NEAR_CAUSTIC_VOL = 1e-6  # |V|/(J1 J12 J4) below this switches the ratio
@@ -455,7 +455,7 @@ def uniform_6j(labels):
     near = region.is_caustic or vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
     ratio = _near_caustic_ratio(labels, b, umap) if near else vd / vol
     Jd = b.D / 2.0
-    dval = exact_wigner_d(umap.j, umap.m, umap.mp, beta)
+    dval = wigner_d(umap.j, umap.m, umap.mp, beta)
     sgn = phase(umap.nu_ex + (umap.j.twice - umap.mp.twice) // 2)
     value = sgn * math.sqrt(Jd * ratio / 24.0) * dval
     pr_amp = 1.0 / math.sqrt(12.0 * math.pi * vol) if vol > 0.0 else math.inf

@@ -2,12 +2,14 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 from sixj import HalfInt, SixJLabels, bounds, cli, sphere, tetra
+from sixj import exact_sixj
 
 SQUARE_FLAGS = ["--j1", "9/2", "--j2", "3", "--j3", "11/2", "--j4", "6"]
 
@@ -400,6 +402,67 @@ class TestWorstcase:
                                     "--j-max", j_max])
         assert rc == 2 and out == ""
         assert "--j-max" in err
+
+
+class TestUnderflowReference:
+    """A symbol whose exact value underflows a double has reference scale
+    0.0 and no relative error; it stays out of the worst rows."""
+
+    TINY = ("650", "557", "1143", "827/2", "1519/2", "1901/2")
+
+    def test_row_below_double_range(self):
+        labels = SixJLabels.of(*self.TINY)
+        exact = exact_sixj(labels)     # 9.07e-329
+        assert exact.sign != 0 and float(exact) == 0.0
+        row = cli.worstcase_row(labels)
+        assert row["region"] == "C" and row["reference"] == 0.0
+        assert row["err_pr"] is None and row["err_uniform"] is None
+
+    def test_random_at_the_top_of_the_bound(self, capsys):
+        report = cli.worstcase_report("random", cli.J_MAX_MAX)
+        tiny = dict(zip(("j1", "j2", "j12", "j3", "j4", "j23"), self.TINY))
+        rows = [r for r in report["rows"] if r["labels"] == tiny]
+        assert len(rows) == 1 and rows[0]["err_uniform"] is None
+        assert all(w["labels"] != tiny for w in report["worst"].values())
+        rc, out, err = run(capsys, ["worstcase", "--family", "random",
+                                    "--j-max", str(cli.J_MAX_MAX),
+                                    "--format", "csv"])
+        assert rc == 0 and err == ""
+        cells = ",".join(tiny[n] for n in cli.LABEL_FLAGS)
+        assert f"row,{cells},C,," in out.splitlines()
+
+
+class TestFlatSideOrbits:
+    """j23-orbits on a square with the flat side J12 = 0: the heights of
+    the J2 and J3 tips take their limit 0.0 there, with no 0/0."""
+
+    flat = pytest.mark.parametrize("js", [(40, 40, 40, 40),
+                                          ("5/2", "5/2", 3, 3)], ids=str)
+
+    @flat
+    @pytest.mark.parametrize("grid", [8, 41])
+    def test_orbits_without_runtime_warnings(self, capsys, js, grid):
+        flags = sum((["--" + n, str(j)] for n, j in
+                     zip(("j1", "j2", "j3", "j4"), js)), [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run(capsys, ["figure", "--kind", "j23-orbits",
+                                        *flags, "--grid", str(grid)])
+        assert rc == 0 and err == "" and json.loads(out)
+
+    @flat
+    @pytest.mark.parametrize("grid", [8, 41])
+    def test_heights_are_finite(self, js, grid):
+        js = tuple(HalfInt.of(j) for j in js)
+        b = bounds(*js)
+        assert b.J12_min == 0.0
+        J12 = np.linspace(b.J12_min, b.J12_max, grid)
+        with np.errstate(all="raise"):
+            J2z, J3z, h2sq, h3sq = sphere._butterfly_heights(_four(js), J12)
+        assert all(np.isfinite(x).all() for x in (J2z, J3z, h2sq, h3sq))
+        assert J2z[0] == 0.0 and J3z[0] == 0.0
+        assert J2z[1:] == pytest.approx(J12[1:] / 2, rel=1e-15)
+        assert J3z[1:] == pytest.approx(-J12[1:] / 2, rel=1e-15)
 
 
 class TestInputBounds:

@@ -19,6 +19,7 @@ from sixj import (Bounds, HalfInt, InvariantError, SixJLabels,
                   ValidationError, bounds, exact_sixj, exact_wigner_d,
                   lengths, validate)
 from sixj import cli, core, tetra
+from sixj import uniform
 from sixj.core import MP_DPS, _mp, phase
 
 
@@ -545,3 +546,168 @@ class TestSharedLabels:
         assert not hasattr(labels, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             labels.j1 = HalfInt(4)
+
+
+class TestWignerDDouble:
+    """core.wigner_d, the three-term recurrence in m, against the
+    reference exact_wigner_d: relative error at most 1e-11 in the tails
+    wherever |d| >= 1e-300, and |error| at most 1e-11 times the largest
+    |d| at m - 1, m, m + 1 inside the band and next to its turning
+    points, for 2j <= 2000."""
+
+    TOL = 1e-11
+
+    @staticmethod
+    def turning_points(tj, tmp, beta):
+        """The band m' cos beta -+ sqrt(J^2 - m'^2) sin beta, J = j + 1/2."""
+        J, mp = (tj + 1) / 2, tmp / 2
+        half = math.sqrt(J * J - mp * mp) * math.sin(beta)
+        return mp * math.cos(beta) - half, mp * math.cos(beta) + half
+
+    @staticmethod
+    def nearest_twice(tj, m):
+        """The lattice 2m (parity of 2j, within [-2j, 2j]) nearest m."""
+        t = 2 * round((2 * m + tj) / 2) - tj
+        return max(-tj, min(tj, t))
+
+    @staticmethod
+    def d_pair(tj, tm, tmp, beta):
+        args = (HalfInt(tj), HalfInt(tm), HalfInt(tmp), beta)
+        return core.wigner_d(*args), exact_wigner_d(*args)
+
+    def assert_tail(self, tj, tm, tmp, beta):
+        got, want = self.d_pair(tj, tm, tmp, beta)
+        if abs(want) >= 1e-300:
+            assert abs(got - want) <= self.TOL * abs(want), (
+                tj, tm, tmp, beta, got, want)
+        else:   # 0.0 or a subnormal, rounded once
+            assert abs(got - want) <= self.TOL * abs(want) + 1e-322, (
+                tj, tm, tmp, beta, got, want)
+        return want
+
+    def test_tails_relative(self):
+        rng = random.Random(61)
+        depths = []
+        for _ in range(120):
+            tj = int(2 ** rng.uniform(1, math.log2(2000)))
+            tmp = rng.randrange(-tj, tj + 1, 2)
+            beta = rng.uniform(0.02, math.pi - 0.02)
+            lo, hi = self.turning_points(tj, tmp, beta)
+            tails = []     # (turning-point side, far end) of each tail
+            if lo - 3 > -tj / 2:
+                tails.append((self.nearest_twice(tj, lo - 3) - 2, -tj))
+            if hi + 3 < tj / 2:
+                tails.append((self.nearest_twice(tj, hi + 3) + 2, tj))
+            if not tails:
+                continue
+            near, far = rng.choice(tails)
+            if (far - near) * (1 if far > 0 else -1) < 0:
+                continue
+            # one point anywhere in the tail, one in its outer quarter
+            for share in (rng.random(), 0.75 + 0.25 * rng.random()):
+                tm = self.nearest_twice(tj, (near + share * (far - near)) / 2)
+                depths.append(abs(self.assert_tail(tj, tm, tmp, beta)))
+        # the corpus reaches deep into the tails and below the double range
+        assert len(depths) >= 120
+        assert sum(1e-300 <= d < 1e-100 for d in depths) >= 5
+        assert sum(d < 1e-300 for d in depths) >= 2
+
+    def test_band_and_turning_points_by_envelope(self):
+        rng = random.Random(67)
+        for _ in range(14):
+            tj = int(2 ** rng.uniform(3, math.log2(2000)))
+            tmp = rng.randrange(-tj, tj + 1, 2)
+            beta = rng.uniform(0.1, math.pi - 0.1)
+            lo, hi = self.turning_points(tj, tmp, beta)
+            picks = {self.nearest_twice(tj, rng.uniform(lo, hi))}
+            for edge in (lo, hi):
+                centre = self.nearest_twice(tj, edge)
+                picks.update(t for t in range(centre - 6, centre + 7, 2)
+                             if abs(t) <= tj)
+            exact = {}
+
+            def ref(t):
+                if t not in exact:
+                    exact[t] = exact_wigner_d(HalfInt(tj), HalfInt(t),
+                                              HalfInt(tmp), beta)
+                return exact[t]
+
+            for tm in sorted(picks):
+                got = core.wigner_d(HalfInt(tj), HalfInt(tm), HalfInt(tmp),
+                                    beta)
+                env = max(abs(ref(t)) for t in (tm - 2, tm, tm + 2)
+                          if abs(t) <= tj)
+                assert abs(got - ref(tm)) <= self.TOL * env, (
+                    tj, tm, tmp, beta, got, ref(tm))
+
+    def test_spin_zero_and_half(self):
+        for beta in (0.3, 1.2, 2.9):
+            assert core.wigner_d(0, 0, 0, beta) == 1.0
+            c, s = math.cos(beta / 2), math.sin(beta / 2)
+            for tm, tmp, want in ((1, 1, c), (1, -1, -s), (-1, 1, s),
+                                  (-1, -1, c)):
+                got = core.wigner_d(HalfInt(1), HalfInt(tm), HalfInt(tmp),
+                                    beta)
+                assert got == pytest.approx(want, abs=1e-15)
+
+    def test_corners(self):
+        for tj in (7, 160, 1000, 2000):
+            for beta in (0.1, 1.3, 3.0):
+                for tm in (-tj, tj):
+                    for tmp in (-tj, tj, tj - 2):
+                        self.assert_tail(tj, tm, tmp, beta)
+
+    def test_small_beta(self):
+        # the per-step growth is about 1/beta; below sin(beta) = 2**-900
+        # the element is taken to first order in beta
+        for beta in (1e-100, 1e-250, 1e-300, 5e-324):
+            for tj in (1, 2, 7, 20):
+                for tmp in range(-tj, tj + 1, 2):
+                    for tm in range(-tj, tj + 1, 2):
+                        self.assert_tail(tj, tm, tmp, beta)
+
+    def test_beta_endpoints_equal_reference(self):
+        for args in ((3, 2, 2), (3, 2, 1), (3, 2, -2), (3, 2, 2),
+                     ("9/2", "5/2", "-5/2"), (1000, 1000, -1000)):
+            for beta in (0.0, math.pi):
+                got = core.wigner_d(*args, beta)
+                assert got == exact_wigner_d(*args, beta), (args, beta)
+                assert type(got) is float
+
+    def test_tail_below_double_range_is_zero(self):
+        assert core.wigner_d(1000, 1000, -1000, 0.1) == 0.0
+        assert exact_wigner_d(1000, 1000, -1000, 0.1) == 0.0
+
+    @pytest.mark.parametrize("args", [(2, 3, 0, 1.0), (2, 1, 0, -0.5),
+                                      (HalfInt(4), HalfInt(1), HalfInt(0),
+                                       1.0)])
+    def test_rejects_what_the_reference_rejects(self, args):
+        with pytest.raises(ValidationError) as reference:
+            exact_wigner_d(*args)
+        with pytest.raises(ValidationError) as double:
+            core.wigner_d(*args)
+        assert str(double.value) == str(reference.value)
+
+    def test_uniform_makes_no_reference_call(self, monkeypatch):
+        calls = {"exact_wigner_d": 0, "_wigner_d_f64": 0, "_wigner_d_mp": 0,
+                 "wigner_d": 0}
+
+        def counted(name):
+            inner = getattr(core, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(core, name, counted(name))
+        monkeypatch.setattr(uniform, "wigner_d", core.wigner_d)
+        corpus = (SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "13/2"),
+                  SixJLabels.of("9/2", 3, "15/2", "11/2", 6, "5/2"),
+                  SixJLabels.of("9/2", 3, "11/2", "11/2", 6, "17/2"),
+                  SixJLabels.of(156, 184, 184, 68, 160, 188))
+        for labels in corpus:
+            uniform.uniform_6j(labels)
+        assert calls == {"exact_wigner_d": 0, "_wigner_d_f64": 0,
+                         "_wigner_d_mp": 0, "wigner_d": len(corpus)}
