@@ -364,7 +364,6 @@ def _caustic_curve(four, b, grid):
 def _side_touch(four, b, side, n=2001):
     """Maximum of det G along one square side, refined by ternary
     search; the caustic touches the side where this maximum vanishes."""
-    J1, _, _, J4 = four
     if side in ("J12_min", "J12_max"):
         c = b.J12_min if side == "J12_min" else b.J12_max
         lo, hi = b.J23_min, b.J23_max
@@ -390,9 +389,9 @@ def _side_touch(four, b, side, n=2001):
         J12, J23 = c, s
     else:
         J12, J23 = s, c
-    scale = (J1 * J12 * J4) ** (4.0 / 3.0)
     return {"side": side, "J12": J12, "J23": J23, "det_g": g,
-            "touch": abs(g) <= _TOUCH_TOL * scale}
+            "touch": abs(g) <= _TOUCH_TOL * tetra._caustic_scale(
+                four + (J12, J23))}
 
 
 def figure_spots(js, grid):

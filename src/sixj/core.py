@@ -11,11 +11,10 @@ significant digits).
 The Wigner d-matrix element comes two ways.  wigner_d, the one the
 uniform approximation calls, runs the three-term recurrence in m in
 double precision, O(j) steps with a power-of-two scale carried along.
-exact_wigner_d is the reference: a compensated double-precision sum
-over exact rational term coefficients, escalated to adaptive-precision
-mpmath when cancellation or matrix size would otherwise eat into the
-12th digit; the escalated sum steps from term to term by the exact term
-ratio.  Both share one entry check.
+exact_wigner_d is the reference: Wigner's sum in mpmath, stepping from
+term to term by the exact term ratio, at a precision raised until 17
+digits survive the cancellation, so the double it returns is correct to
+about a unit in the last place.  Both share one entry check.
 
 mpmath work runs on one shared context per precision (see _mp).  The
 contexts are set up once and never changed afterwards, and the code
@@ -33,8 +32,6 @@ from math import comb, factorial
 import mpmath
 
 MP_DPS = 50            # emission precision for exact 6j values
-CANCEL_LIMIT = 1.0e3   # max sum(|term|)/|sum| tolerated in the double path
-_F64_MAX_TWICE_J = 120 # double path only below j = 60; see _wigner_d_f64
 _TINY_SIN_BETA = 2.0 ** -900  # below it wigner_d takes first order in beta
 _RESCALE_ABOVE = 256.0        # wigner_d renormalizes its running pair above
                               # this; one step can grow it by 4j * 2**901
@@ -467,53 +464,20 @@ def exact_sixj(labels):
                       value=_root_form(total, radicand, MP_DPS))
 
 
-def _d_sum_range(tj, tm, tmp):
-    """Shared index bookkeeping for the d-matrix sum; twice-valued args."""
-    jpm = (tj + tm) // 2
-    jm = (tj - tm) // 2
-    jpmp = (tj + tmp) // 2
-    jmmp = (tj - tmp) // 2
-    mm = (tm - tmp) // 2
-    smin = max(0, -mm)
-    smax = min(jpmp, jm)
-    N = (factorial(jpm) * factorial(jm) * factorial(jpmp) * factorial(jmmp))
-    return jpm, jm, jpmp, jmmp, mm, smin, smax, N
-
-
-def _wigner_d_f64(tj, tm, tmp, beta):
-    """Double-precision pass.  Returns (value, cancellation, ok); ok is
-    False when a term coefficient underflows double range."""
-    _, jm, jpmp, _, mm, smin, smax, N = _d_sum_range(tj, tm, tmp)
-    c = math.cos(beta / 2)
-    s = math.sin(beta / 2)
-    total = comp = absum = 0.0
-    for k in range(smin, smax + 1):
-        den = (factorial(jpmp - k) * factorial(k) * factorial(mm + k)
-               * factorial(jm - k))
-        r = float(Fraction(N, den * den))
-        if r == 0.0:
-            return 0.0, math.inf, False
-        t = math.sqrt(r) * c ** (tj - 2 * k - mm) * s ** (mm + 2 * k)
-        if (mm + k) % 2:
-            t = -t
-        absum += abs(t)
-        # Kahan update
-        y = t - comp
-        hi = total + y
-        comp = (hi - total) - y
-        total = hi
-    if total == 0.0:
-        return 0.0, math.inf, absum == 0.0
-    return total, absum / abs(total), True
-
-
 def _wigner_d_mp(tj, tm, tmp, beta, dps0):
-    """Adaptive-precision pass.  The terms alternate in sign; their
-    magnitudes start from the exact factorial coefficient of the first
-    and step by the exact ratio (j+m'-k)(j-m-k) / ((k+1)(m-m'+k+1)) times
-    tan^2(beta/2).  Summing the two signs apart gives the sum and the
-    sum of magnitudes from the same two partial sums."""
-    _, jm, jpmp, _, mm, smin, smax, N = _d_sum_range(tj, tm, tmp)
+    """Wigner's sum for d at twice-valued (j, m, m'), in mpmath passes
+    from dps0 digits (at least 30) up.  The terms alternate in sign;
+    their magnitudes start from the exact factorial coefficient of the
+    first and step by the exact ratio (j+m'-k)(j-m-k) / ((k+1)(m-m'+k+1))
+    times tan^2(beta/2).  Summing the two signs apart gives the sum and
+    the sum of magnitudes from the same two partial sums; their ratio is
+    the cancellation.  A pass left with fewer than 17 digits after the
+    cancellation is repeated at 30 digits more than it lost, up to 8
+    passes."""
+    jm, jpmp, mm = (tj - tm) // 2, (tj + tmp) // 2, (tm - tmp) // 2
+    smin, smax = max(0, -mm), min(jpmp, jm)
+    N = (factorial((tj + tm) // 2) * factorial(jm) * factorial(jpmp)
+         * factorial((tj - tmp) // 2))
     den0 = (factorial(jpmp - smin) * factorial(smin) * factorial(mm + smin)
             * factorial(jm - smin))
     dps = max(30, dps0)
@@ -576,19 +540,18 @@ def _d_entry(j, m, mp, beta):
 def exact_wigner_d(j, m, mp, beta):
     """d^j_{mm'}(beta) = <jm| exp(-i beta Jy) |jm'>, as a double.
 
-    Accurate to at least 12 significant digits for j <= 200.
+    The reference value: Wigner's sum in mpmath by _wigner_d_mp, with a
+    first pass at 40 + j/2 digits.  The sum is kept only when at least
+    17 digits are left after its cancellation, so the double is within
+    about a unit in the last place of the element at this beta; tested
+    to 1e-15 relative against Wigner's sum with every term from its
+    factorials, for 2j <= 800.  An element below 1e-330
+    underflows to 0.0, so 3 digits suffice there.
     """
     tj, tm, tmp, beta, edge = _d_entry(j, m, mp, beta)
     if edge is not None:
         return edge
-    dps0 = 40 + tj // 4
-    if tj <= _F64_MAX_TWICE_J:
-        val, cancel, ok = _wigner_d_f64(tj, tm, tmp, beta)
-        if ok and cancel <= CANCEL_LIMIT:
-            return val
-        if math.isfinite(cancel) and cancel > 0:
-            dps0 = 25 + int(math.log10(cancel))
-    return _wigner_d_mp(tj, tm, tmp, beta, dps0)
+    return _wigner_d_mp(tj, tm, tmp, beta, 40 + tj // 4)
 
 
 def _pow_scaled(x, n):

@@ -2,15 +2,16 @@
 
 The vector realization uses A1 = J1, A2 = J12, A3 = -J4, from which all
 Gram entries follow from the lengths alone.  classify() builds the one
-geometry record per point from G and its cofactors: det G = 36 V^2, |V|
-and the six exterior dihedral angles.  The same formulas hold in the
-forbidden case (det G < 0), where every cos psi lies outside [-1, 1]
-and the sign pattern against the caustic table classifies the region.
+geometry record per point from the six Gram entries and their
+cofactors: det G = 36 V^2, |V| and the six exterior dihedral angles.
+The same formulas hold in the forbidden case (det G < 0), where every
+cos psi lies outside [-1, 1] and the sign pattern against the caustic
+table classifies the region.
 
-construct() diagonalizes G to realize the edge vectors (with pure
-imaginary z components, stored as real coefficients with a flag, when
-det G < 0); it serves only the vector picture: the phase-space sphere
-and the Poisson bracket.
+construct() diagonalizes G with numpy's symmetric eigensolver to realize
+the edge vectors (with pure imaginary z components, stored as real
+coefficients with a flag, when det G < 0); it serves only the vector
+picture: the phase-space sphere and the Poisson bracket.
 """
 
 import math
@@ -110,7 +111,6 @@ class Tetrahedron:
 
     lengths: tuple
     gram: np.ndarray
-    eigvals: np.ndarray
     A: np.ndarray
     imag_z: bool
     volume_sq: float
@@ -153,42 +153,6 @@ def gram(J):
     ])
 
 
-def eigen_sym3(G, max_sweeps=20, tol=1e-14):
-    """Eigenvalues (descending, so a negative one is last) and
-    orthonormal eigenvectors of a symmetric 3x3, by cyclic Jacobi."""
-    A = np.array(G, dtype=float)
-    V = np.eye(3)
-    norm = math.sqrt((A * A).sum())
-    if norm == 0.0:
-        return np.zeros(3), V
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * (A[0, 1] ** 2 + A[0, 2] ** 2 + A[1, 2] ** 2))
-        if off <= tol * norm:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = A[p, q]
-            if abs(apq) <= 1e-300:
-                continue
-            theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            app = A[p, p] - t * apq
-            aqq = A[q, q] + t * apq
-            A[p, p], A[q, q] = app, aqq
-            A[p, q] = A[q, p] = 0.0
-            r = 3 - p - q
-            arp, arq = A[r, p], A[r, q]
-            A[r, p] = A[p, r] = c * arp - s * arq
-            A[r, q] = A[q, r] = s * arp + c * arq
-            vp = V[:, p].copy()
-            V[:, p] = c * vp - s * V[:, q]
-            V[:, q] = s * vp + c * V[:, q]
-    w = np.diag(A).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
-
-
 def _det3(M):
     return (M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
             - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
@@ -222,7 +186,8 @@ def construct(J):
     """
     J = tuple(float(x) for x in J)
     G = gram(J)
-    w, V = eigen_sym3(G)
+    w, V = np.linalg.eigh(G)
+    w, V = w[::-1], V[:, ::-1]   # descending, so a negative one is last
     norm = math.sqrt((G * G).sum())
     if w[1] < -1e-12 * norm:
         raise InvariantError(
@@ -242,8 +207,8 @@ def construct(J):
         if volume < 0.0:
             A[2, :] *= -1.0
             volume = -volume
-    return Tetrahedron(lengths=J, gram=G, eigvals=w, A=A,
-                       imag_z=imag_z, volume_sq=volume_sq, volume=volume)
+    return Tetrahedron(lengths=J, gram=G, A=A, imag_z=imag_z,
+                       volume_sq=volume_sq, volume=volume)
 
 
 def _norm(v):
@@ -257,10 +222,8 @@ def from_vectors(A):
     a1, a2, a3 = A[:, 0], A[:, 1], A[:, 2]
     J = (_norm(a1), _norm(a2 - a1), _norm(a3 - a2),
          _norm(a3), _norm(a2), _norm(a3 - a1))
-    G = A.T @ A
     vol = _det3(A) / 6.0
-    w, _ = eigen_sym3(G)
-    return Tetrahedron(lengths=J, gram=G, eigvals=w, A=A, imag_z=False,
+    return Tetrahedron(lengths=J, gram=A.T @ A, A=A, imag_z=False,
                        volume_sq=vol * vol, volume=vol)
 
 
@@ -299,9 +262,9 @@ def _psi_pair(cos_psi):
     return psi, psi_bar
 
 
-def _angles(G):
-    """Exterior dihedral angles from the cofactors of the Gram matrix."""
-    (g11, g12, g13), (_, g22, g23), (_, _, g33) = G.tolist()
+def _angles(g11, g22, g33, g12, g13, g23):
+    """Exterior dihedral angles from the cofactors of the Gram matrix,
+    given by its six entries."""
     faces, num, den = _cofactor_cos_psi(g11, g22, g33, g12, g13, g23)
     for face, nn in zip(_FACE_NAMES, faces):
         if nn <= 0.0:
@@ -314,7 +277,8 @@ def _angles(G):
 
 def dihedrals(t):
     """Exterior dihedral angles of the (possibly complex) tetrahedron."""
-    return _angles(t.gram)
+    G = t.gram
+    return _angles(G[0, 0], G[1, 1], G[2, 2], G[0, 1], G[0, 2], G[1, 2])
 
 
 def _caustic_scale(J):
@@ -341,11 +305,10 @@ def classify(J, bnds=None):
         if not (bnds.J12_min <= J12 <= bnds.J12_max
                 and bnds.J23_min <= J23 <= bnds.J23_max):
             raise _outside_square(bnds, J12, J23)
-    G = gram(J)
-    det_g = float(_det3(G))
+    det_g = det_gram(J)
     caustic = abs(det_g) <= EPS_CAUSTIC * _caustic_scale(J)
     try:
-        dih = _angles(G)
+        dih = _angles(*_gram_entries(*J))
     except ValidationError:
         if not caustic:
             raise

@@ -88,22 +88,27 @@ def _geom(umap, beta):
     return dasym.d_geometry(umap.j, umap.m, umap.mp, beta)
 
 
-def _residual(umap, beta, target):
-    """The (continued) d-matrix phase at beta minus target, and its
-    beta derivative."""
+def _residual(umap, beta, target, continued=False):
+    """The d-matrix phase at beta minus target, and its beta derivative.
+    The phase is Phi_bar_d beyond the d-caustic, and Phi_d in the allowed
+    region and on the caustic; with continued set (the forbidden solves)
+    it is Phi_bar_d there too, which is zero: its arccosh of a cosine
+    within roundoff of 1 would be noise of order 1e-8."""
     g = _geom(umap, beta)
-    val = (dasym.phi_d(g) if g.region in (dasym.ALLOWED, dasym.CAUSTIC)
-           else dasym.phi_d_bar(g))
+    if g.region not in (dasym.ALLOWED, dasym.CAUSTIC):
+        val = dasym.phi_d_bar(g)
+    else:
+        val = 0.0 if continued else dasym.phi_d(g)
     return val - target, dasym.dphi_d_dbeta(g)
 
 
-def _newton(umap, target, lo, hi, seed, scale):
+def _newton(umap, target, lo, hi, seed, scale, continued=False):
     """Find beta in [lo, hi] with phase(beta) = target, the phase
-    monotone decreasing; safeguarded Newton."""
+    monotone decreasing (see _residual); safeguarded Newton."""
     tol = _SOLVE_TOL * scale
     x = min(max(seed, lo), hi)
     for it in range(1, _MAX_NEWTON + 1):
-        fx, fpx = _residual(umap, x, target)
+        fx, fpx = _residual(umap, x, target, continued)
         if abs(fx) <= tol:
             return x, it, abs(fx)
         if fx > 0.0:
@@ -136,14 +141,17 @@ def _solve_for_lengths(J, umap, region):
     beta1, beta2 = dasym.turning_points(umap.j, umap.m, umap.mp)
     if region.is_forbidden:
         return _solve_forbidden(J, dih, umap, region.kind, beta1, beta2)
-    target = prasym.phi_pr(J, dih) - umap.Phi0
     if region.is_caustic and region.segment is not None:
-        # on the caustic the matched beta is the turning point itself
+        # on the caustic the matched beta is the turning point itself.  A
+        # cos psi may pass +-1 by more than phi_pr allows there, so the
+        # residual is taken from the clipped angles
         beta = (beta1 if region.segment in (tetra.REGION_B, tetra.REGION_C)
                 else beta2)
+        target = float(np.asarray(J, float) @ dih.psi) - umap.Phi0
         res = abs(_residual(umap, beta, target)[0])
         return beta, SolveReport(iterations=0, residual=res,
                                  bracket=(beta, beta), region=region.kind)
+    target = prasym.phi_pr(J, dih) - umap.Phi0
     a_hi = (float(umap.j) + 0.5 - max(float(umap.m), float(umap.mp))) * math.pi
     a_lo = max(0.0, -(float(umap.m) + float(umap.mp))) * math.pi
     scale = max(1.0, abs(target))
@@ -205,7 +213,8 @@ def _solve_forbidden(J, dih, umap, kind, beta1, beta2):
         else:
             raise SolverError(f"no bracket above beta2 for target {target}")
         seed = (beta2 + math.pi) / 2.0
-    beta, its, res = _newton(umap, target, lo, hi, seed, scale)
+    beta, its, res = _newton(umap, target, lo, hi, seed, scale,
+                             continued=True)
     return beta, SolveReport(iterations=its, residual=res,
                              bracket=(lo, hi), region=kind)
 
@@ -281,7 +290,10 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     # the PR targets of _solve_for_lengths and _solve_forbidden
     forbidden = np.isin(g.kind, (tetra.REGION_A, tetra.REGION_B,
                                  tetra.REGION_C, tetra.REGION_D))
-    if (~forbidden & (np.abs(g.cos_psi) > 1.0 + 1e-8).any(axis=0)).any():
+    # allowed points and caustic points off the segments; the points on a
+    # segment are pinned to a turning point, so phi_pr is not checked there
+    free = ~forbidden & ((g.kind != tetra.CAUSTIC) | (g.segment == ""))
+    if (free & (np.abs(g.cos_psi) > 1.0 + 1e-8).any(axis=0)).any():
         raise WrongRegionError("phi_pr is defined in the allowed region; "
                                "use phi_pr_bar beyond the caustic")
     lengths6 = four + (L12, L23)
@@ -293,8 +305,6 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     near_beta1 = np.isin(g.segment, (tetra.REGION_B, tetra.REGION_C))
     beta = np.where(near_beta1, beta1, beta2)   # the pinned values
 
-    # allowed points and caustic points off the segments
-    free = ~forbidden & ((g.kind != tetra.CAUSTIC) | (g.segment == ""))
     jf = (b.D - 1) / 2.0
     a_hi = (jf + 0.5 - np.maximum(m, mp)) * math.pi
     a_lo = np.maximum(0.0, -(m + mp)) * math.pi
@@ -315,7 +325,7 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     a1, a0 = a_hi[pts], a_lo[pts]
     solves = [(pts, np.maximum(b1, BETA_GEOM_EPS),
                np.minimum(b2, math.pi - BETA_GEOM_EPS),
-               b1 + (a1 - t) / (a1 - a0) * (b2 - b1))]
+               b1 + (a1 - t) / (a1 - a0) * (b2 - b1), False)]
 
     # forbidden points: B and C solve below beta1, A and D above beta2
     for window, edge, side in ((near_beta1, beta1 <= BETA_GEOM_EPS, "beta1"),
@@ -354,23 +364,24 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     solves.append((pts, np.where(below, far, beta2[pts]),
                    np.where(below, beta1[pts], far),
                    np.where(below, beta1[pts] / 2.0,
-                            (beta2[pts] + math.pi) / 2.0)))
-    for pts, lo, hi, seed in solves:
+                            (beta2[pts] + math.pi) / 2.0), True))
+    for pts, lo, hi, seed, continued in solves:
         beta[pts] = _newton_grid(phases, pts, target[pts], lo, hi, seed,
-                                 scale[pts])
+                                 scale[pts], continued)
     return beta, g.kind
 
 
-def _newton_grid(phases, pts, target, lo, hi, seed, scale):
-    """_newton on the points pts in lockstep; phases(pts, beta) gives
-    the d-matrix phases there (dasym.phase_grid)."""
+def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued):
+    """_newton on the points pts in lockstep, with the phase of
+    _residual; phases(pts, beta) gives the d-matrix phases there
+    (dasym.phase_grid)."""
     tol = _SOLVE_TOL * scale
     x = np.minimum(np.maximum(seed, lo), hi)
     out = np.empty(len(pts))
     pos = np.arange(len(pts))
     for _ in range(_MAX_NEWTON):
         ph, ph_bar, fpx, real = phases(pts, x)
-        fx = np.where(real, ph, ph_bar) - target
+        fx = np.where(real, 0.0 if continued else ph, ph_bar) - target
         up = fx > 0.0
         lo = np.where(up, x, lo)
         hi = np.where(up, hi, x)

@@ -427,6 +427,14 @@ class TestWignerDRecurrence:
         assert abs(got - want) <= 1e-15 * abs(want), (tj, tm, tmp, beta)
         return float(want)
 
+    def test_j_below_60(self):
+        rng = random.Random(59)
+        for _ in range(100):
+            tj = rng.randint(1, 120)
+            tm = rng.randrange(-tj, tj + 1, 2)
+            tmp = rng.randrange(-tj, tj + 1, 2)
+            self.assert_close(tj, tm, tmp, rng.uniform(0.05, 3.09))
+
     def test_escalated_path_j_60_to_400(self):
         rng = random.Random(53)
         for _ in range(40):
@@ -454,8 +462,10 @@ class TestWignerDRecurrence:
 
         monkeypatch.setattr(core, "_mp", recording_mp)
         # d^56_{35,0}(pi/2) vanishes; at the double nearest pi/2 the sum
-        # cancels by more digits than the first pass carries.
-        self.assert_close(112, 70, 0, math.pi / 2)
+        # cancels by more digits than a first pass at 30 digits carries.
+        got = core._wigner_d_mp(112, 70, 0, math.pi / 2, 30)
+        want = oracles.direct_wigner_d(112, 70, 0, math.pi / 2, 60 + 112)
+        assert abs(got - want) <= 1e-15 * abs(want)
         assert len(passes) >= 2 and passes[1] > passes[0], passes
 
 
@@ -689,8 +699,7 @@ class TestWignerDDouble:
         assert str(double.value) == str(reference.value)
 
     def test_uniform_makes_no_reference_call(self, monkeypatch):
-        calls = {"exact_wigner_d": 0, "_wigner_d_f64": 0, "_wigner_d_mp": 0,
-                 "wigner_d": 0}
+        calls = {"exact_wigner_d": 0, "_wigner_d_mp": 0, "wigner_d": 0}
 
         def counted(name):
             inner = getattr(core, name)
@@ -709,5 +718,5 @@ class TestWignerDDouble:
                   SixJLabels.of(156, 184, 184, 68, 160, 188))
         for labels in corpus:
             uniform.uniform_6j(labels)
-        assert calls == {"exact_wigner_d": 0, "_wigner_d_f64": 0,
-                         "_wigner_d_mp": 0, "wigner_d": len(corpus)}
+        assert calls == {"exact_wigner_d": 0, "_wigner_d_mp": 0,
+                         "wigner_d": len(corpus)}

@@ -2,14 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
-from sixj import HalfInt, SixJLabels, ValidationError, bounds, lengths, tetra
+from sixj import (HalfInt, InvariantError, SixJLabels, ValidationError,
+                  bounds, lengths, tetra)
 from sixj.cli import _random_labels
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
@@ -44,23 +44,6 @@ class TestGram:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValidationError):
             tetra.gram((0.0, 1.0, 1.0, 1.0, 1.0, 1.0))
-
-
-class TestEigenSym3:
-    mats = st.lists(st.floats(min_value=-10, max_value=10,
-                              allow_nan=False), min_size=6, max_size=6)
-
-    @given(mats)
-    @settings(max_examples=150)
-    def test_matches_numpy(self, entries):
-        a, b, c, d, e, f = entries
-        G = np.array([[a, b, c], [b, d, e], [c, e, f]])
-        w, V = tetra.eigen_sym3(G)
-        assert w[0] >= w[1] >= w[2]
-        assert np.allclose(sorted(np.linalg.eigvalsh(G)), sorted(w),
-                           rtol=1e-10, atol=1e-10)
-        assert np.allclose(V.T @ V, np.eye(3), atol=1e-12)
-        assert np.allclose(V @ np.diag(w) @ V.T, G, atol=1e-10)
 
 
 class TestConstruct:
@@ -112,6 +95,38 @@ class TestConstruct:
             A = t.A
             det = float(np.linalg.det(A.T))   # columns are A1, A2, A3
             assert det >= 0.0
+
+    def test_forbidden_with_flat_face(self):
+        # on the J12 = J1 + J2 side of the square face 012 is flat: A1
+        # and A2 are parallel, and a triangular factor of G fails there
+        J = (2, 1, 2.5, 2, 3, 2.2)
+        t = tetra.construct(J)
+        assert t.imag_z
+        G = (np.outer(t.A[0], t.A[0]) + np.outer(t.A[1], t.A[1])
+             - np.outer(t.A[2], t.A[2]))
+        assert np.abs(G - t.gram).max() <= 1e-12 * np.linalg.norm(t.gram)
+        assert t.volume_sq == pytest.approx(
+            float(_exact_volume_sq(J)), rel=1e-12)
+
+    def test_two_negative_eigenvalues_raise(self):
+        # lengths that close no tetrahedron, even a forbidden one
+        J = (1, math.sqrt(3), math.sqrt(7), math.sqrt(35), math.sqrt(8),
+             math.sqrt(24))
+        assert (np.linalg.eigh(tetra.gram(J))[0] < 0.0).sum() == 2
+        with pytest.raises(InvariantError, match="two negative"):
+            tetra.construct(J)
+
+
+def _exact_volume_sq(J):
+    """V^2 from the Cayley-Menger determinant, exact in the binary values
+    of the lengths (oracles.cayley_menger_volume_sq snaps them to
+    quarters), in the same vertex layout."""
+    J1, J2, J3, J4, J12, J23 = (Fraction(x) ** 2 for x in J)
+    zero = Fraction(0)
+    dist = ((zero, J1, J12, J4), (J1, zero, J2, J23),
+            (J12, J2, zero, J3), (J4, J23, J3, zero))
+    m = [[zero] + [Fraction(1)] * 4] + [[Fraction(1), *row] for row in dist]
+    return oracles._fraction_det(m) / 288
 
 
 class TestDihedrals:

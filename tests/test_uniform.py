@@ -397,6 +397,38 @@ class TestGridSolve:
         with pytest.raises(ValidationError, match="tangency"):
             uniform.beta_grid(*DEMO, [5.0, TANGENCY[0]], [TANGENCY[1]])
 
+    def test_caustic_segment_beyond_the_phi_pr_slack(self):
+        # on segment D a cos psi is 1 + 1.9e-7, beyond the 1e-8 that
+        # phi_pr allows; both solves pin the point to beta2 first
+        J12, J23 = 3.2, 9.499925768114476
+        r = tetra.classify(_four(DEMO) + (J12, J23), bounds(*DEMO))
+        assert r.is_caustic and r.segment == tetra.REGION_D
+        assert np.abs(r.angles.cos_psi).max() > 1.0 + 1e-7
+        beta, rep = uniform.beta_field(*DEMO, J12, J23)
+        assert rep.region == tetra.CAUSTIC and rep.iterations == 0
+        assert beta == 1.0371346951677793
+        grid, region = uniform.beta_grid(*DEMO, [J12], [J23])
+        assert grid.tolist() == [beta] and region.tolist() == [rep.region]
+
+    def test_forbidden_solve_next_to_the_d_caustic(self):
+        # a region-B point whose Newton walks into the band where the
+        # d-geometry is caustic: the forbidden solve matches the continued
+        # phase there too, not the principal one (7.47 away).  Its target,
+        # -1.5e-11, is roundoff below the zero of Phi_bar_d at beta1, so
+        # no beta matches it closer than |target|
+        J12, J23 = 1.6, 4.878623008728027
+        want = 1.6573225361490174
+        beta, rep = uniform.beta_field(*DEMO, J12, J23)
+        assert rep.region == tetra.REGION_B
+        assert abs(beta - want) <= math.ulp(want)
+        J = _four(DEMO) + (J12, J23)
+        target = prasym.phi_pr_bar(J, tetra.classify(J).angles)
+        assert abs(target) < 1e-10
+        assert rep.residual <= abs(target) + uniform._SOLVE_TOL
+        grid, region = uniform.beta_grid(*DEMO, [J12], [J23])
+        assert region.tolist() == [tetra.REGION_B]
+        assert abs(grid[0] - want) <= math.ulp(want)
+
     @pytest.mark.parametrize("xs,ys,bad", [
         ([5.0, 9.0], [5.0, 6.0], (9.0, 5.0)),
         ([5.0, 6.0], [6.0, 2.0], (5.0, 2.0)),
