@@ -3,6 +3,11 @@
 Emits JSON or CSV only (no plotting).  All output is deterministic:
 fixed grid orders, fixed float formatting (17 significant digits in
 CSV), LF line endings, sorted JSON keys.
+
+JSON is written in one pass that knows the payload shapes (_json); its
+bytes are those of json.dumps(indent=2, sort_keys=True) on the cleaned
+payload.  The ternary search for a side touch point of figure spots
+stops at its fixed point, where a step leaves the bracket unchanged.
 """
 
 import argparse
@@ -73,7 +78,73 @@ def _write(args, text):
 
 
 def _json(payload):
-    return json.dumps(_clean(payload), indent=2, sort_keys=True)
+    """json.dumps(_clean(payload), indent=2, sort_keys=True), written in
+    one pass: with an indent, json.dumps runs CPython's pure-Python
+    encoder, which takes one generator step per value."""
+    out = []
+    _emit(payload, "\n", out)
+    return "".join(out)
+
+
+_str = json.encoder.encode_basestring_ascii
+
+
+def _float_join(xs, sep):
+    """The reprs of xs joined by sep when every item is a finite Python
+    float, else None.  Only a non-finite repr (nan, inf) holds an "n"."""
+    if not all(type(x) is float for x in xs):
+        return None
+    text = sep.join(map(float.__repr__, xs))
+    return None if "n" in text else text
+
+
+def _emit(obj, newline_indent, out):
+    """Append the JSON of obj to out; newline_indent is the newline and
+    indent of the line obj starts on."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline_indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            v = obj[key]
+            out.append(sep + _str(key) + ": ")
+            if type(v) is str:
+                out.append(_str(v))
+            elif type(v) is float and math.isfinite(v):
+                out.append(float.__repr__(v))
+            else:
+                _emit(v, inner, out)
+            sep = "," + inner
+        out.append(newline_indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline_indent + "  "
+        text = _float_join(obj, "," + inner)
+        if text is None and all(type(x) is list and x for x in obj):
+            # a list of float lists: polylines and point pairs
+            deeper = inner + "  "
+            row_sep = "," + deeper
+            rows = [_float_join(x, row_sep) for x in obj]
+            if None not in rows:
+                text = ("," + inner).join(
+                    "[" + deeper + r + inner + "]" for r in rows)
+        if text is not None:
+            out.append("[" + inner + text + newline_indent + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(newline_indent + "]")
+    elif isinstance(obj, str):
+        out.append(_str(obj))
+    else:   # None, bools, ints, floats, HalfInt and numpy scalars
+        out.append(json.dumps(_clean(obj)))
 
 
 def _parse_methods(arg):
@@ -307,6 +378,10 @@ def _det_g(four, J12, J23):
     the Gram matrix has a zero row, or two equal rows, so det G is 0.0
     exactly, and no zero length reaches det_gram.
     """
+    if isinstance(J12, float) and isinstance(J23, float):
+        if J12 == 0.0 or J23 == 0.0:
+            return 0.0
+        return tetra.det_gram(four + (J12, J23))
     on_side = np.equal(J12, 0.0) | np.equal(J23, 0.0)
     if not on_side.any():
         return tetra.det_gram(four + (J12, J23))
@@ -379,10 +454,10 @@ def _side_touch(four, b, side, n=2001):
     for _ in range(200):
         m1 = a + (bb - a) / 3.0
         m2 = bb - (bb - a) / 3.0
-        if f(m1) < f(m2):
-            a = m1
-        else:
-            bb = m2
+        state = (m1, bb) if f(m1) < f(m2) else (a, m2)
+        if state == (a, bb):
+            break   # a fixed point: every later step would repeat this one
+        a, bb = state
     s = 0.5 * (a + bb)
     g = f(s)
     if side in ("J12_min", "J12_max"):

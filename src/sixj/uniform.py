@@ -184,8 +184,8 @@ def _solve_forbidden(J, dih, umap, kind, beta1, beta2):
             raise SolverError(f"region {kind} has no beta window: "
                               f"beta1 = {beta1}")
         hi = beta1
-        if _phibar_d_at(umap, hi) - target > 0.0:
-            # target at or below the caustic value zero (roundoff)
+        if -target > 0.0:
+            # a target below the zero of Phi_bar_d at beta1 (roundoff)
             return hi, SolveReport(iterations=0, residual=abs(target),
                                    bracket=(hi, hi), region=kind)
         lo = beta1 / 2.0
@@ -202,7 +202,7 @@ def _solve_forbidden(J, dih, umap, kind, beta1, beta2):
             raise SolverError(f"region {kind} has no beta window: "
                               f"beta2 = {beta2}")
         lo = beta2
-        if _phibar_d_at(umap, lo) - target < 0.0:
+        if -target < 0.0:
             return lo, SolveReport(iterations=0, residual=abs(target),
                                    bracket=(lo, lo), region=kind)
         hi = math.pi - (math.pi - beta2) / 2.0
@@ -339,9 +339,10 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     pts = np.flatnonzero(forbidden)
     # sign > 0 where Phi_bar_d falls toward the window, so that a point
     # is pinned where sign * (Phi_bar_d - target) > 0 at the turning
-    # point, and a bracket end has sign * (Phi_bar_d - target) >= 0
+    # point, where Phi_bar_d is exactly zero, and a bracket end has
+    # sign * (Phi_bar_d - target) >= 0
     sign = np.where(near_beta1[pts], 1.0, -1.0)
-    pinned = sign * (phases(pts, beta[pts])[1] - target[pts]) > 0.0
+    pinned = sign * -target[pts] > 0.0
     pts, sign = pts[~pinned], sign[~pinned]
     below = near_beta1[pts]
     far = np.where(below, beta1[pts] / 2.0,

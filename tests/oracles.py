@@ -8,6 +8,7 @@ of the Gram eigendecomposition, explicit coordinate placement instead
 of eigenvectors, plain bisection instead of safeguarded Newton.
 """
 
+import json
 import math
 from fractions import Fraction
 from math import factorial
@@ -15,7 +16,7 @@ from math import factorial
 import mpmath
 import numpy as np
 
-from sixj import sphere
+from sixj import cli, sphere, tetra
 
 # exact 6j values, 37 digits, from sympy.physics.wigner.wigner_6j
 SIXJ_39_23_31H = "0.0042963739532310908909939163424148461"
@@ -355,3 +356,40 @@ def cell_loop_marching_squares(x, y, Z, level, wrap_y):
             for ea, eb in sphere._cell_segments(index, center_high):
                 segments.append((edge_key[ea](i, k), edge_key[eb](i, k)))
     return sphere._join_segments(segments, nodes, wrap_y)
+
+
+def stdlib_json(payload):
+    """The CLI's JSON by the standard library's encoder."""
+    return json.dumps(cli._clean(payload), indent=2, sort_keys=True)
+
+
+def side_touch_200(four, b, side, n=2001):
+    """cli._side_touch with all 200 ternary steps, det G evaluated on
+    one-element arrays."""
+    if side in ("J12_min", "J12_max"):
+        c = b.J12_min if side == "J12_min" else b.J12_max
+        lo, hi = b.J23_min, b.J23_max
+        point = lambda s: (c, s)
+    else:
+        c = b.J23_min if side == "J23_min" else b.J23_max
+        lo, hi = b.J12_min, b.J12_max
+        point = lambda s: (s, c)
+    f = lambda s: float(cli._det_g(four, *(np.array([x], float)
+                                           for x in point(s)))[0])
+    scan = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    best_i = max(range(n), key=lambda i: f(scan[i]))
+    a = scan[max(best_i - 1, 0)]
+    bb = scan[min(best_i + 1, n - 1)]
+    for _ in range(200):
+        m1 = a + (bb - a) / 3.0
+        m2 = bb - (bb - a) / 3.0
+        if f(m1) < f(m2):
+            a = m1
+        else:
+            bb = m2
+    s = 0.5 * (a + bb)
+    g = f(s)
+    J12, J23 = point(s)
+    return {"side": side, "J12": J12, "J23": J23, "det_g": g,
+            "touch": abs(g) <= cli._TOUCH_TOL * tetra._caustic_scale(
+                four + (J12, J23))}

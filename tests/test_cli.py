@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sixj import HalfInt, SixJLabels, bounds, cli, sphere, tetra
@@ -324,6 +326,17 @@ class TestWholeGridFigures:
         got = t["J23"] if on_j12 else t["J12"]
         assert s[max(best - 1, 0)] <= got <= s[min(best + 1, 2000)]
 
+    @pytest.mark.parametrize("side", ["J12_min", "J12_max", "J23_min",
+                                      "J23_max"])
+    @pytest.mark.parametrize("js", [*FIGURE_QUADS.values(), (40, 40, 40, 40),
+                                    ("5/2", "5/2", 3, 3)], ids=str)
+    def test_side_touch_equals_all_200_steps(self, js, side):
+        # the last two squares have flat sides
+        js = tuple(HalfInt.of(j) for j in js)
+        b, four = bounds(*js), _four(js)
+        assert (cli._side_touch(four, b, side)
+                == oracles.side_touch_200(four, b, side))
+
 
 class TestFlatSides:
     """With j1 = j2 and j3 = j4 the square has a side J12 = 0, and with
@@ -361,6 +374,19 @@ class TestFlatSides:
         caustic = cli.figure_spots(js, grid)["caustic"]
         assert all([0.0, J23] in caustic for J23 in ys)
         assert cli._det_g(four, 0.0, ys[0]) == 0.0
+
+    @flat
+    def test_scalar_det_g_equals_array_path(self, js):
+        js = tuple(HalfInt.of(j) for j in js)
+        b, four = bounds(*js), _four(js)
+        x = np.linspace(b.J12_min, b.J12_max, 9)
+        y = np.linspace(b.J23_min, b.J23_max, 9)
+        Z = cli._det_g(four, x[:, None], y[None, :])
+        got = [[cli._det_g(four, J12, J23) for J23 in y.tolist()]
+               for J12 in x.tolist()]
+        assert all(type(v) is float for row in got for v in row)
+        assert got[0] == [0.0] * 9
+        assert np.array(got).tobytes() == Z.tobytes()
 
 
 class TestWorstcase:
@@ -588,3 +614,56 @@ class TestDeterminism:
                 "--grid", "100", "--out", str(path)])
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf,
+                                  math.nan]),
+    st.integers(-4000, 4000).map(HalfInt),
+    st.floats().map(np.float64), st.booleans().map(np.bool_),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+_floats = st.one_of(st.floats(), st.floats().map(np.float64))
+_float_lists = st.lists(st.floats(allow_nan=False, allow_infinity=False))
+_pair_lists = st.lists(st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             min_size=2, max_size=2),
+    st.lists(_floats, max_size=3)))
+_payloads = st.recursive(
+    st.one_of(_scalars, _float_lists, st.lists(_floats), _pair_lists,
+              st.dictionaries(st.text(), _floats, max_size=4)),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=12)
+
+
+class TestJsonWriter:
+    """cli._json writes what the standard library encoder writes."""
+
+    @given(_payloads)
+    @example({"a": math.nan, "b": -math.inf, "c": [[0.5, math.nan], [1.0]],
+              "d": [math.inf, 0.5], "e": [[], [0.5]]})
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stdlib_encoder(self, payload):
+        assert cli._json(payload) == oracles.stdlib_json(payload)
+
+    @pytest.mark.parametrize("grid", [12, None])
+    @pytest.mark.parametrize("kind", cli.FIGURE_KINDS)
+    @each_quad
+    def test_figure_payloads(self, js, kind, grid):
+        builder = {"spots": cli.figure_spots,
+                   "beta-contours": cli.figure_beta_contours,
+                   "j23-orbits": cli.figure_j23_orbits,
+                   "caustic-diagrams": cli.figure_caustic_diagram}[kind]
+        payload = builder(js, grid or cli._FIGURE_GRID_DEFAULT[kind])
+        assert cli._json(payload) == oracles.stdlib_json(payload)
+
+    def test_eval_sweep_and_worstcase_payloads(self):
+        labels = SixJLabels.of("39/2", 23, "41/2", "17/2", 20, "47/2")
+        fixed = {n: getattr(labels, n) for n in
+                 ("j1", "j2", "j3", "j4", "j23")}
+        for payload in (cli.eval_record(labels, cli.METHODS),
+                        cli.sweep_rows(fixed, "j12", cli.METHODS),
+                        cli.worstcase_report("random", 10)):
+            assert cli._json(payload) == oracles.stdlib_json(payload)

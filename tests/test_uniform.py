@@ -429,6 +429,26 @@ class TestGridSolve:
         assert region.tolist() == [tetra.REGION_B]
         assert abs(grid[0] - want) <= math.ulp(want)
 
+    @pytest.mark.parametrize("J12,J23,side,want", [
+        (1.6, 4.878623008728027, 0, 1.6573225361490176),
+        (5.207541155562932, 2.517499999, 1, 1.6115057592276654)],
+        ids=["B-at-beta1", "A-at-beta2"])
+    def test_forbidden_target_past_the_turning_point_is_pinned(
+            self, J12, J23, side, want):
+        # Phi_bar_d is exactly zero at the turning point, and the target
+        # lies roundoff beyond it, so both solves pin there at once
+        b = bounds(*DEMO)
+        beta, rep = uniform.beta_field(*DEMO, J12, J23)
+        turning = dasym.turning_points(HalfInt(b.D - 1), J12 - b.J12_avg,
+                                       b.J23_avg - J23)[side]
+        assert beta == turning == want
+        assert rep.iterations == 0 and rep.bracket == (turning, turning)
+        J = _four(DEMO) + (J12, J23)
+        target = prasym.phi_pr_bar(J, tetra.classify(J).angles)
+        assert 0.0 < abs(target) < 1e-10 and rep.residual == abs(target)
+        grid, region = uniform.beta_grid(*DEMO, [J12], [J23])
+        assert grid.tolist() == [beta] and region.tolist() == [rep.region]
+
     @pytest.mark.parametrize("xs,ys,bad", [
         ([5.0, 9.0], [5.0, 6.0], (9.0, 5.0)),
         ([5.0, 6.0], [6.0, 2.0], (5.0, 2.0)),
