@@ -78,9 +78,10 @@ def _write(args, text):
 
 
 def _json(payload):
-    """json.dumps(_clean(payload), indent=2, sort_keys=True), written in
-    one pass: with an indent, json.dumps runs CPython's pure-Python
-    encoder, which takes one generator step per value."""
+    """json.dumps(_clean(payload), indent=2, sort_keys=True) for a
+    payload whose dict keys are strings, written in one pass: with an
+    indent, json.dumps runs CPython's pure-Python encoder, which takes
+    one generator step per value."""
     out = []
     _emit(payload, "\n", out)
     return "".join(out)
