@@ -2,7 +2,8 @@
 
 Emits JSON or CSV only (no plotting).  All output is deterministic:
 fixed grid orders, fixed float formatting (17 significant digits in
-CSV), LF line endings, sorted JSON keys.
+CSV), LF line endings, sorted JSON keys.  Every label flag is read by
+one reader (_read_labels): required, and at most J_MAX_MAX.
 
 JSON is written in one pass that knows the payload shapes (_json); its
 bytes are those of json.dumps(indent=2, sort_keys=True) on the cleaned
@@ -25,6 +26,7 @@ from .core import (MP_DPS, HalfInt, OnCausticError, SixJError, SixJLabels,
                    bounds, exact_sixj, lengths)
 
 LABEL_FLAGS = ("j1", "j2", "j12", "j3", "j4", "j23")
+_FIGURE_FLAGS = ("j1", "j2", "j3", "j4")
 METHODS = ("exact", "pr", "uniform")
 FIGURE_KINDS = ("spots", "beta-contours", "j23-orbits", "caustic-diagrams")
 FAMILIES = ("equal-pairs", "three-zeros", "random")
@@ -36,6 +38,7 @@ _FIGURE_GRID_DEFAULT = {"spots": 201, "beta-contours": 41,
 # symbols with labels up to J_MAX_MAX.
 GRID_MAX = 1000
 J_MAX_MAX = 1000
+DIGITS_MAX = 1000   # eval --digits: the precision of the exact value
 _TOUCH_TOL = 1e-6   # |det G| / caustic scale at an accepted touch point
 # points per call in the caustic scan of figure spots and the beta
 # solve of beta-contours: arrays of 64 KB stay on the heap and are
@@ -159,30 +162,27 @@ def _parse_methods(arg):
     return methods
 
 
-def _bounded_label(name, v):
-    """The half-integer of --name, at most J_MAX_MAX."""
-    j = HalfInt.of(v)
-    if j > J_MAX_MAX:
-        raise ValidationError(
-            f"--{name} = {j} is above the limit {J_MAX_MAX}")
-    return j
-
-
-def _labels_from(args):
-    vals = []
-    for name in LABEL_FLAGS:
+def _read_labels(args, names):
+    """{name: HalfInt} of the label flags names, each one required and
+    at most J_MAX_MAX."""
+    labels = {}
+    for name in names:
         v = getattr(args, name)
         if v is None:
             raise ValidationError(f"--{name} is required")
-        vals.append(_bounded_label(name, v))
-    return SixJLabels.of(*vals)
+        j = labels[name] = HalfInt.of(v)
+        if j > J_MAX_MAX:
+            raise ValidationError(
+                f"--{name} = {j} is above the limit {J_MAX_MAX}")
+    return labels
 
 
 # ---------------------------------------------------------------- eval
 
 def eval_record(labels, methods, digits=17):
-    if digits < 1:
-        raise ValidationError(f"--digits must be at least 1, got {digits}")
+    if not 1 <= digits <= DIGITS_MAX:
+        raise ValidationError(
+            f"--digits must be between 1 and {DIGITS_MAX}, got {digits}")
     b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
     region = tetra.classify(lengths(labels), b)
     rec = {
@@ -247,7 +247,7 @@ def _flatten(prefix, obj, rows):
 
 
 def cmd_eval(args):
-    labels = _labels_from(args)
+    labels = SixJLabels(**_read_labels(args, LABEL_FLAGS))
     rec = eval_record(labels, _parse_methods(args.methods), args.digits)
     if args.format == "json":
         _write(args, _json(rec))
@@ -285,6 +285,14 @@ def sweep_range(fixed, swept):
     return range(lo, hi + 1, 2)
 
 
+def _pr_or_none(labels):
+    """The PR value, or None at a caustic point, where PR refuses."""
+    try:
+        return prasym.pr_value(labels).value
+    except OnCausticError:
+        return None
+
+
 def sweep_rows(fixed, swept, methods):
     rows = []
     for t in sweep_range(fixed, swept):
@@ -292,12 +300,7 @@ def sweep_rows(fixed, swept, methods):
         b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
         region = tetra.classify(lengths(labels), b)
         exact_v = float(exact_sixj(labels)) if "exact" in methods else None
-        pr_v = None
-        if "pr" in methods:
-            try:
-                pr_v = prasym.pr_value(labels).value
-            except OnCausticError:
-                pr_v = None
+        pr_v = _pr_or_none(labels) if "pr" in methods else None
         uni_v = beta = None
         if "uniform" in methods:
             u = uniform.uniform_6j(labels)
@@ -329,14 +332,7 @@ def cmd_sweep(args):
         raise ValidationError(f"--sweep must be one of {LABEL_FLAGS}")
     if getattr(args, swept) is not None:
         raise ValidationError(f"--{swept} conflicts with --sweep {swept}")
-    fixed = {}
-    for name in LABEL_FLAGS:
-        if name == swept:
-            continue
-        v = getattr(args, name)
-        if v is None:
-            raise ValidationError(f"--{name} is required for this sweep")
-        fixed[name] = _bounded_label(name, v)
+    fixed = _read_labels(args, [n for n in LABEL_FLAGS if n != swept])
     top = HalfInt(sweep_range(fixed, swept)[-1])
     if top > J_MAX_MAX:
         raise ValidationError(f"--sweep {swept} reaches {top}, above the "
@@ -541,12 +537,7 @@ def figure_caustic_diagram(js, grid):
 
 
 def cmd_figure(args):
-    js = []
-    for name in ("j1", "j2", "j3", "j4"):
-        v = getattr(args, name)
-        if v is None:
-            raise ValidationError(f"--{name} is required for figures")
-        js.append(_bounded_label(name, v))
+    js = tuple(_read_labels(args, _FIGURE_FLAGS).values())
     grid = _FIGURE_GRID_DEFAULT[args.kind] if args.grid is None else args.grid
     if not 8 <= grid <= GRID_MAX:
         raise ValidationError(
@@ -557,7 +548,7 @@ def cmd_figure(args):
         "j23-orbits": figure_j23_orbits,
         "caustic-diagrams": figure_caustic_diagram,
     }[args.kind]
-    payload = builder(tuple(js), grid)
+    payload = builder(js, grid)
     if args.format == "json":
         _write(args, _json(payload))
         return 0
@@ -591,17 +582,14 @@ def cmd_figure(args):
 
 # ----------------------------------------------------------- worstcase
 
-def amplitude_reference(labels, b=None, region=None):
+def amplitude_reference(labels, b, region):
     """Reference scale for relative errors: |exact| in forbidden
     regions; the PR amplitude in the allowed interior; in the
     turning-point lobe (a caustic point, or the extreme lattice point
     of the allowed j12 range) the PR amplitude at the nearest interior
     allowed neighbor along j12, since the amplitude at the point
-    itself is inflated by the nearby caustic."""
-    if b is None:
-        b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    if region is None:
-        region = tetra.classify(lengths(labels), b)
+    itself is inflated by the nearby caustic.  b and region are the
+    bounds and tetra.classify record of labels."""
     if region.is_forbidden:
         return abs(float(exact_sixj(labels)))
     in_lobe = region.is_caustic or labels.j12.twice in (b.j12_min.twice,
@@ -627,10 +615,7 @@ def worstcase_row(labels):
     region = tetra.classify(lengths(labels), b)
     exact_v = float(exact_sixj(labels))
     ref = amplitude_reference(labels, b, region)
-    try:
-        pr_v = prasym.pr_value(labels).value
-    except OnCausticError:
-        pr_v = None
+    pr_v = _pr_or_none(labels)
     uni_v = uniform.uniform_6j(labels).value
     # a reference below the double range gives no relative error
     scaled = ref != 0.0
@@ -667,16 +652,13 @@ def worstcase_report(family, j_max=20, seed=0, count=200):
         raise ValidationError(
             f"--j-max must be between 1 and {J_MAX_MAX}, got {j_max}")
     rows = []
-    if family == "equal-pairs":
+    if family in ("equal-pairs", "three-zeros"):
+        z = HalfInt(0)
         for tj in range(2, 2 * j_max + 1):
             j = HalfInt(tj)
-            z = HalfInt(0)
-            rows.append(worstcase_row(SixJLabels(j, j, z, j, j, z)))
-    elif family == "three-zeros":
-        for tj in range(2, 2 * j_max + 1):
-            j = HalfInt(tj)
-            z = HalfInt(0)
-            rows.append(worstcase_row(SixJLabels(z, z, z, j, j, j)))
+            rows.append(worstcase_row(
+                SixJLabels(j, j, z, j, j, z) if family == "equal-pairs"
+                else SixJLabels(z, z, z, j, j, j)))
     elif family == "random":
         rng = random.Random(seed)
         for _ in range(count):
@@ -733,7 +715,8 @@ def build_parser():
     _add_label_flags(pe)
     pe.add_argument("--methods", default="exact,pr,uniform")
     pe.add_argument("--format", choices=("json", "csv"), default="json")
-    pe.add_argument("--digits", type=int, default=17)
+    pe.add_argument("--digits", type=int, default=17,
+                    help=f"digits of the exact value, 1 to {DIGITS_MAX}")
     pe.add_argument("--out")
 
     ps = sub.add_parser("sweep", help="sweep one label over its range")
@@ -746,7 +729,7 @@ def build_parser():
 
     pf = sub.add_parser("figure", help="emit figure data")
     pf.add_argument("--kind", choices=FIGURE_KINDS, required=True)
-    _add_label_flags(pf, ("j1", "j2", "j3", "j4"))
+    _add_label_flags(pf, _FIGURE_FLAGS)
     pf.add_argument("--grid", type=int,
                     help=f"samples per axis, 8 to {GRID_MAX}")
     pf.add_argument("--format", choices=("json", "csv"), default="json")

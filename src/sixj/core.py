@@ -514,18 +514,26 @@ def _wigner_d_mp(tj, tm, tmp, beta, dps0):
         f"wigner d escalation did not stabilize at dps={dps}")
 
 
-def _d_entry(j, m, mp, beta):
-    """The entry check of the d-matrix functions.
-
-    Returns (tj, tm, tmp, beta, edge): the twice-values, beta as a float,
-    and the exact element at beta = 0 or pi (None for 0 < beta < pi).
-    """
+def _d_indices(j, m, mp):
+    """(j, m, m') as HalfInts, checked for a d-matrix element here and in
+    dasym: |m|, |m'| <= j, and j - m, j - m' integers."""
     j, m, mp = HalfInt.of(j), HalfInt.of(m), HalfInt.of(mp)
     tj, tm, tmp = j.twice, m.twice, mp.twice
     if tj < 0 or abs(tm) > tj or abs(tmp) > tj:
         raise ValidationError(f"need |m|, |m'| <= j, got j={j} m={m} m'={mp}")
     if (tj - tm) % 2 or (tj - tmp) % 2:
         raise ValidationError(f"j-m and j-m' must be integers: j={j} m={m} m'={mp}")
+    return j, m, mp
+
+
+def _d_entry(j, m, mp, beta):
+    """The entry check of the d-matrix functions.
+
+    Returns (tj, tm, tmp, beta, edge): the twice-values, beta as a float,
+    and the exact element at beta = 0 or pi (None for 0 < beta < pi).
+    """
+    j, m, mp = _d_indices(j, m, mp)
+    tj, tm, tmp = j.twice, m.twice, mp.twice
     beta = float(beta)
     if not 0.0 <= beta <= math.pi:
         raise ValidationError(f"beta must be in [0, pi], got {beta}")

@@ -5,6 +5,8 @@ projections m on the z axis and m' on an axis tilted by beta.  The two
 projection cones intersect when Vd_sq > 0 (allowed region); the phase
 Phi_d is a spherical lune area.  Beyond the turning points the cosines
 of the lune angles leave [-1, 1] and the phase continues via arccosh.
+A lattice (j, m, m') goes through core's d-matrix index check, so a bad
+triple raises the same error here as in wigner_d.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import tetra
 from .core import (HalfInt, InvariantError, OnCausticError, ValidationError,
-                   WrongRegionError, phase)
+                   WrongRegionError, _d_indices, phase)
 
 ALLOWED = tetra.ALLOWED
 CAUSTIC = tetra.CAUSTIC
@@ -79,21 +81,12 @@ def _bar(c):
     return math.copysign(math.acosh(max(abs(c), 1.0)), c)
 
 
-def _coerce(j, m, mp):
-    j, m, mp = HalfInt.of(j), HalfInt.of(m), HalfInt.of(mp)
-    if abs(m) > j or abs(mp) > j:
-        raise ValidationError(f"projections ({m}, {mp}) exceed j = {j}")
-    if not (j - m).is_integer or not (j - mp).is_integer:
-        raise ValidationError(
-            f"projections ({m}, {mp}) are off the lattice of j = {j}")
-    return j, m, mp
-
-
 def _soft_coerce(j, m, mp):
-    """Like _coerce, but m and m' may be continuous (floats); the
-    uniform map evaluates the geometry between lattice points."""
+    """core's (j, m, m') check, except that m and m' may be continuous
+    (floats) short of the poles; the uniform map evaluates the geometry
+    between lattice points."""
     if not isinstance(m, float) and not isinstance(mp, float):
-        return _coerce(j, m, mp)
+        return _d_indices(j, m, mp)
     j = HalfInt.of(j)
     J = (j.twice + 1) / 2.0
     m, mp = float(m), float(mp)
@@ -218,7 +211,7 @@ def dphi_d_dbeta(g):
 
 def nu_d(kind, j, m, mp):
     """Integer parity for the forbidden-region sign of d_asym."""
-    j, m, mp = _coerce(j, m, mp)
+    j, m, mp = _d_indices(j, m, mp)
     twice = {
         tetra.REGION_A: 0,
         tetra.REGION_B: j.twice - mp.twice,
@@ -236,7 +229,7 @@ def nu_d(kind, j, m, mp):
 
 def d_asym(j, m, mp, beta):
     """One-term asymptotic approximation to d^j_{m m'}(beta)."""
-    j, m, mp = _coerce(j, m, mp)
+    j, m, mp = _d_indices(j, m, mp)
     g = d_geometry(j, m, mp, beta)
     if g.region == CAUSTIC:
         raise OnCausticError(

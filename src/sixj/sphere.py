@@ -90,11 +90,14 @@ def butterfly(four, J12, phi12):
 
 
 def butterfly_j23(four, J12, phi12):
-    """J23 on the chart; J12 and phi12 broadcast as numpy arrays."""
+    """J23 on the chart; J12 and phi12 broadcast as numpy arrays.  J23^2
+    is a sum of squares, so its clamp at 0.0 removes only the roundoff
+    where an orbit touches J23 = 0 (J2 = J3 and J1 = J4)."""
     J2z, J3z, h2sq, h3sq = _butterfly_heights(four, J12)
     h2h3 = np.sqrt(h2sq * h3sq)
     zz = (J2z + J3z) ** 2
-    return np.sqrt(h2sq + h3sq - 2.0 * h2h3 * np.cos(phi12) + zz)
+    return np.sqrt(np.maximum(
+        h2sq + h3sq - 2.0 * h2h3 * np.cos(phi12) + zz, 0.0))
 
 
 # Marching squares: segments per corner-sign index; corners are indexed
@@ -230,17 +233,16 @@ def contour_polylines(x, y, Z, level, wrap_y=False):
                              np.asarray(Z, float), float(level), wrap_y)
 
 
-def j23_contour_grid(j1, j2, j3, j4, n_J12=201, n_phi=256, levels=None):
+def j23_contour_grid(j1, j2, j3, j4, n_J12=201, n_phi=256):
     """J23 sampled on the chart, with contour polylines at the quantized
-    levels J23 = j23 + 1/2 (or at the given levels)."""
+    levels J23 = j23 + 1/2."""
     b = bounds(j1, j2, j3, j4)
     four = tuple(float(HalfInt.of(x)) + 0.5 for x in (j1, j2, j3, j4))
     x = np.linspace(b.J12_min, b.J12_max, n_J12)
     y = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
     Z = butterfly_j23(four, x[:, None], y[None, :])
-    if levels is None:
-        levels = [t / 2.0 + 0.5 for t in
-                  range(b.j23_min.twice, b.j23_max.twice + 1, 2)]
+    levels = [t / 2.0 + 0.5 for t in
+              range(b.j23_min.twice, b.j23_max.twice + 1, 2)]
     contours = {lev: _marching_squares(x, y, Z, lev) for lev in levels}
     return x, y, Z, contours
 

@@ -139,13 +139,21 @@ def _gram_entries(J1, J2, J3, J4, J12, J23):
     return J1 * J1, J12 * J12, J4 * J4, g12, g13, g23
 
 
+def _positive_lengths(J):
+    """The six lengths as floats or numpy arrays; ValidationError unless
+    each is positive everywhere."""
+    J = [x if isinstance(x, np.ndarray) else float(x) for x in J]
+    for val, name in zip(J, EDGE_ORDER):
+        ok = val > 0.0
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+            raise ValidationError(f"length {name} = {float(np.min(val))} "
+                                  "must be positive")
+    return J
+
+
 def gram(J):
     """Gram matrix of (A1, A2, A3) = (J1, J12, -J4) from the lengths."""
-    J = tuple(float(x) for x in J)
-    for val, name in zip(J, EDGE_ORDER):
-        if not val > 0.0:
-            raise ValidationError(f"length {name} = {val} must be positive")
-    g11, g22, g33, g12, g13, g23 = _gram_entries(*J)
+    g11, g22, g33, g12, g13, g23 = _gram_entries(*_positive_lengths(J))
     return np.array([
         [g11, g12, g13],
         [g12, g22, g23],
@@ -166,13 +174,7 @@ def det_gram(J):
     broadcast shape.  The expansion is the one of _det3(gram(J)), so
     every element equals the determinant of its own point bit for bit.
     """
-    J = [x if isinstance(x, np.ndarray) else float(x) for x in J]
-    for val, name in zip(J, EDGE_ORDER):
-        ok = val > 0.0
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-            raise ValidationError(f"length {name} = {float(np.min(val))} "
-                                  "must be positive")
-    g11, g22, g33, g12, g13, g23 = _gram_entries(*J)
+    g11, g22, g33, g12, g13, g23 = _gram_entries(*_positive_lengths(J))
     return (g11 * (g22 * g33 - g23 * g23) - g12 * (g12 * g33 - g23 * g13)
             + g13 * (g12 * g23 - g22 * g13))
 

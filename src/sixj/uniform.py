@@ -126,10 +126,6 @@ def _newton(umap, target, lo, hi, seed, scale, continued=False):
         f"residual {fx} against tolerance {tol}")
 
 
-def _phibar_d_at(umap, beta):
-    return dasym.phi_d_bar(_geom(umap, beta))
-
-
 def _solve_for_lengths(J, umap, region):
     """beta matching the PR phase of the point (lengths J, geometry
     region from tetra.classify), plus a report."""
@@ -190,7 +186,7 @@ def _solve_forbidden(J, dih, umap, kind, beta1, beta2):
                                    bracket=(hi, hi), region=kind)
         lo = beta1 / 2.0
         for _ in range(200):
-            if _phibar_d_at(umap, lo) - target >= 0.0:
+            if _residual(umap, lo, target, continued=True)[0] >= 0.0:
                 break
             lo /= 2.0
         else:
@@ -207,7 +203,7 @@ def _solve_forbidden(J, dih, umap, kind, beta1, beta2):
                                    bracket=(lo, lo), region=kind)
         hi = math.pi - (math.pi - beta2) / 2.0
         for _ in range(200):
-            if _phibar_d_at(umap, hi) - target <= 0.0:
+            if _residual(umap, hi, target, continued=True)[0] <= 0.0:
                 break
             hi = math.pi - (math.pi - hi) / 2.0
         else:

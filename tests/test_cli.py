@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -491,6 +492,30 @@ class TestFlatSideOrbits:
         assert J3z[1:] == pytest.approx(-J12[1:] / 2, rel=1e-15)
 
 
+class TestTouchZeroOrbits:
+    """j23-orbits on a square with J2 = J3 and J1 = J4, where orbits
+    touch J23 = 0: the roundoff below zero of J23^2 there gave null
+    coordinates and an invalid-value RuntimeWarning."""
+
+    @pytest.mark.parametrize("js,grid", [
+        ((40, 40, 40, 40), None), ((10, 10, 10, 10), None),
+        ((2, 2, 2, 2), 8), (("3/2", "1/2", "1/2", "3/2"), 8)], ids=str)
+    def test_no_null_coordinates(self, capsys, js, grid):
+        flags = sum((["--" + n, str(j)] for n, j in
+                     zip(("j1", "j2", "j3", "j4"), js)), [])
+        if grid is not None:
+            flags += ["--grid", str(grid)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run(capsys, ["figure", "--kind", "j23-orbits",
+                                        *flags])
+        assert rc == 0 and err == ""
+        levels = json.loads(out)["levels"]
+        coords = [c for lev in levels for poly in lev["polylines"]
+                  for point in poly for c in point]
+        assert coords and None not in coords
+
+
 class TestInputBounds:
     """Inputs that set the runtime are bounded; the checks run before any
     work, so the large cases are never evaluated."""
@@ -594,6 +619,47 @@ class TestInputBounds:
             "sweep", "--j1", "500", "--j2", "500", "--j3", "500",
             "--j4", "500", "--j23", "1000", "--format", "json"])
         assert rc == 0 and json.loads(out) == [{"j12": 1000.0}]
+
+    def test_rejects_digits_above_limit(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a symbol was evaluated")
+        for name in ("exact_sixj", "bounds"):
+            monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(tetra, "classify", fail)
+        rc, out, err = run(capsys, TestDigits.NEAR + [
+            "--digits", str(cli.DIGITS_MAX + 1)])
+        assert rc == 2 and out == ""
+        assert "--digits" in err and str(cli.DIGITS_MAX) in err
+
+    def test_digits_max_is_accepted_and_held(self, capsys):
+        rc, out, _ = run(capsys, TestDigits.NEAR + [
+            "--digits", str(cli.DIGITS_MAX)])
+        assert rc == 0
+        digits = json.loads(out)["exact"]["digits"]
+        mantissa = digits.lstrip("-").split("e")[0].replace(".", "")
+        assert len(mantissa.lstrip("0")) == cli.DIGITS_MAX
+        # the same R sqrt(P) on a private context 100 digits wider
+        ctx = mpmath.mp.clone()
+        ctx.dps = cli.DIGITS_MAX + 100
+        ev = exact_sixj(SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2"))
+        r, p = ev.rational, ev.radicand
+        want = (ctx.mpf(r.numerator) / r.denominator
+                * ctx.sqrt(ctx.mpf(p.numerator) / p.denominator))
+        assert digits == mpmath.nstr(want, cli.DIGITS_MAX)
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--j1", "1", "--j2", "1", "--j3", "1", "--j23", "0"],
+         "--j4"),
+        (["sweep", "--j2", "1", "--j12", "0", "--j3", "1", "--j4", "1",
+          "--sweep", "j23"], "--j1"),
+        (["figure", "--kind", "spots", "--j1", "1", "--j2", "1",
+          "--j4", "1"], "--j3"),
+        (["figure", "--kind", "j23-orbits", "--j2", "1", "--j3", "1",
+          "--j4", "1"], "--j1")])
+    def test_missing_label_flag(self, capsys, argv, flag):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err == f"sixj: error: {flag} is required\n"
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from sixj import (HalfInt, OnCausticError, ValidationError, WrongRegionError,
-                  dasym, exact_wigner_d, tetra)
+                  dasym, exact_wigner_d, tetra, wigner_d)
 
 
 def lune_vertices(g):
@@ -274,3 +274,27 @@ class TestSolidAngle:
         arcs = np.array([math.pi / 2, math.pi / 3])   # does not return
         with pytest.raises(ValidationError):
             dasym.solid_angle_polygon(v, axes, arcs)
+
+
+class TestOneIndexCheck:
+    """core and dasym share one (j, m, m') check, so a bad triple raises
+    the same message from every d-matrix function."""
+
+    @pytest.mark.parametrize("j,m,mp", [
+        (5, 6, 0), (5, 0, -6), (5, "1/2", 0), (5, 0, "3/2"),
+        ("7/2", "9/2", "1/2"), ("7/2", "1/2", 2)], ids=str)
+    def test_same_message_everywhere(self, j, m, mp):
+        calls = {
+            "wigner_d": lambda: wigner_d(j, m, mp, 1.0),
+            "exact_wigner_d": lambda: exact_wigner_d(j, m, mp, 1.0),
+            "d_geometry": lambda: dasym.d_geometry(j, m, mp, 1.0),
+            "turning_points": lambda: dasym.turning_points(j, m, mp),
+            "nu_d": lambda: dasym.nu_d(tetra.REGION_B, j, m, mp),
+            "d_asym": lambda: dasym.d_asym(j, m, mp, 1.0),
+        }
+        messages = {}
+        for name, call in calls.items():
+            with pytest.raises(ValidationError) as e:
+                call()
+            messages[name] = str(e.value)
+        assert len(set(messages.values())) == 1, messages
