@@ -34,12 +34,14 @@ FAMILIES = ("equal-pairs", "three-zeros", "random")
 _FIGURE_GRID_DEFAULT = {"spots": 201, "beta-contours": 41,
                         "j23-orbits": 128, "caustic-diagrams": 201}
 # Upper bounds on the inputs that set the runtime: caustic-diagrams and
-# j23-orbits fill grid x grid cells; eval, sweep and worstcase evaluate
-# symbols with labels up to J_MAX_MAX.
+# j23-orbits fill grid x grid cells, spots builds D x D lattice points
+# and j23-orbits D levels, so D has the same bound as the grid; eval,
+# sweep and worstcase evaluate symbols with labels up to J_MAX_MAX.
 GRID_MAX = 1000
 J_MAX_MAX = 1000
 DIGITS_MAX = 1000   # eval --digits: the precision of the exact value
 _TOUCH_TOL = 1e-6   # |det G| / caustic scale at an accepted touch point
+_TOUCH_SCAN = 2001  # samples of det G along a side before the ternary search
 # points per call in the caustic scan of figure spots and the beta
 # solve of beta-contours: arrays of 64 KB stay on the heap and are
 # reused instead of raising peak memory
@@ -433,21 +435,17 @@ def _caustic_curve(four, b, grid):
     return np.column_stack(point(0.5 * (a + bb))).tolist()
 
 
-def _side_touch(four, b, side, n=2001):
+def _side_touch(four, b, side):
     """Maximum of det G along one square side, refined by ternary
     search; the caustic touches the side where this maximum vanishes."""
-    if side in ("J12_min", "J12_max"):
-        c = b.J12_min if side == "J12_min" else b.J12_max
-        lo, hi = b.J23_min, b.J23_max
-        f = lambda s: _det_g(four, c, s)
-    else:
-        c = b.J23_min if side == "J23_min" else b.J23_max
-        lo, hi = b.J12_min, b.J12_max
-        f = lambda s: _det_g(four, s, c)
-    scan = _scan(lo, hi, n)
+    c, on_j12 = getattr(b, side), side.startswith("J12")
+    lo, hi = (b.J23_min, b.J23_max) if on_j12 else (b.J12_min, b.J12_max)
+    point = lambda s: (c, s) if on_j12 else (s, c)
+    f = lambda s: _det_g(four, *point(s))
+    scan = _scan(lo, hi, _TOUCH_SCAN)
     best_i = int(np.argmax(f(scan)))
     a = float(scan[max(best_i - 1, 0)])
-    bb = float(scan[min(best_i + 1, n - 1)])
+    bb = float(scan[min(best_i + 1, _TOUCH_SCAN - 1)])
     for _ in range(200):
         m1 = a + (bb - a) / 3.0
         m2 = bb - (bb - a) / 3.0
@@ -457,10 +455,7 @@ def _side_touch(four, b, side, n=2001):
         a, bb = state
     s = 0.5 * (a + bb)
     g = f(s)
-    if side in ("J12_min", "J12_max"):
-        J12, J23 = c, s
-    else:
-        J12, J23 = s, c
+    J12, J23 = point(s)
     return {"side": side, "J12": J12, "J23": J23, "det_g": g,
             "touch": abs(g) <= _TOUCH_TOL * tetra._caustic_scale(
                 four + (J12, J23))}
@@ -542,6 +537,12 @@ def cmd_figure(args):
     if not 8 <= grid <= GRID_MAX:
         raise ValidationError(
             f"--grid must be between 8 and {GRID_MAX}, got {grid}")
+    if args.kind in ("spots", "j23-orbits"):
+        D = bounds(*js).D
+        if D > GRID_MAX:
+            raise ValidationError(
+                f"--kind {args.kind} needs D, the number of j12 values, "
+                f"at most {GRID_MAX}; got D = {D}")
     builder = {
         "spots": figure_spots,
         "beta-contours": figure_beta_contours,

@@ -81,6 +81,7 @@ _SHARED_TWICE_MAX = 4096
 _shared_halfints = {}   # twice -> HalfInt, filled on first use
 
 
+@functools.total_ordering
 class HalfInt:
     """Integer or half-odd-integer, stored as twice its value.
 
@@ -155,6 +156,8 @@ class HalfInt:
             return 2 * other
         return None
 
+    # == and < are written out: comparing the label tuples of symbols
+    # calls them on every symbol; total_ordering derives <=, > and >=
     def __eq__(self, other):
         t = self._twice_of(other)
         return NotImplemented if t is None else self.twice == t
@@ -165,18 +168,6 @@ class HalfInt:
     def __lt__(self, other):
         t = self._twice_of(other)
         return NotImplemented if t is None else self.twice < t
-
-    def __le__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else self.twice <= t
-
-    def __gt__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else self.twice > t
-
-    def __ge__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else self.twice >= t
 
     def __add__(self, other):
         t = self._twice_of(other)

@@ -107,6 +107,13 @@ def _cone_cosines(ct, ctp, st, stp, cb, sb):
     return cos_kappa, cos_phi, cos_eta, vd_sq
 
 
+def _cone(m, J):
+    """cos theta, sin theta and theta of the cone of projection m (a
+    float) on a spin of length J."""
+    c = m / J
+    return c, math.sqrt(1.0 - c * c), math.acos(c)
+
+
 def d_geometry(j, m, mp, beta):
     """Cone geometry of d^j_{m m'}(beta) for 0 < beta < pi."""
     j, m, mp = _soft_coerce(j, m, mp)
@@ -114,8 +121,8 @@ def d_geometry(j, m, mp, beta):
     if not 0.0 < beta < math.pi:
         raise ValidationError(f"beta = {beta} is outside (0, pi)")
     J = (j.twice + 1) / 2.0
-    ct, ctp = float(m) / J, float(mp) / J
-    st, stp = math.sqrt(1.0 - ct * ct), math.sqrt(1.0 - ctp * ctp)
+    ct, st, theta = _cone(float(m), J)
+    ctp, stp, theta_p = _cone(float(mp), J)
     cos_kappa, cos_phi, cos_eta, vd_sq = _cone_cosines(
         ct, ctp, st, stp, math.cos(beta), math.sin(beta))
     if abs(vd_sq) <= VD_CAUSTIC_TOL:
@@ -134,7 +141,7 @@ def d_geometry(j, m, mp, beta):
                      eta=_principal(cos_eta), kappa_bar=_bar(cos_kappa),
                      phi_bar=_bar(cos_phi), eta_bar=_bar(cos_eta))
     return DGeometry(j=j, m=m, mp=mp, beta=beta, J=J,
-                     theta=math.acos(ct), theta_p=math.acos(ctp),
+                     theta=theta, theta_p=theta_p,
                      cos_kappa=cos_kappa, cos_phi=cos_phi, cos_eta=cos_eta,
                      angles=angles, Vd_sq=vd_sq, region=region)
 
@@ -167,10 +174,8 @@ def phase_grid(J, m, mp, ct, ctp, st, stp, beta):
             f"sign pattern {(b >> 2, b >> 1 & 1, b & 1)} matches no "
             f"forbidden region at (J={J}, m={m[p]}, m'={mp[p]}, "
             f"beta={beta[p]})")
-    cosines = np.array([cos_kappa, cos_phi, cos_eta])
-    kappa, phi, eta = np.arccos(np.clip(cosines, -1.0, 1.0))
-    kappa_bar, phi_bar, eta_bar = np.copysign(
-        np.arccosh(np.maximum(np.abs(cosines), 1.0)), cosines)
+    (kappa, phi, eta), (kappa_bar, phi_bar, eta_bar) = tetra._psi_pair(
+        np.array([cos_kappa, cos_phi, cos_eta]))
     return (J * kappa - m * phi - mp * eta,
             J * kappa_bar - m * phi_bar - mp * eta_bar,
             -J * np.sqrt(np.abs(vd_sq)) / sb, real)
@@ -180,8 +185,7 @@ def turning_points(j, m, mp):
     """(beta1, beta2): the caustic colatitudes bounding the allowed region."""
     j, m, mp = _soft_coerce(j, m, mp)
     J = (j.twice + 1) / 2.0
-    theta = math.acos(float(m) / J)
-    theta_p = math.acos(float(mp) / J)
+    theta, theta_p = _cone(float(m), J)[2], _cone(float(mp), J)[2]
     return (abs(theta - theta_p),
             min(theta + theta_p, 2.0 * math.pi - theta - theta_p))
 

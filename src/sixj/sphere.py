@@ -120,16 +120,16 @@ _MS_CASES = {
 
 
 def _cell_segments(index, center_high):
-    if index == 5:
-        return ((("bottom", "right"), ("top", "left")) if center_high
+    if index in (5, 10):
+        # a saddle: index 5 with a high center pairs its edges as index
+        # 10 with a low one does
+        return ((("bottom", "right"), ("top", "left"))
+                if (index == 5) == center_high
                 else (("bottom", "left"), ("right", "top")))
-    if index == 10:
-        return ((("bottom", "left"), ("right", "top")) if center_high
-                else (("bottom", "right"), ("top", "left")))
     return _MS_CASES[index]
 
 
-def _marching_squares(x, y, Z, level, wrap_y=True):
+def _marching_squares(x, y, Z, level, wrap_y):
     """Contour polylines of Z (shape (len(x), len(y))) at the given
     level.  With wrap_y the y axis is periodic (period 2 pi) and
     polylines are unwrapped continuously.  Returns a list of (n, 2)
@@ -184,31 +184,28 @@ def _join_segments(segments, nodes, wrap_y):
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     seen = set()
+
+    def walk(chain, end):
+        """Extend chain at its tail (end -1) or head (end 0) while the
+        end node has a neighbour not yet seen."""
+        while True:
+            for nb in adj[chain[end]]:
+                if nb not in seen:
+                    break
+            else:
+                return
+            chain.insert(len(chain) if end else 0, nb)
+            seen.add(nb)
+
     polylines = []
     for start in adj:
         if start in seen:
             continue
-        # walk to one end (or all the way around a loop)
+        # walk to one end (or all the way around a loop), then the other
         chain = [start]
         seen.add(start)
-        grew = True
-        while grew:
-            grew = False
-            for nb in adj[chain[-1]]:
-                if nb not in seen:
-                    chain.append(nb)
-                    seen.add(nb)
-                    grew = True
-                    break
-        head_grew = True
-        while head_grew:
-            head_grew = False
-            for nb in adj[chain[0]]:
-                if nb not in seen:
-                    chain.insert(0, nb)
-                    seen.add(nb)
-                    head_grew = True
-                    break
+        walk(chain, -1)
+        walk(chain, 0)
         closed = len(chain) > 2 and chain[0] in adj[chain[-1]]
         if closed:
             chain.append(chain[0])
@@ -243,7 +240,8 @@ def j23_contour_grid(j1, j2, j3, j4, n_J12=201, n_phi=256):
     Z = butterfly_j23(four, x[:, None], y[None, :])
     levels = [t / 2.0 + 0.5 for t in
               range(b.j23_min.twice, b.j23_max.twice + 1, 2)]
-    contours = {lev: _marching_squares(x, y, Z, lev) for lev in levels}
+    contours = {lev: _marching_squares(x, y, Z, lev, True)
+                for lev in levels}
     return x, y, Z, contours
 
 

@@ -258,7 +258,8 @@ _FACE_NAMES = ("012", "023", "013", "123")
 
 def _psi_pair(cos_psi):
     """(psi, psi_bar) from cos psi: the principal angles and the
-    continued ones, sign(cos psi) * arccosh|cos psi|."""
+    continued ones, sign(cos psi) * arccosh|cos psi|.  dasym.phase_grid
+    takes its lune angles from the same pair."""
     psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
     psi_bar = np.sign(cos_psi) * np.arccosh(np.maximum(np.abs(cos_psi), 1.0))
     return psi, psi_bar

@@ -151,18 +151,17 @@ def _solve_for_lengths(J, umap, region):
     a_hi = (float(umap.j) + 0.5 - max(float(umap.m), float(umap.mp))) * math.pi
     a_lo = max(0.0, -(float(umap.m) + float(umap.mp))) * math.pi
     scale = max(1.0, abs(target))
-    if target >= a_hi - 1e-9 * scale:
-        if target > a_hi + 1e-6 * scale:
-            raise InvariantError(
-                f"PR phase {target} above the d-matrix range [{a_lo}, {a_hi}]")
-        return beta1, SolveReport(iterations=0, residual=abs(target - a_hi),
-                                  bracket=(beta1, beta1), region=region.kind)
-    if target <= a_lo + 1e-9 * scale:
-        if target < a_lo - 1e-6 * scale:
-            raise InvariantError(
-                f"PR phase {target} below the d-matrix range [{a_lo}, {a_hi}]")
-        return beta2, SolveReport(iterations=0, residual=abs(target - a_lo),
-                                  bracket=(beta2, beta2), region=region.kind)
+    for pin, end, at, wrong, side in (
+            (target >= a_hi - 1e-9 * scale, a_hi, beta1,
+             target > a_hi + 1e-6 * scale, "above"),
+            (target <= a_lo + 1e-9 * scale, a_lo, beta2,
+             target < a_lo - 1e-6 * scale, "below")):
+        if pin:
+            if wrong:
+                raise InvariantError(f"PR phase {target} {side} the "
+                                     f"d-matrix range [{a_lo}, {a_hi}]")
+            return at, SolveReport(iterations=0, residual=abs(target - end),
+                                   bracket=(at, at), region=region.kind)
     seed = beta1 + (a_hi - target) / (a_hi - a_lo) * (beta2 - beta1)
     lo = max(beta1, BETA_GEOM_EPS)
     hi = min(beta2, math.pi - BETA_GEOM_EPS)
@@ -172,43 +171,32 @@ def _solve_for_lengths(J, umap, region):
 
 
 def _solve_forbidden(J, dih, umap, kind, beta1, beta2):
+    """B and C solve in the window below beta1, where Phi_bar_d falls
+    from +inf at beta = 0 to zero; A and D above beta2, where it falls
+    from zero toward -inf."""
     target = prasym.phi_pr_bar(J, dih)
     scale = max(1.0, abs(target))
-    if kind in (tetra.REGION_B, tetra.REGION_C):
-        # Phi_bar_d falls from +inf at beta = 0 to zero at beta1
-        if beta1 <= BETA_GEOM_EPS:
-            raise SolverError(f"region {kind} has no beta window: "
-                              f"beta1 = {beta1}")
-        hi = beta1
-        if -target > 0.0:
-            # a target below the zero of Phi_bar_d at beta1 (roundoff)
-            return hi, SolveReport(iterations=0, residual=abs(target),
-                                   bracket=(hi, hi), region=kind)
-        lo = beta1 / 2.0
-        for _ in range(200):
-            if _residual(umap, lo, target, continued=True)[0] >= 0.0:
-                break
-            lo /= 2.0
-        else:
-            raise SolverError(f"no bracket below beta1 for target {target}")
-        seed = beta1 / 2.0
+    below = kind in (tetra.REGION_B, tetra.REGION_C)
+    edge, name = (beta1, "beta1") if below else (beta2, "beta2")
+    if beta1 <= BETA_GEOM_EPS if below else beta2 >= math.pi - BETA_GEOM_EPS:
+        raise SolverError(f"region {kind} has no beta window: {name} = {edge}")
+    # sign > 0 where Phi_bar_d falls toward the window, so that a target
+    # beyond its zero at the turning point (roundoff) pins there, and a
+    # bracket end has sign * (Phi_bar_d - target) >= 0
+    sign = 1.0 if below else -1.0
+    if sign * -target > 0.0:
+        return edge, SolveReport(iterations=0, residual=abs(target),
+                                 bracket=(edge, edge), region=kind)
+    far = edge
+    for _ in range(200):
+        far = far / 2.0 if below else math.pi - (math.pi - far) / 2.0
+        if sign * _residual(umap, far, target, continued=True)[0] >= 0.0:
+            break
     else:
-        # regions A, D: Phi_bar_d falls from zero at beta2 toward -inf
-        if beta2 >= math.pi - BETA_GEOM_EPS:
-            raise SolverError(f"region {kind} has no beta window: "
-                              f"beta2 = {beta2}")
-        lo = beta2
-        if -target < 0.0:
-            return lo, SolveReport(iterations=0, residual=abs(target),
-                                   bracket=(lo, lo), region=kind)
-        hi = math.pi - (math.pi - beta2) / 2.0
-        for _ in range(200):
-            if _residual(umap, hi, target, continued=True)[0] <= 0.0:
-                break
-            hi = math.pi - (math.pi - hi) / 2.0
-        else:
-            raise SolverError(f"no bracket above beta2 for target {target}")
-        seed = (beta2 + math.pi) / 2.0
+        raise SolverError(f"no bracket {'below' if below else 'above'} "
+                          f"{name} for target {target}")
+    lo, hi = (far, edge) if below else (edge, far)
+    seed = beta1 / 2.0 if below else (beta2 + math.pi) / 2.0
     beta, its, res = _newton(umap, target, lo, hi, seed, scale,
                              continued=True)
     return beta, SolveReport(iterations=its, residual=res,
@@ -268,9 +256,9 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     if first is not None:
         raise ValidationError(f"projections ({m[first[0]]}, {mp[first[1]]}) "
                               f"reach the poles of J = {Jd}")
-    ct, ctp = [x / Jd for x in m], [x / Jd for x in mp]
-    st, stp = ([math.sqrt(1.0 - c * c) for c in v] for v in (ct, ctp))
-    th, thp = ([math.acos(c) for c in v] for v in (ct, ctp))
+    (ct, st, th), (ctp, stp, thp) = (
+        np.reshape([dasym._cone(x, Jd) for x in v], (-1, 3)).T
+        for v in (m, mp))
     m, ct, st, th, L12 = (np.repeat(v, n) for v in (m, ct, st, th, J12))
     mp, ctp, stp, thp, L23 = (np.tile(v, n12) for v in (mp, ctp, stp, thp,
                                                         J23))
@@ -333,33 +321,28 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
                 f"region {g.kind[p]} has no beta window: "
                 f"{side} = {beta[p]}")
     pts = np.flatnonzero(forbidden)
-    # sign > 0 where Phi_bar_d falls toward the window, so that a point
-    # is pinned where sign * (Phi_bar_d - target) > 0 at the turning
-    # point, where Phi_bar_d is exactly zero, and a bracket end has
-    # sign * (Phi_bar_d - target) >= 0
+    # the pins and bracket ends of _solve_forbidden, by the same sign
     sign = np.where(near_beta1[pts], 1.0, -1.0)
     pinned = sign * -target[pts] > 0.0
     pts, sign = pts[~pinned], sign[~pinned]
     below = near_beta1[pts]
-    far = np.where(below, beta1[pts] / 2.0,
-                   math.pi - (math.pi - beta2[pts]) / 2.0)
-    search = np.arange(len(pts))
+    edge = np.where(below, beta1[pts], beta2[pts])
+    far, search = edge.copy(), np.arange(len(pts))
     for _ in range(200):
-        if not len(search):
-            break
-        found = sign[search] * (phases(pts[search], far[search])[1]
-                                - target[pts[search]]) >= 0.0
-        search = search[~found]
         f = far[search]
         far[search] = np.where(below[search], f / 2.0,
                                math.pi - (math.pi - f) / 2.0)
+        found = sign[search] * (phases(pts[search], far[search])[1]
+                                - target[pts[search]]) >= 0.0
+        search = search[~found]
+        if not len(search):
+            break
     if len(search):
         p = search[0]
         raise SolverError(
             f"no bracket {'below beta1' if below[p] else 'above beta2'} "
             f"for target {target[pts[p]]}")
-    solves.append((pts, np.where(below, far, beta2[pts]),
-                   np.where(below, beta1[pts], far),
+    solves.append((pts, np.where(below, far, edge), np.where(below, edge, far),
                    np.where(below, beta1[pts] / 2.0,
                             (beta2[pts] + math.pi) / 2.0), True))
     for pts, lo, hi, seed, continued in solves:

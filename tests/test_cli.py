@@ -606,6 +606,22 @@ class TestInputBounds:
         assert rc == 0 and json.loads(out) == {"js": ["1000", "1", "1000",
                                                       "1"]}
 
+    @pytest.mark.parametrize("kind", ["spots", "j23-orbits"])
+    def test_rejects_lattice_above_grid_max(self, capsys, monkeypatch,
+                                            kind):
+        # labels of 1000 give D = 2001: spots would build D x D points
+        # and j23-orbits D levels
+        def fail(js, grid):
+            raise AssertionError("a figure was built")
+        for name in ("figure_spots", "figure_beta_contours",
+                     "figure_j23_orbits", "figure_caustic_diagram"):
+            monkeypatch.setattr(cli, name, fail)
+        rc, out, err = run(capsys, [
+            "figure", "--kind", kind, "--j1", "1000", "--j2", "1000",
+            "--j3", "1000", "--j4", "1000"])
+        assert rc == 2 and out == ""
+        assert "D = 2001" in err and str(cli.GRID_MAX) in err
+
     def test_label_limit_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "eval_record", lambda labels, methods,
                             digits: {"j12": str(labels.j12)})

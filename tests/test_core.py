@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 import random
 import sys
@@ -52,6 +53,22 @@ class TestHalfInt:
         assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
         assert (a < b) == (a.as_fraction() < b.as_fraction())
         assert (a == b) == (a.as_fraction() == b.as_fraction())
+
+    @given(halfints, halfints, st.integers(min_value=-30, max_value=30))
+    def test_orderings_match_fractions(self, a, b, k):
+        fa = a.as_fraction()
+        for other, fo in ((b, b.as_fraction()), (k, Fraction(k))):
+            assert (a <= other) == (fa <= fo)
+            assert (a > other) == (fa > fo)
+            assert (a >= other) == (fa >= fo)
+            assert (other <= a) == (fo <= fa)
+            assert (other > a) == (fo > fa)
+            assert (other >= a) == (fo >= fa)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(a, float(fa))
+            with pytest.raises(TypeError):
+                op(float(fa), a)
 
     @given(halfints)
     def test_roundtrip_through_str(self, a):

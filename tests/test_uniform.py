@@ -284,6 +284,52 @@ NEAR_CAUSTIC_LINES = {
 }
 
 
+def _field_map(js, J12, J23):
+    """The UniformMap of beta_field at the continuous point (J12, J23)."""
+    b = bounds(*js)
+    nu_ex = (sum(float(HalfInt.of(x)) for x in js) + J12 - 0.5
+             - float(b.j12_max))
+    return uniform.UniformMap(j=HalfInt(b.D - 1), m=J12 - b.J12_avg,
+                              mp=b.J23_avg - J23, nu_ex=nu_ex,
+                              Phi0=(nu_ex + 1.5) * math.pi, beta=None,
+                              solver=None)
+
+
+class TestForbiddenSolve:
+    """The forbidden solve of beta_field: B and C solve in a window that
+    ends at beta1, A and D in one that starts at beta2, and the far end
+    of the window brackets the target."""
+
+    @pytest.mark.parametrize("js,counts", [
+        (GRID_QUADS[0], {"B": 121, "C": 523, "A": 106, "D": 65}),
+        (GRID_QUADS[1], {"B": 549, "C": 717, "A": 27, "D": 16})], ids=str)
+    def test_window_and_bracket_on_60_cell_grid(self, js, counts):
+        b, four = bounds(*js), _four(js)
+        xs, ys = cli._square_grid(b, 60)
+        seen = dict.fromkeys(counts, 0)
+        for x in xs:
+            for y in ys:
+                region = tetra.classify(four + (x, y), b)
+                if not region.is_forbidden:
+                    continue
+                seen[region.kind] += 1
+                beta, rep = uniform.beta_field(*js, x, y)
+                lo, hi = rep.bracket
+                assert lo <= beta <= hi
+                umap = _field_map(js, x, y)
+                beta1, beta2 = dasym.turning_points(umap.j, umap.m, umap.mp)
+                if region.kind in (tetra.REGION_B, tetra.REGION_C):
+                    assert hi == beta1
+                    far, sign = lo, 1.0
+                else:
+                    assert lo == beta2
+                    far, sign = hi, -1.0
+                target = prasym.phi_pr_bar(four + (x, y), region.angles)
+                assert sign * uniform._residual(
+                    umap, far, target, continued=True)[0] >= 0.0
+        assert seen == counts
+
+
 class TestGridSolve:
     """tetra.classify_grid and uniform.beta_grid solve whole grids; the
     scalar classify and beta_field are their oracles."""
