@@ -7,8 +7,10 @@ one reader (_read_labels): required, and at most J_MAX_MAX.
 
 JSON is written in one pass that knows the payload shapes (_json); its
 bytes are those of json.dumps(indent=2, sort_keys=True) on the cleaned
-payload.  The ternary search for a side touch point of figure spots
-stops at its fixed point, where a step leaves the bracket unchanged.
+payload.  A list of [x, y] pairs of finite floats is written with one
+% format of a pair template.  The ternary search for a side touch point
+of figure spots stops at its fixed point, where a step leaves the
+bracket unchanged.
 """
 
 import argparse
@@ -16,6 +18,7 @@ import json
 import math
 import random
 import sys
+from itertools import chain
 
 import mpmath
 import numpy as np
@@ -46,6 +49,7 @@ _TOUCH_SCAN = 2001  # samples of det G along a side before the ternary search
 # solve of beta-contours: arrays of 64 KB stay on the heap and are
 # reused instead of raising peak memory
 _SCAN_BLOCK = 8192
+_WRITE_BLOCK = 1 << 20  # characters per write of the output
 
 
 def _fmt(x):
@@ -73,13 +77,17 @@ def _clean(obj):
 
 
 def _write(args, text):
-    if not text.endswith("\n"):
-        text += "\n"
+    # a slice at a time and the final newline apart: a text file encodes
+    # what one write gets into one bytes copy, and text + "\n" would be
+    # a copy of its own
+    end = "" if text.endswith("\n") else "\n"
+    blocks = chain((text[lo:lo + _WRITE_BLOCK]
+                    for lo in range(0, len(text), _WRITE_BLOCK)), [end])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            f.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _json(payload):
@@ -101,6 +109,22 @@ def _float_join(xs, sep):
     if not all(type(x) is float for x in xs):
         return None
     text = sep.join(map(float.__repr__, xs))
+    return None if "n" in text else text
+
+
+def _pairs(obj, inner):
+    """The items of obj, a list of [x, y] pairs of finite Python floats
+    (polylines, point lists), on lines indented by inner, by one %
+    format of a pair template; else None.  As in _float_join, only a
+    non-finite repr holds an "n"."""
+    if {*map(type, obj)} != {list} or {*map(len, obj)} != {2}:
+        return None
+    flat = [*chain.from_iterable(obj)]
+    if {*map(type, flat)} != {float}:
+        return None
+    deeper = inner + "  "
+    pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
+    text = ("," + inner).join([pair] * len(obj)) % tuple(flat)
     return None if "n" in text else text
 
 
@@ -130,14 +154,8 @@ def _emit(obj, newline_indent, out):
             return
         inner = newline_indent + "  "
         text = _float_join(obj, "," + inner)
-        if text is None and all(type(x) is list and x for x in obj):
-            # a list of float lists: polylines and point pairs
-            deeper = inner + "  "
-            row_sep = "," + deeper
-            rows = [_float_join(x, row_sep) for x in obj]
-            if None not in rows:
-                text = ("," + inner).join(
-                    "[" + deeper + r + inner + "]" for r in rows)
+        if text is None:
+            text = _pairs(obj, inner)
         if text is not None:
             out.append("[" + inner + text + newline_indent + "]")
             return

@@ -7,12 +7,18 @@ area form is dJ12 ^ dphi12.  The butterfly construction realizes a point
 of the chart as an explicit tetrahedron; J23 is then a function on the
 sphere whose level curves are the quantization orbits.
 
-The contours come from marching squares.  One uint8 mask marks the
-samples above the level, and slices of it give the corner-sign index
-b00 + 2 b10 + 4 b11 + 8 b01 of every cell at once (a copy of the first
-column closes the periodic phi axis).  Python then visits only the
-cells the contour crosses, index neither 0 nor 15, in row-major order;
-the saddle cells 5 and 10 are split by the mean of their corners.
+The contours come from marching squares, run on arrays for a block of
+levels at a time (at most _BLOCK_CELLS cells, so the memory of a pass
+does not grow with levels x samples).  One uint8 mask of the block
+marks the samples above each level, and shifted slices of it give the
+corner-sign index b00 + 2 b10 + 4 b11 + 8 b01 of every cell (a copy of
+the first column closes the periodic phi axis).  A table indexed by
+index * 2 + center_high gives the segments of the cells a contour
+crosses; the saddle cells 5 and 10 are split by the mean of their
+corners.  Every crossing is a node with an integer id built from the
+level, the edge kind and the sample, and all crossings are interpolated
+at once.  Python then only walks the integer neighbour lists of the
+nodes, one step per node, to chain them into polylines.
 """
 
 import math
@@ -100,128 +106,233 @@ def butterfly_j23(four, J12, phi12):
         h2sq + h3sq - 2.0 * h2h3 * np.cos(phi12) + zz, 0.0))
 
 
-# Marching squares: segments per corner-sign index; corners are indexed
-# b00 + 2*b10 + 4*b11 + 8*b01, edges named bottom/right/top/left.
-_MS_CASES = {
-    0: (), 15: (),
-    1: (("bottom", "left"),),
-    2: (("bottom", "right"),),
-    4: (("right", "top"),),
-    8: (("top", "left"),),
-    3: (("left", "right"),),
-    6: (("bottom", "top"),),
-    12: (("left", "right"),),
-    9: (("bottom", "top"),),
-    7: (("top", "left"),),
-    14: (("bottom", "left"),),
-    13: (("bottom", "right"),),
-    11: (("right", "top"),),
-}
+# Marching squares on integer codes.  The edges of a cell are coded
+# bottom 0, right 1, top 2, left 3.  A crossing on the bottom or top edge
+# is an x node (kind 0) of the sample (i, k) the edge starts at, one on
+# the left or right edge a y node (kind 1).
+_EDGE_KIND = np.array([0, 1, 0, 1])
+_EDGE_DI = np.array([0, 1, 0, 0])
+_EDGE_DK = np.array([0, 0, 1, 0])
+# cells per block of levels: the per-cell arrays of a block stay a few
+# MB whatever the number of levels and samples
+_BLOCK_CELLS = 1 << 20
 
 
-def _cell_segments(index, center_high):
-    if index in (5, 10):
-        # a saddle: index 5 with a high center pairs its edges as index
-        # 10 with a low one does
-        return ((("bottom", "right"), ("top", "left"))
-                if (index == 5) == center_high
-                else (("bottom", "left"), ("right", "top")))
-    return _MS_CASES[index]
+def _segment_table():
+    """Edge codes (a0, b0, a1, b1) of the segments of a cell, padded with
+    -1, by index * 2 + center_high; the corner-sign index is
+    b00 + 2 b10 + 4 b11 + 8 b01."""
+    B, R, T, L = range(4)
+    one = {1: (B, L), 2: (B, R), 4: (R, T), 8: (T, L), 3: (L, R),
+           6: (B, T), 12: (L, R), 9: (B, T), 7: (T, L), 14: (B, L),
+           13: (B, R), 11: (R, T)}
+    table = np.full((32, 4), -1)
+    for index, pair in one.items():
+        table[2 * index:2 * index + 2, :2] = pair
+    # a saddle: index 5 with a high center pairs its edges as index 10
+    # with a low one does
+    table[2 * 5 + 1] = table[2 * 10] = (B, R, T, L)
+    table[2 * 5] = table[2 * 10 + 1] = (B, L, R, T)
+    return table
+
+
+_SEGMENTS = _segment_table()
+
+
+def _contour_levels(x, y, Z, levels, wrap_y):
+    """Contour polylines of Z (shape (len(x), len(y))) at each level: per
+    level a list of (n, 2) arrays of (x, y) points.  With wrap_y the y
+    axis is periodic (period 2 pi) and polylines are unwrapped
+    continuously.  The levels go through in blocks of at most
+    _BLOCK_CELLS cells."""
+    nx, ny = Z.shape
+    # a copy of the first column closes the periodic y axis
+    Zc = np.concatenate([Z, Z[:, :1]], axis=1) if wrap_y else Z
+    step = max(1, _BLOCK_CELLS // ((nx - 1) * (Zc.shape[1] - 1)))
+    out = []
+    for first in range(0, len(levels), step):
+        out += _trace_block(x, y, Z, Zc, levels[first:first + step])
+    return out
+
+
+def _trace_block(x, y, Z, Zc, levels):
+    """_contour_levels on one block of levels; Zc is Z with its first
+    column appended when y wraps, else Z itself."""
+    lev = np.array(levels, float)
+    ends, keys, nb0, nb1 = _graph(_segment_ends(Z, Zc, lev))
+    pts, lnode = _crossings(x, y, Z, lev, keys)
+    # the first end of a segment comes before its second, and both are
+    # in one chain: only first ends start chains
+    chains = _walk(ends[::2].tolist(), nb0.tolist(), nb1.tolist())
+    lengths = [len(c) for c in chains]
+    pts = pts[[n for c in chains for n in c]]
+    stops = np.cumsum(lengths, dtype=np.intp)
+    if Zc is not Z:
+        _unwrap(pts[:, 1], stops)
+    out = [[] for _ in levels]
+    lnode = lnode.tolist()
+    for c, lo, hi in zip(chains, (stops - lengths).tolist(), stops.tolist()):
+        out[lnode[c[0]]].append(pts[lo:hi])
+    return out
+
+
+def _segment_ends(Z, Zc, lev):
+    """The node id of every segment end at the levels lev, in segment
+    order: row-major cells of the first level, then of the next, and the
+    first segment of a cell before its second."""
+    nx, ny = Z.shape
+    # the corner-sign index at every flat position of the (levels, nx,
+    # row) mask; a position in the last row or column of a level is no
+    # cell and is dropped below
+    above = (Zc > lev[:, None, None]).view(np.uint8).ravel()
+    row = Zc.shape[1]
+    n = above.size - row - 1
+    index = above[row:row + n] << 1
+    index |= above[:n]
+    index |= above[row + 1:row + 1 + n] << 2
+    index |= above[1:1 + n] << 3
+    del above
+    # the cells a contour crosses, index 1 to 14
+    p = np.flatnonzero(index - 1 < 14)
+    kk = p % row
+    ii = p // row % nx
+    cell = (kk < row - 1) & (ii < nx - 1)
+    p, ii, kk = p[cell], ii[cell], kk[cell]
+    ll = p // (row * nx)
+    kn = (kk + 1) % ny
+    center_high = (Z[ii, kk] + Z[ii + 1, kk] + Z[ii, kn]
+                   + Z[ii + 1, kn]) / 4.0 > lev[ll]
+    edges = _SEGMENTS[index[p] * 2 + center_high]
+    ids = (((ll[:, None] * 2 + _EDGE_KIND[edges]) * nx + ii[:, None]
+            + _EDGE_DI[edges]) * ny + (kk[:, None] + _EDGE_DK[edges]) % ny)
+    return ids[edges >= 0]
+
+
+def _graph(ids):
+    """Nodes numbered by id: the node of every segment end, the node
+    ids, and the first and second neighbour of every node in segment
+    order (-1 for none).  A node has one or two neighbours, and the
+    neighbour of a segment end is its other end."""
+    by_id = np.argsort(ids, kind="stable")
+    sorted_ids = ids[by_id]
+    new = np.empty(len(ids), bool)
+    new[:1] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new[1:])
+    ends = np.empty_like(by_id)
+    ends[by_id] = np.cumsum(new) - 1
+    other = ends.reshape(-1, 2)[:, ::-1].ravel()
+    # by_id lists the segment ends node by node, each node's in segment
+    # order
+    first = np.flatnonzero(new)
+    last = first + np.diff(first, append=len(ids)) - 1
+    nb0 = other[by_id[first]]
+    nb1 = np.where(last > first, other[by_id[last]], -1)
+    return ends, sorted_ids[new], nb0, nb1
+
+
+def _crossings(x, y, Z, lev, keys):
+    """The (x, y) crossing point and the level index of every node."""
+    nx, ny = Z.shape
+    k = keys % ny
+    i = keys // ny % nx
+    kind = keys // (ny * nx) % 2
+    lnode = keys // (2 * ny * nx)
+    za = Z[i, k]
+    zb = Z[i + 1 - kind, (k + kind) % ny]
+    flat = zb == za
+    t = (lev[lnode] - za) / np.where(flat, 1.0, zb - za)
+    t[flat] = 0.5
+    return np.column_stack([
+        np.where(kind == 0, x[i] + t * (x[1] - x[0]), x[i]),
+        np.where(kind == 0, y[k], y[k] + t * (y[1] - y[0]))]), lnode
+
+
+def _walk(starts, nb0, nb1):
+    """Node chains of the polylines.  Each node of starts not yet seen
+    starts a chain, which runs first to its tail, through the node's
+    first neighbour, then to its head; each step goes on to the first
+    neighbour not yet seen.  A loop repeats its first node."""
+    # the neighbour of a node other than prev is the sum of its
+    # neighbours less prev: -1 (none) at a chain end, and prev again
+    # where two segments join the same two nodes
+    after = [a + b for a, b in zip(nb0, nb1)]
+    seen = bytearray(len(nb0) + 1)
+    seen[-1] = 1   # node -1 ends a chain
+    chains = []
+    for s in starts:
+        if seen[s]:
+            continue
+        seen[s] = 1
+        tail = _run(s, nb0[s], after, seen)
+        head = _run(s, nb1[s], after, seen)
+        head.reverse()
+        chain = head + [s] + tail
+        if len(chain) > 2 and chain[0] in (nb0[chain[-1]], nb1[chain[-1]]):
+            chain.append(chain[0])
+        chains.append(chain)
+    return chains
+
+
+def _run(prev, cur, after, seen):
+    """The unseen nodes from cur on, cur reached from prev."""
+    run = []
+    while not seen[cur]:
+        seen[cur] = 1
+        run.append(cur)
+        prev, cur = cur, after[cur] - prev
+    return run
+
+
+def _unwrap(phi, stops):
+    """Unwrap in place the phi of each polyline (the polylines end at
+    stops), as one loop along a polyline does: each point steps by 2 pi
+    while it lies more than pi above the point before, then while it
+    lies more than pi below.
+
+    The steps are guessed from the jumps of the raw phi, then one pass
+    of the rule from each guessed point to the next checks them; by
+    induction along the polyline, a polyline that passes has the loop's
+    result.  Any other polyline goes through the loop."""
+    starts = stops[:-1]
+    lengths = np.diff(stops, prepend=0)
+    d = np.diff(phi)
+    turns = np.zeros(len(phi), np.intp)
+    turns[1:] = d > math.pi
+    turns[1:] -= d < -math.pi
+    turns[starts] = 0
+    turns = np.cumsum(turns)
+    turns -= np.repeat(turns[stops - lengths], lengths)
+    guess = phi.copy()
+    for r in range(int(np.abs(turns).max(initial=0))):
+        guess[turns > r] -= 2.0 * math.pi
+        guess[turns < -r] += 2.0 * math.pi
+    prev = guess[:-1].copy()
+    prev[starts - 1] = phi[starts]
+    got = phi[1:].copy()
+    for sign in (1.0, -1.0):
+        over = sign * (got - prev) > math.pi
+        while over.any():
+            got[over] -= sign * 2.0 * math.pi
+            over = sign * (got - prev) > math.pi
+    wrong = np.flatnonzero(got != guess[1:]) + 1
+    for j in set(np.searchsorted(stops, wrong, side="right").tolist()):
+        lo = stops[j] - lengths[j]
+        vals = phi[lo:stops[j]].tolist()
+        prev = vals[0]
+        for n in range(1, len(vals)):
+            py = vals[n]
+            while py - prev > math.pi:
+                py -= 2.0 * math.pi
+            while py - prev < -math.pi:
+                py += 2.0 * math.pi
+            vals[n] = prev = py
+        guess[lo:stops[j]] = vals
+    phi[:] = guess
 
 
 def _marching_squares(x, y, Z, level, wrap_y):
-    """Contour polylines of Z (shape (len(x), len(y))) at the given
-    level.  With wrap_y the y axis is periodic (period 2 pi) and
-    polylines are unwrapped continuously.  Returns a list of (n, 2)
-    arrays of (x, y) points."""
-    nx, ny = Z.shape
-    dx = x[1] - x[0]
-    dy = y[1] - y[0]
-    nodes = {}
-    segments = []
-
-    def crossing(kind, i, k):
-        key = (kind, i, k % ny if wrap_y else k)
-        if key in nodes:
-            return key
-        if kind == "x":
-            za, zb = Z[i, k % ny], Z[i + 1, k % ny]
-            t = 0.5 if zb == za else (level - za) / (zb - za)
-            nodes[key] = (x[i] + t * dx, y[k % ny])
-        else:
-            za, zb = Z[i, k % ny], Z[i, (k + 1) % ny]
-            t = 0.5 if zb == za else (level - za) / (zb - za)
-            nodes[key] = (x[i], y[k % ny] + t * dy)
-        return key
-
-    edge_key = {
-        "bottom": lambda i, k: crossing("x", i, k),
-        "top": lambda i, k: crossing("x", i, k + 1),
-        "left": lambda i, k: crossing("y", i, k),
-        "right": lambda i, k: crossing("y", i + 1, k),
-    }
-    above = (Z > level).astype(np.uint8)
-    if wrap_y:
-        above = np.concatenate([above, above[:, :1]], axis=1)
-    index = (above[:-1, :-1] + 2 * above[1:, :-1] + 4 * above[1:, 1:]
-             + 8 * above[:-1, 1:])
-    ii, kk = np.nonzero((index != 0) & (index != 15))
-    kn = (kk + 1) % ny
-    center_high = (Z[ii, kk] + Z[ii + 1, kk] + Z[ii, kn]
-                   + Z[ii + 1, kn]) / 4.0 > level
-    for i, k, idx, high in zip(ii.tolist(), kk.tolist(),
-                               index[ii, kk].tolist(), center_high.tolist()):
-        for ea, eb in _cell_segments(idx, high):
-            segments.append((edge_key[ea](i, k), edge_key[eb](i, k)))
-    return _join_segments(segments, nodes, wrap_y)
-
-
-def _join_segments(segments, nodes, wrap_y):
-    """Chain the segments (pairs of node keys) into polylines of the
-    node points, in the order the segments were found."""
-    adj = {}
-    for a, b in segments:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen = set()
-
-    def walk(chain, end):
-        """Extend chain at its tail (end -1) or head (end 0) while the
-        end node has a neighbour not yet seen."""
-        while True:
-            for nb in adj[chain[end]]:
-                if nb not in seen:
-                    break
-            else:
-                return
-            chain.insert(len(chain) if end else 0, nb)
-            seen.add(nb)
-
-    polylines = []
-    for start in adj:
-        if start in seen:
-            continue
-        # walk to one end (or all the way around a loop), then the other
-        chain = [start]
-        seen.add(start)
-        walk(chain, -1)
-        walk(chain, 0)
-        closed = len(chain) > 2 and chain[0] in adj[chain[-1]]
-        if closed:
-            chain.append(chain[0])
-        pts = np.empty((len(chain), 2))
-        prev = None
-        for idx, key in enumerate(chain):
-            px, py = nodes[key]
-            if wrap_y and prev is not None:
-                while py - prev > math.pi:
-                    py -= 2.0 * math.pi
-                while py - prev < -math.pi:
-                    py += 2.0 * math.pi
-            pts[idx] = (px, py)
-            prev = py
-        polylines.append(pts)
-    return polylines
+    """Contour polylines of Z at one level; see _contour_levels."""
+    return _contour_levels(x, y, Z, [level], wrap_y)[0]
 
 
 def contour_polylines(x, y, Z, level, wrap_y=False):
@@ -240,8 +351,7 @@ def j23_contour_grid(j1, j2, j3, j4, n_J12=201, n_phi=256):
     Z = butterfly_j23(four, x[:, None], y[None, :])
     levels = [t / 2.0 + 0.5 for t in
               range(b.j23_min.twice, b.j23_max.twice + 1, 2)]
-    contours = {lev: _marching_squares(x, y, Z, lev, True)
-                for lev in levels}
+    contours = dict(zip(levels, _contour_levels(x, y, Z, levels, True)))
     return x, y, Z, contours
 
 

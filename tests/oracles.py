@@ -16,7 +16,7 @@ from math import factorial
 import mpmath
 import numpy as np
 
-from sixj import cli, sphere, tetra
+from sixj import cli, tetra
 
 # exact 6j values, 37 digits, from sympy.physics.wigner.wigner_6j
 SIXJ_39_23_31H = "0.0042963739532310908909939163424148461"
@@ -313,12 +313,87 @@ def caustic_roots_on_line(lo, hi, n, f):
     return roots
 
 
+# Marching squares: segments per corner-sign index; corners are indexed
+# b00 + 2*b10 + 4*b11 + 8*b01, edges named bottom/right/top/left.
+_MS_CASES = {
+    0: (), 15: (),
+    1: (("bottom", "left"),),
+    2: (("bottom", "right"),),
+    4: (("right", "top"),),
+    8: (("top", "left"),),
+    3: (("left", "right"),),
+    6: (("bottom", "top"),),
+    12: (("left", "right"),),
+    9: (("bottom", "top"),),
+    7: (("top", "left"),),
+    14: (("bottom", "left"),),
+    13: (("bottom", "right"),),
+    11: (("right", "top"),),
+}
+
+
+def _cell_segments(index, center_high):
+    if index in (5, 10):
+        # a saddle: index 5 with a high center pairs its edges as index
+        # 10 with a low one does
+        return ((("bottom", "right"), ("top", "left"))
+                if (index == 5) == center_high
+                else (("bottom", "left"), ("right", "top")))
+    return _MS_CASES[index]
+
+
+def _join_segments(segments, nodes, wrap_y):
+    """Chain the segments (pairs of node keys) into polylines of the
+    node points, in the order the segments were found."""
+    adj = {}
+    for a, b in segments:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen = set()
+
+    def walk(chain, end):
+        """Extend chain at its tail (end -1) or head (end 0) while the
+        end node has a neighbour not yet seen."""
+        while True:
+            for nb in adj[chain[end]]:
+                if nb not in seen:
+                    break
+            else:
+                return
+            chain.insert(len(chain) if end else 0, nb)
+            seen.add(nb)
+
+    polylines = []
+    for start in adj:
+        if start in seen:
+            continue
+        # walk to one end (or all the way around a loop), then the other
+        chain = [start]
+        seen.add(start)
+        walk(chain, -1)
+        walk(chain, 0)
+        closed = len(chain) > 2 and chain[0] in adj[chain[-1]]
+        if closed:
+            chain.append(chain[0])
+        pts = np.empty((len(chain), 2))
+        prev = None
+        for idx, key in enumerate(chain):
+            px, py = nodes[key]
+            if wrap_y and prev is not None:
+                while py - prev > math.pi:
+                    py -= 2.0 * math.pi
+                while py - prev < -math.pi:
+                    py += 2.0 * math.pi
+            pts[idx] = (px, py)
+            prev = py
+        polylines.append(pts)
+    return polylines
+
+
 def cell_loop_marching_squares(x, y, Z, level, wrap_y):
     """Marching squares with one Python iteration per cell, corner
-    values read one at a time.  The case table and the chaining of the
-    segments into polylines are the package's (sphere._cell_segments,
-    sphere._join_segments): only the classification of the cells is
-    independent here."""
+    values read one at a time, crossings keyed by tuples, and the
+    segments chained by a walk over a dict graph."""
     nx, ny = Z.shape
     dx, dy = x[1] - x[0], y[1] - y[0]
     nodes = {}
@@ -353,9 +428,9 @@ def cell_loop_marching_squares(x, y, Z, level, wrap_y):
             if index in (0, 15):
                 continue
             center_high = (z00 + z10 + z01 + z11) / 4.0 > level
-            for ea, eb in sphere._cell_segments(index, center_high):
+            for ea, eb in _cell_segments(index, center_high):
                 segments.append((edge_key[ea](i, k), edge_key[eb](i, k)))
-    return sphere._join_segments(segments, nodes, wrap_y)
+    return _join_segments(segments, nodes, wrap_y)
 
 
 def stdlib_json(payload):

@@ -730,6 +730,24 @@ class TestJsonWriter:
     def test_equals_stdlib_encoder(self, payload):
         assert cli._json(payload) == oracles.stdlib_json(payload)
 
+    @given(st.lists(st.lists(st.one_of(
+        _floats, st.integers(), st.booleans(),
+        st.sampled_from([-0.0, math.nan, math.inf, -math.inf])),
+        min_size=2, max_size=2)))
+    @example([[0.5, math.nan], [1.0, 2.0]])
+    @example([[-0.0, 0.0], [5e-324, -1e308]])
+    @example([[0.5, 1.5], [2.5], [3.5, 4.5, 5.5]])
+    @example([[0.5, 1.5], 2.5])
+    @example([[1, 2], [0.5, 1.5]])
+    @example([[True, False], [0.5, 1.5]])
+    @example([[np.float64(0.5), 1.5]])
+    @settings(max_examples=200, deadline=None)
+    def test_pair_lists(self, pairs):
+        # lists of [x, y] float pairs go through one format call; any
+        # other item falls back to the item-by-item writer
+        for payload in (pairs, {"polylines": [pairs, pairs]}):
+            assert cli._json(payload) == oracles.stdlib_json(payload)
+
     @pytest.mark.parametrize("grid", [12, None])
     @pytest.mark.parametrize("kind", cli.FIGURE_KINDS)
     @each_quad

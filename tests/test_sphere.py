@@ -2,9 +2,13 @@
 
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sixj import (SixJLabels, ValidationError, WrongRegionError, bounds,
@@ -12,6 +16,26 @@ from sixj import (SixJLabels, ValidationError, WrongRegionError, bounds,
 
 B = bounds("9/2", 3, "11/2", 6)
 FOUR = (5.0, 3.5, 6.0, 6.5)
+
+
+@st.composite
+def _fields(draw):
+    """A small field and its levels.  Integer samples and levels give
+    samples equal to a level and flat edges; levels of -3 and 3 cross
+    nothing."""
+    nx, ny = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    value = st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0))
+    Z = draw(st.lists(value, min_size=nx * ny, max_size=nx * ny))
+    levels = draw(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                                     st.floats(-2.0, 2.0)),
+                           min_size=1, max_size=4))
+    return np.array(Z).reshape(nx, ny), levels
+
+
+# cell (0, 0) has index 5 and cell (1, 0) index 10 (with wrap_y, cells
+# (0, 1) and (1, 1) index 10 and 5); the center of each is 0.5
+_SADDLES = (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+            [0.4, 0.5, 0.0, 3.0])
 
 
 class TestSpherePoint:
@@ -158,6 +182,65 @@ class TestContours:
         assert len(got) == len(want) == 2
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @given(_fields(), st.booleans(), st.sampled_from([1, 1 << 20]))
+    @example(_SADDLES, False, 1 << 20)
+    @example(_SADDLES, True, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_levels_equal_cell_loop(self, field, wrap_y, block_cells):
+        # block_cells 1 puts each level in a block of its own
+        Z, levels = field
+        nx, ny = Z.shape
+        x = np.linspace(-1.0, 1.0, nx)
+        y = -math.pi + 2.0 * math.pi * np.arange(ny) / ny
+        with mock.patch.object(sphere, "_BLOCK_CELLS", block_cells):
+            got = sphere._contour_levels(x, y, Z, levels, wrap_y)
+        assert len(got) == len(levels)
+        for lev, polys in zip(levels, got):
+            want = oracles.cell_loop_marching_squares(x, y, Z, lev, wrap_y)
+            assert len(polys) == len(want)
+            for g, w in zip(polys, want):
+                assert np.array_equal(g, w)
+
+    @given(st.lists(st.lists(st.tuples(
+        st.sampled_from([0.0, math.pi, -math.pi, 2.0 * math.pi,
+                         -2.0 * math.pi]),
+        st.sampled_from([0.0, 1e-16, -1e-16, 4e-16, -4e-16, 1e-15])),
+        min_size=1, max_size=6), min_size=1, max_size=4))
+    @example([[(math.pi, 1e-15), (-math.pi, 0.0)]])
+    @settings(max_examples=300, deadline=None)
+    def test_unwrap_equals_point_loop(self, polylines):
+        # steps of the raw phi by about pi: there the guessed 2 pi steps
+        # can part from the point-by-point loop by one rounding, as in
+        # the example, which _unwrap passes to the loop
+        raw, want = [], []
+        for steps in polylines:
+            phi = [-2.0]
+            for step, eps in steps:
+                phi.append(min(max(phi[-1] + step + eps, -math.pi), math.pi))
+            chain = [(n, n + 1) for n in range(len(phi) - 1)]
+            nodes = {n: (0.0, v) for n, v in enumerate(phi)}
+            polys = oracles._join_segments(chain, nodes, True)
+            want += polys[0][:, 1].tolist()
+            raw += phi
+        got = np.array(raw)
+        sphere._unwrap(got, np.cumsum([len(s) + 1 for s in polylines]))
+        assert got.tolist() == want
+
+    def test_block_memory_bounded(self):
+        # 81 levels; the per-cell arrays of one block at n = 400 would
+        # take about 13 MB for each byte per cell if all levels went in
+        # one block
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sphere.j23_contour_grid(40, 40, 40, 40, n_J12=n, n_phi=n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(128)
+        assert peak(400) < peak(128) + (8 << 20)
 
     def test_wrap_unwraps_continuously(self):
         # a contour crossing phi = +-pi stays continuous when wrapped
