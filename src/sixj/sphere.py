@@ -285,49 +285,22 @@ def _run(prev, cur, after, seen):
 
 def _unwrap(phi, stops):
     """Unwrap in place the phi of each polyline (the polylines end at
-    stops), as one loop along a polyline does: each point steps by 2 pi
-    while it lies more than pi above the point before, then while it
-    lies more than pi below.
-
-    The steps are guessed from the jumps of the raw phi, then one pass
-    of the rule from each guessed point to the next checks them; by
-    induction along the polyline, a polyline that passes has the loop's
-    result.  Any other polyline goes through the loop."""
-    starts = stops[:-1]
-    lengths = np.diff(stops, prepend=0)
-    d = np.diff(phi)
-    turns = np.zeros(len(phi), np.intp)
-    turns[1:] = d > math.pi
-    turns[1:] -= d < -math.pi
-    turns[starts] = 0
-    turns = np.cumsum(turns)
-    turns -= np.repeat(turns[stops - lengths], lengths)
-    guess = phi.copy()
-    for r in range(int(np.abs(turns).max(initial=0))):
-        guess[turns > r] -= 2.0 * math.pi
-        guess[turns < -r] += 2.0 * math.pi
-    prev = guess[:-1].copy()
-    prev[starts - 1] = phi[starts]
-    got = phi[1:].copy()
-    for sign in (1.0, -1.0):
-        over = sign * (got - prev) > math.pi
-        while over.any():
-            got[over] -= sign * 2.0 * math.pi
-            over = sign * (got - prev) > math.pi
-    wrong = np.flatnonzero(got != guess[1:]) + 1
-    for j in set(np.searchsorted(stops, wrong, side="right").tolist()):
-        lo = stops[j] - lengths[j]
-        vals = phi[lo:stops[j]].tolist()
-        prev = vals[0]
-        for n in range(1, len(vals)):
+    stops): along a polyline, each point steps by 2 pi while it lies
+    more than pi above the point before, then while it lies more than
+    pi below."""
+    vals = phi.tolist()
+    lo = 0
+    for hi in stops.tolist():
+        prev = vals[lo]
+        for n in range(lo + 1, hi):
             py = vals[n]
             while py - prev > math.pi:
                 py -= 2.0 * math.pi
             while py - prev < -math.pi:
                 py += 2.0 * math.pi
             vals[n] = prev = py
-        guess[lo:stops[j]] = vals
-    phi[:] = guess
+        lo = hi
+    phi[:] = vals
 
 
 def _marching_squares(x, y, Z, level, wrap_y):

@@ -210,9 +210,8 @@ class TestContours:
     @example([[(math.pi, 1e-15), (-math.pi, 0.0)]])
     @settings(max_examples=300, deadline=None)
     def test_unwrap_equals_point_loop(self, polylines):
-        # steps of the raw phi by about pi: there the guessed 2 pi steps
-        # can part from the point-by-point loop by one rounding, as in
-        # the example, which _unwrap passes to the loop
+        # steps of the raw phi by about pi, where one rounding decides
+        # whether a point steps by 2 pi, over several polylines at once
         raw, want = [], []
         for steps in polylines:
             phi = [-2.0]
