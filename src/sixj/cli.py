@@ -26,7 +26,7 @@ import numpy as np
 from . import prasym, sphere, tetra, uniform
 from .core import (MP_DPS, HalfInt, OnCausticError, SixJError, SixJLabels,
                    TRIANGLES, ValidationError, WrongRegionError, _root_form,
-                   bounds, exact_sixj, lengths)
+                   bounds, exact_sixj, lengths, require_valid)
 
 LABEL_FLAGS = ("j1", "j2", "j12", "j3", "j4", "j23")
 _FIGURE_FLAGS = ("j1", "j2", "j3", "j4")
@@ -80,9 +80,8 @@ def _write(args, text):
     # a slice at a time and the final newline apart: a text file encodes
     # what one write gets into one bytes copy, and text + "\n" would be
     # a copy of its own
-    end = "" if text.endswith("\n") else "\n"
     blocks = chain((text[lo:lo + _WRITE_BLOCK]
-                    for lo in range(0, len(text), _WRITE_BLOCK)), [end])
+                    for lo in range(0, len(text), _WRITE_BLOCK)), ["\n"])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
             f.writelines(blocks)
@@ -103,20 +102,11 @@ def _json(payload):
 _str = json.encoder.encode_basestring_ascii
 
 
-def _float_join(xs, sep):
-    """The reprs of xs joined by sep when every item is a finite Python
-    float, else None.  Only a non-finite repr (nan, inf) holds an "n"."""
-    if not all(type(x) is float for x in xs):
-        return None
-    text = sep.join(map(float.__repr__, xs))
-    return None if "n" in text else text
-
-
 def _pairs(obj, inner):
     """The items of obj, a list of [x, y] pairs of finite Python floats
     (polylines, point lists), on lines indented by inner, by one %
-    format of a pair template; else None.  As in _float_join, only a
-    non-finite repr holds an "n"."""
+    format of a pair template; else None.  Only a non-finite repr (nan,
+    inf) holds an "n"."""
     if {*map(type, obj)} != {list} or {*map(len, obj)} != {2}:
         return None
     flat = [*chain.from_iterable(obj)]
@@ -153,9 +143,7 @@ def _emit(obj, newline_indent, out):
             out.append("[]")
             return
         inner = newline_indent + "  "
-        text = _float_join(obj, "," + inner)
-        if text is None:
-            text = _pairs(obj, inner)
+        text = _pairs(obj, inner)
         if text is not None:
             out.append("[" + inner + text + newline_indent + "]")
             return
@@ -203,8 +191,8 @@ def eval_record(labels, methods, digits=17):
     if not 1 <= digits <= DIGITS_MAX:
         raise ValidationError(
             f"--digits must be between 1 and {DIGITS_MAX}, got {digits}")
-    b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    region = tetra.classify(lengths(labels), b)
+    require_valid(labels)
+    b, _, region = tetra.classify_labels(labels)
     rec = {
         "labels": {n: str(getattr(labels, n)) for n in LABEL_FLAGS},
         "D": b.D,
@@ -317,8 +305,7 @@ def sweep_rows(fixed, swept, methods):
     rows = []
     for t in sweep_range(fixed, swept):
         labels = SixJLabels(**{**fixed, swept: HalfInt(t)})
-        b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-        region = tetra.classify(lengths(labels), b)
+        _, _, region = tetra.classify_labels(labels)
         exact_v = float(exact_sixj(labels)) if "exact" in methods else None
         pr_v = _pr_or_none(labels) if "pr" in methods else None
         uni_v = beta = None
@@ -372,6 +359,12 @@ def cmd_sweep(args):
 
 
 # -------------------------------------------------------------- figure
+
+def _square(b):
+    """The "square" entry of a figure payload: the classical windows of
+    J12 and J23."""
+    return {"J12": [b.J12_min, b.J12_max], "J23": [b.J23_min, b.J23_max]}
+
 
 def _square_grid(b, n):
     """n cell-center values per axis, strictly inside the square."""
@@ -481,10 +474,9 @@ def _side_touch(four, b, side):
 
 def figure_spots(js, grid):
     b = bounds(*js)
-    four = tuple(float(x) + 0.5 for x in js)
     t12s = range(b.j12_min.twice, b.j12_max.twice + 1, 2)
     t23s = range(b.j23_min.twice, b.j23_max.twice + 1, 2)
-    kinds = iter(tetra.classify_grid(four, [t / 2.0 + 0.5 for t in t12s],
+    kinds = iter(tetra.classify_grid(b.four, [t / 2.0 + 0.5 for t in t12s],
                                      [t / 2.0 + 0.5 for t in t23s],
                                      b).kind.tolist())
     points = []
@@ -496,14 +488,13 @@ def figure_spots(js, grid):
             points.append({"j12": str(HalfInt(t12)), "j23": str(HalfInt(t23)),
                            "J12": J12, "J23": J23,
                            "region": next(kinds), "margin": margin})
-    touches = [_side_touch(four, b, side)
+    touches = [_side_touch(b.four, b, side)
                for side in ("J12_min", "J12_max", "J23_min", "J23_max")]
     return {
-        "square": {"J12": [b.J12_min, b.J12_max],
-                   "J23": [b.J23_min, b.J23_max]},
+        "square": _square(b),
         "D": b.D,
         "points": points,
-        "caustic": _caustic_curve(four, b, grid),
+        "caustic": _caustic_curve(b.four, b, grid),
         "touches": touches,
     }
 
@@ -520,9 +511,7 @@ def figure_beta_contours(js, grid):
                  for (J12, J23), bt, rg in zip(
                      ((J12, J23) for J12 in J12s for J23 in ys),
                      beta.tolist(), region.tolist())]
-    return {"square": {"J12": [b.J12_min, b.J12_max],
-                       "J23": [b.J23_min, b.J23_max]},
-            "grid": grid, "rows": rows}
+    return {"square": _square(b), "grid": grid, "rows": rows}
 
 
 def figure_j23_orbits(js, grid):
@@ -541,11 +530,9 @@ def figure_caustic_diagram(js, grid):
     b = bounds(*js)
     x = np.linspace(b.J12_min, b.J12_max, grid)
     y = np.linspace(b.J23_min, b.J23_max, grid)
-    four = tuple(float(v) + 0.5 for v in js)
-    Z = _det_g(four, x[:, None], y[None, :])
+    Z = _det_g(b.four, x[:, None], y[None, :])
     polys = sphere.contour_polylines(x, y, Z, 0.0, wrap_y=False)
-    return {"square": {"J12": [b.J12_min, b.J12_max],
-                       "J23": [b.J23_min, b.J23_max]},
+    return {"square": _square(b),
             "polylines": [p.tolist() for p in polys]}
 
 
@@ -630,8 +617,7 @@ def amplitude_reference(labels, b, region):
 
 
 def worstcase_row(labels):
-    b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    region = tetra.classify(lengths(labels), b)
+    b, _, region = tetra.classify_labels(labels)
     exact_v = float(exact_sixj(labels))
     ref = amplitude_reference(labels, b, region)
     pr_v = _pr_or_none(labels)

@@ -290,7 +290,8 @@ class Bounds:
 
     The classical window of the continuous length J12 is
     [J12_min, J12_max] = [j12_min, j12_max + 1]; quantized values
-    J = j + 1/2 sit half a unit inside it.
+    J = j + 1/2 sit half a unit inside it.  four holds the fixed
+    lengths (J1, J2, J3, J4).
     """
 
     j12_min: HalfInt
@@ -300,6 +301,7 @@ class Bounds:
     D: int
     j12_avg: HalfInt
     j23_avg: HalfInt
+    four: tuple
 
     @property
     def J12_min(self):
@@ -366,6 +368,7 @@ def bounds(j1, j2, j3, j4):
         D=d12,
         j12_avg=HalfInt((t12min + t12max) // 2),
         j23_avg=HalfInt((t23min + t23max) // 2),
+        four=(t1 / 2 + 0.5, t2 / 2 + 0.5, t3 / 2 + 0.5, t4 / 2 + 0.5),
     )
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tetra
-from .core import (InvariantError, OnCausticError, WrongRegionError, bounds,
-                   lengths, phase, require_valid)
+from .core import (InvariantError, OnCausticError, WrongRegionError, phase,
+                   require_valid)
 
 # Table-1 pattern entries are in tetra.EDGE_ORDER; the parity sum wants
 # the matching quantum numbers.
@@ -65,9 +65,7 @@ def nu_6j(region, labels):
 def pr_value(labels):
     """The Ponzano-Regge value with diagnostics."""
     require_valid(labels)
-    b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    J = lengths(labels)
-    region = tetra.classify(J, b)
+    _, J, region = tetra.classify_labels(labels)
     if region.is_caustic:
         raise OnCausticError(
             f"{labels} lies on a caustic; the PR amplitude diverges there")

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tetra
-from .core import (HalfInt, ValidationError, WrongRegionError, bounds,
-                   lengths)
+from .core import ValidationError, WrongRegionError, bounds
 
 _EDGE_TOL = 1e-9
 
@@ -318,10 +317,9 @@ def j23_contour_grid(j1, j2, j3, j4, n_J12=201, n_phi=256):
     """J23 sampled on the chart, with contour polylines at the quantized
     levels J23 = j23 + 1/2."""
     b = bounds(j1, j2, j3, j4)
-    four = tuple(float(HalfInt.of(x)) + 0.5 for x in (j1, j2, j3, j4))
     x = np.linspace(b.J12_min, b.J12_max, n_J12)
     y = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
-    Z = butterfly_j23(four, x[:, None], y[None, :])
+    Z = butterfly_j23(b.four, x[:, None], y[None, :])
     levels = [t / 2.0 + 0.5 for t in
               range(b.j23_min.twice, b.j23_max.twice + 1, 2)]
     contours = dict(zip(levels, _contour_levels(x, y, Z, levels, True)))
@@ -363,9 +361,7 @@ def lune_area_6j(labels, n=10001):
     """Area of the lune {J12 >= j12 + 1/2} and {J23 <= j23 + 1/2}; equals
     twice the matched Ponzano-Regge phase Phi_PR - Phi0 in the allowed
     region."""
-    b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    J = lengths(labels)
-    region = tetra.classify(J, b)
+    _, J, region = tetra.classify_labels(labels)
     if not region.is_allowed:
         raise WrongRegionError(
             f"lune area needs an allowed point, got {region.kind}")

@@ -6,7 +6,8 @@ geometry record per point from the six Gram entries and their
 cofactors: det G = 36 V^2, |V| and the six exterior dihedral angles.
 The same formulas hold in the forbidden case (det G < 0), where every
 cos psi lies outside [-1, 1] and the sign pattern against the caustic
-table classifies the region.
+table classifies the region.  classify_labels() builds the lattice
+point of a symbol: its square's bounds, its lengths and that record.
 
 construct() diagonalizes G with numpy's symmetric eigensolver to realize
 the edge vectors (with pure imaginary z components, stored as real
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantError, ValidationError, WrongRegionError
+from .core import (InvariantError, ValidationError, WrongRegionError, bounds,
+                   lengths)
 
 EDGE_ORDER = ("J1", "J2", "J3", "J4", "J12", "J23")
 
@@ -331,6 +333,16 @@ def classify(J, bnds=None):
     else:
         kind = SIGN_PATTERNS[col][0]
     return RegionClass(kind=kind, pattern_index=col, det_g=det_g, angles=dih)
+
+
+def classify_labels(labels):
+    """(bounds, lengths, RegionClass) of the lattice point of a symbol:
+    the core.Bounds of its (j1..j4), its six lengths J = j + 1/2 and
+    classify() of them within that square.  The labels are not checked
+    here; callers check them first (core.require_valid)."""
+    b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
+    J = lengths(labels)
+    return b, J, classify(J, b)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dasym, prasym, tetra
-from .core import (HalfInt, InvariantError, SolverError, ValidationError,
-                   WrongRegionError, bounds, lengths, phase, require_valid,
-                   wigner_d)
+from .core import (HalfInt, InvariantError, SixJLabels, SolverError,
+                   ValidationError, WrongRegionError, bounds, lengths, phase,
+                   require_valid, wigner_d)
 
 BETA_GEOM_EPS = 1e-12    # keep d_geometry off beta = 0, pi during solves
 NEAR_CAUSTIC_VOL = 1e-6  # |V|/(J1 J12 J4) below this switches the ratio
@@ -64,6 +64,11 @@ def map_quantum(labels, bnds=None):
     require_valid(labels)
     if bnds is None:
         bnds = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
+    return _map(labels, bnds)
+
+
+def _map(labels, bnds):
+    """map_quantum of checked labels, bnds their core.Bounds."""
     tj = bnds.D - 1
     tm = labels.j12.twice - bnds.j12_avg.twice
     tmp = bnds.j23_avg.twice - labels.j23.twice
@@ -209,7 +214,7 @@ def beta_field(j1, j2, j3, j4, J12, J23):
     the lattice, so beta is continuous across caustics."""
     js = tuple(HalfInt.of(x) for x in (j1, j2, j3, j4))
     b = bounds(*js)
-    J = tuple(float(x) + 0.5 for x in js) + (float(J12), float(J23))
+    J = b.four + (float(J12), float(J23))
     region = tetra.classify(J, b)
     m = float(J12) - b.J12_avg
     mp = b.J23_avg - float(J23)
@@ -234,16 +239,15 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     """
     js = tuple(HalfInt.of(x) for x in (j1, j2, j3, j4))
     b = bounds(*js)
-    four = tuple(float(x) + 0.5 for x in js)
     J12 = [float(x) for x in J12]
     J23 = [float(x) for x in J23]
-    g = tetra.classify_grid(four, J12, J23, b)
+    g = tetra.classify_grid(b.four, J12, J23, b)
     n12, n = len(J12), len(J23)
     tangent = np.isnan(g.cos_psi[0])
     if tangent.any():
         p = int(np.argmax(tangent))
         raise ValidationError(
-            f"lengths {four + (J12[p // n], J23[p % n])} are a caustic "
+            f"lengths {b.four + (J12[p // n], J23[p % n])} are a caustic "
             "tangency point: a face degenerates, so the dihedral angles "
             "are undefined")
     # the map and the turning points, per axis value in Python floats as
@@ -280,7 +284,7 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     if (free & (np.abs(g.cos_psi) > 1.0 + 1e-8).any(axis=0)).any():
         raise WrongRegionError("phi_pr is defined in the allowed region; "
                                "use phi_pr_bar beyond the caustic")
-    lengths6 = four + (L12, L23)
+    lengths6 = b.four + (L12, L23)
     nu_ex = sum(float(x) for x in js) + L12 - 0.5 - float(b.j12_max)
     target = np.where(
         forbidden, sum(x * a for x, a in zip(lengths6, g.psi_bar)),
@@ -383,11 +387,10 @@ def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued):
 def solve_beta(labels, umap=None):
     """beta for a quantized symbol; returns (beta, SolveReport)."""
     require_valid(labels)
-    b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
+    b, J, region = tetra.classify_labels(labels)
     if umap is None:
-        umap = map_quantum(labels, b)
-    J = lengths(labels)
-    return _solve_for_lengths(J, umap, tetra.classify(J, b))
+        umap = _map(labels, b)
+    return _solve_for_lengths(J, umap, region)
 
 
 def _near_caustic_ratio(labels, bnds, umap):
@@ -415,22 +418,17 @@ def _canonical_updown(labels):
     """Representative of the up-down swap orbit.  The approximation is
     invariant under the three pair swaps in exact arithmetic; computing
     every member through one representative makes it bit-identical."""
-    best = labels
-    for i, k in ((0, 1), (0, 2), (1, 2)):
-        cand = labels.swapped_updown(i, k)
-        if cand.as_tuple() < best.as_tuple():
-            best = cand
-    return best
+    return min((labels, *(labels.swapped_updown(i, k)
+                          for i, k in ((0, 1), (0, 2), (1, 2)))),
+               key=SixJLabels.as_tuple)
 
 
 def uniform_6j(labels):
     """The uniform approximation, valid in all regions and on caustics."""
     require_valid(labels)
     labels = _canonical_updown(labels)
-    b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    umap = map_quantum(labels, b)
-    J = lengths(labels)
-    region = tetra.classify(J, b)
+    b, J, region = tetra.classify_labels(labels)
+    umap = _map(labels, b)
     beta, rep = _solve_for_lengths(J, umap, region)
     umap = replace(umap, beta=beta, solver=rep)
     if region.is_forbidden:

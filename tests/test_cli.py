@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sixj import HalfInt, SixJLabels, bounds, cli, sphere, tetra
-from sixj import exact_sixj
+from sixj import exact_sixj, validate
 
 SQUARE_FLAGS = ["--j1", "9/2", "--j2", "3", "--j3", "11/2", "--j4", "6"]
 
@@ -105,6 +105,20 @@ class TestExitCodes:
             "--j3", "1", "--j4", "1", "--j23", "0",
             "--methods", "exact,airy"])
         assert rc == 2 and "airy" in err
+
+    @pytest.mark.parametrize("j12, j23", [
+        ("1", "17/2"),      # odd perimeter: a flat face 012 at J12 = 1
+        ("1/2", "17/2"),    # |j1 - j2| > j12: J12 left of the square
+        ("9/2", "18")])     # odd perimeter: J23 above the square
+    def test_invalid_symbol_reported_before_geometry(self, capsys, j12, j23):
+        # the violated triangle, as exact_sixj, pr_value and uniform_6j
+        # report it, not the geometry of a point that is no symbol
+        labels = SixJLabels.of("9/2", 3, j12, "11/2", 6, j23)
+        rc, out, err = run(capsys, [
+            "eval", "--j1", "9/2", "--j2", "3", "--j12", j12,
+            "--j3", "11/2", "--j4", "6", "--j23", j23])
+        assert rc == 2 and out == ""
+        assert err == f"sixj: error: {validate(labels)}\n"
 
     def test_sweep_flag_conflict(self, capsys):
         rc, _, err = run(capsys, SQUARE_FLAGS[:0] + [
@@ -237,6 +251,47 @@ each_quad = pytest.mark.parametrize(
     "js", [tuple(HalfInt.of(j) for j in q) for q in FIGURE_QUADS.values()],
     ids=list(FIGURE_QUADS))
 each_grid = pytest.mark.parametrize("grid", [12, 41])
+
+
+class TestFigureCsv:
+    """The CSV of a figure holds the header and one row per item of the
+    JSON payload, every number written by cli._fmt."""
+
+    @staticmethod
+    def rows_of(kind, payload):
+        f = cli._fmt
+        if kind == "spots":
+            return ([["point", f(p["J12"]), f(p["J23"]), p["region"],
+                      f(p["margin"])] for p in payload["points"]]
+                    + [["caustic", f(x), f(y), "", ""]
+                       for x, y in payload["caustic"]]
+                    + [["touch", f(t["J12"]), f(t["J23"]), t["side"],
+                        str(int(t["touch"]))] for t in payload["touches"]])
+        if kind == "beta-contours":
+            return [["beta", f(r["J12"]), f(r["J23"]), f(r["beta"]),
+                     r["region"]] for r in payload["rows"]]
+        return [["orbit", f(lev["level"]), str(piece), f(x), f(y)]
+                for lev in payload["levels"]
+                for piece, poly in enumerate(lev["polylines"])
+                for x, y in poly]
+
+    @pytest.mark.parametrize("kind", ["spots", "beta-contours",
+                                      "j23-orbits"])
+    @pytest.mark.parametrize("quad", list(FIGURE_QUADS.values()),
+                             ids=list(FIGURE_QUADS))
+    def test_rows_follow_json_payload(self, capsys, kind, quad):
+        argv = ["figure", "--kind", kind, "--grid", "12"]
+        for flag, j in zip(("--j1", "--j2", "--j3", "--j4"), quad):
+            argv += [flag, str(j)]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        want = self.rows_of(kind, json.loads(out))
+        assert want
+        rc, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "block,a,b,c,d"
+        assert [line.split(",") for line in lines[1:]] == want
 
 
 class TestWholeGridFigures:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
-from sixj import (HalfInt, SixJLabels, ValidationError, bounds, cli, dasym,
-                  exact_sixj, lengths, prasym, tetra, uniform)
+import sixj
+from sixj import (HalfInt, SixJLabels, ValidationError, bounds, cli, core,
+                  dasym, exact_sixj, lengths, prasym, sphere, tetra, uniform)
 from sixj.cli import _random_labels
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
@@ -211,6 +212,26 @@ class TestGeometryRecord:
         res = uniform.uniform_6j(labels)
         assert not res.near_caustic
         assert len(calls) == 2
+
+    def test_one_label_check_per_call(self, monkeypatch):
+        # each method checks its labels once; the map, the solve and the
+        # lattice point take them as checked
+        labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "13/2")
+        calls = []
+        require_valid = core.require_valid
+
+        def counted(labels):
+            calls.append(labels)
+            return require_valid(labels)
+
+        for mod in (sixj, core, tetra, prasym, dasym, uniform, sphere, cli):
+            for attr, val in list(vars(mod).items()):
+                if val is require_valid:
+                    monkeypatch.setattr(mod, attr, counted)
+        uniform.uniform_6j(labels)
+        assert calls == [labels]
+        prasym.pr_value(labels)
+        assert calls == [labels, labels]
 
     def test_beta_field_at_tangency_point_raises_validation_error(self):
         # the face (J1, J2, J12) is flat at J12 = J1 - J2: no angles
