@@ -20,7 +20,6 @@ import random
 import sys
 from itertools import chain
 
-import mpmath
 import numpy as np
 
 from . import prasym, sphere, tetra, uniform
@@ -202,6 +201,8 @@ def eval_record(labels, methods, digits=17):
     }
     exact_v = None
     if "exact" in methods:
+        import mpmath   # only the digits of eval need it
+
         ev = exact_sixj(labels)
         exact_v = float(ev)
         # R and P are exact: print no digit the evaluation did not hold

@@ -5,8 +5,10 @@ Quantum numbers are stored as twice their value so triangle and parity
 checks stay in integer arithmetic; the HalfInt of each |2j| <= 4096 is
 one shared instance.  The 6j symbol is the Racah single sum, summed
 exactly by a Horner recurrence over the integer ratios of consecutive
-terms, with the square-root prefactor applied once at emission time (50
-significant digits).
+terms.  The double of the symbol is rounded once from the integers of
+that sum and of its square-root prefactor, with no Fraction and no
+mpmath; the reduced rationals and the 50-digit mpf are built only when
+read.
 
 The Wigner d-matrix element comes two ways.  wigner_d, the one the
 uniform approximation calls, runs the three-term recurrence in m in
@@ -19,17 +21,18 @@ about a unit in the last place.  Both share one entry check.
 mpmath work runs on one shared context per precision (see _mp).  The
 contexts are set up once and never changed afterwards, and the code
 calls on them only operations that read their precision, never set it.
+mpmath is imported by the first _mp call, so a process that reads only
+doubles never loads it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-
-import mpmath
+from math import comb, factorial, isqrt
 
 MP_DPS = 50            # emission precision for exact 6j values
 _TINY_SIN_BETA = 2.0 ** -900  # below it wigner_d takes first order in beta
@@ -72,6 +75,7 @@ def _mp(dps):
     Arithmetic, mpf, sqrt, cos, sin and log10 only read ctx.prec, so a
     shared context is safe to use from several threads at once.
     """
+    import mpmath
     ctx = mpmath.mp.clone()
     ctx.dps = dps
     return ctx
@@ -380,29 +384,113 @@ def lengths(labels):
                   labels.j12, labels.j23))
 
 
-@dataclass(frozen=True)
+_ROOT_CUT = 160     # bits of |num|, den and 1/P the double is computed from
+_ROOT_BITS = 72     # bits of the integer square root it is rounded from
+_kept_lock = threading.Lock()
+
+
 class ExactValue:
     """Exact 6j value R*sqrt(P) with R, P rational.
 
-    ``value`` is an mpf of the shared MP_DPS context (see _mp); callers
-    must not change that context, e.g. through ``value.context.dps``.
+    Holds the integers of the Racah sum, R = num/den unreduced and
+    P = 1/inv with inv the product of the four triangle integers, and the
+    double nearest R*sqrt(P), rounded once from them (_root_double),
+    which float() returns.  ``rational`` (R) and ``radicand`` (P) as
+    reduced Fractions, and ``value``, an mpf of the shared MP_DPS context
+    (see _mp), are built on first read and kept: a second read returns
+    the same object.  Callers must not change that context, e.g. through
+    ``value.context.dps``.  == and hash compare R and P.
     """
 
-    rational: Fraction   # R, the Racah k-sum
-    radicand: Fraction   # P, product of the four triangle coefficients
-    value: object        # mpmath.mpf at MP_DPS significant digits
+    __slots__ = ("_num", "_den", "_inv", "_double",
+                 "_rational", "_radicand", "_value")
+
+    def __init__(self, num, den, inv):
+        self._num, self._den, self._inv = num, den, inv
+        self._double = _root_double(num, den, inv)
+        self._rational = self._radicand = self._value = None
+
+    def _kept(self, slot, build):
+        """The field in `slot`, set to build() on its first read."""
+        x = getattr(self, slot)
+        if x is None:
+            with _kept_lock:
+                x = getattr(self, slot)
+                if x is None:
+                    x = build()
+                    setattr(self, slot, x)
+        return x
+
+    @property
+    def rational(self):
+        return self._kept("_rational", lambda: Fraction(self._num, self._den))
+
+    @property
+    def radicand(self):
+        return self._kept("_radicand", lambda: Fraction(1, self._inv))
+
+    @property
+    def value(self):
+        """R*sqrt(P) as an mpmath.mpf at MP_DPS significant digits."""
+        r, p = self.rational, self.radicand
+        return self._kept("_value", lambda: _root_form(r, p, MP_DPS))
 
     @property
     def sign(self):
-        r = self.rational
-        return (r > 0) - (r < 0)
+        return (self._num > 0) - (self._num < 0)
 
     def key(self):
         """Hashable exact representation: (sign, R^2 * P)."""
         return (self.sign, self.rational * self.rational * self.radicand)
 
+    def __eq__(self, other):
+        if not isinstance(other, ExactValue):
+            return NotImplemented
+        return (self.rational == other.rational
+                and self.radicand == other.radicand)
+
+    def __hash__(self):
+        return hash((self.rational, self.radicand))
+
     def __float__(self):
-        return float(self.value)
+        return self._double
+
+    def __repr__(self):
+        return (f"ExactValue(rational={self.rational!r}, "
+                f"radicand={self.radicand!r})")
+
+
+def _root_double(num, den, inv):
+    """The double nearest num / (den * sqrt(inv)), rounded once, for
+    integers den, inv > 0 and a quotient of magnitude at most 1.
+
+    |num|, den and inv are cut to their top _ROOT_CUT bits, which moves
+    the quotient by less than 2**-157 of itself.  y is the floor of
+    num^2 / (den^2 inv) * 2**-2E, with E chosen so that s = isqrt(y) has
+    about _ROOT_BITS bits; then |quotient| * 2**-E lies in [s, s + 1),
+    on s exactly when the division left no remainder and y is a square.
+    (2s + 1) / 2**(1 - E) stands for an inexact quotient: it rounds the
+    same way, since a double keeps at most 53 of the bits of s, so each
+    of its rounding boundaries is a multiple of 2**E.  The int division
+    rounds once, to a subnormal or to zero as well.
+    """
+    if not num:
+        return 0.0
+    a = abs(num)
+    ca = max(0, a.bit_length() - _ROOT_CUT)
+    cd = max(0, den.bit_length() - _ROOT_CUT)
+    ci = max(0, inv.bit_length() - _ROOT_CUT)
+    n, d = (a >> ca) ** 2, (den >> cd) ** 2 * (inv >> ci)
+    e2 = 2 * ca - 2 * cd - ci        # quotient^2 = n / d * 2**e2
+    t = 2 * _ROOT_BITS - n.bit_length() + d.bit_length()
+    t += (e2 - t) % 2
+    if t >= 0:
+        y, rem = divmod(n << t, d)
+    else:
+        y, rem = divmod(n, d << -t)
+    s = isqrt(y)
+    x = (2 * s + (rem != 0 or s * s != y)) / (1 << (1 - (e2 - t) // 2))
+    return x if num > 0 else -x
 
 
 def _inverse_delta_sq(ta, tb, tc):
@@ -425,8 +513,8 @@ def exact_sixj(labels):
     The sum over k of (-1)^k (k+1)! / (prod (k-s_i)! prod (q_j-k)!) is
     t_kmin times a Horner sum over the ratios t_{k+1}/t_k =
     -(k+2)(q1-k)(q2-k)(q3-k) / prod (k+1-s_i), evaluated from the top in
-    integers; one Fraction is built at the end.  The radicand P is 1 over
-    an integer, so it needs no gcd.
+    integers.  The radicand P is 1 over an integer.  The ExactValue
+    keeps the three integers and rounds its double from them.
     """
     require_valid(labels)
     ta, tb, tc = labels.j1.twice, labels.j2.twice, labels.j12.twice
@@ -449,13 +537,10 @@ def exact_sixj(labels):
               q1 - kmin, q2 - kmin, q3 - kmin):
         den *= factorial(x)
     num *= phase(kmin) * factorial(kmin + 1)
-    total = Fraction(num, den)
-    radicand = Fraction(1, _inverse_delta_sq(ta, tb, tc)
-                        * _inverse_delta_sq(ta, te, tf)
-                        * _inverse_delta_sq(td, tb, tf)
-                        * _inverse_delta_sq(td, te, tc))
-    return ExactValue(rational=total, radicand=radicand,
-                      value=_root_form(total, radicand, MP_DPS))
+    return ExactValue(num, den, _inverse_delta_sq(ta, tb, tc)
+                      * _inverse_delta_sq(ta, te, tf)
+                      * _inverse_delta_sq(td, tb, tf)
+                      * _inverse_delta_sq(td, te, tc))
 
 
 def _wigner_d_mp(tj, tm, tmp, beta, dps0):

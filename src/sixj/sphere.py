@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tetra
-from .core import ValidationError, WrongRegionError, bounds
+from .core import ValidationError, WrongRegionError, bounds, require_valid
 
 _EDGE_TOL = 1e-9
 
@@ -361,6 +361,7 @@ def lune_area_6j(labels, n=10001):
     """Area of the lune {J12 >= j12 + 1/2} and {J23 <= j23 + 1/2}; equals
     twice the matched Ponzano-Regge phase Phi_PR - Phi0 in the allowed
     region."""
+    require_valid(labels)
     _, J, region = tetra.classify_labels(labels)
     if not region.is_allowed:
         raise WrongRegionError(

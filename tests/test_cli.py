@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import sixj
 from sixj import HalfInt, SixJLabels, bounds, cli, sphere, tetra
 from sixj import exact_sixj, validate
 
@@ -512,6 +517,49 @@ class TestUnderflowReference:
         assert rc == 0 and err == ""
         cells = ",".join(tiny[n] for n in cli.LABEL_FLAGS)
         assert f"row,{cells},C,," in out.splitlines()
+
+
+class TestMpmathOnDemand:
+    """Doubles, sweeps and figures run without mpmath; the mpf of an
+    exact value, eval's digits and exact_wigner_d import it when used."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from sixj import SixJLabels, cli, exact_sixj, exact_wigner_d, prasym, uniform
+
+labels = SixJLabels.of("39/2", 23, "41/2", "17/2", 20, "47/2")
+flags = ["--j1", "39/2", "--j2", "23", "--j3", "17/2", "--j4", "20"]
+ev = exact_sixj(labels)
+prasym.pr_value(labels)
+uniform.uniform_6j(labels)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["sweep", *flags, "--j23", "47/2"])
+    cli.main(["figure", "--kind", "spots", *flags, "--grid", "12"])
+loaded = ["mpmath" in sys.modules]
+value = str(ev.value)
+loaded.append("mpmath" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    cli.main(["eval", *flags, "--j12", "41/2", "--j23", "47/2",
+              "--digits", "60"])
+digits = json.loads(out.getvalue())["exact"]["digits"]
+d = exact_wigner_d(20, 5, 3, 1.1)
+print(json.dumps([loaded, float(ev).hex(), value, digits, d.hex()]))
+"""
+
+    def test_loaded_only_when_read(self):
+        src = str(Path(sixj.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded, double, value, digits, d = json.loads(proc.stdout)
+        assert loaded == [False, True]
+        assert double == "-0x1.b36c2d87b1e67p-8"
+        assert value == ("-0.006644021144616019783726446025317205351410731"
+                         "5013961")
+        assert digits == ("-0.006644021144616019783726446025317205351410731"
+                          "50139613898178555")
+        assert d == "0x1.3920ad65e3606p-3"
 
 
 class TestFlatSideOrbits:

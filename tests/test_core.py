@@ -199,6 +199,10 @@ class TestExactSixJ:
         v2 = exact_sixj(SixJLabels.of(2, 2, 2, 2, 2, 2))
         assert v1.key() == v2.key()
         assert v1.sign in (-1, 0, 1)
+        assert v1 == v2 and hash(v1) == hash(v2)
+        # built on the first read, the same object on the second
+        for name in ("rational", "radicand", "value"):
+            assert getattr(v1, name) is getattr(v1, name)
 
     def test_unitarity_small(self):
         b = bounds(1, 1, 1, 1)
@@ -306,6 +310,17 @@ class TestExactWignerD:
             exact_wigner_d(HalfInt(4), HalfInt(1), HalfInt(0), 1.0)
 
 
+def _single_term_symbol(rng, tmax):
+    """A valid symbol with j12 = j1 + j2, which stretches a triangle:
+    its Racah sum has k_min = k_max."""
+    t1, t2, t3 = (rng.randint(0, tmax) for _ in range(3))
+    t4 = t1 + t2 + t3 - 2 * rng.randint(0, min(t1 + t2, t3))
+    b = bounds(HalfInt(t1), HalfInt(t2), HalfInt(t3), HalfInt(t4))
+    t23 = rng.randrange(b.j23_min.twice, b.j23_max.twice + 1, 2)
+    return SixJLabels(HalfInt(t1), HalfInt(t2), HalfInt(t1 + t2),
+                      HalfInt(t3), HalfInt(t4), HalfInt(t23))
+
+
 def _random_symbol(rng, tmax):
     """A valid symbol with twice-values of j1..j4 in [0, tmax]."""
     while True:
@@ -344,13 +359,7 @@ class TestRacahRecurrence:
     def test_single_term_sums(self):
         rng = random.Random(43)
         for _ in range(30):
-            # j12 = j1 + j2 stretches a triangle: k_min = k_max
-            t1, t2, t3 = (rng.randint(0, 200) for _ in range(3))
-            t4 = t1 + t2 + t3 - 2 * rng.randint(0, min(t1 + t2, t3))
-            b = bounds(HalfInt(t1), HalfInt(t2), HalfInt(t3), HalfInt(t4))
-            t23 = rng.randrange(b.j23_min.twice, b.j23_max.twice + 1, 2)
-            labels = SixJLabels(HalfInt(t1), HalfInt(t2), HalfInt(t1 + t2),
-                                HalfInt(t3), HalfInt(t4), HalfInt(t23))
+            labels = _single_term_symbol(rng, 200)
             kmin, kmax, _, _ = oracles.racah_k_range(labels)
             assert kmin == kmax
             self.assert_exact(labels)
@@ -366,6 +375,76 @@ class TestRacahRecurrence:
             v = exact_sixj(labels)
             assert v.rational == 0 and v.sign == 0 and v.value == 0
             self.assert_exact(labels)
+
+
+# Symbols whose values are subnormal doubles, as twice-values, from a
+# seeded scan of the forbidden ends of j12 sweeps with j1..j4 in
+# [300, 500].  On the second two, float() of the mpf rounds twice and
+# lands one subnormal step away from the nearest double.
+SUBNORMALS = ((724, 954, 1604, 648, 958, 1500),    # the least, 5e-324
+              (721, 785, 1388, 634, 754, 1379),
+              (724, 954, 1590, 648, 958, 1500))
+SUBNORMALS_MPF_TWICE = ((948, 931, 1769, 805, 980, 1598),
+                        (683, 642, 1325, 796, 721, 1380))
+
+
+class TestExactDouble:
+    """float(ExactValue) is the double nearest R*sqrt(P), rounded once
+    from the integers of the sum."""
+
+    @staticmethod
+    def once(v):
+        """The double nearest an mpf, rounded once."""
+        man, exp = v.man_exp     # |mantissa|
+        x = Fraction(man) * Fraction(2) ** exp
+        return float(-x if v < 0 else x)
+
+    def test_equals_mpf_bit_for_bit(self):
+        rng = random.Random(67)
+        corpus = [SixJLabels.of(*js) for js in EXACT_ZEROS]
+        corpus += [_single_term_symbol(rng, 600) for _ in range(10)]
+        corpus += [_random_symbol(rng, tmax) for tmax in (40, 400, 1000)
+                   for _ in range(10)]
+        corpus += [SixJLabels(*map(HalfInt, t)) for t in SUBNORMALS]
+        for labels in corpus:
+            v = exact_sixj(labels)
+            got = float(v)
+            assert got.hex() == float(v.value).hex(), labels
+            assert got.hex() == self.once(v.value).hex(), labels
+        # 9.07e-329, below the least subnormal
+        tiny = exact_sixj(SixJLabels.of("650", "557", "1143", "827/2",
+                                        "1519/2", "1901/2"))
+        assert tiny.sign == 1 and float(tiny).hex() == (0.0).hex()
+
+    def test_subnormal_rounded_once(self):
+        # float(mpf) rounds to 53 bits and then to the subnormal's
+        # precision; the double of the sum is the nearest one
+        for t in SUBNORMALS_MPF_TWICE:
+            v = exact_sixj(SixJLabels(*map(HalfInt, t)))
+            got = float(v)
+            assert 0.0 < abs(got) < sys.float_info.min
+            assert got.hex() == self.once(v.value).hex(), t
+            assert abs(float(v.value) - got) == 5e-324, t
+
+    def test_ties_round_to_even_once(self):
+        root = core._root_double
+        # 1 + 2**-53 is halfway between 1 and the next double up
+        assert root(2 ** 53 + 1, 2 ** 53, 1) == 1.0
+        assert root(2 ** 53 + 3, 2 ** 53, 1) == 1.0 + 2.0 ** -51
+        assert root(2 ** 54 + 2, 2 ** 53, 4) == 1.0
+        # half the least subnormal, exactly and just above
+        assert root(1, 2 ** 1075, 1) == 0.0
+        assert root(-3, 2 ** 1076, 1) == -5e-324
+        assert root(2 ** 60 + 2, 2 ** 1135, 1) == 5e-324
+        assert math.ldexp(float(2 ** 60 + 2), -1135) == 0.0
+        # above a half by less than the last bit of the root
+        assert root(2 ** 153 + 2 ** 100 + 1, 2 ** 153, 1) == 1.0 + 2.0 ** -52
+        assert root(2 ** 100 + 1, 2 ** 1175, 1) == 5e-324
+        assert root(1, 1, 2) == math.sqrt(0.5)
+        # integers cut to their top bits
+        big = 3 ** 500
+        assert root(big, 3 * big, 1) == 1 / 3
+        assert root(-big, big, 9 ** 300) == -float(Fraction(1, 3 ** 300))
 
 
 def _symmetry_group():
@@ -425,13 +504,15 @@ class TestSixJSymmetries:
         corpus.append(SixJLabels.of(*EXACT_ZEROS[0]))
         for labels in corpus:
             t = [x.twice for x in labels.as_tuple()]
-            key = exact_sixj(labels).key()
+            value = exact_sixj(labels)
+            key = value.key()
             for g in group:
                 image = [sum(g[i][k] * t[k] for k in range(6))
                          for i in range(6)]
                 assert all(x.denominator == 1 for x in image)
                 moved = SixJLabels(*(HalfInt(int(x)) for x in image))
                 assert exact_sixj(moved).key() == key, (labels, moved)
+                assert exact_sixj(moved) == value, (labels, moved)
 
 
 class TestWignerDRecurrence:

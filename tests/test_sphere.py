@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sixj import (SixJLabels, ValidationError, WrongRegionError, bounds,
-                  lengths, prasym, sphere, tetra, uniform)
+                  lengths, prasym, sphere, tetra, uniform, validate)
 
 B = bounds("9/2", 3, "11/2", 6)
 FOUR = (5.0, 3.5, 6.0, 6.5)
@@ -125,6 +125,14 @@ class TestOrbits:
         labels = SixJLabels.of("9/2", 3, "3/2", "11/2", 6, "5/2")
         with pytest.raises(WrongRegionError):
             sphere.lune_area_6j(labels)
+
+    @pytest.mark.parametrize("j12", ["1", "1/2"])
+    def test_lune_reports_violated_triangle(self, j12):
+        # a point that is no symbol gets its triangle, not its geometry
+        labels = SixJLabels.of("9/2", 3, j12, "11/2", 6, "17/2")
+        with pytest.raises(ValidationError) as e:
+            sphere.lune_area_6j(labels)
+        assert str(e.value) == validate(labels)
 
 
 class TestContours:
