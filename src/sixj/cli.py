@@ -401,14 +401,14 @@ def _det_g(four, J12, J23):
     return det if det.ndim else float(det)
 
 
-def _caustic_curve(four, b, grid):
+def _caustic_curve(b, grid):
     """Roots of det G on every grid line of the square: the lines at
     fixed J23 first, then those at fixed J12, each in scan order.
 
     Each line is scanned at grid samples, a block of lines per call.  A
     sample where det G is exactly zero is a root; every sign change
-    between two nonzero samples is bisected 80 times, all brackets in
-    lockstep.
+    between two nonzero samples is bisected, all brackets in lockstep,
+    80 times or until a step changes none of them.
     """
     xs, ys = _square_grid(b, grid)
     samples = np.array([_scan(b.J12_min, b.J12_max, grid),
@@ -419,7 +419,7 @@ def _caustic_curve(four, b, grid):
     for d in (0, 1):
         for first in range(0, grid, block):
             c, s = lines[d, first:first + block, None], samples[d]
-            v = _det_g(four, *((s, c) if d == 0 else (c, s)))
+            v = _det_g(b.four, *((s, c) if d == 0 else (c, s)))
             v0, v1 = v[:, :-1], v[:, 1:]
             zero = v0 == 0.0
             change = (v0 != 0.0) & (v1 != 0.0) & ((v0 < 0.0) != (v1 < 0.0))
@@ -436,24 +436,27 @@ def _caustic_curve(four, b, grid):
     # an exact zero starts done, with both ends of its bracket on it
     a = samples[d, k]
     bb = np.where(done, a, samples[d, k + 1])
+    state = (a, bb, fa, done)
     for _ in range(80):
         mid = 0.5 * (a + bb)
-        fm = _det_g(four, *point(mid))
-        done |= fm == 0.0
+        fm = _det_g(b.four, *point(mid))
+        done = done | (fm == 0.0)
         low = ~done & ((fm < 0.0) == (fa < 0.0))
-        a = np.where(low | done, mid, a)
-        fa = np.where(low, fm, fa)
-        bb = np.where(low, bb, mid)
+        a, bb, fa = (np.where(low | done, mid, a), np.where(low, bb, mid),
+                     np.where(low, fm, fa))
+        if all(map(np.array_equal, state, (a, bb, fa, done))):
+            break   # a fixed point: every later step would repeat this one
+        state = (a, bb, fa, done)
     return np.column_stack(point(0.5 * (a + bb))).tolist()
 
 
-def _side_touch(four, b, side):
+def _side_touch(b, side):
     """Maximum of det G along one square side, refined by ternary
     search; the caustic touches the side where this maximum vanishes."""
     c, on_j12 = getattr(b, side), side.startswith("J12")
     lo, hi = (b.J23_min, b.J23_max) if on_j12 else (b.J12_min, b.J12_max)
     point = lambda s: (c, s) if on_j12 else (s, c)
-    f = lambda s: _det_g(four, *point(s))
+    f = lambda s: _det_g(b.four, *point(s))
     scan = _scan(lo, hi, _TOUCH_SCAN)
     best_i = int(np.argmax(f(scan)))
     a = float(scan[max(best_i - 1, 0)])
@@ -470,16 +473,16 @@ def _side_touch(four, b, side):
     J12, J23 = point(s)
     return {"side": side, "J12": J12, "J23": J23, "det_g": g,
             "touch": abs(g) <= _TOUCH_TOL * tetra._caustic_scale(
-                four + (J12, J23))}
+                b.four + (J12, J23))}
 
 
 def figure_spots(js, grid):
     b = bounds(*js)
     t12s = range(b.j12_min.twice, b.j12_max.twice + 1, 2)
     t23s = range(b.j23_min.twice, b.j23_max.twice + 1, 2)
-    kinds = iter(tetra.classify_grid(b.four, [t / 2.0 + 0.5 for t in t12s],
-                                     [t / 2.0 + 0.5 for t in t23s],
-                                     b).kind.tolist())
+    kinds = iter(tetra.classify_grid([t / 2.0 + 0.5 for t in t12s],
+                                     [t / 2.0 + 0.5 for t in t23s], b)
+                 .kind.tolist())
     points = []
     for t12 in t12s:
         for t23 in t23s:
@@ -489,13 +492,13 @@ def figure_spots(js, grid):
             points.append({"j12": str(HalfInt(t12)), "j23": str(HalfInt(t23)),
                            "J12": J12, "J23": J23,
                            "region": next(kinds), "margin": margin})
-    touches = [_side_touch(b.four, b, side)
+    touches = [_side_touch(b, side)
                for side in ("J12_min", "J12_max", "J23_min", "J23_max")]
     return {
         "square": _square(b),
         "D": b.D,
         "points": points,
-        "caustic": _caustic_curve(b.four, b, grid),
+        "caustic": _caustic_curve(b, grid),
         "touches": touches,
     }
 

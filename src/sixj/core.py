@@ -5,10 +5,13 @@ Quantum numbers are stored as twice their value so triangle and parity
 checks stay in integer arithmetic; the HalfInt of each |2j| <= 4096 is
 one shared instance.  The 6j symbol is the Racah single sum, summed
 exactly by a Horner recurrence over the integer ratios of consecutive
-terms.  The double of the symbol is rounded once from the integers of
-that sum and of its square-root prefactor, with no Fraction and no
-mpmath; the reduced rationals and the 50-digit mpf are built only when
-read.
+terms, times a leading term that is an integer multinomial, with no
+factorial taken.  The triangle integers of its square-root prefactor
+are kept for the last few pairs of triangles that share an edge; a j12
+or a j23 row holds one such pair fixed.  The double of the symbol is
+rounded once from the integers of that sum and of its prefactor, with
+no Fraction and no mpmath; the reduced rationals and the 50-digit mpf
+are built only when read.
 
 The Wigner d-matrix element comes two ways.  wigner_d, the one the
 uniform approximation calls, runs the three-term recurrence in m in
@@ -493,11 +496,36 @@ def _root_double(num, den, inv):
     return x if num > 0 else -x
 
 
-def _inverse_delta_sq(ta, tb, tc):
-    """1/Delta^2(a,b,c) = (a+b+c+1)!/((a+b-c)!(a-b+c)!(-a+b+c)!), an
-    integer: (n+1) times a multinomial coefficient, n = a+b+c."""
+# A j12 row keeps the triangles (j1 j4 j23) and (j2 j3 j23) fixed, a j23
+# row (j1 j2 j12) and (j3 j4 j12).  exact_sixj takes its four triangle
+# integers as two pairs and the last few pairs are kept, so a symbol
+# after the first of a row builds two of the four.  8 holds the fixed
+# pairs of two rows evaluated in turn.
+_PAIRS_KEPT = 8
+
+
+@functools.lru_cache(maxsize=_PAIRS_KEPT)
+def _inverse_delta_sq_pair(ta, tb, td, te, tc):
+    """1/(Delta^2(a,b,c) Delta^2(d,e,c)) for two triangles on the edge c.
+
+    1/Delta^2(a,b,c) = (a+b+c+1)!/((a+b-c)!(a-b+c)!(-a+b+c)!) is an
+    integer: (n+1) times a multinomial coefficient, n = a+b+c.
+    """
     x, y, n = (ta + tb - tc) // 2, (ta - tb + tc) // 2, (ta + tb + tc) // 2
-    return (n + 1) * comb(n, x) * comb(n - x, y)
+    u, v, m = (td + te - tc) // 2, (td - te + tc) // 2, (td + te + tc) // 2
+    return ((n + 1) * comb(n, x) * comb(n - x, y)
+            * (m + 1) * comb(m, u) * comb(m - u, v))
+
+
+def _multinomial(parts):
+    """(sum of parts)! / prod part!, as a product of binomials.  Taking
+    the parts largest first keeps the lower index of each binomial
+    small."""
+    out, n = 1, 0
+    for p in sorted(parts, reverse=True):
+        n += p
+        out *= comb(n, p)
+    return out
 
 
 def _root_form(rational, radicand, dps):
@@ -513,8 +541,14 @@ def exact_sixj(labels):
     The sum over k of (-1)^k (k+1)! / (prod (k-s_i)! prod (q_j-k)!) is
     t_kmin times a Horner sum over the ratios t_{k+1}/t_k =
     -(k+2)(q1-k)(q2-k)(q3-k) / prod (k+1-s_i), evaluated from the top in
-    integers.  The radicand P is 1 over an integer.  The ExactValue
-    keeps the three integers and rounds its double from them.
+    integers.  The seven factorial arguments of t_kmin sum to kmin (the
+    q_j and the s_i both add up to the sum of the six labels), so
+    |t_kmin| is the integer (kmin+1) times a multinomial coefficient; it
+    goes into the numerator, and the denominator is the product of the
+    Horner steps alone.  The radicand P is 1 over the product of the
+    four triangle integers, taken as two pairs from
+    _inverse_delta_sq_pair.  The ExactValue keeps the three integers and
+    rounds its double from them.
     """
     require_valid(labels)
     ta, tb, tc = labels.j1.twice, labels.j2.twice, labels.j12.twice
@@ -533,14 +567,11 @@ def exact_sixj(labels):
         down = (k + 1 - s1) * (k + 1 - s2) * (k + 1 - s3) * (k + 1 - s4)
         num = den * down - num * up
         den *= down
-    for x in (kmin - s1, kmin - s2, kmin - s3, kmin - s4,
-              q1 - kmin, q2 - kmin, q3 - kmin):
-        den *= factorial(x)
-    num *= phase(kmin) * factorial(kmin + 1)
-    return ExactValue(num, den, _inverse_delta_sq(ta, tb, tc)
-                      * _inverse_delta_sq(ta, te, tf)
-                      * _inverse_delta_sq(td, tb, tf)
-                      * _inverse_delta_sq(td, te, tc))
+    num *= phase(kmin) * (kmin + 1) * _multinomial(
+        (kmin - s1, kmin - s2, kmin - s3, kmin - s4,
+         q1 - kmin, q2 - kmin, q3 - kmin))
+    return ExactValue(num, den, _inverse_delta_sq_pair(ta, tb, td, te, tc)
+                      * _inverse_delta_sq_pair(ta, te, td, tb, tf))
 
 
 def _wigner_d_mp(tj, tm, tmp, beta, dps0):

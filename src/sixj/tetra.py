@@ -392,9 +392,10 @@ def _first_point(bad12, bad23):
     return None
 
 
-def classify_grid(four, J12, J23, bnds):
-    """classify() on the grid J12 x J23 at fixed (J1, J2, J3, J4) = four,
-    as one GridClass; J12 and J23 are the axes.
+def classify_grid(J12, J23, bnds):
+    """classify() on the grid J12 x J23 at the fixed lengths
+    (J1, J2, J3, J4) = bnds.four, as one GridClass; J12 and J23 are the
+    axes.
 
     Every decision is the one classify makes at the point, and det G,
     the Table-1 column and the angles are its values bit for bit.  A
@@ -402,7 +403,7 @@ def classify_grid(four, J12, J23, bnds):
     caustic, or a point outside the square of bnds (core.Bounds),
     raises ValidationError.
     """
-    J1, J2, J3, J4 = (float(x) for x in four)
+    J1, J2, J3, J4 = (float(x) for x in bnds.four)
     J12 = [float(x) for x in J12]
     J23 = [float(x) for x in J23]
     first = _first_point([not bnds.J12_min <= x <= bnds.J12_max for x in J12],

@@ -241,7 +241,7 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     b = bounds(*js)
     J12 = [float(x) for x in J12]
     J23 = [float(x) for x in J23]
-    g = tetra.classify_grid(b.four, J12, J23, b)
+    g = tetra.classify_grid(J12, J23, b)
     n12, n = len(J12), len(J23)
     tangent = np.isnan(g.cos_psi[0])
     if tangent.any():

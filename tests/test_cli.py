@@ -343,7 +343,7 @@ class TestWholeGridFigures:
         xs, ys = cli._square_grid(b, grid)
         assert [c, ys[0]] in want and [m, ys[0]] in want
         assert [xs[0], d] in want
-        assert cli._caustic_curve(_four(js), b, grid) == want
+        assert cli._caustic_curve(b, grid) == want
 
     @each_grid
     @each_quad
@@ -376,7 +376,7 @@ class TestWholeGridFigures:
     @each_quad
     def test_side_touch_refines_first_scan_maximum(self, js, side):
         b, four = bounds(*js), _four(js)
-        t = cli._side_touch(four, b, side)
+        t = cli._side_touch(b, side)
         on_j12 = side.startswith("J12")
         lo, hi = ((b.J23_min, b.J23_max) if on_j12
                   else (b.J12_min, b.J12_max))
@@ -395,7 +395,7 @@ class TestWholeGridFigures:
         # the last two squares have flat sides
         js = tuple(HalfInt.of(j) for j in js)
         b, four = bounds(*js), _four(js)
-        assert (cli._side_touch(four, b, side)
+        assert (cli._side_touch(b, side)
                 == oracles.side_touch_200(four, b, side))
 
 

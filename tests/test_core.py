@@ -335,6 +335,22 @@ def _random_symbol(rng, tmax):
                           HalfInt(t[2]), HalfInt(t[3]), HalfInt(t23))
 
 
+def _rows(t1, t2, t3, t4, t12, t23):
+    """The j12 row through (j12, j23) and its j23 row, from twice-values."""
+    b = bounds(*map(HalfInt, (t1, t2, t3, t4)))
+    at = lambda a, c: SixJLabels(*map(HalfInt, (t1, t2, a, t3, t4, c)))
+    j12s = range(b.j12_min.twice, b.j12_max.twice + 1, 2)
+    j23s = range(b.j23_min.twice, b.j23_max.twice + 1, 2)
+    return [at(a, t23) for a in j12s], [at(t12, c) for c in j23s]
+
+
+# The criterion-3 family {39/2 23 j12; 17/2 20 47/2} scaled x8 and x16,
+# as twice-values (j1, j2, j3, j4, j12, j23): the sweeps of the
+# benchmark.  x16 is {312 368 j12; 136 320 376}, with D = 273.
+X8 = (312, 368, 136, 320, 320, 376)
+X16 = (624, 736, 272, 640, 640, 752)
+
+
 # Nontrivial zeros: every Racah term is nonzero, the sum cancels exactly.
 EXACT_ZEROS = (("5/2", "5/2", 4, "5/2", "7/2", 2),
                ("3/2", "9/2", 5, "9/2", "5/2", 2),
@@ -375,6 +391,83 @@ class TestRacahRecurrence:
             v = exact_sixj(labels)
             assert v.rational == 0 and v.sign == 0 and v.value == 0
             self.assert_exact(labels)
+
+    def test_x16_row_ends_and_middle(self):
+        row, _ = _rows(*X16)
+        assert len(row) == 273
+        for labels in (row[0], row[136], row[-1]):
+            self.assert_exact(labels)
+
+    def test_zero_multinomial_parts(self):
+        # parts k_min - s_i and q_j - k_min of the leading term, and
+        # parts of the triangle integers, that are 0
+        for js, zeros in (((0, 0, 0, 0, 0, 0), 7),
+                          ((1, 1, 0, 1, 1, 0), 6),
+                          (("5/2", 3, "11/2", "7/2", 3, "1/2"), 4),
+                          ((4, 4, 8, 4, 4, 8), 5)):
+            labels = SixJLabels.of(*js)
+            kmin, _, s, q = oracles.racah_k_range(labels)
+            parts = [kmin - x for x in s] + [x - kmin for x in q]
+            assert parts.count(0) == zeros, labels
+            self.assert_exact(labels)
+        for parts in ((0,) * 7, (0, 4, 0, 9), (7,), (3, 0, 2, 0, 0, 5, 1),
+                      (2, 3, 4), (5, 1, 1, 6, 2, 2, 9)):
+            assert core._multinomial(parts) == (
+                math.factorial(sum(parts))
+                // math.prod(map(math.factorial, parts)))
+
+
+class TestTrianglePairs:
+    """exact_sixj keeps the integers of the last few triangle pairs.  A
+    j12 row keeps (j1 j4 j23) and (j2 j3 j23) fixed, a j23 row (j1 j2
+    j12) and (j3 j4 j12); the values never depend on what was evaluated
+    before."""
+
+    def test_row_symbols_after_the_first_build_one_pair(self):
+        memo = core._inverse_delta_sq_pair
+        assert memo.cache_info().maxsize == core._PAIRS_KEPT
+        x8, x16 = _rows(*X8), _rows(*X16)
+        for row in (x8[0], x8[1], x16[0]):
+            memo.cache_clear()
+            for i, labels in enumerate(row):
+                exact_sixj(labels)
+                # the first symbol builds both pairs (four triangle
+                # integers), every later one the pair it does not share
+                info = memo.cache_info()
+                assert (info.misses, info.hits) == (i + 2, i), labels
+                assert info.currsize <= core._PAIRS_KEPT
+        assert memo.cache_info().currsize == core._PAIRS_KEPT
+        # two j12 rows in turn, one x8 symbol per two x16 symbols, keep
+        # both fixed pairs
+        memo.cache_clear()
+        mixed = []
+        for i, labels in enumerate(x16[0]):
+            if i % 2 == 0:
+                mixed.append(x8[0][i // 2])
+            mixed.append(labels)
+        for labels in mixed:
+            exact_sixj(labels)
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (len(mixed) + 2, len(mixed) - 2)
+
+    def test_values_do_not_depend_on_order(self):
+        memo = core._inverse_delta_sq_pair
+        row, col = _rows(*X8)
+        rng = random.Random(73)
+        pool = [_random_symbol(rng, 120) for _ in range(20)]
+
+        def fresh(labels):
+            memo.cache_clear()
+            return exact_sixj(labels)
+
+        want = {labels: fresh(labels) for labels in row + col + pool}
+        interleaved = [x for i, labels in enumerate(row) for x in
+                       (labels, col[i % len(col)], pool[i % len(pool)])]
+        for order in (row, row[::-1], interleaved):
+            for labels in order:
+                v = exact_sixj(labels)
+                assert v == want[labels], labels
+                assert float(v).hex() == float(want[labels]).hex(), labels
 
 
 # Symbols whose values are subnormal doubles, as twice-values, from a
@@ -587,6 +680,9 @@ class TestSharedContexts:
     def test_threads_match_serial(self):
         rng = random.Random(59)
         symbols = [_random_symbol(rng, 120) for _ in range(16)]
+        # rows share triangle pairs: threads read and fill the same ones
+        for row in _rows(39, 46, 17, 40, 31, 47):
+            symbols += row
         points = []
         for tj in [rng.randint(2, 120) for _ in range(8)] + [
                 rng.randint(121, 300) for _ in range(8)]:

@@ -388,7 +388,7 @@ class TestGridSolve:
     def test_classify_grid_equals_classify(self, js, grid):
         b, four = bounds(*js), _four(js)
         xs, ys = cli._square_grid(b, grid)
-        got = tetra.classify_grid(four, xs, ys, b)
+        got = tetra.classify_grid(xs, ys, b)
         want = [tetra.classify(four + (x, y), b) for x in xs for y in ys]
         assert got.kind.tolist() == [r.kind for r in want]
         assert got.pattern_index.tolist() == [
@@ -403,7 +403,7 @@ class TestGridSolve:
         b, four = bounds(*js), _four(js)
         axis = [t / 2.0 + 0.5 for t in range(b.j12_min.twice,
                                              b.j12_max.twice + 1, 2)]
-        got = tetra.classify_grid(four, axis, axis, b)
+        got = tetra.classify_grid(axis, axis, b)
         want = [tetra.classify(four + (x, y), b) for x in axis for y in axis]
         assert got.kind.tolist() == [r.kind for r in want]
         assert got.det_g.tolist() == [r.det_g for r in want]
@@ -454,7 +454,7 @@ class TestGridSolve:
         b, four = bounds(*DEMO), _four(DEMO)
         r = tetra.classify(four + TANGENCY, b)
         assert r.is_caustic and r.angles is None
-        got = tetra.classify_grid(four, [TANGENCY[0]], [TANGENCY[1]], b)
+        got = tetra.classify_grid([TANGENCY[0]], [TANGENCY[1]], b)
         assert got.kind.tolist() == [tetra.CAUSTIC]
         assert got.pattern_index.tolist() == [-1]
         assert got.det_g.tolist() == [r.det_g]
@@ -521,10 +521,10 @@ class TestGridSolve:
         ([5.0, 6.0], [6.0, 2.0], (5.0, 2.0)),
         ([9.0, 5.0], [5.0, 2.0], (9.0, 5.0))])
     def test_outside_the_square(self, xs, ys, bad):
-        b, four = bounds(*DEMO), _four(DEMO)
+        b = bounds(*DEMO)
         with pytest.raises(ValidationError, match="outside") as scalar:
             uniform.beta_field(*DEMO, *bad)
-        for solve in (lambda: tetra.classify_grid(four, xs, ys, b),
+        for solve in (lambda: tetra.classify_grid(xs, ys, b),
                       lambda: uniform.beta_grid(*DEMO, xs, ys)):
             with pytest.raises(ValidationError) as grid:
                 solve()
