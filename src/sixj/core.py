@@ -3,15 +3,20 @@ double-precision d-matrix.
 
 Quantum numbers are stored as twice their value so triangle and parity
 checks stay in integer arithmetic; the HalfInt of each |2j| <= 4096 is
-one shared instance.  The 6j symbol is the Racah single sum, summed
-exactly by a Horner recurrence over the integer ratios of consecutive
-terms, times a leading term that is an integer multinomial, with no
-factorial taken.  The triangle integers of its square-root prefactor
-are kept for the last few pairs of triangles that share an edge; a j12
-or a j23 row holds one such pair fixed.  The double of the symbol is
-rounded once from the integers of that sum and of its prefactor, with
-no Fraction and no mpmath; the reduced rationals and the 50-digit mpf
-are built only when read.
+one shared instance.  Inside the package a symbol's lattice rules
+(validate, the bounds of its square, the uniform map) run on its six
+twice-values, read once by _twice; HalfInts are built at the public
+entry points and for the records a caller reads.
+
+The 6j symbol is the Racah single sum, summed exactly by a Horner
+recurrence over the integer ratios of consecutive terms, times a
+leading term that is an integer multinomial, with no factorial taken.
+The triangle integers of its square-root prefactor are kept for the
+last few pairs of triangles that share an edge; a j12 or a j23 row
+holds one such pair fixed.  The double of the symbol is rounded once
+from the integers of that sum and of its prefactor, with no Fraction
+and no mpmath; the reduced rationals and the 50-digit mpf are built
+only when read.
 
 The Wigner d-matrix element comes two ways.  wigner_d, the one the
 uniform approximation calls, runs the three-term recurrence in m in
@@ -267,21 +272,32 @@ class SixJLabels:
         return ("{%s %s %s; %s %s %s}" % tuple(str(x) for x in t))
 
 
+# The triangles as positions in LABEL_NAMES order.
+_TRIANGLE_AT = tuple(tuple(LABEL_NAMES.index(n) for n in names)
+                     for names in TRIANGLES)
+
+
+def _twice(labels):
+    """The six twice-values of labels, in LABEL_NAMES order."""
+    return (labels.j1.twice, labels.j2.twice, labels.j12.twice,
+            labels.j3.twice, labels.j4.twice, labels.j23.twice)
+
+
 def validate(labels):
     """None if labels form a valid 6j symbol, else a report naming the
     first violated triple."""
-    for x, name in zip(labels.as_tuple(), LABEL_NAMES):
-        if x.twice < 0:
-            return f"{name} = {x} is negative"
-    for names in TRIANGLES:
-        ta, tb, tc = (getattr(labels, n).twice for n in names)
+    t = _twice(labels)
+    if min(t) < 0:
+        name, x = next((n, x) for n, x in zip(LABEL_NAMES, t) if x < 0)
+        return f"{name} = {HalfInt(x)} is negative"
+    for names, (a, b, c) in zip(TRIANGLES, _TRIANGLE_AT):
+        ta, tb, tc = t[a], t[b], t[c]
         if (ta + tb + tc) % 2:
             return ("triangle (%s,%s,%s): perimeter %s/2 is not an integer"
                     % (*names, ta + tb + tc))
         if not abs(ta - tb) <= tc <= ta + tb:
             return ("triangle (%s,%s,%s): |%s - %s| <= %s <= %s + %s fails"
-                    % (*names, *(getattr(labels, n) for n in
-                                 (names[0], names[1], names[2], names[0], names[1]))))
+                    % (*names, *(HalfInt(x) for x in (ta, tb, tc, ta, tb))))
     return None
 
 
@@ -337,10 +353,15 @@ class Bounds:
 
 def bounds(j1, j2, j3, j4):
     """Classical and quantum bounds of the (j12, j23) lattice."""
-    t1, t2, t3, t4 = (HalfInt.of(x).twice for x in (j1, j2, j3, j4))
-    for t, name in ((t1, "j1"), (t2, "j2"), (t3, "j3"), (t4, "j4")):
-        if t < 0:
-            raise ValidationError(f"{name} is negative")
+    return _bounds(*(HalfInt.of(x).twice for x in (j1, j2, j3, j4)))
+
+
+def _bounds(t1, t2, t3, t4):
+    """bounds() of the twice-values of (j1, j2, j3, j4)."""
+    if min(t1, t2, t3, t4) < 0:
+        name = next(name for t, name in zip((t1, t2, t3, t4),
+                                            ("j1", "j2", "j3", "j4")) if t < 0)
+        raise ValidationError(f"{name} is negative")
     if (t1 + t2 - t3 - t4) % 2:
         raise ValidationError(
             "degenerate range: j1+j2 and j3+j4 differ in integer/half-integer "
@@ -367,8 +388,8 @@ def bounds(j1, j2, j3, j4):
     else:
         expect_23max = t1 + t4
     if t12max != expect_12max or t23max != expect_23max:
-        raise InvariantError("bound theorems violated for "
-                             f"({j1},{j2},{j3},{j4})")
+        raise InvariantError("bound theorems violated for (%s,%s,%s,%s)"
+                             % tuple(HalfInt(t) for t in (t1, t2, t3, t4)))
     return Bounds(
         j12_min=HalfInt(t12min), j12_max=HalfInt(t12max),
         j23_min=HalfInt(t23min), j23_max=HalfInt(t23max),
@@ -551,8 +572,7 @@ def exact_sixj(labels):
     rounds its double from them.
     """
     require_valid(labels)
-    ta, tb, tc = labels.j1.twice, labels.j2.twice, labels.j12.twice
-    td, te, tf = labels.j3.twice, labels.j4.twice, labels.j23.twice
+    ta, tb, tc, td, te, tf = _twice(labels)
     s1 = (ta + tb + tc) // 2
     s2 = (ta + te + tf) // 2
     s3 = (td + tb + tf) // 2

@@ -120,6 +120,13 @@ def d_geometry(j, m, mp, beta):
     beta = float(beta)
     if not 0.0 < beta < math.pi:
         raise ValidationError(f"beta = {beta} is outside (0, pi)")
+    return _geometry(j, m, mp, beta)
+
+
+def _geometry(j, m, mp, beta):
+    """d_geometry of a checked (j, m, m'), as _soft_coerce returns it,
+    and a float beta in (0, pi); the beta solve of uniform checks its
+    (j, m, m') once and calls this on every step."""
     J = (j.twice + 1) / 2.0
     ct, st, theta = _cone(float(m), J)
     ctp, stp, theta_p = _cone(float(mp), J)

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tetra
-from .core import (InvariantError, OnCausticError, WrongRegionError, phase,
-                   require_valid)
+from .core import (LABEL_NAMES, InvariantError, OnCausticError,
+                   WrongRegionError, _twice, phase, require_valid)
 
-# Table-1 pattern entries are in tetra.EDGE_ORDER; the parity sum wants
-# the matching quantum numbers.
-_EDGE_LABELS = ("j1", "j2", "j3", "j4", "j12", "j23")
+# Table-1 pattern entries are in tetra.EDGE_ORDER; the parity sum reads
+# the matching twice-values at these positions of core._twice.
+_EDGE_AT = tuple(LABEL_NAMES.index(name)
+                 for name in ("j1", "j2", "j3", "j4", "j12", "j23"))
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ def nu_6j(region, labels):
     if pat is None:
         raise WrongRegionError(
             "nu_6j needs a forbidden region with an identified table column")
-    twice = sum(getattr(labels, name).twice
-                for entry, name in zip(pat, _EDGE_LABELS) if entry)
+    t = _twice(labels)
+    twice = sum(t[i] for entry, i in zip(pat, _EDGE_AT) if entry)
     if twice % 2:
         raise InvariantError(
             f"nu_6j parity sum {twice}/2 is not an integer for {labels}")

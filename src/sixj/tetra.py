@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (InvariantError, ValidationError, WrongRegionError, bounds,
-                   lengths)
+from .core import (InvariantError, ValidationError, WrongRegionError, _bounds,
+                   _twice)
 
 EDGE_ORDER = ("J1", "J2", "J3", "J4", "J12", "J23")
 
@@ -340,8 +340,9 @@ def classify_labels(labels):
     the core.Bounds of its (j1..j4), its six lengths J = j + 1/2 and
     classify() of them within that square.  The labels are not checked
     here; callers check them first (core.require_valid)."""
-    b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    J = lengths(labels)
+    t1, t2, t12, t3, t4, t23 = _twice(labels)
+    b = _bounds(t1, t2, t3, t4)
+    J = b.four + (t12 / 2 + 0.5, t23 / 2 + 0.5)
     return b, J, classify(J, b)
 
 

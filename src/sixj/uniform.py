@@ -13,14 +13,15 @@ arrays, all Newton solves in lockstep, for the beta-contours figure.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dasym, prasym, tetra
 from .core import (HalfInt, InvariantError, SixJLabels, SolverError,
-                   ValidationError, WrongRegionError, bounds, lengths, phase,
-                   require_valid, wigner_d)
+                   ValidationError, WrongRegionError, _twice, bounds, lengths,
+                   phase, require_valid, wigner_d)
 
 BETA_GEOM_EPS = 1e-12    # keep d_geometry off beta = 0, pi during solves
 NEAR_CAUSTIC_VOL = 1e-6  # |V|/(J1 J12 J4) below this switches the ratio
@@ -50,6 +51,11 @@ class UniformMap:
     solver: SolveReport | None
 
 
+# A UniformMap before beta is known: what the beta solve reads.  m, m'
+# and nu_ex are floats at a continuous point of the square.
+_SolveMap = namedtuple("_SolveMap", "j m mp nu_ex Phi0")
+
+
 @dataclass(frozen=True)
 class UniformResult:
     value: float
@@ -64,33 +70,35 @@ def map_quantum(labels, bnds=None):
     require_valid(labels)
     if bnds is None:
         bnds = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    return _map(labels, bnds)
+    return UniformMap(*_map(labels, bnds), beta=None, solver=None)
 
 
 def _map(labels, bnds):
-    """map_quantum of checked labels, bnds their core.Bounds."""
+    """The _SolveMap of checked labels, bnds their core.Bounds; its rules
+    run on the twice-values of the labels."""
+    t1, t2, t12, t3, t4, t23 = _twice(labels)
     tj = bnds.D - 1
-    tm = labels.j12.twice - bnds.j12_avg.twice
-    tmp = bnds.j23_avg.twice - labels.j23.twice
+    tm = t12 - bnds.j12_avg.twice
+    tmp = bnds.j23_avg.twice - t23
     if (tj - tm) % 2 or (tj - tmp) % 2:
         raise InvariantError(
             f"(m, m') = ({tm}/2, {tmp}/2) off the lattice of j = {tj}/2")
     if abs(tm) > tj or abs(tmp) > tj:
         raise InvariantError(
             f"(m, m') = ({tm}/2, {tmp}/2) outside |m| <= j = {tj}/2")
-    tnu = (labels.j1.twice + labels.j2.twice + labels.j3.twice
-           + labels.j4.twice + labels.j12.twice - bnds.j12_max.twice)
+    tnu = t1 + t2 + t3 + t4 + t12 - bnds.j12_max.twice
     if tnu % 2:
         raise InvariantError(f"nu_ex = {tnu}/2 is not an integer")
     nu_ex = tnu // 2
-    return UniformMap(j=HalfInt(tj), m=HalfInt(tm), mp=HalfInt(tmp),
-                      nu_ex=nu_ex, Phi0=(nu_ex + 1.5) * math.pi,
-                      beta=None, solver=None)
+    return _SolveMap(HalfInt(tj), HalfInt(tm), HalfInt(tmp), nu_ex,
+                     (nu_ex + 1.5) * math.pi)
 
 
 def _geom(umap, beta):
+    """dasym.d_geometry at beta, kept off 0 and pi, for the checked
+    (j, m, m') of umap (see _solve_for_lengths)."""
     beta = min(max(beta, BETA_GEOM_EPS), math.pi - BETA_GEOM_EPS)
-    return dasym.d_geometry(umap.j, umap.m, umap.mp, beta)
+    return dasym._geometry(umap.j, umap.m, umap.mp, beta)
 
 
 def _residual(umap, beta, target, continued=False):
@@ -133,7 +141,9 @@ def _newton(umap, target, lo, hi, seed, scale, continued=False):
 
 def _solve_for_lengths(J, umap, region):
     """beta matching the PR phase of the point (lengths J, geometry
-    region from tetra.classify), plus a report."""
+    region from tetra.classify), plus a report.  umap is a UniformMap
+    or a _SolveMap; its (j, m, m') is checked once, by
+    dasym.turning_points, and every step after takes it as checked."""
     dih = region.angles
     if dih is None:
         raise ValidationError(
@@ -220,8 +230,8 @@ def beta_field(j1, j2, j3, j4, J12, J23):
     mp = b.J23_avg - float(J23)
     nu_ex = (sum(float(x) for x in js) + float(J12) - 0.5
              - float(b.j12_max))
-    umap = UniformMap(j=HalfInt(b.D - 1), m=m, mp=mp, nu_ex=nu_ex,
-                      Phi0=(nu_ex + 1.5) * math.pi, beta=None, solver=None)
+    umap = _SolveMap(j=HalfInt(b.D - 1), m=m, mp=mp, nu_ex=nu_ex,
+                     Phi0=(nu_ex + 1.5) * math.pi)
     return _solve_for_lengths(J, umap, region)
 
 
@@ -417,10 +427,16 @@ def _near_caustic_ratio(labels, bnds, umap):
 def _canonical_updown(labels):
     """Representative of the up-down swap orbit.  The approximation is
     invariant under the three pair swaps in exact arithmetic; computing
-    every member through one representative makes it bit-identical."""
-    return min((labels, *(labels.swapped_updown(i, k)
-                          for i, k in ((0, 1), (0, 2), (1, 2)))),
-               key=SixJLabels.as_tuple)
+    every member through one representative makes it bit-identical.
+    The representative has the least twice-values in LABEL_NAMES order;
+    the labels themselves when they are it."""
+    t = _twice(labels)
+    a, b, c, d, e, f = t
+    # the images of swapping the columns (0, 1), (0, 2) and (1, 2)
+    least = min(t, (d, e, c, a, b, f), (d, b, f, a, e, c), (a, e, f, d, b, c))
+    if least == t:
+        return labels
+    return SixJLabels(*map(HalfInt, least))
 
 
 def uniform_6j(labels):
@@ -428,30 +444,31 @@ def uniform_6j(labels):
     require_valid(labels)
     labels = _canonical_updown(labels)
     b, J, region = tetra.classify_labels(labels)
-    umap = _map(labels, b)
-    beta, rep = _solve_for_lengths(J, umap, region)
-    umap = replace(umap, beta=beta, solver=rep)
+    smap = _map(labels, b)
+    j, m, mp, nu_ex, _ = smap
+    beta, rep = _solve_for_lengths(J, smap, region)
     if region.is_forbidden:
         nu6 = prasym.nu_6j(region, labels)
-        nud = dasym.nu_d(region.kind, umap.j, umap.m, umap.mp)
-        if (umap.nu_ex + nu6 + nud) % 2:
+        nud = dasym.nu_d(region.kind, j, m, mp)
+        if (nu_ex + nu6 + nud) % 2:
             raise InvariantError(
-                f"parity mismatch in region {region.kind}: nu_ex={umap.nu_ex} "
+                f"parity mismatch in region {region.kind}: nu_ex={nu_ex} "
                 f"nu_6j={nu6} nu_d={nud} do not cancel")
-    g = _geom(umap, beta)
+    g = _geom(smap, beta)
     vd = math.sqrt(abs(g.Vd_sq))
     vol = region.vol_abs
     near = region.is_caustic or vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
-    ratio = _near_caustic_ratio(labels, b, umap) if near else vd / vol
+    ratio = _near_caustic_ratio(labels, b, smap) if near else vd / vol
     Jd = b.D / 2.0
-    dval = wigner_d(umap.j, umap.m, umap.mp, beta)
-    sgn = phase(umap.nu_ex + (umap.j.twice - umap.mp.twice) // 2)
+    dval = wigner_d(j, m, mp, beta)
+    sgn = phase(nu_ex + (j.twice - mp.twice) // 2)
     value = sgn * math.sqrt(Jd * ratio / 24.0) * dval
     pr_amp = 1.0 / math.sqrt(12.0 * math.pi * vol) if vol > 0.0 else math.inf
     d_amp = (1.0 / math.sqrt((math.pi / 2.0) * Jd * vd) if vd > 0.0
              else math.inf)
-    return UniformResult(value=value, map=umap, pr_amp=pr_amp, d_amp=d_amp,
-                         near_caustic=near)
+    return UniformResult(value=value,
+                         map=UniformMap(*smap, beta=beta, solver=rep),
+                         pr_amp=pr_amp, d_amp=d_amp, near_caustic=near)
 
 
 def permute_columns_for_accuracy(labels):

@@ -16,7 +16,9 @@ from math import factorial
 import mpmath
 import numpy as np
 
-from sixj import cli, tetra
+from sixj import (Bounds, HalfInt, InvariantError, SixJLabels, ValidationError,
+                  cli, tetra)
+from sixj.core import LABEL_NAMES, TRIANGLES
 
 # exact 6j values, 37 digits, from sympy.physics.wigner.wigner_6j
 SIXJ_39_23_31H = "0.0042963739532310908909939163424148461"
@@ -468,3 +470,67 @@ def side_touch_200(four, b, side, n=2001):
     return {"side": side, "J12": J12, "J23": J23, "det_g": g,
             "touch": abs(g) <= cli._TOUCH_TOL * tetra._caustic_scale(
                 four + (J12, J23))}
+
+
+def getattr_validate(labels):
+    """core.validate by its first rule: walk the labels in LABEL_NAMES
+    order for a negative one, then read each triangle's labels by name."""
+    for x, name in zip(labels.as_tuple(), LABEL_NAMES):
+        if x.twice < 0:
+            return f"{name} = {x} is negative"
+    for names in TRIANGLES:
+        ta, tb, tc = (getattr(labels, n).twice for n in names)
+        if (ta + tb + tc) % 2:
+            return ("triangle (%s,%s,%s): perimeter %s/2 is not an integer"
+                    % (*names, ta + tb + tc))
+        if not abs(ta - tb) <= tc <= ta + tb:
+            return ("triangle (%s,%s,%s): |%s - %s| <= %s <= %s + %s fails"
+                    % (*names, *(getattr(labels, n) for n in
+                                 (names[0], names[1], names[2], names[0],
+                                  names[1]))))
+    return None
+
+
+def halfint_bounds(j1, j2, j3, j4):
+    """core.bounds by its first rule, coercing the four labels to
+    HalfInts and checking each by name.  Its check of the two bound
+    theorems, which hold for every input, is left out."""
+    t1, t2, t3, t4 = (HalfInt.of(x).twice for x in (j1, j2, j3, j4))
+    for t, name in ((t1, "j1"), (t2, "j2"), (t3, "j3"), (t4, "j4")):
+        if t < 0:
+            raise ValidationError(f"{name} is negative")
+    if (t1 + t2 - t3 - t4) % 2:
+        raise ValidationError(
+            "degenerate range: j1+j2 and j3+j4 differ in integer/half-integer "
+            "character, no valid j12 exists")
+    t12min = max(abs(t1 - t2), abs(t3 - t4))
+    t12max = min(t1 + t2, t3 + t4)
+    t23min = max(abs(t2 - t3), abs(t1 - t4))
+    t23max = min(t2 + t3, t1 + t4)
+    if t12max < t12min:
+        raise ValidationError("degenerate range: j12_max < j12_min")
+    if t23max < t23min:
+        raise ValidationError("degenerate range: j23_max < j23_min")
+    d12 = (t12max - t12min) // 2 + 1
+    d23 = (t23max - t23min) // 2 + 1
+    if d12 != d23:
+        raise InvariantError(
+            f"D mismatch: {d12} on j12 axis, {d23} on j23 axis")
+    return Bounds(
+        j12_min=HalfInt(t12min), j12_max=HalfInt(t12max),
+        j23_min=HalfInt(t23min), j23_max=HalfInt(t23max),
+        D=d12,
+        j12_avg=HalfInt((t12min + t12max) // 2),
+        j23_avg=HalfInt((t23min + t23max) // 2),
+        four=(t1 / 2 + 0.5, t2 / 2 + 0.5, t3 / 2 + 0.5, t4 / 2 + 0.5),
+    )
+
+
+def min_updown(labels):
+    """uniform._canonical_updown by its first rule: the least of the
+    labels and their three up-down pair swaps, compared as label
+    tuples; min keeps the first of equal ones, so tied labels are
+    their own representative."""
+    return min((labels, *(labels.swapped_updown(i, k)
+                          for i, k in ((0, 1), (0, 2), (1, 2)))),
+               key=SixJLabels.as_tuple)
