@@ -1,34 +1,41 @@
 """Command-line front end: eval, sweep, figure, worstcase.
 
+The front end parses the arguments, checks every input that sets the
+runtime and writes the result; the results come from figures and
+scans.  Every label flag is read by one reader (_read_labels):
+required, and at most J_MAX_MAX.  The top of a sweep, --grid, the
+lattice size D of a figure, --digits and --j-max are checked here too,
+each before any symbol is evaluated or figure built.
+
 Emits JSON or CSV only (no plotting).  All output is deterministic:
-fixed grid orders, fixed float formatting (17 significant digits in
-CSV), LF line endings, sorted JSON keys.  Every label flag is read by
-one reader (_read_labels): required, and at most J_MAX_MAX.
+fixed grid orders, fixed float formatting, LF line endings, sorted JSON
+keys.  A float in a CSV cell is written with 17 significant digits; a
+list in a CSV cell (eval's uniform.solver.bracket) is its items by
+str(), joined by spaces, like "1e-12 3.141592653588793".
 
 JSON is written in one pass that knows the payload shapes (_json); its
 bytes are those of json.dumps(indent=2, sort_keys=True) on the cleaned
 payload.  A list of [x, y] pairs of finite floats is written with one
-% format of a pair template.  The ternary search for a side touch point
-of figure spots stops at its fixed point, where a step leaves the
-bracket unchanged.
+% format of a pair template.
 """
 
 import argparse
 import functools
 import json
 import math
-import random
 import sys
 from itertools import chain
 
-import numpy as np
+from .core import (LABEL_NAMES, HalfInt, SixJError, SixJLabels,
+                   ValidationError, WrongRegionError, bounds)
+from .figures import (figure_beta_contours, figure_caustic_diagram,
+                      figure_j23_orbits, figure_spots)
+# amplitude_reference is not called here: perfbench/make_refs.py reads
+# it as cli.amplitude_reference
+from .scans import (amplitude_reference, eval_record, sweep_range,
+                    sweep_rows, worstcase_report)
 
-from . import prasym, sphere, tetra, uniform
-from .core import (MP_DPS, HalfInt, OnCausticError, SixJError, SixJLabels,
-                   TRIANGLES, ValidationError, WrongRegionError, _root_form,
-                   bounds, exact_sixj, lengths, require_valid)
-
-LABEL_FLAGS = ("j1", "j2", "j12", "j3", "j4", "j23")
+LABEL_FLAGS = LABEL_NAMES
 _FIGURE_FLAGS = ("j1", "j2", "j3", "j4")
 METHODS = ("exact", "pr", "uniform")
 FIGURE_KINDS = ("spots", "beta-contours", "j23-orbits", "caustic-diagrams")
@@ -43,12 +50,6 @@ _FIGURE_GRID_DEFAULT = {"spots": 201, "beta-contours": 41,
 GRID_MAX = 1000
 J_MAX_MAX = 1000
 DIGITS_MAX = 1000   # eval --digits: the precision of the exact value
-_TOUCH_TOL = 1e-6   # |det G| / caustic scale at an accepted touch point
-_TOUCH_SCAN = 2001  # samples of det G along a side before the ternary search
-# points per call in the caustic scan of figure spots and the beta
-# solve of beta-contours: arrays of 64 KB stay on the heap and are
-# reused instead of raising peak memory
-_SCAN_BLOCK = 8192
 _WRITE_BLOCK = 1 << 20  # characters per write of the output
 
 
@@ -187,61 +188,6 @@ def _read_labels(args, names):
 
 # ---------------------------------------------------------------- eval
 
-def eval_record(labels, methods, digits=17):
-    if not 1 <= digits <= DIGITS_MAX:
-        raise ValidationError(
-            f"--digits must be between 1 and {DIGITS_MAX}, got {digits}")
-    require_valid(labels)
-    b, _, region = tetra.classify_labels(labels)
-    rec = {
-        "labels": {n: str(getattr(labels, n)) for n in LABEL_FLAGS},
-        "D": b.D,
-        "degenerate_D1": b.D == 1,
-        "region": region.kind,
-        "pattern_index": region.pattern_index,
-    }
-    exact_v = None
-    if "exact" in methods:
-        import mpmath   # only the digits of eval need it
-
-        ev = exact_sixj(labels)
-        exact_v = float(ev)
-        # R and P are exact: print no digit the evaluation did not hold
-        held = _root_form(ev.rational, ev.radicand, max(MP_DPS, digits + 10))
-        rec["exact"] = {
-            "value": exact_v,
-            "digits": mpmath.nstr(held, digits),
-            "rational": str(ev.rational),
-            "radicand": str(ev.radicand),
-        }
-    if "pr" in methods:
-        try:
-            pr = prasym.pr_value(labels)
-            rec["pr"] = {"value": pr.value, "phase": pr.phase,
-                         "amplitude": pr.amplitude, "nu_6j": pr.nu6j}
-            if exact_v is not None:
-                rec["pr"]["abs_err"] = abs(pr.value - exact_v)
-        except OnCausticError as e:
-            rec["pr"] = {"value": None, "note": str(e)}
-    if "uniform" in methods:
-        u = uniform.uniform_6j(labels)
-        rec["uniform"] = {
-            "value": u.value,
-            "beta": u.map.beta,
-            "j": str(u.map.j), "m": str(u.map.m), "mp": str(u.map.mp),
-            "nu_ex": u.map.nu_ex, "Phi0": u.map.Phi0,
-            "pr_amp": u.pr_amp, "d_amp": u.d_amp,
-            "near_caustic": u.near_caustic,
-            "solver": {"iterations": u.map.solver.iterations,
-                       "residual": u.map.solver.residual,
-                       "bracket": list(u.map.solver.bracket),
-                       "region": u.map.solver.region},
-        }
-        if exact_v is not None:
-            rec["uniform"]["abs_err"] = abs(u.value - exact_v)
-    return rec
-
-
 def _flatten(prefix, obj, rows):
     if isinstance(obj, dict):
         for k in sorted(obj):
@@ -258,7 +204,11 @@ def _flatten(prefix, obj, rows):
 
 def cmd_eval(args):
     labels = SixJLabels(**_read_labels(args, LABEL_FLAGS))
-    rec = eval_record(labels, _parse_methods(args.methods), args.digits)
+    methods = _parse_methods(args.methods)
+    if not 1 <= args.digits <= DIGITS_MAX:
+        raise ValidationError(f"--digits must be between 1 and {DIGITS_MAX}, "
+                              f"got {args.digits}")
+    rec = eval_record(labels, methods, args.digits)
     if args.format == "json":
         _write(args, _json(rec))
     else:
@@ -270,66 +220,6 @@ def cmd_eval(args):
 
 
 # --------------------------------------------------------------- sweep
-
-def sweep_range(fixed, swept):
-    """Lattice of valid twice-values for the swept label, the other five
-    fixed; intersects the two triangles containing the label."""
-    lo, hi, par = 0, None, None
-    for names in TRIANGLES:
-        if swept not in names:
-            continue
-        ta, tb = (fixed[n].twice for n in names if n != swept)
-        lo = max(lo, abs(ta - tb))
-        hi = ta + tb if hi is None else min(hi, ta + tb)
-        p = (ta + tb) % 2
-        if par is None:
-            par = p
-        elif par != p:
-            raise ValidationError(
-                f"no valid {swept}: the two triangles demand different "
-                "integer/half-integer character")
-    if (lo + par) % 2:
-        lo += 1
-    if hi < lo:
-        raise ValidationError(f"no valid {swept}: range is empty")
-    return range(lo, hi + 1, 2)
-
-
-def _pr_or_none(labels):
-    """The PR value, or None at a caustic point, where PR refuses."""
-    try:
-        return prasym.pr_value(labels).value
-    except OnCausticError:
-        return None
-
-
-def sweep_rows(fixed, swept, methods):
-    rows = []
-    for t in sweep_range(fixed, swept):
-        labels = SixJLabels(**{**fixed, swept: HalfInt(t)})
-        _, _, region = tetra.classify_labels(labels)
-        exact_v = float(exact_sixj(labels)) if "exact" in methods else None
-        pr_v = _pr_or_none(labels) if "pr" in methods else None
-        uni_v = beta = None
-        if "uniform" in methods:
-            u = uniform.uniform_6j(labels)
-            uni_v, beta = u.value, u.map.beta
-        rows.append({
-            swept: t / 2.0,
-            "exact": exact_v,
-            "pr": pr_v,
-            "uniform": uni_v,
-            "abs_err_pr": (abs(pr_v - exact_v)
-                           if pr_v is not None and exact_v is not None
-                           else None),
-            "abs_err_uniform": (abs(uni_v - exact_v)
-                                if uni_v is not None and exact_v is not None
-                                else None),
-            "region": region.kind,
-            "beta": beta,
-        })
-    return rows
-
 
 _SWEEP_COLUMNS = ("exact", "pr", "uniform", "abs_err_pr",
                   "abs_err_uniform", "region", "beta")
@@ -361,185 +251,6 @@ def cmd_sweep(args):
 
 
 # -------------------------------------------------------------- figure
-
-def _square(b):
-    """The "square" entry of a figure payload: the classical windows of
-    J12 and J23."""
-    return {"J12": [b.J12_min, b.J12_max], "J23": [b.J23_min, b.J23_max]}
-
-
-def _square_grid(b, n):
-    """n cell-center values per axis, strictly inside the square."""
-    xs = [b.J12_min + (b.J12_max - b.J12_min) * (i + 0.5) / n
-          for i in range(n)]
-    ys = [b.J23_min + (b.J23_max - b.J23_min) * (i + 0.5) / n
-          for i in range(n)]
-    return xs, ys
-
-
-def _scan(lo, hi, n):
-    """n evenly spaced samples from lo to hi, both ends included."""
-    return lo + (hi - lo) * np.arange(n) / (n - 1)
-
-
-def _det_g(four, J12, J23):
-    """tetra.det_gram on the square, floats or arrays.
-
-    The square has a side J12 = 0 when J1 = J2 and J3 = J4, and a side
-    J23 = 0 when J2 = J3 and J1 = J4.  The tetrahedron is flat there:
-    the Gram matrix has a zero row, or two equal rows, so det G is 0.0
-    exactly, and no zero length reaches det_gram.
-    """
-    if isinstance(J12, float) and isinstance(J23, float):
-        if J12 == 0.0 or J23 == 0.0:
-            return 0.0
-        return tetra.det_gram(four + (J12, J23))
-    on_side = np.equal(J12, 0.0) | np.equal(J23, 0.0)
-    if not on_side.any():
-        return tetra.det_gram(four + (J12, J23))
-    det = np.where(on_side, 0.0, tetra.det_gram(
-        four + (np.where(on_side, 1.0, J12), np.where(on_side, 1.0, J23))))
-    return det if det.ndim else float(det)
-
-
-def _caustic_curve(b, grid):
-    """Roots of det G on every grid line of the square: the lines at
-    fixed J23 first, then those at fixed J12, each in scan order.
-
-    Each line is scanned at grid samples, a block of lines per call.  A
-    sample where det G is exactly zero is a root; every sign change
-    between two nonzero samples is bisected, all brackets in lockstep,
-    80 times or until a step changes none of them.
-    """
-    xs, ys = _square_grid(b, grid)
-    samples = np.array([_scan(b.J12_min, b.J12_max, grid),
-                        _scan(b.J23_min, b.J23_max, grid)])
-    lines = np.array([ys, xs])   # direction 0: lines at fixed J23
-    block = max(1, _SCAN_BLOCK // grid)
-    found = []
-    for d in (0, 1):
-        for first in range(0, grid, block):
-            c, s = lines[d, first:first + block, None], samples[d]
-            v = _det_g(b.four, *((s, c) if d == 0 else (c, s)))
-            v0, v1 = v[:, :-1], v[:, 1:]
-            zero = v0 == 0.0
-            change = (v0 != 0.0) & (v1 != 0.0) & ((v0 < 0.0) != (v1 < 0.0))
-            line, k = np.nonzero(zero | change)
-            found.append((np.full(len(k), d), first + line, k,
-                          v0[line, k], zero[line, k]))
-    d, line, k, fa, done = (np.concatenate(x) for x in zip(*found))
-    along_j12 = d == 0
-    fixed = lines[d, line]
-
-    def point(s):
-        return (np.where(along_j12, s, fixed), np.where(along_j12, fixed, s))
-
-    # an exact zero starts done, with both ends of its bracket on it
-    a = samples[d, k]
-    bb = np.where(done, a, samples[d, k + 1])
-    state = (a, bb, fa, done)
-    for _ in range(80):
-        mid = 0.5 * (a + bb)
-        fm = _det_g(b.four, *point(mid))
-        done = done | (fm == 0.0)
-        low = ~done & ((fm < 0.0) == (fa < 0.0))
-        a, bb, fa = (np.where(low | done, mid, a), np.where(low, bb, mid),
-                     np.where(low, fm, fa))
-        if all(map(np.array_equal, state, (a, bb, fa, done))):
-            break   # a fixed point: every later step would repeat this one
-        state = (a, bb, fa, done)
-    return np.column_stack(point(0.5 * (a + bb))).tolist()
-
-
-def _side_touch(b, side):
-    """Maximum of det G along one square side, refined by ternary
-    search; the caustic touches the side where this maximum vanishes."""
-    c, on_j12 = getattr(b, side), side.startswith("J12")
-    lo, hi = (b.J23_min, b.J23_max) if on_j12 else (b.J12_min, b.J12_max)
-    point = lambda s: (c, s) if on_j12 else (s, c)
-    f = lambda s: _det_g(b.four, *point(s))
-    scan = _scan(lo, hi, _TOUCH_SCAN)
-    best_i = int(np.argmax(f(scan)))
-    a = float(scan[max(best_i - 1, 0)])
-    bb = float(scan[min(best_i + 1, _TOUCH_SCAN - 1)])
-    for _ in range(200):
-        m1 = a + (bb - a) / 3.0
-        m2 = bb - (bb - a) / 3.0
-        state = (m1, bb) if f(m1) < f(m2) else (a, m2)
-        if state == (a, bb):
-            break   # a fixed point: every later step would repeat this one
-        a, bb = state
-    s = 0.5 * (a + bb)
-    g = f(s)
-    J12, J23 = point(s)
-    return {"side": side, "J12": J12, "J23": J23, "det_g": g,
-            "touch": abs(g) <= _TOUCH_TOL * tetra._caustic_scale(
-                b.four + (J12, J23))}
-
-
-def figure_spots(js, grid):
-    b = bounds(*js)
-    t12s = range(b.j12_min.twice, b.j12_max.twice + 1, 2)
-    t23s = range(b.j23_min.twice, b.j23_max.twice + 1, 2)
-    kinds = iter(tetra.classify_grid([t / 2.0 + 0.5 for t in t12s],
-                                     [t / 2.0 + 0.5 for t in t23s], b)
-                 .kind.tolist())
-    points = []
-    for t12 in t12s:
-        for t23 in t23s:
-            J12, J23 = t12 / 2.0 + 0.5, t23 / 2.0 + 0.5
-            margin = min(J12 - b.J12_min, b.J12_max - J12,
-                         J23 - b.J23_min, b.J23_max - J23)
-            points.append({"j12": str(HalfInt(t12)), "j23": str(HalfInt(t23)),
-                           "J12": J12, "J23": J23,
-                           "region": next(kinds), "margin": margin})
-    touches = [_side_touch(b, side)
-               for side in ("J12_min", "J12_max", "J23_min", "J23_max")]
-    return {
-        "square": _square(b),
-        "D": b.D,
-        "points": points,
-        "caustic": _caustic_curve(b, grid),
-        "touches": touches,
-    }
-
-
-def figure_beta_contours(js, grid):
-    b = bounds(*js)
-    xs, ys = _square_grid(b, grid)
-    rows = []
-    block = max(1, _SCAN_BLOCK // grid)
-    for first in range(0, grid, block):
-        J12s = xs[first:first + block]
-        beta, region = uniform.beta_grid(*js, J12s, ys)
-        rows += [{"J12": J12, "J23": J23, "beta": bt, "region": rg}
-                 for (J12, J23), bt, rg in zip(
-                     ((J12, J23) for J12 in J12s for J23 in ys),
-                     beta.tolist(), region.tolist())]
-    return {"square": _square(b), "grid": grid, "rows": rows}
-
-
-def figure_j23_orbits(js, grid):
-    x, y, Z, contours = sphere.j23_contour_grid(*js, n_J12=grid, n_phi=grid)
-    levels = []
-    for lev in sorted(contours):
-        levels.append({
-            "level": lev,
-            "polylines": [p.tolist() for p in contours[lev]],
-        })
-    return {"J12_range": [float(x[0]), float(x[-1])],
-            "n_J12": len(x), "n_phi": len(y), "levels": levels}
-
-
-def figure_caustic_diagram(js, grid):
-    b = bounds(*js)
-    x = np.linspace(b.J12_min, b.J12_max, grid)
-    y = np.linspace(b.J23_min, b.J23_max, grid)
-    Z = _det_g(b.four, x[:, None], y[None, :])
-    polys = sphere.contour_polylines(x, y, Z, 0.0, wrap_y=False)
-    return {"square": _square(b),
-            "polylines": [p.tolist() for p in polys]}
-
 
 def cmd_figure(args):
     js = tuple(_read_labels(args, _FIGURE_FLAGS).values())
@@ -593,99 +304,10 @@ def cmd_figure(args):
 
 # ----------------------------------------------------------- worstcase
 
-def amplitude_reference(labels, b, region):
-    """Reference scale for relative errors: |exact| in forbidden
-    regions; the PR amplitude in the allowed interior; in the
-    turning-point lobe (a caustic point, or the extreme lattice point
-    of the allowed j12 range) the PR amplitude at the nearest interior
-    allowed neighbor along j12, since the amplitude at the point
-    itself is inflated by the nearby caustic.  b and region are the
-    bounds and tetra.classify record of labels."""
-    if region.is_forbidden:
-        return abs(float(exact_sixj(labels)))
-    in_lobe = region.is_caustic or labels.j12.twice in (b.j12_min.twice,
-                                                        b.j12_max.twice)
-    if region.is_allowed and not in_lobe:
-        return 1.0 / math.sqrt(12.0 * math.pi * region.vol_abs)
-    toward = 2 if labels.j12.twice < b.j12_avg.twice else -2
-    t12 = labels.j12.twice + toward
-    while b.j12_min.twice <= t12 <= b.j12_max.twice:
-        nb = SixJLabels(labels.j1, labels.j2, HalfInt(t12),
-                        labels.j3, labels.j4, labels.j23)
-        region_n = tetra.classify(lengths(nb), b)
-        if region_n.is_allowed:
-            return 1.0 / math.sqrt(12.0 * math.pi * region_n.vol_abs)
-        t12 += toward
-    if region.is_allowed:
-        return 1.0 / math.sqrt(12.0 * math.pi * region.vol_abs)
-    return abs(float(exact_sixj(labels)))
-
-
-def worstcase_row(labels):
-    b, _, region = tetra.classify_labels(labels)
-    exact_v = float(exact_sixj(labels))
-    ref = amplitude_reference(labels, b, region)
-    pr_v = _pr_or_none(labels)
-    uni_v = uniform.uniform_6j(labels).value
-    # a reference below the double range gives no relative error
-    scaled = ref != 0.0
-    return {
-        "labels": {n: str(getattr(labels, n)) for n in LABEL_FLAGS},
-        "region": region.kind,
-        "exact": exact_v,
-        "reference": ref,
-        "err_pr": (abs(pr_v - exact_v) / ref
-                   if pr_v is not None and scaled else None),
-        "err_uniform": abs(uni_v - exact_v) / ref if scaled else None,
-    }
-
-
-def _random_labels(rng, j_max):
-    tmax = 2 * j_max
-    while True:
-        t1, t2, t3 = (rng.randint(1, tmax) for _ in range(3))
-        t4 = rng.randint(1, tmax)
-        if (t1 + t2 - t3 - t4) % 2:
-            continue
-        try:
-            b = bounds(HalfInt(t1), HalfInt(t2), HalfInt(t3), HalfInt(t4))
-        except ValidationError:
-            continue
-        t12 = rng.randrange(b.j12_min.twice, b.j12_max.twice + 1, 2)
-        t23 = rng.randrange(b.j23_min.twice, b.j23_max.twice + 1, 2)
-        return SixJLabels(HalfInt(t1), HalfInt(t2), HalfInt(t12),
-                          HalfInt(t3), HalfInt(t4), HalfInt(t23))
-
-
-def worstcase_report(family, j_max=20, seed=0, count=200):
-    if not 1 <= j_max <= J_MAX_MAX:
-        raise ValidationError(
-            f"--j-max must be between 1 and {J_MAX_MAX}, got {j_max}")
-    rows = []
-    if family in ("equal-pairs", "three-zeros"):
-        z = HalfInt(0)
-        for tj in range(2, 2 * j_max + 1):
-            j = HalfInt(tj)
-            rows.append(worstcase_row(
-                SixJLabels(j, j, z, j, j, z) if family == "equal-pairs"
-                else SixJLabels(z, z, z, j, j, j)))
-    elif family == "random":
-        rng = random.Random(seed)
-        for _ in range(count):
-            rows.append(worstcase_row(_random_labels(rng, j_max)))
-    else:
-        raise ValidationError(f"unknown family {family!r}")
-    worst = {}
-    for key in ("err_pr", "err_uniform"):
-        vals = [(r[key], i) for i, r in enumerate(rows)
-                if r[key] is not None]
-        if vals:
-            err, i = max(vals)
-            worst[key] = {"labels": rows[i]["labels"], "err": err}
-    return {"family": family, "j_max": j_max, "rows": rows, "worst": worst}
-
-
 def cmd_worstcase(args):
+    if not 1 <= args.j_max <= J_MAX_MAX:
+        raise ValidationError(f"--j-max must be between 1 and {J_MAX_MAX}, "
+                              f"got {args.j_max}")
     report = worstcase_report(args.family, args.j_max, args.seed)
     if args.format == "json":
         _write(args, _json(report))

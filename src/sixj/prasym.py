@@ -71,7 +71,7 @@ def pr_value(labels):
         raise OnCausticError(
             f"{labels} lies on a caustic; the PR amplitude diverges there")
     dih = region.angles
-    amp = 1.0 / math.sqrt(12.0 * math.pi * region.vol_abs)
+    amp = region.pr_amp
     if region.is_allowed:
         ph = phi_pr(J, dih)
         return PRResult(value=amp * math.cos(ph + math.pi / 4),

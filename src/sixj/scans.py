@@ -1,0 +1,225 @@
+"""Method scans: one symbol by every method, a sweep of one label over
+its range, and the worst-case error families.
+
+Each scan returns the record that `sixj eval`, `sixj sweep` and
+`sixj worstcase` write.  The inputs are taken as given: the CLI checks
+their bounds before it calls a scan.
+"""
+
+import random
+
+from . import prasym, tetra, uniform
+from .core import (LABEL_NAMES, MP_DPS, HalfInt, OnCausticError, SixJLabels,
+                   TRIANGLES, ValidationError, _root_form, bounds, exact_sixj,
+                   require_valid)
+
+
+def _label_strs(labels):
+    """{"j1": "9/2", ...}: the labels of a record, in LABEL_NAMES order."""
+    return {n: str(getattr(labels, n)) for n in LABEL_NAMES}
+
+
+# ---------------------------------------------------------------- eval
+
+def eval_record(labels, methods, digits=17):
+    require_valid(labels)
+    b, _, region = tetra.classify_labels(labels)
+    rec = {
+        "labels": _label_strs(labels),
+        "D": b.D,
+        "degenerate_D1": b.D == 1,
+        "region": region.kind,
+        "pattern_index": region.pattern_index,
+    }
+    exact_v = None
+    if "exact" in methods:
+        import mpmath   # only the digits of eval need it
+
+        ev = exact_sixj(labels)
+        exact_v = float(ev)
+        # R and P are exact: print no digit the evaluation did not hold
+        held = _root_form(ev.rational, ev.radicand, max(MP_DPS, digits + 10))
+        rec["exact"] = {
+            "value": exact_v,
+            "digits": mpmath.nstr(held, digits),
+            "rational": str(ev.rational),
+            "radicand": str(ev.radicand),
+        }
+    if "pr" in methods:
+        try:
+            pr = prasym.pr_value(labels)
+            rec["pr"] = {"value": pr.value, "phase": pr.phase,
+                         "amplitude": pr.amplitude, "nu_6j": pr.nu6j}
+            if exact_v is not None:
+                rec["pr"]["abs_err"] = abs(pr.value - exact_v)
+        except OnCausticError as e:
+            rec["pr"] = {"value": None, "note": str(e)}
+    if "uniform" in methods:
+        u = uniform.uniform_6j(labels)
+        rec["uniform"] = {
+            "value": u.value,
+            "beta": u.map.beta,
+            "j": str(u.map.j), "m": str(u.map.m), "mp": str(u.map.mp),
+            "nu_ex": u.map.nu_ex, "Phi0": u.map.Phi0,
+            "pr_amp": u.pr_amp, "d_amp": u.d_amp,
+            "near_caustic": u.near_caustic,
+            "solver": {"iterations": u.map.solver.iterations,
+                       "residual": u.map.solver.residual,
+                       "bracket": list(u.map.solver.bracket),
+                       "region": u.map.solver.region},
+        }
+        if exact_v is not None:
+            rec["uniform"]["abs_err"] = abs(u.value - exact_v)
+    return rec
+
+
+# --------------------------------------------------------------- sweep
+
+def sweep_range(fixed, swept):
+    """Lattice of valid twice-values for the swept label, the other five
+    fixed; intersects the two triangles containing the label."""
+    lo, hi, par = 0, None, None
+    for names in TRIANGLES:
+        if swept not in names:
+            continue
+        ta, tb = (fixed[n].twice for n in names if n != swept)
+        lo = max(lo, abs(ta - tb))
+        hi = ta + tb if hi is None else min(hi, ta + tb)
+        p = (ta + tb) % 2
+        if par is None:
+            par = p
+        elif par != p:
+            raise ValidationError(
+                f"no valid {swept}: the two triangles demand different "
+                "integer/half-integer character")
+    if (lo + par) % 2:
+        lo += 1
+    if hi < lo:
+        raise ValidationError(f"no valid {swept}: range is empty")
+    return range(lo, hi + 1, 2)
+
+
+def _pr_or_none(labels):
+    """The PR value, or None at a caustic point, where PR refuses."""
+    try:
+        return prasym.pr_value(labels).value
+    except OnCausticError:
+        return None
+
+
+def sweep_rows(fixed, swept, methods):
+    rows = []
+    for t in sweep_range(fixed, swept):
+        labels = SixJLabels(**{**fixed, swept: HalfInt(t)})
+        _, _, region = tetra.classify_labels(labels)
+        exact_v = float(exact_sixj(labels)) if "exact" in methods else None
+        pr_v = _pr_or_none(labels) if "pr" in methods else None
+        uni_v = beta = None
+        if "uniform" in methods:
+            u = uniform.uniform_6j(labels)
+            uni_v, beta = u.value, u.map.beta
+        rows.append({
+            swept: t / 2.0,
+            "exact": exact_v,
+            "pr": pr_v,
+            "uniform": uni_v,
+            "abs_err_pr": (abs(pr_v - exact_v)
+                           if pr_v is not None and exact_v is not None
+                           else None),
+            "abs_err_uniform": (abs(uni_v - exact_v)
+                                if uni_v is not None and exact_v is not None
+                                else None),
+            "region": region.kind,
+            "beta": beta,
+        })
+    return rows
+
+
+# ----------------------------------------------------------- worstcase
+
+def amplitude_reference(labels, b, region):
+    """Reference scale for relative errors: |exact| in forbidden
+    regions; the PR amplitude in the allowed interior; in the
+    turning-point lobe (a caustic point, or the extreme lattice point
+    of the allowed j12 range) the PR amplitude at the nearest interior
+    allowed neighbor along j12, since the amplitude at the point
+    itself is inflated by the nearby caustic.  b and region are the
+    bounds and tetra.classify record of labels."""
+    if region.is_forbidden:
+        return abs(float(exact_sixj(labels)))
+    in_lobe = region.is_caustic or labels.j12.twice in (b.j12_min.twice,
+                                                        b.j12_max.twice)
+    if region.is_allowed and not in_lobe:
+        return region.pr_amp
+    toward = 2 if labels.j12.twice < b.j12_avg.twice else -2
+    t12 = labels.j12.twice + toward
+    J23 = labels.j23.twice / 2 + 0.5
+    while b.j12_min.twice <= t12 <= b.j12_max.twice:
+        region_n = tetra.classify(b.four + (t12 / 2 + 0.5, J23), b)
+        if region_n.is_allowed:
+            return region_n.pr_amp
+        t12 += toward
+    if region.is_allowed:
+        return region.pr_amp
+    return abs(float(exact_sixj(labels)))
+
+
+def worstcase_row(labels):
+    b, _, region = tetra.classify_labels(labels)
+    exact_v = float(exact_sixj(labels))
+    ref = amplitude_reference(labels, b, region)
+    pr_v = _pr_or_none(labels)
+    uni_v = uniform.uniform_6j(labels).value
+    # a reference below the double range gives no relative error
+    scaled = ref != 0.0
+    return {
+        "labels": _label_strs(labels),
+        "region": region.kind,
+        "exact": exact_v,
+        "reference": ref,
+        "err_pr": (abs(pr_v - exact_v) / ref
+                   if pr_v is not None and scaled else None),
+        "err_uniform": abs(uni_v - exact_v) / ref if scaled else None,
+    }
+
+
+def _random_labels(rng, j_max):
+    tmax = 2 * j_max
+    while True:
+        t1, t2, t3 = (rng.randint(1, tmax) for _ in range(3))
+        t4 = rng.randint(1, tmax)
+        if (t1 + t2 - t3 - t4) % 2:
+            continue
+        try:
+            b = bounds(HalfInt(t1), HalfInt(t2), HalfInt(t3), HalfInt(t4))
+        except ValidationError:
+            continue
+        t12 = rng.randrange(b.j12_min.twice, b.j12_max.twice + 1, 2)
+        t23 = rng.randrange(b.j23_min.twice, b.j23_max.twice + 1, 2)
+        return SixJLabels(HalfInt(t1), HalfInt(t2), HalfInt(t12),
+                          HalfInt(t3), HalfInt(t4), HalfInt(t23))
+
+
+def worstcase_report(family, j_max=20, seed=0, count=200):
+    rows = []
+    if family in ("equal-pairs", "three-zeros"):
+        z = HalfInt(0)
+        for tj in range(2, 2 * j_max + 1):
+            j = HalfInt(tj)
+            rows.append(worstcase_row(
+                SixJLabels(j, j, z, j, j, z) if family == "equal-pairs"
+                else SixJLabels(z, z, z, j, j, j)))
+    elif family == "random":
+        rng = random.Random(seed)
+        for _ in range(count):
+            rows.append(worstcase_row(_random_labels(rng, j_max)))
+    else:
+        raise ValidationError(f"unknown family {family!r}")
+    worst = {}
+    for key in ("err_pr", "err_uniform"):
+        vals = [(r[key], i) for i, r in enumerate(rows)
+                if r[key] is not None]
+        if vals:
+            err, i = max(vals)
+            worst[key] = {"labels": rows[i]["labels"], "err": err}
+    return {"family": family, "j_max": j_max, "rows": rows, "worst": worst}

@@ -80,6 +80,13 @@ class RegionClass:
         return math.sqrt(abs(self.det_g) / 36.0)
 
     @property
+    def pr_amp(self):
+        """1/sqrt(12 pi |V|), the Ponzano-Regge amplitude; inf where
+        |V| = 0."""
+        vol = self.vol_abs
+        return 1.0 / math.sqrt(12.0 * math.pi * vol) if vol > 0.0 else math.inf
+
+    @property
     def pattern(self):
         return None if self.pattern_index is None else SIGN_PATTERNS[self.pattern_index][1]
 

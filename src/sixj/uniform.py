@@ -463,12 +463,12 @@ def uniform_6j(labels):
     dval = wigner_d(j, m, mp, beta)
     sgn = phase(nu_ex + (j.twice - mp.twice) // 2)
     value = sgn * math.sqrt(Jd * ratio / 24.0) * dval
-    pr_amp = 1.0 / math.sqrt(12.0 * math.pi * vol) if vol > 0.0 else math.inf
     d_amp = (1.0 / math.sqrt((math.pi / 2.0) * Jd * vd) if vd > 0.0
              else math.inf)
     return UniformResult(value=value,
                          map=UniformMap(*smap, beta=beta, solver=rep),
-                         pr_amp=pr_amp, d_amp=d_amp, near_caustic=near)
+                         pr_amp=region.pr_amp, d_amp=d_amp,
+                         near_caustic=near)
 
 
 def permute_columns_for_accuracy(labels):

@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 
 from sixj import (Bounds, HalfInt, InvariantError, SixJLabels, ValidationError,
-                  cli, tetra)
+                  cli, figures, tetra)
 from sixj.core import LABEL_NAMES, TRIANGLES
 
 # exact 6j values, 37 digits, from sympy.physics.wigner.wigner_6j
@@ -441,7 +441,7 @@ def stdlib_json(payload):
 
 
 def side_touch_200(four, b, side, n=2001):
-    """cli._side_touch with all 200 ternary steps, det G evaluated on
+    """figures._side_touch with all 200 ternary steps, det G evaluated on
     one-element arrays."""
     if side in ("J12_min", "J12_max"):
         c = b.J12_min if side == "J12_min" else b.J12_max
@@ -451,8 +451,8 @@ def side_touch_200(four, b, side, n=2001):
         c = b.J23_min if side == "J23_min" else b.J23_max
         lo, hi = b.J12_min, b.J12_max
         point = lambda s: (s, c)
-    f = lambda s: float(cli._det_g(four, *(np.array([x], float)
-                                           for x in point(s)))[0])
+    f = lambda s: float(figures._det_g(four, *(np.array([x], float)
+                                               for x in point(s)))[0])
     scan = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     best_i = max(range(n), key=lambda i: f(scan[i]))
     a = scan[max(best_i - 1, 0)]
@@ -468,7 +468,7 @@ def side_touch_200(four, b, side, n=2001):
     g = f(s)
     J12, J23 = point(s)
     return {"side": side, "J12": J12, "J23": J23, "det_g": g,
-            "touch": abs(g) <= cli._TOUCH_TOL * tetra._caustic_scale(
+            "touch": abs(g) <= figures._TOUCH_TOL * tetra._caustic_scale(
                 four + (J12, J23))}
 
 

@@ -12,7 +12,8 @@ import pytest
 
 import oracles
 from sixj import (HalfInt, SixJLabels, bounds, cli, dasym, exact_sixj,
-                  exact_wigner_d, lengths, prasym, sphere, tetra, uniform)
+                  exact_wigner_d, lengths, prasym, scans, sphere, tetra,
+                  uniform)
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
 
@@ -86,12 +87,12 @@ def test_criterion_5_worstcase_families():
     t0 = time.time()
     z = HalfInt(0)
     j10 = HalfInt(20)
-    row = cli.worstcase_row(SixJLabels(j10, j10, z, j10, j10, z))
+    row = scans.worstcase_row(SixJLabels(j10, j10, z, j10, j10, z))
     assert 0.9 <= row["err_pr"] <= 1.3
     assert 0.35 <= row["err_uniform"] <= 0.65
     for tj in (40, 80):
         j = HalfInt(tj)
-        row = cli.worstcase_row(SixJLabels(z, z, z, j, j, j))
+        row = scans.worstcase_row(SixJLabels(z, z, z, j, j, j))
         assert 0.05 <= row["err_uniform"] <= 0.10
     assert time.time() - t0 < 10.0
 
@@ -120,7 +121,7 @@ def test_criterion_6_dasym_convergence():
 def test_criterion_7_matching_and_symmetry():
     t0 = time.time()
     rng = random.Random(7)
-    corpus = [cli._random_labels(rng, 40) for _ in range(200)]
+    corpus = [scans._random_labels(rng, 40) for _ in range(200)]
     for labels in corpus:
         b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
         um = uniform.map_quantum(labels, b)
@@ -161,7 +162,7 @@ def test_criterion_8_geometry_identities():
     rng = random.Random(17)
     checked = 0
     while checked < 100:
-        labels = cli._random_labels(rng, 25)
+        labels = scans._random_labels(rng, 25)
         J = lengths(labels)
         if not tetra.classify(J).is_allowed:
             continue

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 import sixj
 from sixj import HalfInt, SixJLabels, bounds, cli, sphere, tetra
+from sixj import figures, scans
 from sixj import exact_sixj, validate
 
 SQUARE_FLAGS = ["--j1", "9/2", "--j2", "3", "--j3", "11/2", "--j4", "6"]
@@ -307,7 +308,7 @@ class TestWholeGridFigures:
     @staticmethod
     def scalar_caustic_curve(four, b, grid):
         """The roots on every grid line, one line and one point at a time."""
-        xs, ys = cli._square_grid(b, grid)
+        xs, ys = figures._square_grid(b, grid)
         curve = []
         for J23 in ys:
             f = lambda s: tetra.det_gram(four + (s, J23))
@@ -323,7 +324,7 @@ class TestWholeGridFigures:
     @each_quad
     def test_spots_roots_equal_scalar_scan(self, js, grid):
         want = self.scalar_caustic_curve(_four(js), bounds(*js), grid)
-        got = cli.figure_spots(js, grid)["caustic"]
+        got = figures.figure_spots(js, grid)["caustic"]
         assert want and got == want
 
     @each_grid
@@ -333,17 +334,17 @@ class TestWholeGridFigures:
         # zeros), at a bracket midpoint (bisection hits 0.0 at once) and
         # between samples
         b = bounds(*js)
-        s12 = cli._scan(b.J12_min, b.J12_max, grid)
-        s23 = cli._scan(b.J23_min, b.J23_max, grid)
+        s12 = figures._scan(b.J12_min, b.J12_max, grid)
+        s23 = figures._scan(b.J23_min, b.J23_max, grid)
         c, d, m = s12[3], s23[5], 0.5 * (s12[7] + s12[8])
         e = 0.37 * (b.J12_max + b.J23_max)
         monkeypatch.setattr(tetra, "det_gram", lambda J: (
             (J[4] - c) * (J[4] - m) * (J[5] - d) * (J[4] + J[5] - e)))
         want = self.scalar_caustic_curve(_four(js), b, grid)
-        xs, ys = cli._square_grid(b, grid)
+        xs, ys = figures._square_grid(b, grid)
         assert [c, ys[0]] in want and [m, ys[0]] in want
         assert [xs[0], d] in want
-        assert cli._caustic_curve(b, grid) == want
+        assert figures._caustic_curve(b, grid) == want
 
     @each_grid
     @each_quad
@@ -355,7 +356,7 @@ class TestWholeGridFigures:
         Z = np.array([[tetra.det_gram(four + (J12, J23)) for J23 in y]
                       for J12 in x])
         want = oracles.cell_loop_marching_squares(x, y, Z, 0.0, False)
-        got = cli.figure_caustic_diagram(js, grid)["polylines"]
+        got = figures.figure_caustic_diagram(js, grid)["polylines"]
         assert want and len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(np.array(g), w)
@@ -376,7 +377,7 @@ class TestWholeGridFigures:
     @each_quad
     def test_side_touch_refines_first_scan_maximum(self, js, side):
         b, four = bounds(*js), _four(js)
-        t = cli._side_touch(b, side)
+        t = figures._side_touch(b, side)
         on_j12 = side.startswith("J12")
         lo, hi = ((b.J23_min, b.J23_max) if on_j12
                   else (b.J12_min, b.J12_max))
@@ -395,7 +396,7 @@ class TestWholeGridFigures:
         # the last two squares have flat sides
         js = tuple(HalfInt.of(j) for j in js)
         b, four = bounds(*js), _four(js)
-        assert (cli._side_touch(b, side)
+        assert (figures._side_touch(b, side)
                 == oracles.side_touch_200(four, b, side))
 
 
@@ -425,16 +426,16 @@ class TestFlatSides:
         assert b.J12_min == 0.0
         x = np.linspace(b.J12_min, b.J12_max, grid)
         y = np.linspace(b.J23_min, b.J23_max, grid)
-        Z = cli._det_g(four, x[:, None], y[None, :])
+        Z = figures._det_g(four, x[:, None], y[None, :])
         assert Z[0].tolist() == [0.0] * grid
         inner = slice(1 if b.J23_min == 0.0 else 0, None)
         assert np.array_equal(Z[1:, inner], tetra.det_gram(
             four + (x[1:, None], y[None, inner])))
         # every line at fixed J23 has its exact zero at J12 = 0
-        _, ys = cli._square_grid(b, grid)
-        caustic = cli.figure_spots(js, grid)["caustic"]
+        _, ys = figures._square_grid(b, grid)
+        caustic = figures.figure_spots(js, grid)["caustic"]
         assert all([0.0, J23] in caustic for J23 in ys)
-        assert cli._det_g(four, 0.0, ys[0]) == 0.0
+        assert figures._det_g(four, 0.0, ys[0]) == 0.0
 
     @flat
     def test_scalar_det_g_equals_array_path(self, js):
@@ -442,8 +443,8 @@ class TestFlatSides:
         b, four = bounds(*js), _four(js)
         x = np.linspace(b.J12_min, b.J12_max, 9)
         y = np.linspace(b.J23_min, b.J23_max, 9)
-        Z = cli._det_g(four, x[:, None], y[None, :])
-        got = [[cli._det_g(four, J12, J23) for J23 in y.tolist()]
+        Z = figures._det_g(four, x[:, None], y[None, :])
+        got = [[figures._det_g(four, J12, J23) for J23 in y.tolist()]
                for J12 in x.tolist()]
         assert all(type(v) is float for row in got for v in row)
         assert got[0] == [0.0] * 9
@@ -452,7 +453,7 @@ class TestFlatSides:
 
 class TestWorstcase:
     def test_equal_pairs_worst_at_top(self):
-        rep = cli.worstcase_report("equal-pairs", j_max=10)
+        rep = scans.worstcase_report("equal-pairs", j_max=10)
         assert rep["worst"]["err_pr"]["labels"]["j1"] == "10"
         assert rep["worst"]["err_pr"]["err"] == pytest.approx(0.9176,
                                                               abs=0.02)
@@ -460,12 +461,12 @@ class TestWorstcase:
             0.3615, abs=0.02)
 
     def test_three_zeros_tail(self):
-        rep = cli.worstcase_report("three-zeros", j_max=20)
+        rep = scans.worstcase_report("three-zeros", j_max=20)
         row = [r for r in rep["rows"] if r["labels"]["j4"] == "20"][0]
         assert 0.05 <= row["err_uniform"] <= 0.10
 
     def test_random_uniform_never_much_worse(self):
-        rep = cli.worstcase_report("random", j_max=15, seed=3, count=40)
+        rep = scans.worstcase_report("random", j_max=15, seed=3, count=40)
         for r in rep["rows"]:
             if r["err_pr"] is None or r["err_uniform"] is None:
                 continue
@@ -501,12 +502,12 @@ class TestUnderflowReference:
         labels = SixJLabels.of(*self.TINY)
         exact = exact_sixj(labels)     # 9.07e-329
         assert exact.sign != 0 and float(exact) == 0.0
-        row = cli.worstcase_row(labels)
+        row = scans.worstcase_row(labels)
         assert row["region"] == "C" and row["reference"] == 0.0
         assert row["err_pr"] is None and row["err_uniform"] is None
 
     def test_random_at_the_top_of_the_bound(self, capsys):
-        report = cli.worstcase_report("random", cli.J_MAX_MAX)
+        report = scans.worstcase_report("random", cli.J_MAX_MAX)
         tiny = dict(zip(("j1", "j2", "j12", "j3", "j4", "j23"), self.TINY))
         rows = [r for r in report["rows"] if r["labels"] == tiny]
         assert len(rows) == 1 and rows[0]["err_uniform"] is None
@@ -648,17 +649,20 @@ class TestInputBounds:
         assert "--j-max" in err and str(cli.J_MAX_MAX) in err
 
     def test_j_max_limit_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "worstcase_row",
-                            lambda labels: {"err_pr": None,
-                                            "err_uniform": None})
-        report = cli.worstcase_report("three-zeros", cli.J_MAX_MAX)
+        stubbed = []
+        monkeypatch.setattr(scans, "worstcase_row",
+                            lambda labels: stubbed.append(labels) or {
+                                "err_pr": None, "err_uniform": None})
+        report = scans.worstcase_report("three-zeros", cli.J_MAX_MAX)
+        assert len(stubbed) == 2 * cli.J_MAX_MAX - 1
         assert len(report["rows"]) == 2 * cli.J_MAX_MAX - 1
 
     @pytest.fixture
     def no_evaluation(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a symbol was evaluated")
-        for name in ("exact_sixj", "eval_record", "sweep_rows"):
+        monkeypatch.setattr(scans, "exact_sixj", fail)
+        for name in ("eval_record", "sweep_rows"):
             monkeypatch.setattr(cli, name, fail)
         monkeypatch.setattr(tetra, "classify", fail)
 
@@ -743,7 +747,7 @@ class TestInputBounds:
         def fail(*args, **kwargs):
             raise AssertionError("a symbol was evaluated")
         for name in ("exact_sixj", "bounds"):
-            monkeypatch.setattr(cli, name, fail)
+            monkeypatch.setattr(scans, name, fail)
         monkeypatch.setattr(tetra, "classify", fail)
         rc, out, err = run(capsys, TestDigits.NEAR + [
             "--digits", str(cli.DIGITS_MAX + 1)])
@@ -855,10 +859,10 @@ class TestJsonWriter:
     @pytest.mark.parametrize("kind", cli.FIGURE_KINDS)
     @each_quad
     def test_figure_payloads(self, js, kind, grid):
-        builder = {"spots": cli.figure_spots,
-                   "beta-contours": cli.figure_beta_contours,
-                   "j23-orbits": cli.figure_j23_orbits,
-                   "caustic-diagrams": cli.figure_caustic_diagram}[kind]
+        builder = {"spots": figures.figure_spots,
+                   "beta-contours": figures.figure_beta_contours,
+                   "j23-orbits": figures.figure_j23_orbits,
+                   "caustic-diagrams": figures.figure_caustic_diagram}[kind]
         payload = builder(js, grid or cli._FIGURE_GRID_DEFAULT[kind])
         assert cli._json(payload) == oracles.stdlib_json(payload)
 
@@ -866,7 +870,7 @@ class TestJsonWriter:
         labels = SixJLabels.of("39/2", 23, "41/2", "17/2", 20, "47/2")
         fixed = {n: getattr(labels, n) for n in
                  ("j1", "j2", "j3", "j4", "j23")}
-        for payload in (cli.eval_record(labels, cli.METHODS),
-                        cli.sweep_rows(fixed, "j12", cli.METHODS),
-                        cli.worstcase_report("random", 10)):
+        for payload in (scans.eval_record(labels, cli.METHODS),
+                        scans.sweep_rows(fixed, "j12", cli.METHODS),
+                        scans.worstcase_report("random", 10)):
             assert cli._json(payload) == oracles.stdlib_json(payload)

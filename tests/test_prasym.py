@@ -9,7 +9,7 @@ import pytest
 import oracles
 from sixj import (HalfInt, SixJLabels, WrongRegionError, bounds, exact_sixj,
                   lengths, prasym, tetra)
-from sixj.cli import _random_labels
+from sixj.scans import _random_labels
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
 FAMILY = [SixJLabels(HalfInt(39), HalfInt(46), HalfInt(t12), HalfInt(17),

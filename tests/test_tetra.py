@@ -10,7 +10,7 @@ import pytest
 import oracles
 from sixj import (HalfInt, InvariantError, SixJLabels, ValidationError,
                   bounds, lengths, tetra)
-from sixj.cli import _random_labels
+from sixj.scans import _random_labels
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
 

@@ -9,9 +9,10 @@ import pytest
 
 import oracles
 import sixj
-from sixj import (HalfInt, SixJLabels, ValidationError, bounds, cli, core,
+from sixj import (HalfInt, SixJLabels, ValidationError, bounds, core,
                   dasym, exact_sixj, lengths, prasym, sphere, tetra, uniform)
-from sixj.cli import _random_labels
+from sixj import figures, scans
+from sixj.scans import _random_labels
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
 FAMILY = [SixJLabels(HalfInt(39), HalfInt(46), HalfInt(t12), HalfInt(17),
@@ -224,7 +225,8 @@ class TestGeometryRecord:
             calls.append(labels)
             return require_valid(labels)
 
-        for mod in (sixj, core, tetra, prasym, dasym, uniform, sphere, cli):
+        for mod in (sixj, core, tetra, prasym, dasym, uniform, sphere,
+                    scans):
             for attr, val in list(vars(mod).items()):
                 if val is require_valid:
                     monkeypatch.setattr(mod, attr, counted)
@@ -326,7 +328,7 @@ class TestForbiddenSolve:
         (GRID_QUADS[1], {"B": 549, "C": 717, "A": 27, "D": 16})], ids=str)
     def test_window_and_bracket_on_60_cell_grid(self, js, counts):
         b, four = bounds(*js), _four(js)
-        xs, ys = cli._square_grid(b, 60)
+        xs, ys = figures._square_grid(b, 60)
         seen = dict.fromkeys(counts, 0)
         for x in xs:
             for y in ys:
@@ -387,7 +389,7 @@ class TestGridSolve:
     @each_grid_quad
     def test_classify_grid_equals_classify(self, js, grid):
         b, four = bounds(*js), _four(js)
-        xs, ys = cli._square_grid(b, grid)
+        xs, ys = figures._square_grid(b, grid)
         got = tetra.classify_grid(xs, ys, b)
         want = [tetra.classify(four + (x, y), b) for x in xs for y in ys]
         assert got.kind.tolist() == [r.kind for r in want]
@@ -407,13 +409,13 @@ class TestGridSolve:
         want = [tetra.classify(four + (x, y), b) for x in axis for y in axis]
         assert got.kind.tolist() == [r.kind for r in want]
         assert got.det_g.tolist() == [r.det_g for r in want]
-        assert [p["region"] for p in cli.figure_spots(js, 8)["points"]] \
+        assert [p["region"] for p in figures.figure_spots(js, 8)["points"]] \
             == got.kind.tolist()
 
     @each_grid
     @each_grid_quad
     def test_beta_grid_equals_beta_field(self, js, grid):
-        xs, ys = cli._square_grid(bounds(*js), grid)
+        xs, ys = figures._square_grid(bounds(*js), grid)
         beta, region = uniform.beta_grid(*js, xs, ys)
         want = [uniform.beta_field(*js, x, y) for x in xs for y in ys]
         assert region.tolist() == [rep.region for _, rep in want]
@@ -422,7 +424,7 @@ class TestGridSolve:
     @each_grid
     @each_grid_quad
     def test_every_beta_passes_the_scalar_acceptance(self, js, grid):
-        xs, ys = cli._square_grid(bounds(*js), grid)
+        xs, ys = figures._square_grid(bounds(*js), grid)
         beta, _ = uniform.beta_grid(*js, xs, ys)
         points = [(x, y) for x in xs for y in ys]
         assert all(self.scalar_acceptance(js, x, y, bt)
@@ -532,9 +534,14 @@ class TestGridSolve:
 
     def test_beta_contours_rows_in_blocks(self, monkeypatch):
         grid = 12
-        whole = cli.figure_beta_contours(DEMO, grid)
-        xs, ys = cli._square_grid(bounds(*DEMO), grid)
+        whole = figures.figure_beta_contours(DEMO, grid)
+        xs, ys = figures._square_grid(bounds(*DEMO), grid)
         assert [(r["J12"], r["J23"]) for r in whole["rows"]] \
             == [(x, y) for x in xs for y in ys]
-        monkeypatch.setattr(cli, "_SCAN_BLOCK", 5 * grid)
-        assert cli.figure_beta_contours(DEMO, grid) == whole
+        blocks = []
+        beta_grid = uniform.beta_grid
+        monkeypatch.setattr(uniform, "beta_grid", lambda *args: (
+            blocks.append(len(args[4])) or beta_grid(*args)))
+        monkeypatch.setattr(figures, "_SCAN_BLOCK", 5 * grid)
+        assert figures.figure_beta_contours(DEMO, grid) == whole
+        assert blocks == [5, 5, 2]
