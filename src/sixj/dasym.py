@@ -31,7 +31,8 @@ PIN_PATTERNS = (
     (tetra.REGION_C, (1, 1, 0)),
     (tetra.REGION_D, (0, 1, 1)),
 )
-_PATTERN_TO_REGION = {pat: kind for kind, pat in PIN_PATTERNS}
+# the same patterns read as 3-bit numbers, kappa the high bit
+_PIN_BITS = tuple(4 * k + 2 * p + e for _, (k, p, e) in PIN_PATTERNS)
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,14 @@ def _geometry(j, m, mp, beta):
     elif vd_sq > 0.0:
         region = ALLOWED
     else:
-        pat = tuple(0 if c > 0.0 else 1
-                    for c in (cos_kappa, cos_phi, cos_eta))
-        region = _PATTERN_TO_REGION.get(pat)
-        if region is None:
+        bits = (4 * (not cos_kappa > 0.0) + 2 * (not cos_phi > 0.0)
+                + (not cos_eta > 0.0))
+        if bits not in _PIN_BITS:
             raise InvariantError(
-                f"sign pattern {pat} matches no forbidden region at "
+                f"sign pattern {(bits >> 2, bits >> 1 & 1, bits & 1)} "
+                "matches no forbidden region at "
                 f"(j={j}, m={m}, m'={mp}, beta={beta})")
+        region = PIN_PATTERNS[_PIN_BITS.index(bits)][0]
     angles = DAngles(kappa=_principal(cos_kappa), phi=_principal(cos_phi),
                      eta=_principal(cos_eta), kappa_bar=_bar(cos_kappa),
                      phi_bar=_bar(cos_phi), eta_bar=_bar(cos_eta))
@@ -151,10 +153,6 @@ def _geometry(j, m, mp, beta):
                      theta=theta, theta_p=theta_p,
                      cos_kappa=cos_kappa, cos_phi=cos_phi, cos_eta=cos_eta,
                      angles=angles, Vd_sq=vd_sq, region=region)
-
-
-# the (kappa, phi, eta) patterns of PIN_PATTERNS read as 3-bit numbers
-_PIN_BITS = tuple(4 * k + 2 * p + e for _, (k, p, e) in PIN_PATTERNS)
 
 
 def phase_grid(J, m, mp, ct, ctp, st, stp, beta):

@@ -77,7 +77,8 @@ def eval_record(labels, methods, digits=17):
 
 def sweep_range(fixed, swept):
     """Lattice of valid twice-values for the swept label, the other five
-    fixed; intersects the two triangles containing the label."""
+    fixed; intersects the two triangles containing the label.  A lower
+    end |ta - tb| has the parity of ta + tb, so lo is on the lattice."""
     lo, hi, par = 0, None, None
     for names in TRIANGLES:
         if swept not in names:
@@ -92,8 +93,6 @@ def sweep_range(fixed, swept):
             raise ValidationError(
                 f"no valid {swept}: the two triangles demand different "
                 "integer/half-integer character")
-    if (lo + par) % 2:
-        lo += 1
     if hi < lo:
         raise ValidationError(f"no valid {swept}: range is empty")
     return range(lo, hi + 1, 2)

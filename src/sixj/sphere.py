@@ -302,15 +302,11 @@ def _unwrap(phi, stops):
     phi[:] = vals
 
 
-def _marching_squares(x, y, Z, level, wrap_y):
-    """Contour polylines of Z at one level; see _contour_levels."""
-    return _contour_levels(x, y, Z, [level], wrap_y)[0]
-
-
 def contour_polylines(x, y, Z, level, wrap_y=False):
-    """Marching-squares contours of a sampled function of two variables."""
-    return _marching_squares(np.asarray(x, float), np.asarray(y, float),
-                             np.asarray(Z, float), float(level), wrap_y)
+    """Marching-squares contours of a sampled function of two variables;
+    see _contour_levels."""
+    return _contour_levels(np.asarray(x, float), np.asarray(y, float),
+                           np.asarray(Z, float), [float(level)], wrap_y)[0]
 
 
 def j23_contour_grid(j1, j2, j3, j4, n_J12=201, n_phi=256):

@@ -48,7 +48,13 @@ SIGN_PATTERNS = (
     (REGION_D, (0, 1, 1, 0, 0, 1)),
 )
 
-_PATTERN_TO_COLUMN = {pat: i for i, (_, pat) in enumerate(SIGN_PATTERNS)}
+# Table-1 column of each cos psi sign pattern read as a 6-bit number
+# (edge J1 the high bit), -1 where no column has it; classify and
+# classify_grid both look the column up here
+_PATTERN_BITS = 1 << np.arange(5, -1, -1)
+_COLUMN_OF_BITS = np.full(64, -1)
+for _col, (_, _pat) in enumerate(SIGN_PATTERNS):
+    _COLUMN_OF_BITS[_PATTERN_BITS @ _pat] = _col
 
 
 @dataclass(frozen=True)
@@ -246,10 +252,11 @@ def _cofactor_cos_psi(g11, g22, g33, g12, g13, g23):
     det G < 0.  The outward face normals are 012: -b3, 023: -b1,
     013: -b2 and 123: b1 + b2 + b3; n.n is four times the squared face
     area, and cos psi_e = n_a.n_b / sqrt(n_a.n_a n_b.n_b) over the two
-    faces on edge e.  Returns the four n.n (faces 012, 023, 013, 123),
-    and the numerators and the squared denominators of cos psi in
-    EDGE_ORDER as arrays of six rows.  The entries may be floats or
-    numpy arrays of one shape.
+    faces on edge e.  Returns det G = g11 c11 + g12 c12 + g13 c13 (the
+    expansion of det_gram, bit for bit), the four n.n (faces 012, 023,
+    013, 123), and the numerators and the squared denominators of
+    cos psi in EDGE_ORDER as arrays of six rows.  The entries may be
+    floats or numpy arrays of one shape.
     """
     c11, c22, c33, c12, c13, c23 = (
         g22 * g33 - g23 * g23, g11 * g33 - g13 * g13, g11 * g22 - g12 * g12,
@@ -257,9 +264,10 @@ def _cofactor_cos_psi(g11, g22, g33, g12, g13, g23):
     s1, s2, s3 = c11 + c12 + c13, c12 + c22 + c23, c13 + c23 + c33
     faces = (c33, c11, c22, s1 + s2 + s3)
     n012, n023, n013, n123 = faces
-    return faces, np.array([c23, -s3, -s1, c12, c13, -s2]), np.array([
-        n012 * n013, n012 * n123, n023 * n123,
-        n023 * n013, n012 * n023, n013 * n123])
+    return (g11 * c11 + g12 * c12 + g13 * c13, faces,
+            np.array([c23, -s3, -s1, c12, c13, -s2]), np.array([
+                n012 * n013, n012 * n123, n023 * n123,
+                n023 * n013, n012 * n023, n013 * n123]))
 
 
 _FACE_NAMES = ("012", "023", "013", "123")
@@ -274,10 +282,9 @@ def _psi_pair(cos_psi):
     return psi, psi_bar
 
 
-def _angles(g11, g22, g33, g12, g13, g23):
-    """Exterior dihedral angles from the cofactors of the Gram matrix,
-    given by its six entries."""
-    faces, num, den = _cofactor_cos_psi(g11, g22, g33, g12, g13, g23)
+def _angles(faces, num, den):
+    """Exterior dihedral angles from the face norms and the cos psi
+    parts of _cofactor_cos_psi; ValidationError at a degenerate face."""
     for face, nn in zip(_FACE_NAMES, faces):
         if nn <= 0.0:
             raise ValidationError(
@@ -290,7 +297,8 @@ def _angles(g11, g22, g33, g12, g13, g23):
 def dihedrals(t):
     """Exterior dihedral angles of the (possibly complex) tetrahedron."""
     G = t.gram
-    return _angles(G[0, 0], G[1, 1], G[2, 2], G[0, 1], G[0, 2], G[1, 2])
+    return _angles(*_cofactor_cos_psi(G[0, 0], G[1, 1], G[2, 2], G[0, 1],
+                                      G[0, 2], G[1, 2])[1:])
 
 
 def _caustic_scale(J):
@@ -317,29 +325,33 @@ def classify(J, bnds=None):
         if not (bnds.J12_min <= J12 <= bnds.J12_max
                 and bnds.J23_min <= J23 <= bnds.J23_max):
             raise _outside_square(bnds, J12, J23)
-    det_g = det_gram(J)
+    det_g, *parts = _cofactor_cos_psi(*_gram_entries(*_positive_lengths(J)))
     caustic = abs(det_g) <= EPS_CAUSTIC * _caustic_scale(J)
     try:
-        dih = _angles(*_gram_entries(*J))
+        dih = _angles(*parts)
     except ValidationError:
         if not caustic:
             raise
         # tangency point: a face degenerates with the tetrahedron
         return RegionClass(kind=CAUSTIC, pattern_index=None, det_g=det_g,
                            angles=None)
-    pat = tuple(0 if c > 0 else 1 for c in dih.cos_psi)
-    col = _PATTERN_TO_COLUMN.get(pat)
-    if caustic:
-        kind = CAUSTIC
-    elif det_g > 0.0:
-        kind, col = ALLOWED, None
-    elif col is None:
+    if det_g > 0.0 and not caustic:
+        return RegionClass(kind=ALLOWED, pattern_index=None, det_g=det_g,
+                           angles=dih)
+    # the 6-bit pattern of classify_grid, by a Python loop: a numpy
+    # product on six entries costs several times more
+    bits = 0
+    for c in dih.cos_psi.tolist():
+        bits = 2 * bits + (not c > 0)
+    col = int(_COLUMN_OF_BITS[bits])
+    if col < 0 and not caustic:
+        pat = tuple(0 if c > 0 else 1 for c in dih.cos_psi)
         raise InvariantError(
             f"forbidden-region cos psi pattern {pat} matches no caustic "
             f"table column (lengths {J})")
-    else:
-        kind = SIGN_PATTERNS[col][0]
-    return RegionClass(kind=kind, pattern_index=col, det_g=det_g, angles=dih)
+    return RegionClass(kind=CAUSTIC if caustic else SIGN_PATTERNS[col][0],
+                       pattern_index=None if col < 0 else col, det_g=det_g,
+                       angles=dih)
 
 
 def classify_labels(labels):
@@ -377,12 +389,6 @@ class GridClass:
                         _KINDS[self.pattern_index], "")
 
 
-# Table-1 column of each cos psi sign pattern read as a 6-bit number
-# (edge J1 the high bit), -1 where no column has it
-_PATTERN_BITS = 1 << np.arange(5, -1, -1)
-_COLUMN_OF_BITS = np.full(64, -1)
-for _col, (_, _pat) in enumerate(SIGN_PATTERNS):
-    _COLUMN_OF_BITS[_PATTERN_BITS @ _pat] = _col
 # The kind of each Table-1 column, then ALLOWED and CAUSTIC.  An object
 # array holds the strings themselves: taking from it shares them, where
 # numpy strings would make one new str per point of a large grid.
@@ -420,12 +426,12 @@ def classify_grid(J12, J23, bnds):
         raise _outside_square(bnds, J12[first[0]], J23[first[1]])
     n = len(J23)
     J = (J1, J2, J3, J4, np.repeat(J12, n), np.tile(J23, len(J12)))
-    det_g = det_gram(J)
+    det_g, faces, num, den = _cofactor_cos_psi(
+        *_gram_entries(*_positive_lengths(J)))
     # Python's ** and numpy's power differ in the last bit for some
     # inputs: the scale is the one of classify only from Python floats
     scale = np.repeat([_caustic_scale(J[:4] + (x, 0.0)) for x in J12], n)
     caustic = np.abs(det_g) <= EPS_CAUSTIC * scale
-    faces, num, den = _cofactor_cos_psi(*_gram_entries(*J))
     flat = np.logical_or.reduce([nn <= 0.0 for nn in faces])
     if (flat & ~caustic).any():
         p = int(np.argmax(flat & ~caustic))

@@ -13,15 +13,15 @@ arrays, all Newton solves in lockstep, for the beta-contours figure.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dasym, prasym, tetra
 from .core import (HalfInt, InvariantError, SixJLabels, SolverError,
-                   ValidationError, WrongRegionError, _twice, bounds, lengths,
-                   phase, require_valid, wigner_d)
+                   ValidationError, WrongRegionError, _twice, bounds, phase,
+                   require_valid, wigner_d)
 
 BETA_GEOM_EPS = 1e-12    # keep d_geometry off beta = 0, pi during solves
 NEAR_CAUSTIC_VOL = 1e-6  # |V|/(J1 J12 J4) below this switches the ratio
@@ -38,22 +38,18 @@ class SolveReport:
     region: str
 
 
-@dataclass(frozen=True)
-class UniformMap:
-    """Quantum-number side of the 6j -> d-matrix correspondence."""
+class UniformMap(NamedTuple):
+    """Quantum-number side of the 6j -> d-matrix correspondence.  beta
+    and solver are None until the beta solve; at a continuous point of
+    the square (beta_field) m, m' and nu_ex are floats."""
 
     j: HalfInt
     m: HalfInt
     mp: HalfInt
     nu_ex: int
     Phi0: float
-    beta: float | None
-    solver: SolveReport | None
-
-
-# A UniformMap before beta is known: what the beta solve reads.  m, m'
-# and nu_ex are floats at a continuous point of the square.
-_SolveMap = namedtuple("_SolveMap", "j m mp nu_ex Phi0")
+    beta: float | None = None
+    solver: SolveReport | None = None
 
 
 @dataclass(frozen=True)
@@ -70,12 +66,12 @@ def map_quantum(labels, bnds=None):
     require_valid(labels)
     if bnds is None:
         bnds = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    return UniformMap(*_map(labels, bnds), beta=None, solver=None)
+    return _map(labels, bnds)
 
 
 def _map(labels, bnds):
-    """The _SolveMap of checked labels, bnds their core.Bounds; its rules
-    run on the twice-values of the labels."""
+    """The UniformMap of checked labels, bnds their core.Bounds; its
+    rules run on the twice-values of the labels."""
     t1, t2, t12, t3, t4, t23 = _twice(labels)
     tj = bnds.D - 1
     tm = t12 - bnds.j12_avg.twice
@@ -90,8 +86,20 @@ def _map(labels, bnds):
     if tnu % 2:
         raise InvariantError(f"nu_ex = {tnu}/2 is not an integer")
     nu_ex = tnu // 2
-    return _SolveMap(HalfInt(tj), HalfInt(tm), HalfInt(tmp), nu_ex,
-                     (nu_ex + 1.5) * math.pi)
+    return UniformMap(HalfInt(tj), HalfInt(tm), HalfInt(tmp), nu_ex,
+                      (nu_ex + 1.5) * math.pi)
+
+
+def _continuous_map(js, bnds, J12, J23):
+    """The UniformMap at the continuous point (J12, J23) of the square
+    of (j1..j4) = js, bnds its core.Bounds: m, m' and nu_ex extend
+    linearly off the lattice.  J12 and J23 are floats, or numpy axes
+    that give the fields per axis value."""
+    m = J12 - bnds.J12_avg
+    mp = bnds.J23_avg - J23
+    nu_ex = sum(float(x) for x in js) + J12 - 0.5 - float(bnds.j12_max)
+    return UniformMap(HalfInt(bnds.D - 1), m, mp, nu_ex,
+                      (nu_ex + 1.5) * math.pi)
 
 
 def _geom(umap, beta):
@@ -141,9 +149,9 @@ def _newton(umap, target, lo, hi, seed, scale, continued=False):
 
 def _solve_for_lengths(J, umap, region):
     """beta matching the PR phase of the point (lengths J, geometry
-    region from tetra.classify), plus a report.  umap is a UniformMap
-    or a _SolveMap; its (j, m, m') is checked once, by
-    dasym.turning_points, and every step after takes it as checked."""
+    region from tetra.classify), plus a report.  The (j, m, m') of
+    umap, a UniformMap, is checked once, by dasym.turning_points, and
+    every step after takes it as checked."""
     dih = region.angles
     if dih is None:
         raise ValidationError(
@@ -226,13 +234,7 @@ def beta_field(j1, j2, j3, j4, J12, J23):
     b = bounds(*js)
     J = b.four + (float(J12), float(J23))
     region = tetra.classify(J, b)
-    m = float(J12) - b.J12_avg
-    mp = b.J23_avg - float(J23)
-    nu_ex = (sum(float(x) for x in js) + float(J12) - 0.5
-             - float(b.j12_max))
-    umap = _SolveMap(j=HalfInt(b.D - 1), m=m, mp=mp, nu_ex=nu_ex,
-                     Phi0=(nu_ex + 1.5) * math.pi)
-    return _solve_for_lengths(J, umap, region)
+    return _solve_for_lengths(J, _continuous_map(js, b, *J[4:]), region)
 
 
 def beta_grid(j1, j2, j3, j4, J12, J23):
@@ -260,11 +262,11 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
             f"lengths {b.four + (J12[p // n], J23[p % n])} are a caustic "
             "tangency point: a face degenerates, so the dihedral angles "
             "are undefined")
-    # the map and the turning points, per axis value in Python floats as
-    # beta_field and dasym compute them
+    # the map per axis value, and the turning points from it in Python
+    # floats as dasym computes them
+    umap = _continuous_map(js, b, np.array(J12), np.array(J23))
     Jd = b.D / 2.0
-    m = [x - b.J12_avg for x in J12]
-    mp = [b.J23_avg - y for y in J23]
+    m, mp = umap.m.tolist(), umap.mp.tolist()
     first = tetra._first_point([abs(x) >= Jd for x in m],
                                [abs(y) >= Jd for y in mp])
     if first is not None:
@@ -273,7 +275,8 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     (ct, st, th), (ctp, stp, thp) = (
         np.reshape([dasym._cone(x, Jd) for x in v], (-1, 3)).T
         for v in (m, mp))
-    m, ct, st, th, L12 = (np.repeat(v, n) for v in (m, ct, st, th, J12))
+    m, ct, st, th, L12, Phi0 = (np.repeat(v, n)
+                                for v in (m, ct, st, th, J12, umap.Phi0))
     mp, ctp, stp, thp, L23 = (np.tile(v, n12) for v in (mp, ctp, stp, thp,
                                                         J23))
     beta1 = np.abs(th - thp)
@@ -295,16 +298,14 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
         raise WrongRegionError("phi_pr is defined in the allowed region; "
                                "use phi_pr_bar beyond the caustic")
     lengths6 = b.four + (L12, L23)
-    nu_ex = sum(float(x) for x in js) + L12 - 0.5 - float(b.j12_max)
     target = np.where(
         forbidden, sum(x * a for x, a in zip(lengths6, g.psi_bar)),
-        sum(x * a for x, a in zip(lengths6, g.psi)) - (nu_ex + 1.5) * math.pi)
+        sum(x * a for x, a in zip(lengths6, g.psi)) - Phi0)
     scale = np.maximum(1.0, np.abs(target))
     near_beta1 = np.isin(g.segment, (tetra.REGION_B, tetra.REGION_C))
     beta = np.where(near_beta1, beta1, beta2)   # the pinned values
 
-    jf = (b.D - 1) / 2.0
-    a_hi = (jf + 0.5 - np.maximum(m, mp)) * math.pi
+    a_hi = (float(umap.j) + 0.5 - np.maximum(m, mp)) * math.pi
     a_lo = np.maximum(0.0, -(m + mp)) * math.pi
     at_hi = free & (target >= a_hi - 1e-9 * scale)
     at_lo = free & ~at_hi & (target <= a_lo + 1e-9 * scale)
@@ -403,16 +404,13 @@ def solve_beta(labels, umap=None):
     return _solve_for_lengths(J, umap, region)
 
 
-def _near_caustic_ratio(labels, bnds, umap):
-    """|V_d|/|V| averaged over J23 +- step, where both vanish together."""
-    J = lengths(labels)
-    s = J[5]
+def _near_caustic_ratio(labels, J, umap):
+    """|V_d|/|V| averaged over J23 +- step, where both vanish together;
+    J the lengths of the labels, umap their UniformMap.  A lattice J23
+    lies at least 1/2 inside the square, so both neighbors are in it."""
     num = den = 0.0
     for ds in (NEAR_CAUSTIC_STEP, -NEAR_CAUSTIC_STEP):
-        j23s = s + ds
-        if not bnds.J23_min < j23s < bnds.J23_max:
-            continue
-        Js = J[:5] + (j23s,)
+        Js = J[:5] + (J[5] + ds,)
         region_s = tetra.classify(Js)
         beta_s, _ = _solve_for_lengths(Js, umap, region_s)
         g = _geom(umap, beta_s)
@@ -444,9 +442,9 @@ def uniform_6j(labels):
     require_valid(labels)
     labels = _canonical_updown(labels)
     b, J, region = tetra.classify_labels(labels)
-    smap = _map(labels, b)
-    j, m, mp, nu_ex, _ = smap
-    beta, rep = _solve_for_lengths(J, smap, region)
+    umap = _map(labels, b)
+    j, m, mp, nu_ex = umap[:4]
+    beta, rep = _solve_for_lengths(J, umap, region)
     if region.is_forbidden:
         nu6 = prasym.nu_6j(region, labels)
         nud = dasym.nu_d(region.kind, j, m, mp)
@@ -454,11 +452,11 @@ def uniform_6j(labels):
             raise InvariantError(
                 f"parity mismatch in region {region.kind}: nu_ex={nu_ex} "
                 f"nu_6j={nu6} nu_d={nud} do not cancel")
-    g = _geom(smap, beta)
+    g = _geom(umap, beta)
     vd = math.sqrt(abs(g.Vd_sq))
     vol = region.vol_abs
     near = region.is_caustic or vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
-    ratio = _near_caustic_ratio(labels, b, smap) if near else vd / vol
+    ratio = _near_caustic_ratio(labels, J, umap) if near else vd / vol
     Jd = b.D / 2.0
     dval = wigner_d(j, m, mp, beta)
     sgn = phase(nu_ex + (j.twice - mp.twice) // 2)
@@ -466,7 +464,7 @@ def uniform_6j(labels):
     d_amp = (1.0 / math.sqrt((math.pi / 2.0) * Jd * vd) if vd > 0.0
              else math.inf)
     return UniformResult(value=value,
-                         map=UniformMap(*smap, beta=beta, solver=rep),
+                         map=umap._replace(beta=beta, solver=rep),
                          pr_amp=region.pr_amp, d_amp=d_amp,
                          near_caustic=near)
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import oracles
 import sixj
 from sixj import HalfInt, SixJLabels, bounds, cli, sphere, tetra
-from sixj import figures, scans
+from sixj import figures, prasym, scans
+from sixj import OnCausticError, SolverError
 from sixj import exact_sixj, validate
 
 SQUARE_FLAGS = ["--j1", "9/2", "--j2", "3", "--j3", "11/2", "--j4", "6"]
@@ -131,6 +132,125 @@ class TestExitCodes:
             "sweep", "--j1", "1", "--j2", "1", "--j12", "0",
             "--j3", "1", "--j4", "1", "--j23", "0", "--sweep", "j12"])
         assert rc == 2 and "conflicts" in err
+
+    def test_methods_naming_none(self, capsys):
+        rc, out, err = run(capsys, [
+            "eval", *SQUARE_FLAGS, "--j12", "9/2", "--j23", "17/2",
+            "--methods", ","])
+        assert rc == 2 and out == ""
+        assert err == "sixj: error: --methods must name at least one method\n"
+
+    def test_unknown_sweep_label(self, capsys):
+        rc, out, err = run(capsys, [
+            "sweep", *SQUARE_FLAGS, "--j23", "17/2", "--sweep", "j5"])
+        assert rc == 2 and out == ""
+        assert err == ("sixj: error: --sweep must be one of "
+                       "('j1', 'j2', 'j12', 'j3', 'j4', 'j23')\n")
+
+    @pytest.mark.parametrize("j3, why", [
+        ("9/2", "the two triangles demand different integer/half-integer "
+                "character"),
+        ("5", "range is empty")])
+    def test_no_valid_swept_value(self, capsys, j3, why):
+        rc, out, err = run(capsys, [
+            "sweep", "--j1", "1", "--j2", "1", "--j3", j3, "--j4", "1",
+            "--j23", "5"])
+        assert rc == 2 and out == ""
+        assert err == f"sixj: error: no valid j12: {why}\n"
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def stalled(*args):
+            raise SolverError("beta solve stalled")
+
+        monkeypatch.setattr(cli, "sweep_rows", stalled)
+        rc, out, err = run(capsys, ["sweep", *SQUARE_FLAGS, "--j23", "17/2"])
+        assert rc == 3 and out == ""
+        assert err == "sixj: internal error: beta solve stalled\n"
+
+    def test_non_finite_csv_cell_is_empty(self):
+        assert [cli._fmt(x) for x in (math.nan, math.inf, -math.inf)] \
+            == ["", "", ""]
+
+
+class TestPRRefusal:
+    """The scans on a point where PR refuses (OnCausticError): no valid
+    symbol with every 2j <= 8 is a caustic point, so pr_value is made to
+    refuse."""
+
+    NOTE = "on a caustic"
+    ROW = [*SQUARE_FLAGS, "--j23", "17/2"]
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        def pr_value(labels):
+            raise OnCausticError(self.NOTE)
+
+        monkeypatch.setattr(prasym, "pr_value", pr_value)
+
+    def test_eval_record(self, capsys, refused):
+        argv = ["eval", *self.ROW, "--j12", "9/2"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert json.loads(out)["pr"] == {"value": None, "note": self.NOTE}
+        rc, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert rc == 0
+        lines = out.splitlines()
+        assert f"pr.note,{self.NOTE}" in lines and "pr.value," in lines
+        assert not any(ln.startswith("pr.abs_err,") for ln in lines)
+
+    def test_sweep_rows(self, capsys, refused):
+        rc, out, _ = run(capsys, ["sweep", *self.ROW, "--format", "json"])
+        assert rc == 0
+        rows = json.loads(out)
+        assert rows and all(r["pr"] is None and r["abs_err_pr"] is None
+                            and r["exact"] is not None for r in rows)
+        rc, out, _ = run(capsys, ["sweep", *self.ROW])
+        assert rc == 0
+        header, *lines = out.splitlines()
+        cols = header.split(",")
+        assert len(lines) == len(rows)
+        for ln in lines:
+            cells = dict(zip(cols, ln.split(",")))
+            assert cells["pr"] == cells["abs_err_pr"] == ""
+            assert cells["exact"] != ""
+
+    def test_worstcase_worst_from_other_rows(self, monkeypatch):
+        pr_value = prasym.pr_value
+
+        def refuse_top(labels):
+            if labels.j1 == 10:
+                raise OnCausticError(self.NOTE)
+            return pr_value(labels)
+
+        monkeypatch.setattr(prasym, "pr_value", refuse_top)
+        rep = scans.worstcase_report("equal-pairs", j_max=10)
+        top = [r for r in rep["rows"] if r["labels"]["j1"] == "10"]
+        rest = [r for r in rep["rows"] if r["labels"]["j1"] != "10"]
+        assert len(top) == 1 and top[0]["err_pr"] is None
+        assert top[0]["err_uniform"] is not None
+        worst = max(rest, key=lambda r: r["err_pr"])
+        assert rep["worst"]["err_pr"] == {"labels": worst["labels"],
+                                          "err": worst["err_pr"]}
+
+    def test_caustic_region_refused_by_pr_value(self, monkeypatch):
+        classify_labels = tetra.classify_labels
+
+        def on_caustic(labels):
+            b, J, region = classify_labels(labels)
+            return b, J, tetra.RegionClass(
+                kind=tetra.CAUSTIC, pattern_index=None, det_g=0.0,
+                angles=region.angles)
+
+        monkeypatch.setattr(tetra, "classify_labels", on_caustic)
+        labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
+        note = f"{labels} lies on a caustic; the PR amplitude diverges there"
+        with pytest.raises(OnCausticError) as e:
+            prasym.pr_value(labels)
+        assert str(e.value) == note
+        assert scans._pr_or_none(labels) is None
+        rec = scans.eval_record(labels, ("exact", "pr"))
+        assert rec["region"] == tetra.CAUSTIC
+        assert rec["pr"] == {"value": None, "note": note}
 
 
 class TestDigits:

@@ -185,7 +185,7 @@ class TestContours:
         # at y = pi (index 5 and index 10 cells)
         y = -math.pi + 2.0 * math.pi * (np.arange(16) + 0.5) / 16
         Z = x[:, None] * np.sin(y)[None, :] + eps
-        got = sphere._marching_squares(x, y, Z, 0.0, wrap_y=True)
+        got = sphere.contour_polylines(x, y, Z, 0.0, wrap_y=True)
         want = oracles.cell_loop_marching_squares(x, y, Z, 0.0, True)
         assert len(got) == len(want) == 2
         for g, w in zip(got, want):

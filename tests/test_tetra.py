@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sixj import (HalfInt, InvariantError, SixJLabels, ValidationError,
@@ -262,6 +264,25 @@ class TestDetGramBroadcast:
         J23[1, 2] = -1.0
         with pytest.raises(ValidationError, match="J23"):
             tetra.det_gram((5.0, 3.5, 6.0, 6.5, 2.0, J23))
+
+
+class TestDetGFromCofactors:
+    # classify takes det G from its cofactor pass; it is the expansion
+    # of det_gram, so the two agree bit for bit
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([5, 40, 1000]),
+           st.floats(-0.25, 0.25), st.floats(-0.25, 0.25))
+    @example(0, 40, 0.0, 0.0)    # allowed
+    @example(1, 40, 0.0, 0.0)    # D
+    @example(2, 40, 0.0, 0.0)    # C
+    @settings(max_examples=300)
+    def test_classify_det_g_is_det_gram(self, seed, j_max, d12, d23):
+        # a lattice point lies 1/2 inside its square, so the shifted
+        # point is a point of the square too
+        J = lengths(_random_labels(random.Random(seed), j_max))
+        J = J[:4] + (J[4] + d12, J[5] + d23)
+        region = tetra.classify(J)
+        assert region.det_g == tetra.det_gram(J)
+        assert type(region.det_g) is float
 
 
 class TestPoissonBracket:

@@ -186,7 +186,7 @@ class TestUniformValue:
         g = dasym.d_geometry(um.j, um.m, um.mp, beta)
         t = tetra.construct(lengths(labels))
         direct = math.sqrt(abs(g.Vd_sq)) / t.vol_abs
-        avg = uniform._near_caustic_ratio(labels, b, um)
+        avg = uniform._near_caustic_ratio(labels, lengths(labels), um)
         assert avg == pytest.approx(direct, rel=1e-6)
 
 
