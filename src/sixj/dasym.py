@@ -162,25 +162,19 @@ def phase_grid(J, m, mp, ct, ctp, st, stp, beta):
 
     Returns Phi_d, the continued Phi_bar_d, dPhi_d/dbeta and a mask of
     the points in the allowed region or on the caustic, where Phi_d is
-    the phase.  A forbidden sign pattern that matches no region raises
-    InvariantError, as in d_geometry.
+    the phase.  Both phases are NaN at a forbidden point whose sign
+    pattern matches no region, where d_geometry raises InvariantError.
     """
     sb = np.sin(beta)
     cos_kappa, cos_phi, cos_eta, vd_sq = _cone_cosines(
         ct, ctp, st, stp, np.cos(beta), sb)
     real = (np.abs(vd_sq) <= VD_CAUSTIC_TOL) | (vd_sq > 0.0)
+    cosines = np.array([cos_kappa, cos_phi, cos_eta])
     bits = (4 * ~(cos_kappa > 0.0) + 2 * ~(cos_phi > 0.0)
             + ~(cos_eta > 0.0))
-    wrong = ~real & ~np.isin(bits, _PIN_BITS)
-    if wrong.any():
-        p = int(np.argmax(wrong))
-        b = int(bits[p])
-        raise InvariantError(
-            f"sign pattern {(b >> 2, b >> 1 & 1, b & 1)} matches no "
-            f"forbidden region at (J={J}, m={m[p]}, m'={mp[p]}, "
-            f"beta={beta[p]})")
+    cosines[:, ~real & ~np.isin(bits, _PIN_BITS)] = np.nan
     (kappa, phi, eta), (kappa_bar, phi_bar, eta_bar) = tetra._psi_pair(
-        np.array([cos_kappa, cos_phi, cos_eta]))
+        cosines)
     return (J * kappa - m * phi - mp * eta,
             J * kappa_bar - m * phi_bar - mp * eta_bar,
             -J * np.sqrt(np.abs(vd_sq)) / sb, real)

@@ -144,8 +144,16 @@ def amplitude_reference(labels, b, region):
     allowed neighbor along j12, since the amplitude at the point
     itself is inflated by the nearby caustic.  b and region are the
     bounds and tetra.classify record of labels."""
+    ref = _pr_reference(labels, b, region)
+    return abs(float(exact_sixj(labels))) if ref is None else ref
+
+
+def _pr_reference(labels, b, region):
+    """amplitude_reference where it is a PR amplitude, and None where it
+    is |exact|: in a forbidden region, and at a caustic point with no
+    allowed neighbor toward the center of the j12 range."""
     if region.is_forbidden:
-        return abs(float(exact_sixj(labels)))
+        return None
     in_lobe = region.is_caustic or labels.j12.twice in (b.j12_min.twice,
                                                         b.j12_max.twice)
     if region.is_allowed and not in_lobe:
@@ -160,13 +168,15 @@ def amplitude_reference(labels, b, region):
         t12 += toward
     if region.is_allowed:
         return region.pr_amp
-    return abs(float(exact_sixj(labels)))
+    return None
 
 
 def worstcase_row(labels):
     b, _, region = tetra.classify_labels(labels)
     exact_v = float(exact_sixj(labels))
-    ref = amplitude_reference(labels, b, region)
+    ref = _pr_reference(labels, b, region)
+    if ref is None:
+        ref = abs(exact_v)
     pr_v = _pr_or_none(labels)
     uni_v = uniform.uniform_6j(labels).value
     # a reference below the double range gives no relative error

@@ -371,7 +371,7 @@ class GridClass:
     in row order (J12 outer, J23 inner).
 
     pattern_index is -1 where classify gives None; cos_psi, psi and
-    psi_bar have shape (6, N) and are NaN at a tangency point.
+    psi_bar have shape (6, N) and are NaN where a face is flat.
     """
 
     kind: np.ndarray           # strings, as RegionClass.kind
@@ -389,11 +389,12 @@ class GridClass:
                         _KINDS[self.pattern_index], "")
 
 
-# The kind of each Table-1 column, then ALLOWED and CAUSTIC.  An object
+# The kind of each Table-1 column, then ALLOWED, CAUSTIC and None, the
+# kind of _classify_grid where classify raises (column -1).  An object
 # array holds the strings themselves: taking from it shares them, where
 # numpy strings would make one new str per point of a large grid.
-_KINDS = np.array([kind for kind, _ in SIGN_PATTERNS] + [ALLOWED, CAUSTIC],
-                  dtype=object)
+_KINDS = np.array([kind for kind, _ in SIGN_PATTERNS]
+                  + [ALLOWED, CAUSTIC, None], dtype=object)
 
 
 def _first_point(bad12, bad23):
@@ -413,10 +414,25 @@ def classify_grid(J12, J23, bnds):
 
     Every decision is the one classify makes at the point, and det G,
     the Table-1 column and the angles are its values bit for bit.  A
-    tangency point is CAUSTIC with no angles; a degenerate face off the
-    caustic, or a point outside the square of bnds (core.Bounds),
-    raises ValidationError.
+    tangency point is CAUSTIC with no angles.  A point outside the
+    square of bnds (core.Bounds) raises ValidationError; otherwise the
+    first point in row order where classify raises (a degenerate face
+    off the caustic, a forbidden sign pattern of no column) is passed
+    to classify, which raises its error.
     """
+    g = _classify_grid(J12, J23, bnds)
+    refused = np.flatnonzero(np.equal(g.kind, None))
+    if len(refused):
+        # the grid's tests are those of classify bit for bit: it raises
+        i, k = divmod(int(refused[0]), len(J23))
+        classify(bnds.four + (float(J12[i]), float(J23[k])), bnds)
+    return g
+
+
+def _classify_grid(J12, J23, bnds):
+    """classify_grid, with the kind None at the points where classify
+    raises in place of an error there; uniform.beta_grid hands those
+    points to the scalar solve."""
     J1, J2, J3, J4 = (float(x) for x in bnds.four)
     J12 = [float(x) for x in J12]
     J23 = [float(x) for x in J23]
@@ -433,27 +449,15 @@ def classify_grid(J12, J23, bnds):
     scale = np.repeat([_caustic_scale(J[:4] + (x, 0.0)) for x in J12], n)
     caustic = np.abs(det_g) <= EPS_CAUSTIC * scale
     flat = np.logical_or.reduce([nn <= 0.0 for nn in faces])
-    if (flat & ~caustic).any():
-        p = int(np.argmax(flat & ~caustic))
-        face, nn = next((face, nn[p]) for face, nn in zip(_FACE_NAMES, faces)
-                        if nn[p] <= 0.0)
-        raise ValidationError(f"degenerate face {face}: area^2 = {nn / 4.0}")
     cos_psi = num / np.sqrt(np.where(flat, 1.0, den))
     cos_psi[:, flat] = np.nan
     psi, psi_bar = _psi_pair(cos_psi)
-    # NaN reads as all ones, a pattern of no column
+    # NaN reads as all ones, a pattern of no column: off the caustic a
+    # flat face, like a forbidden pattern of no column, takes kind None
     col = _COLUMN_OF_BITS[_PATTERN_BITS @ ~(cos_psi > 0)]
-    allowed = ~caustic & (det_g > 0.0)
-    unmatched = ~caustic & ~allowed & (col < 0)
-    if unmatched.any():
-        p = int(np.argmax(unmatched))
-        pat = tuple(0 if c > 0 else 1 for c in cos_psi[:, p].tolist())
-        raise InvariantError(
-            f"forbidden-region cos psi pattern {pat} matches no caustic "
-            f"table column (lengths {J[:4] + (J[4][p], J[5][p])})")
+    allowed = ~caustic & ~flat & (det_g > 0.0)
     col[allowed] = -1
-    kind = _KINDS[np.where(caustic, len(_KINDS) - 1,
-                           np.where(allowed, len(_KINDS) - 2, col))]
+    kind = _KINDS[np.where(caustic, -2, np.where(allowed, -3, col))]
     return GridClass(kind=kind, pattern_index=col, det_g=det_g,
                      cos_psi=cos_psi, psi=psi, psi_bar=psi_bar)
 

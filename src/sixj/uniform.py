@@ -8,8 +8,9 @@ common caustic, so the approximation stays finite there and reduces to
 the primitive forms deep in each region.
 
 beta_field solves beta at one continuous point of the (J12, J23)
-square; beta_grid runs the same branches on a whole grid with numpy
-arrays, all Newton solves in lockstep, for the beta-contours figure.
+square.  beta_grid solves a whole grid for the beta-contours figure:
+the ordinary points, on numpy arrays with all Newton solves in
+lockstep; every pin and every failure by beta_field at its point.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import dasym, prasym, tetra
 from .core import (HalfInt, InvariantError, SixJLabels, SolverError,
-                   ValidationError, WrongRegionError, _twice, bounds, phase,
+                   ValidationError, _twice, bounds, phase,
                    require_valid, wigner_d)
 
 BETA_GEOM_EPS = 1e-12    # keep d_geometry off beta = 0, pi during solves
@@ -238,40 +239,35 @@ def beta_field(j1, j2, j3, j4, J12, J23):
 
 
 def beta_grid(j1, j2, j3, j4, J12, J23):
-    """beta_field on every point of the grid J12 x J23 (the two axes),
-    all points solved together; returns (beta, region) arrays over the
-    points in row order, J12 outer and J23 inner.
+    """beta_field on every point of the grid J12 x J23 (the two axes);
+    returns (beta, region) arrays over the points in row order, J12
+    outer and J23 inner.
 
-    Each branch of _solve_for_lengths runs, with its constants, tests
-    and errors, on the points it applies to: the caustic-segment pin,
-    the pins at the ends of the d-matrix phase range, the forbidden
-    windows and their bracket searches, and one safeguarded Newton
-    solve in lockstep.  The geometry of the square comes from
-    tetra.classify_grid, the d-matrix phases from dasym.phase_grid.
+    The grid solves its ordinary points together, with the constants of
+    _solve_for_lengths: an allowed point, or a caustic point off the
+    segments, whose phi_pr is defined and whose target lies strictly
+    inside the d-matrix phase range; and a forbidden point with a beta
+    window, its target on the window side of zero and a bracket.  The
+    geometry comes from tetra.classify_grid, the d-matrix phases from
+    dasym.phase_grid, and one safeguarded Newton solve runs in lockstep.
+    Every other point (a tangency point, a pin, a point where the
+    scalar solve raises) is solved by beta_field at that point, so each
+    pin and each error is the scalar one.  After the outside-the-square
+    check, the first such point in row order raises first, then a
+    stalled Newton; a point whose Newton step meets a d-matrix sign
+    pattern of no region goes to beta_field after the Newton.
     """
     js = tuple(HalfInt.of(x) for x in (j1, j2, j3, j4))
     b = bounds(*js)
     J12 = [float(x) for x in J12]
     J23 = [float(x) for x in J23]
-    g = tetra.classify_grid(J12, J23, b)
+    g = tetra._classify_grid(J12, J23, b)
     n12, n = len(J12), len(J23)
-    tangent = np.isnan(g.cos_psi[0])
-    if tangent.any():
-        p = int(np.argmax(tangent))
-        raise ValidationError(
-            f"lengths {b.four + (J12[p // n], J23[p % n])} are a caustic "
-            "tangency point: a face degenerates, so the dihedral angles "
-            "are undefined")
     # the map per axis value, and the turning points from it in Python
     # floats as dasym computes them
     umap = _continuous_map(js, b, np.array(J12), np.array(J23))
     Jd = b.D / 2.0
     m, mp = umap.m.tolist(), umap.mp.tolist()
-    first = tetra._first_point([abs(x) >= Jd for x in m],
-                               [abs(y) >= Jd for y in mp])
-    if first is not None:
-        raise ValidationError(f"projections ({m[first[0]]}, {mp[first[1]]}) "
-                              f"reach the poles of J = {Jd}")
     (ct, st, th), (ctp, stp, thp) = (
         np.reshape([dasym._cone(x, Jd) for x in v], (-1, 3)).T
         for v in (m, mp))
@@ -291,55 +287,35 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     # the PR targets of _solve_for_lengths and _solve_forbidden
     forbidden = np.isin(g.kind, (tetra.REGION_A, tetra.REGION_B,
                                  tetra.REGION_C, tetra.REGION_D))
-    # allowed points and caustic points off the segments; the points on a
-    # segment are pinned to a turning point, so phi_pr is not checked there
-    free = ~forbidden & ((g.kind != tetra.CAUSTIC) | (g.segment == ""))
-    if (free & (np.abs(g.cos_psi) > 1.0 + 1e-8).any(axis=0)).any():
-        raise WrongRegionError("phi_pr is defined in the allowed region; "
-                               "use phi_pr_bar beyond the caustic")
     lengths6 = b.four + (L12, L23)
     target = np.where(
         forbidden, sum(x * a for x, a in zip(lengths6, g.psi_bar)),
         sum(x * a for x, a in zip(lengths6, g.psi)) - Phi0)
     scale = np.maximum(1.0, np.abs(target))
-    near_beta1 = np.isin(g.segment, (tetra.REGION_B, tetra.REGION_C))
-    beta = np.where(near_beta1, beta1, beta2)   # the pinned values
 
+    # allowed points and caustic points off the segments, with phi_pr
+    # defined and no pin at an end of the d-matrix phase range
     a_hi = (float(umap.j) + 0.5 - np.maximum(m, mp)) * math.pi
     a_lo = np.maximum(0.0, -(m + mp)) * math.pi
-    at_hi = free & (target >= a_hi - 1e-9 * scale)
-    at_lo = free & ~at_hi & (target <= a_lo + 1e-9 * scale)
-    for pin, wrong, side in (
-            (at_hi, target > a_hi + 1e-6 * scale, "above"),
-            (at_lo, target < a_lo - 1e-6 * scale, "below")):
-        if (pin & wrong).any():
-            p = int(np.argmax(pin & wrong))
-            raise InvariantError(
-                f"PR phase {target[p]} {side} the d-matrix range "
-                f"[{a_lo[p]}, {a_hi[p]}]")
-    beta[at_hi] = beta1[at_hi]
-    beta[at_lo] = beta2[at_lo]
-    pts = np.flatnonzero(free & ~at_hi & ~at_lo)
+    free = (((g.kind == tetra.ALLOWED)
+             | ((g.kind == tetra.CAUSTIC) & (g.pattern_index < 0)))
+            & (np.abs(g.cos_psi) <= 1.0 + 1e-8).all(axis=0)
+            & (target < a_hi - 1e-9 * scale) & (target > a_lo + 1e-9 * scale))
+    pts = np.flatnonzero(free)
     b1, b2, t = beta1[pts], beta2[pts], target[pts]
     a1, a0 = a_hi[pts], a_lo[pts]
     solves = [(pts, np.maximum(b1, BETA_GEOM_EPS),
                np.minimum(b2, math.pi - BETA_GEOM_EPS),
                b1 + (a1 - t) / (a1 - a0) * (b2 - b1), False)]
 
-    # forbidden points: B and C solve below beta1, A and D above beta2
-    for window, edge, side in ((near_beta1, beta1 <= BETA_GEOM_EPS, "beta1"),
-                               (~near_beta1,
-                                beta2 >= math.pi - BETA_GEOM_EPS, "beta2")):
-        if (forbidden & window & edge).any():
-            p = int(np.argmax(forbidden & window & edge))
-            raise SolverError(
-                f"region {g.kind[p]} has no beta window: "
-                f"{side} = {beta[p]}")
-    pts = np.flatnonzero(forbidden)
-    # the pins and bracket ends of _solve_forbidden, by the same sign
-    sign = np.where(near_beta1[pts], 1.0, -1.0)
-    pinned = sign * -target[pts] > 0.0
-    pts, sign = pts[~pinned], sign[~pinned]
+    # forbidden points: B and C solve in the window below beta1, A and D
+    # above beta2; sign > 0 where Phi_bar_d falls toward the window, and
+    # a bracket end has sign * (Phi_bar_d - target) >= 0
+    near_beta1 = np.isin(g.segment, (tetra.REGION_B, tetra.REGION_C))
+    sign = np.where(near_beta1, 1.0, -1.0)
+    window = np.where(near_beta1, beta1 > BETA_GEOM_EPS,
+                      beta2 < math.pi - BETA_GEOM_EPS)
+    pts = np.flatnonzero(forbidden & window & (sign * target >= 0.0))
     below = near_beta1[pts]
     edge = np.where(below, beta1[pts], beta2[pts])
     far, search = edge.copy(), np.arange(len(pts))
@@ -347,22 +323,31 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
         f = far[search]
         far[search] = np.where(below[search], f / 2.0,
                                math.pi - (math.pi - f) / 2.0)
-        found = sign[search] * (phases(pts[search], far[search])[1]
-                                - target[pts[search]]) >= 0.0
+        found = sign[pts[search]] * (phases(pts[search], far[search])[1]
+                                     - target[pts[search]]) >= 0.0
         search = search[~found]
         if not len(search):
             break
-    if len(search):
-        p = search[0]
-        raise SolverError(
-            f"no bracket {'below beta1' if below[p] else 'above beta2'} "
-            f"for target {target[pts[p]]}")
+    pts, below, far, edge = (np.delete(v, search)
+                             for v in (pts, below, far, edge))
     solves.append((pts, np.where(below, far, edge), np.where(below, edge, far),
                    np.where(below, beta1[pts] / 2.0,
                             (beta2[pts] + math.pi) / 2.0), True))
+
+    beta = np.full(len(target), np.nan)
+
+    def scalar(pts):
+        for p in pts.tolist():
+            beta[p] = beta_field(*js, J12[p // n], J23[p % n])[0]
+
+    lockstep = np.zeros(len(target), bool)
+    for pts, *_ in solves:
+        lockstep[pts] = True
+    scalar(np.flatnonzero(~lockstep))
     for pts, lo, hi, seed, continued in solves:
         beta[pts] = _newton_grid(phases, pts, target[pts], lo, hi, seed,
                                  scale[pts], continued)
+    scalar(np.flatnonzero(np.isnan(beta)))
     return beta, g.kind
 
 
@@ -383,8 +368,10 @@ def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued):
         flat = fpx == 0.0
         xn = np.where(flat, lo, x - fx / np.where(flat, 1.0, fpx))
         xn = np.where((lo < xn) & (xn < hi), xn, 0.5 * (lo + hi))
-        done = (np.abs(fx) <= tol) | (xn == x)
-        out[pos[done]] = x[done]
+        # a NaN phase (a sign pattern of no region) leaves NaN in out
+        lost = np.isnan(fx)
+        done = (np.abs(fx) <= tol) | (xn == x) | lost
+        out[pos[done]] = np.where(lost, np.nan, x)[done]
         if done.all():
             return out
         keep = ~done

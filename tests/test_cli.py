@@ -602,6 +602,46 @@ class TestWorstcase:
                            "err_uniform"
         assert any(ln.startswith("worst_err_pr,") for ln in lines)
 
+    @staticmethod
+    def count_exact(monkeypatch):
+        calls = []
+        exact = scans.exact_sixj
+        monkeypatch.setattr(scans, "exact_sixj",
+                            lambda labels: calls.append(labels)
+                            or exact(labels))
+        return calls
+
+    def test_one_exact_sum_per_row(self, monkeypatch):
+        calls = self.count_exact(monkeypatch)
+        rep = scans.worstcase_report("random", 20)
+        assert [scans._label_strs(labels) for labels in calls] \
+            == [r["labels"] for r in rep["rows"]]
+        forbidden = [r for r in rep["rows"] if r["region"] in "ABCD"]
+        assert forbidden and all(r["reference"] == abs(r["exact"])
+                                 for r in forbidden)
+
+    def test_caustic_reference_without_an_allowed_neighbor(self,
+                                                          monkeypatch):
+        # no small lattice point lies on the caustic: the point is made
+        # one, and no neighbor toward the center of the j12 range is
+        # allowed, so the reference is |exact|
+        import dataclasses
+        labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "13/2")
+        b, J, region = tetra.classify_labels(labels)
+        caustic = dataclasses.replace(region, kind=tetra.CAUSTIC)
+        want = abs(float(exact_sixj(labels)))
+        assert scans.amplitude_reference(labels, b, caustic) != want
+        classify, classify_labels = tetra.classify, tetra.classify_labels
+        monkeypatch.setattr(tetra, "classify", lambda J_n, bnds=None: (
+            caustic if J_n[4] != J[4] else classify(J_n, bnds)))
+        monkeypatch.setattr(tetra, "classify_labels", lambda L: (
+            (b, J, caustic) if L == labels else classify_labels(L)))
+        assert scans.amplitude_reference(labels, b, caustic) == want
+        calls = self.count_exact(monkeypatch)
+        row = scans.worstcase_row(labels)
+        assert row["region"] == tetra.CAUSTIC and row["reference"] == want
+        assert calls == [labels]
+
 
     @pytest.mark.parametrize("family,j_max", [("random", "0"),
                                               ("equal-pairs", "-3")])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import statistics
 
 import numpy as np
@@ -294,8 +295,9 @@ def _caustic_line(J12, inside, outside):
 
 
 # lines across the caustic of the demo square: they reach the pins on
-# the caustic segments B, C and D, the pins of allowed points at both
-# ends of the d-matrix phase range, and forbidden points next to the
+# the caustic segments B, C and D, allowed points next to the caustic
+# (no allowed point of the lines is pinned to an end of the d-matrix
+# phase range; RANGE_END below is), and forbidden points next to the
 # caustic
 NEAR_CAUSTIC_LINES = {
     "C-segment": (5.0, _caustic_line(5.0, 6.0, 9.4)),
@@ -545,3 +547,217 @@ class TestGridSolve:
         monkeypatch.setattr(figures, "_SCAN_BLOCK", 5 * grid)
         assert figures.figure_beta_contours(DEMO, grid) == whole
         assert blocks == [5, 5, 2]
+
+
+# (J12, J23) of the demo square: a point of the edge J12 = J1 - J2 off
+# the caustic, where the face 012 is flat; an allowed point pinned to an
+# end of the d-matrix phase range; a point of caustic segment D; the
+# forbidden points B and A pinned to their turning points
+FLAT_FACE = (1.5, 6.0)
+RANGE_END = (1.8181818181818181, 4.018359620367461)
+SEGMENT_D = (3.2, 9.499925768114476)
+FORBIDDEN_PINS = [(1.6, 4.878623008728027), (5.207541155562932, 2.517499999)]
+
+
+def _no_column_for_c(monkeypatch):
+    cols = tetra._COLUMN_OF_BITS.copy()
+    cols[cols == 4] = -1       # SIGN_PATTERNS[4] is the one of region C
+    monkeypatch.setattr(tetra, "_COLUMN_OF_BITS", cols)
+
+
+def _cos_psi_past_the_slack(monkeypatch):
+    cofactor = tetra._cofactor_cos_psi
+
+    def past(*entries):
+        det_g, faces, num, den = cofactor(*entries)
+        num[4] = np.sqrt(den[4]) * (1.0 + 1e-7)   # cos psi of J12
+        return det_g, faces, num, den
+    monkeypatch.setattr(tetra, "_cofactor_cos_psi", past)
+
+
+def _phi0_shifted(shift):
+    def stub(monkeypatch):
+        cmap = uniform._continuous_map
+        monkeypatch.setattr(uniform, "_continuous_map", lambda *args: (
+            lambda um: um._replace(Phi0=um.Phi0 + shift))(cmap(*args)))
+    return stub
+
+
+def _no_window(monkeypatch):
+    # every turning point of the demo square is closer than 3 to 0 and pi
+    monkeypatch.setattr(uniform, "BETA_GEOM_EPS", 3.0)
+
+
+def _lune_cosines(change):
+    def stub(monkeypatch):
+        cones = dasym._cone_cosines
+        monkeypatch.setattr(dasym, "_cone_cosines", lambda *args: change(
+            *cones(*args)))
+    return stub
+
+
+# Phi_bar_d is zero at every beta: no bracket reaches a target
+_no_bracket = _lune_cosines(lambda ck, cp, ce, vd: (
+    *(np.clip(c, -1.0, 1.0) for c in (ck, cp, ce)), vd))
+# cos kappa flips its sign beyond the d-caustic: no region has the pattern
+_no_lune_pattern = _lune_cosines(lambda ck, cp, ce, vd: (
+    ck * np.where(vd < -dasym.VD_CAUSTIC_TOL, -1.0, 1.0), cp, ce, vd))
+
+
+class TestGridHandOver:
+    """beta_grid solves its ordinary points in lockstep and hands every
+    other point to beta_field, and classify_grid hands a point where
+    classify raises to classify: each pin and each error is the one of
+    the scalar solve at that point."""
+
+    @staticmethod
+    def handed(monkeypatch):
+        """The (J12, J23) of each beta_field call, in order."""
+        calls = []
+        beta_field = uniform.beta_field
+        monkeypatch.setattr(uniform, "beta_field", lambda *args: (
+            calls.append(args[4:]) or beta_field(*args)))
+        return calls
+
+    @staticmethod
+    def raises_as(scalar, *solves):
+        """Each solve raises the class and the text of scalar()."""
+        with pytest.raises(core.SixJError) as want:
+            scalar()
+        for solve in solves:
+            with pytest.raises(core.SixJError) as got:
+                solve()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+        return want.value
+
+    # each grid has the failing point first in row order
+    @pytest.mark.parametrize("stub,point,error,text", [
+        (None, TANGENCY, ValidationError, "caustic tangency point"),
+        (None, FLAT_FACE, ValidationError,
+         r"^degenerate face 012: area\^2 = 0\.0$"),
+        (_no_column_for_c, (7.0, 8.0), core.InvariantError,
+         r"^forbidden-region cos psi pattern \(1, 1, 1, 1, 0, 0\) matches "
+         r"no caustic table column \(lengths \(5\.0, 3\.5, 6\.0, 6\.5, "
+         r"7\.0, 8\.0\)\)$"),
+        (_cos_psi_past_the_slack, (5.0, 9.0), core.WrongRegionError,
+         "^phi_pr is defined in the allowed region"),
+        (_phi0_shifted(-100.0), (5.0, 9.0), core.InvariantError,
+         r"^PR phase \S+ above the d-matrix range"),
+        (_phi0_shifted(100.0), (5.0, 9.0), core.InvariantError,
+         r"^PR phase \S+ below the d-matrix range"),
+        (_no_window, (7.0, 8.0), core.SolverError,
+         "^region C has no beta window: beta1 = "),
+        (_no_bracket, (7.0, 8.0), core.SolverError,
+         r"^no bracket below beta1 for target \S+$"),
+        (_no_lune_pattern, (7.0, 8.0), core.InvariantError,
+         r"^sign pattern \(0, 1, 0\) matches no forbidden region at "
+         r"\(j=3, m=2\.0, m'=-2\.0, beta="),
+    ], ids=["tangency", "flat-face", "no-6j-column", "phi_pr-slack",
+            "above-the-range", "below-the-range", "no-window",
+            "no-bracket", "no-d-pattern"])
+    def test_error_of_the_first_failing_point(self, monkeypatch, stub,
+                                              point, error, text):
+        if stub is not None:
+            stub(monkeypatch)
+        J12, J23 = point
+        xs, ys = [J12, 5.0], [J23, 9.0]
+        b = bounds(*DEMO)
+        err = self.raises_as(lambda: uniform.beta_field(*DEMO, J12, J23),
+                             lambda: uniform.beta_grid(*DEMO, xs, ys))
+        assert type(err) is error and re.search(text, str(err))
+        if stub in (None, _no_column_for_c) and point != TANGENCY:
+            self.raises_as(lambda: tetra.classify(_four(DEMO) + point, b),
+                           lambda: tetra.classify_grid(xs, ys, b))
+        elif stub is not None:
+            tetra.classify_grid(xs, ys, b)   # the point's geometry is sound
+
+    def test_two_failures_in_row_order(self):
+        # on the edge J12 = 1.5 a face is flat: off the caustic classify
+        # refuses the point, at the tangency point beta_field does
+        b = bounds(*DEMO)
+        for ys, first in (([6.0, TANGENCY[1]], FLAT_FACE),
+                          ([TANGENCY[1], 6.0], TANGENCY)):
+            self.raises_as(lambda: uniform.beta_field(*DEMO, *first),
+                           lambda: uniform.beta_grid(*DEMO, [1.5], ys))
+            self.raises_as(lambda: uniform.beta_field(*DEMO, *FLAT_FACE),
+                           lambda: tetra.classify_grid([1.5], ys, b))
+
+    def test_stall_comes_last(self, monkeypatch):
+        monkeypatch.setattr(uniform, "_MAX_NEWTON", 1)
+        for solve in (lambda: uniform.beta_field(*DEMO, 5.0, 9.0),
+                      lambda: uniform.beta_grid(*DEMO, [5.0], [9.0])):
+            with pytest.raises(core.SolverError,
+                               match="^beta solve stalled after 1 iter"):
+                solve()
+        # the stalled point comes first in row order
+        self.raises_as(lambda: uniform.beta_field(*DEMO, *FLAT_FACE),
+                       lambda: uniform.beta_grid(*DEMO, [5.0, 1.5], [6.0]))
+
+    @pytest.mark.parametrize("point,region", [
+        (SEGMENT_D, tetra.CAUSTIC), (RANGE_END, tetra.ALLOWED),
+        (FORBIDDEN_PINS[0], tetra.REGION_B),
+        (FORBIDDEN_PINS[1], tetra.REGION_A)],
+        ids=["caustic-segment", "range-end", "B-at-beta1", "A-at-beta2"])
+    def test_pins_come_from_beta_field(self, monkeypatch, point, region):
+        want, rep = uniform.beta_field(*DEMO, *point)
+        assert rep.region == region and rep.iterations == 0
+        assert rep.bracket == (want, want)
+        calls = self.handed(monkeypatch)
+        beta, kind = uniform.beta_grid(*DEMO, [point[0]], [point[1]])
+        assert calls == [point]
+        assert beta.tolist() == [want] and kind.tolist() == [region]
+
+    def test_newton_fixed_point(self, monkeypatch):
+        # the bracket has shrunk to two neighboring floats: the bisection
+        # step repeats the iterate, and both Newton solves stop there
+        hi = math.nextafter(1.0, 2.0)
+        monkeypatch.setattr(uniform, "_residual",
+                            lambda *args, **kwargs: (1.0, -1.0))
+        assert uniform._newton(None, 0.0, 0.5, hi, 1.0, 1.0) == (1.0, 1, 1.0)
+        one = np.ones(1)
+        got = uniform._newton_grid(lambda pts, beta: (one, one, -one, one > 0),
+                                   np.arange(1), 0.0 * one, 0.5 * one,
+                                   hi * one, one, one, False)
+        assert got.tolist() == [1.0]
+
+    def test_d_pattern_in_the_newton_goes_to_beta_field(self, monkeypatch):
+        # every phase is NaN: a forbidden point finds no bracket, and
+        # every other point leaves the lockstep at its first Newton step
+        phase_grid = dasym.phase_grid
+
+        def lost(*args):
+            ph, ph_bar, dph, real = phase_grid(*args)
+            return ph + np.nan, ph_bar + np.nan, dph, real
+        xs, ys = figures._square_grid(bounds(*DEMO), 6)
+        _, kinds = uniform.beta_grid(*DEMO, xs, ys)
+        monkeypatch.setattr(dasym, "phase_grid", lost)
+        calls = self.handed(monkeypatch)
+        beta, kind = uniform.beta_grid(*DEMO, xs, ys)
+        points = [(x, y) for x in xs for y in ys]
+        assert sorted(calls) == sorted(points)
+        assert beta.tolist() == [uniform.beta_field(*DEMO, *p)[0]
+                                 for p in points]
+        assert kind.tolist() == kinds.tolist()
+
+    @pytest.mark.parametrize("js", GRID_QUADS[:2], ids=str)
+    @each_grid
+    def test_no_hand_over_on_the_benchmark_squares(self, monkeypatch, js,
+                                                   grid):
+        calls = self.handed(monkeypatch)
+        xs, ys = figures._square_grid(bounds(*js), grid)
+        uniform.beta_grid(*js, xs, ys)
+        assert calls == []
+
+    @pytest.mark.parametrize("line,count", [
+        ("C-segment", 55), ("C-forbidden", 55), ("allowed-low", 0),
+        ("allowed-high", 0), ("B-segment", 63), ("D-segment", 66)])
+    def test_hand_over_on_near_caustic_lines(self, monkeypatch, line,
+                                             count):
+        # the grid hands over exactly the points that the scalar pins
+        J12, ys = NEAR_CAUSTIC_LINES[line]
+        pinned = [(J12, y) for y in ys
+                  if uniform.beta_field(*DEMO, J12, y)[1].iterations == 0]
+        calls = self.handed(monkeypatch)
+        uniform.beta_grid(*DEMO, [J12], ys)
+        assert calls == pinned and len(calls) == count
