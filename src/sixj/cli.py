@@ -13,13 +13,17 @@ keys.  A float in a CSV cell is written with 17 significant digits; a
 list in a CSV cell (eval's uniform.solver.bracket) is its items by
 str(), joined by spaces, like "1e-12 3.141592653588793".
 
-JSON is written in one pass that knows the payload shapes (_json); its
-bytes are those of json.dumps(indent=2, sort_keys=True) on the cleaned
-payload.  A list of [x, y] pairs of finite floats is written with one
-% format of a pair template.
+Each command builds its payload, then opens its output once (_output)
+and writes every piece as it formats it: JSON fragments in one pass
+that knows the payload shapes (_emit), CSV rows one at a time.  A
+command that fails writes nothing.  The JSON bytes are those of
+json.dumps(indent=2, sort_keys=True) on the cleaned payload.  A list of
+[x, y] pairs of finite floats is one % format of a pair template; a
+numpy array (a figure polyline) becomes a list only when it is written.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -50,7 +54,6 @@ _FIGURE_GRID_DEFAULT = {"spots": 201, "beta-contours": 41,
 GRID_MAX = 1000
 J_MAX_MAX = 1000
 DIGITS_MAX = 1000   # eval --digits: the precision of the exact value
-_WRITE_BLOCK = 1 << 20  # characters per write of the output
 
 
 def _fmt(x):
@@ -72,22 +75,19 @@ def _clean(obj):
         return str(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if hasattr(obj, "item"):  # numpy scalar
-        return _clean(obj.item())
+    if hasattr(obj, "tolist"):  # numpy array or scalar
+        return _clean(obj.tolist())
     return obj
 
 
-def _write(args, text):
-    # a slice at a time and the final newline apart: a text file encodes
-    # what one write gets into one bytes copy, and text + "\n" would be
-    # a copy of its own
-    blocks = chain((text[lo:lo + _WRITE_BLOCK]
-                    for lo in range(0, len(text), _WRITE_BLOCK)), ["\n"])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(blocks)
-    else:
-        sys.stdout.writelines(blocks)
+@contextlib.contextmanager
+def _output(args):
+    """The write function of a command's output, the --out file or
+    stdout; the final newline goes out when the block exits normally."""
+    with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
+          else contextlib.nullcontext(sys.stdout)) as f:
+        yield f.write
+        f.write("\n")
 
 
 def _json(payload):
@@ -96,7 +96,7 @@ def _json(payload):
     indent, json.dumps runs CPython's pure-Python encoder, which takes
     one generator step per value."""
     out = []
-    _emit(payload, "\n", out)
+    _emit(payload, "\n", out.append)
     return "".join(out)
 
 
@@ -119,45 +119,47 @@ def _pairs(obj, inner):
     return None if "n" in text else text
 
 
-def _emit(obj, newline_indent, out):
-    """Append the JSON of obj to out; newline_indent is the newline and
-    indent of the line obj starts on."""
+def _emit(obj, newline_indent, write):
+    """Write the JSON of obj, piece by piece; newline_indent is the
+    newline and indent of the line obj starts on."""
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            write("{}")
             return
         inner = newline_indent + "  "
         sep = "{" + inner
         for key in sorted(obj):
             v = obj[key]
-            out.append(sep + _str(key) + ": ")
+            write(sep + _str(key) + ": ")
             if type(v) is str:
-                out.append(_str(v))
+                write(_str(v))
             elif type(v) is float and math.isfinite(v):
-                out.append(float.__repr__(v))
+                write(float.__repr__(v))
             else:
-                _emit(v, inner, out)
+                _emit(v, inner, write)
             sep = "," + inner
-        out.append(newline_indent + "}")
+        write(newline_indent + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
+            write("[]")
             return
         inner = newline_indent + "  "
         text = _pairs(obj, inner)
         if text is not None:
-            out.append("[" + inner + text + newline_indent + "]")
+            write("[" + inner + text + newline_indent + "]")
             return
         sep = "[" + inner
         for v in obj:
-            out.append(sep)
-            _emit(v, inner, out)
+            write(sep)
+            _emit(v, inner, write)
             sep = "," + inner
-        out.append(newline_indent + "]")
+        write(newline_indent + "]")
     elif isinstance(obj, str):
-        out.append(_str(obj))
-    else:   # None, bools, ints, floats, HalfInt and numpy scalars
-        out.append(json.dumps(_clean(obj)))
+        write(_str(obj))
+    elif hasattr(obj, "tolist"):    # numpy array or scalar
+        _emit(obj.tolist(), newline_indent, write)
+    else:   # None, bools, ints, floats and HalfInt
+        write(json.dumps(_clean(obj)))
 
 
 def _parse_methods(arg):
@@ -188,18 +190,19 @@ def _read_labels(args, names):
 
 # ---------------------------------------------------------------- eval
 
-def _flatten(prefix, obj, rows):
+def _flatten(prefix, obj):
+    """The (key, cell) rows of a cleaned record, keys dotted and sorted."""
     if isinstance(obj, dict):
         for k in sorted(obj):
-            _flatten(f"{prefix}{k}." if prefix else f"{k}.", obj[k], rows)
+            yield from _flatten(f"{prefix}{k}.", obj[k])
         return
     key = prefix[:-1]
     if isinstance(obj, list):
-        rows.append((key, " ".join(str(v) for v in obj)))
+        yield key, " ".join(str(v) for v in obj)
     elif isinstance(obj, float):
-        rows.append((key, _fmt(obj)))
+        yield key, _fmt(obj)
     else:
-        rows.append((key, "" if obj is None else str(obj)))
+        yield key, "" if obj is None else str(obj)
 
 
 def cmd_eval(args):
@@ -209,13 +212,13 @@ def cmd_eval(args):
         raise ValidationError(f"--digits must be between 1 and {DIGITS_MAX}, "
                               f"got {args.digits}")
     rec = eval_record(labels, methods, args.digits)
-    if args.format == "json":
-        _write(args, _json(rec))
-    else:
-        rows = []
-        _flatten("", _clean(rec), rows)
-        _write(args, "key,value\n"
-               + "\n".join(f"{k},{v}" for k, v in rows))
+    with _output(args) as write:
+        if args.format == "json":
+            _emit(rec, "\n", write)
+        else:
+            write("key,value")
+            for k, v in _flatten("", _clean(rec)):
+                write(f"\n{k},{v}")
     return 0
 
 
@@ -237,16 +240,16 @@ def cmd_sweep(args):
         raise ValidationError(f"--sweep {swept} reaches {top}, above the "
                               f"limit {J_MAX_MAX}")
     rows = sweep_rows(fixed, swept, _parse_methods(args.methods))
-    if args.format == "json":
-        _write(args, _json(rows))
-        return 0
-    lines = [swept + "," + ",".join(_SWEEP_COLUMNS)]
-    for r in rows:
-        cells = [_fmt(r[swept])]
-        for c in _SWEEP_COLUMNS:
-            cells.append(r[c] if c == "region" else _fmt(r[c]))
-        lines.append(",".join(cells))
-    _write(args, "\n".join(lines))
+    with _output(args) as write:
+        if args.format == "json":
+            _emit(rows, "\n", write)
+            return 0
+        write(swept + "," + ",".join(_SWEEP_COLUMNS))
+        for r in rows:
+            cells = [_fmt(r[swept])]
+            for c in _SWEEP_COLUMNS:
+                cells.append(r[c] if c == "region" else _fmt(r[c]))
+            write("\n" + ",".join(cells))
     return 0
 
 
@@ -271,34 +274,35 @@ def cmd_figure(args):
         "caustic-diagrams": figure_caustic_diagram,
     }[args.kind]
     payload = builder(js, grid)
-    if args.format == "json":
-        _write(args, _json(payload))
-        return 0
-    lines = ["block,a,b,c,d"]
-    if args.kind == "spots":
-        for p in payload["points"]:
-            lines.append(f"point,{_fmt(p['J12'])},{_fmt(p['J23'])},"
-                         f"{p['region']},{_fmt(p['margin'])}")
-        for cx, cy in payload["caustic"]:
-            lines.append(f"caustic,{_fmt(cx)},{_fmt(cy)},,")
-        for t in payload["touches"]:
-            lines.append(f"touch,{_fmt(t['J12'])},{_fmt(t['J23'])},"
-                         f"{t['side']},{int(t['touch'])}")
-    elif args.kind == "beta-contours":
-        for r in payload["rows"]:
-            lines.append(f"beta,{_fmt(r['J12'])},{_fmt(r['J23'])},"
-                         f"{_fmt(r['beta'])},{r['region']}")
-    elif args.kind == "j23-orbits":
-        for lev in payload["levels"]:
-            for piece, poly in enumerate(lev["polylines"]):
-                for px, py in poly:
-                    lines.append(f"orbit,{_fmt(lev['level'])},{piece},"
-                                 f"{_fmt(px)},{_fmt(py)}")
-    else:
-        for piece, poly in enumerate(payload["polylines"]):
-            for px, py in poly:
-                lines.append(f"caustic,{piece},{_fmt(px)},{_fmt(py)},")
-    _write(args, "\n".join(lines))
+    with _output(args) as write:
+        if args.format == "json":
+            _emit(payload, "\n", write)
+            return 0
+        write("block,a,b,c,d")
+        if args.kind == "spots":
+            for p in payload["points"]:
+                write(f"\npoint,{_fmt(p['J12'])},{_fmt(p['J23'])},"
+                      f"{p['region']},{_fmt(p['margin'])}")
+            for cx, cy in payload["caustic"]:
+                write(f"\ncaustic,{_fmt(cx)},{_fmt(cy)},,")
+            for t in payload["touches"]:
+                write(f"\ntouch,{_fmt(t['J12'])},{_fmt(t['J23'])},"
+                      f"{t['side']},{int(t['touch'])}")
+        elif args.kind == "beta-contours":
+            for r in payload["rows"]:
+                write(f"\nbeta,{_fmt(r['J12'])},{_fmt(r['J23'])},"
+                      f"{_fmt(r['beta'])},{r['region']}")
+        elif args.kind == "j23-orbits":
+            for lev in payload["levels"]:
+                level = _fmt(lev["level"])
+                for piece, poly in enumerate(lev["polylines"]):
+                    for px, py in poly.tolist():
+                        write(f"\norbit,{level},{piece},"
+                              f"{_fmt(px)},{_fmt(py)}")
+        else:
+            for piece, poly in enumerate(payload["polylines"]):
+                for px, py in poly.tolist():
+                    write(f"\ncaustic,{piece},{_fmt(px)},{_fmt(py)},")
     return 0
 
 
@@ -309,22 +313,23 @@ def cmd_worstcase(args):
         raise ValidationError(f"--j-max must be between 1 and {J_MAX_MAX}, "
                               f"got {args.j_max}")
     report = worstcase_report(args.family, args.j_max, args.seed)
-    if args.format == "json":
-        _write(args, _json(report))
-        return 0
-    lines = ["block," + ",".join(LABEL_FLAGS) + ",region,err_pr,err_uniform"]
-    for r in report["rows"]:
-        cells = [r["labels"][n] for n in LABEL_FLAGS]
-        lines.append("row," + ",".join(cells)
-                     + f",{r['region']},{_fmt(r['err_pr'])},"
-                     f"{_fmt(r['err_uniform'])}")
-    for key in ("err_pr", "err_uniform"):
-        if key in report["worst"]:
-            w = report["worst"][key]
-            cells = [w["labels"][n] for n in LABEL_FLAGS]
-            lines.append(f"worst_{key}," + ",".join(cells)
-                         + f",,{_fmt(w['err'])},")
-    _write(args, "\n".join(lines))
+    with _output(args) as write:
+        if args.format == "json":
+            _emit(report, "\n", write)
+            return 0
+        write("block," + ",".join(LABEL_FLAGS)
+              + ",region,err_pr,err_uniform")
+        for r in report["rows"]:
+            cells = [r["labels"][n] for n in LABEL_FLAGS]
+            write("\nrow," + ",".join(cells)
+                  + f",{r['region']},{_fmt(r['err_pr'])},"
+                  f"{_fmt(r['err_uniform'])}")
+        for key in ("err_pr", "err_uniform"):
+            if key in report["worst"]:
+                w = report["worst"][key]
+                cells = [w["labels"][n] for n in LABEL_FLAGS]
+                write(f"\nworst_{key}," + ",".join(cells)
+                      + f",,{_fmt(w['err'])},")
     return 0
 
 

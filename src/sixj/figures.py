@@ -44,20 +44,10 @@ def _det_g(four, J12, J23):
     """tetra.det_gram on the square, floats or arrays.
 
     The square has a side J12 = 0 when J1 = J2 and J3 = J4, and a side
-    J23 = 0 when J2 = J3 and J1 = J4.  The tetrahedron is flat there:
-    the Gram matrix has a zero row, or two equal rows, so det G is 0.0
-    exactly, and no zero length reaches det_gram.
+    J23 = 0 when J2 = J3 and J1 = J4.  The tetrahedron is flat there,
+    and the expansion gives det G = 0.0 at a zero length.
     """
-    if isinstance(J12, float) and isinstance(J23, float):
-        if J12 == 0.0 or J23 == 0.0:
-            return 0.0
-        return tetra.det_gram(four + (J12, J23))
-    on_side = np.equal(J12, 0.0) | np.equal(J23, 0.0)
-    if not on_side.any():
-        return tetra.det_gram(four + (J12, J23))
-    det = np.where(on_side, 0.0, tetra.det_gram(
-        four + (np.where(on_side, 1.0, J12), np.where(on_side, 1.0, J23))))
-    return det if det.ndim else float(det)
+    return tetra._det_g(*four, J12, J23)
 
 
 def _caustic_curve(b, grid):
@@ -179,12 +169,8 @@ def figure_beta_contours(js, grid):
 
 def figure_j23_orbits(js, grid):
     x, y, Z, contours = sphere.j23_contour_grid(*js, n_J12=grid, n_phi=grid)
-    levels = []
-    for lev in sorted(contours):
-        levels.append({
-            "level": lev,
-            "polylines": [p.tolist() for p in contours[lev]],
-        })
+    levels = [{"level": lev, "polylines": contours[lev]}
+              for lev in sorted(contours)]
     return {"J12_range": [float(x[0]), float(x[-1])],
             "n_J12": len(x), "n_phi": len(y), "levels": levels}
 
@@ -195,5 +181,4 @@ def figure_caustic_diagram(js, grid):
     y = np.linspace(b.J23_min, b.J23_max, grid)
     Z = _det_g(b.four, x[:, None], y[None, :])
     polys = sphere.contour_polylines(x, y, Z, 0.0, wrap_y=False)
-    return {"square": _square(b),
-            "polylines": [p.tolist() for p in polys]}
+    return {"square": _square(b), "polylines": polys}

@@ -182,6 +182,14 @@ def _det3(M):
             + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0]))
 
 
+def _det_g(J1, J2, J3, J4, J12, J23):
+    """det G of six lengths, floats or numpy arrays that broadcast, with
+    no length check: a zero length gives the flat value +0.0."""
+    g11, g22, g33, g12, g13, g23 = _gram_entries(J1, J2, J3, J4, J12, J23)
+    return (g11 * (g22 * g33 - g23 * g23) - g12 * (g12 * g33 - g23 * g13)
+            + g13 * (g12 * g23 - g22 * g13))
+
+
 def det_gram(J):
     """det G = 36 V^2 from the lengths alone (no eigen step).
 
@@ -189,9 +197,7 @@ def det_gram(J):
     broadcast shape.  The expansion is the one of _det3(gram(J)), so
     every element equals the determinant of its own point bit for bit.
     """
-    g11, g22, g33, g12, g13, g23 = _gram_entries(*_positive_lengths(J))
-    return (g11 * (g22 * g33 - g23 * g23) - g12 * (g12 * g33 - g23 * g13)
-            + g13 * (g12 * g23 - g22 * g13))
+    return _det_g(*_positive_lengths(J))
 
 
 def construct(J):

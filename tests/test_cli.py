@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -458,7 +459,7 @@ class TestWholeGridFigures:
         s23 = figures._scan(b.J23_min, b.J23_max, grid)
         c, d, m = s12[3], s23[5], 0.5 * (s12[7] + s12[8])
         e = 0.37 * (b.J12_max + b.J23_max)
-        monkeypatch.setattr(tetra, "det_gram", lambda J: (
+        monkeypatch.setattr(tetra, "_det_g", lambda *J: (
             (J[4] - c) * (J[4] - m) * (J[5] - d) * (J[4] + J[5] - e)))
         want = self.scalar_caustic_curve(_four(js), b, grid)
         xs, ys = figures._square_grid(b, grid)
@@ -579,6 +580,11 @@ class TestWorstcase:
                                                               abs=0.02)
         assert rep["worst"]["err_uniform"]["err"] == pytest.approx(
             0.3615, abs=0.02)
+
+    def test_unknown_family(self):
+        with pytest.raises(sixj.ValidationError) as e:
+            scans.worstcase_report("nope")
+        assert str(e.value) == "unknown family 'nope'"
 
     def test_three_zeros_tail(self):
         rep = scans.worstcase_report("three-zeros", j_max=20)
@@ -945,6 +951,74 @@ class TestInputBounds:
         assert err == f"sixj: error: {flag} is required\n"
 
 
+LARGE_SQUARE = ["--j1", "99/2", "--j2", "99/2", "--j3", "99/2",
+                "--j4", "99/2"]
+
+
+class TestOutput:
+    """A command builds its payload, then opens its output once and
+    writes each piece as it formats it."""
+
+    @pytest.mark.parametrize("argv,bound", [
+        (["--kind", "j23-orbits", "--grid", "256"], 2.5),
+        (["--kind", "j23-orbits", "--grid", "256", "--format", "csv"], 2.5),
+        (["--kind", "spots"], 6.0)], ids=["orbits-json", "orbits-csv",
+                                          "spots-json"])
+    def test_peak_memory_bounded_by_bytes_written(self, tmp_path, argv,
+                                                  bound):
+        # a whole-output string, or its fragments held until a join,
+        # would take about as much as the output again; the warm-up
+        # runs at the smallest grid (the last --grid wins)
+        path = tmp_path / "figure"
+        argv = ["figure", *LARGE_SQUARE, *argv, "--out", str(path)]
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--grid", "8"]) == 0
+            tracemalloc.reset_peak()
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * path.stat().st_size
+
+    @pytest.mark.parametrize("argv,code", [
+        (["figure", "--kind", "spots", "--j1", "1000", "--j2", "1000",
+          "--j3", "1000", "--j4", "1000"], 2),
+        (["eval", "--j1", "5", "--j2", "1", "--j12", "1", "--j3", "1",
+          "--j4", "1", "--j23", "1"], 2),
+        (["figure", "--kind", "caustic-diagrams", *SQUARE_FLAGS], 3)],
+        ids=["D-above-grid-max", "invalid-triangle", "solver-error"])
+    def test_failure_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                    argv, code):
+        def fail(js, grid):
+            raise SolverError("no convergence")
+        monkeypatch.setattr(cli, "figure_caustic_diagram", fail)
+        path = tmp_path / "out"
+        rc, out, err = run(capsys, [*argv, "--out", str(path)])
+        assert rc == code and out == "" and err.startswith("sixj: ")
+        assert not path.exists()
+        rc, out, err = run(capsys, argv)
+        assert rc == code and out == "" and err.startswith("sixj: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--j1", "9/2", "--j2", "3", "--j12", "9/2", "--j3", "11/2",
+         "--j4", "6", "--j23", "17/2"],
+        ["sweep", "--j1", "9/2", "--j2", "3", "--j3", "11/2", "--j4", "6",
+         "--j23", "17/2"],
+        *(["figure", "--kind", kind, *SQUARE_FLAGS, "--grid", "8"]
+          for kind in cli.FIGURE_KINDS),
+        ["worstcase", "--family", "equal-pairs", "--j-max", "3"]],
+        ids=["eval", "sweep", *cli.FIGURE_KINDS, "worstcase"])
+    def test_stdout_equals_out_file(self, capsys, tmp_path, argv, fmt):
+        argv = [*argv, "--format", fmt]
+        rc, out, err = run(capsys, argv)
+        assert rc == 0 and err == "" and out.endswith("\n")
+        path = tmp_path / "out"
+        assert run(capsys, [*argv, "--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
+
 class TestDeterminism:
     def test_worstcase_bytes_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -1008,6 +1082,7 @@ class TestJsonWriter:
     @example([[1, 2], [0.5, 1.5]])
     @example([[True, False], [0.5, 1.5]])
     @example([[np.float64(0.5), 1.5]])
+    @example([np.array([[0.5, math.nan], [1.0, 2.0]]), np.arange(3.0)])
     @settings(max_examples=200, deadline=None)
     def test_pair_lists(self, pairs):
         # lists of [x, y] float pairs go through one format call; any

@@ -106,6 +106,11 @@ class TestOrbits:
         assert top + math.pi == pytest.approx(2.0 * math.pi * B.D,
                                               abs=1e-4)
 
+    def test_even_n_takes_the_next_odd_sample_count(self):
+        # Simpson's rule needs an odd number of samples
+        assert (sphere.orbit_area(FOUR, 5.0, n=10000)
+                == sphere.orbit_area(FOUR, 5.0, n=10001))
+
     def test_monotone_in_level(self):
         areas = [sphere.orbit_area(FOUR, lev, n=2001)
                  for lev in np.linspace(3.0, 9.0, 13)]
