@@ -11,6 +11,7 @@ triple raises the same error here as in wigner_d.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,6 +96,14 @@ def _soft_coerce(j, m, mp):
         raise ValidationError(
             f"projections ({m}, {mp}) reach the poles of J = {J}")
     return j, m, mp
+
+
+# The array namespace of a computation on Python floats: the three names
+# of numpy's elementwise functions that the turning points and the rules
+# of the beta solve (uniform) call, as builtins and a conditional.  numpy
+# on a float costs several times as much and returns numpy scalars.
+_FLOATS = SimpleNamespace(maximum=max, minimum=min,
+                          where=lambda cond, a, b: a if cond else b)
 
 
 def _cone_cosines(ct, ctp, st, stp, cb, sb):
@@ -184,9 +193,15 @@ def turning_points(j, m, mp):
     """(beta1, beta2): the caustic colatitudes bounding the allowed region."""
     j, m, mp = _soft_coerce(j, m, mp)
     J = (j.twice + 1) / 2.0
-    theta, theta_p = _cone(float(m), J)[2], _cone(float(mp), J)[2]
+    return _turning_points(_FLOATS, _cone(float(m), J)[2],
+                           _cone(float(mp), J)[2])
+
+
+def _turning_points(xp, theta, theta_p):
+    """(beta1, beta2) from the cone angles theta and theta' in the array
+    namespace xp: numpy on arrays, _FLOATS on floats."""
     return (abs(theta - theta_p),
-            min(theta + theta_p, 2.0 * math.pi - theta - theta_p))
+            xp.minimum(theta + theta_p, 2.0 * math.pi - theta - theta_p))
 
 
 def phi_d(g):

@@ -40,16 +40,6 @@ def _scan(lo, hi, n):
     return lo + (hi - lo) * np.arange(n) / (n - 1)
 
 
-def _det_g(four, J12, J23):
-    """tetra.det_gram on the square, floats or arrays.
-
-    The square has a side J12 = 0 when J1 = J2 and J3 = J4, and a side
-    J23 = 0 when J2 = J3 and J1 = J4.  The tetrahedron is flat there,
-    and the expansion gives det G = 0.0 at a zero length.
-    """
-    return tetra._det_g(*four, J12, J23)
-
-
 def _caustic_curve(b, grid):
     """Roots of det G on every grid line of the square: the lines at
     fixed J23 first, then those at fixed J12, each in scan order.
@@ -68,7 +58,7 @@ def _caustic_curve(b, grid):
     for d in (0, 1):
         for first in range(0, grid, block):
             c, s = lines[d, first:first + block, None], samples[d]
-            v = _det_g(b.four, *((s, c) if d == 0 else (c, s)))
+            v = tetra._det_g(*b.four, *((s, c) if d == 0 else (c, s)))
             v0, v1 = v[:, :-1], v[:, 1:]
             zero = v0 == 0.0
             change = (v0 != 0.0) & (v1 != 0.0) & ((v0 < 0.0) != (v1 < 0.0))
@@ -88,7 +78,7 @@ def _caustic_curve(b, grid):
     state = (a, bb, fa, done)
     for _ in range(80):
         mid = 0.5 * (a + bb)
-        fm = _det_g(b.four, *point(mid))
+        fm = tetra._det_g(*b.four, *point(mid))
         done = done | (fm == 0.0)
         low = ~done & ((fm < 0.0) == (fa < 0.0))
         a, bb, fa = (np.where(low | done, mid, a), np.where(low, bb, mid),
@@ -105,7 +95,7 @@ def _side_touch(b, side):
     c, on_j12 = getattr(b, side), side.startswith("J12")
     lo, hi = (b.J23_min, b.J23_max) if on_j12 else (b.J12_min, b.J12_max)
     point = lambda s: (c, s) if on_j12 else (s, c)
-    f = lambda s: _det_g(b.four, *point(s))
+    f = lambda s: tetra._det_g(*b.four, *point(s))
     scan = _scan(lo, hi, _TOUCH_SCAN)
     best_i = int(np.argmax(f(scan)))
     a = float(scan[max(best_i - 1, 0)])
@@ -179,6 +169,6 @@ def figure_caustic_diagram(js, grid):
     b = bounds(*js)
     x = np.linspace(b.J12_min, b.J12_max, grid)
     y = np.linspace(b.J23_min, b.J23_max, grid)
-    Z = _det_g(b.four, x[:, None], y[None, :])
+    Z = tetra._det_g(*b.four, x[:, None], y[None, :])
     polys = sphere.contour_polylines(x, y, Z, 0.0, wrap_y=False)
     return {"square": _square(b), "polylines": polys}

@@ -20,6 +20,9 @@ from .core import (LABEL_NAMES, InvariantError, OnCausticError,
 # the matching twice-values at these positions of core._twice.
 _EDGE_AT = tuple(LABEL_NAMES.index(name)
                  for name in ("j1", "j2", "j3", "j4", "j12", "j23"))
+# |cos psi| up to 1 + this is on the caustic for phi_pr: roundoff there
+# may push a cosine past 1
+COS_PSI_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,7 @@ class PRResult:
 def phi_pr(J, dih):
     """Phi_PR = sum_i J_i psi_i; allowed region, continuous up to and on
     the caustic."""
-    if np.any(np.abs(dih.cos_psi) > 1.0 + 1e-8):
+    if np.any(np.abs(dih.cos_psi) > 1.0 + COS_PSI_SLACK):
         raise WrongRegionError("phi_pr is defined in the allowed region; "
                                "use phi_pr_bar beyond the caustic")
     return float(np.asarray(J, float) @ dih.psi)

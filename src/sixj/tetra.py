@@ -387,13 +387,6 @@ class GridClass:
     psi: np.ndarray
     psi_bar: np.ndarray
 
-    @property
-    def segment(self):
-        """The caustic segment / forbidden region letters, "" where no
-        column applies."""
-        return np.where(self.pattern_index >= 0,
-                        _KINDS[self.pattern_index], "")
-
 
 # The kind of each Table-1 column, then ALLOWED, CAUSTIC and None, the
 # kind of _classify_grid where classify raises (column -1).  An object

@@ -11,6 +11,15 @@ beta_field solves beta at one continuous point of the (J12, J23)
 square.  beta_grid solves a whole grid for the beta-contours figure:
 the ordinary points, on numpy arrays with all Newton solves in
 lockstep; every pin and every failure by beta_field at its point.
+
+Each rule of the solve is one function that both call: the scale of a
+target, the d-matrix phase range and its pins, the forbidden windows,
+their pins and bracket searches, the Newton brackets and seeds, and the
+safeguarded Newton step.  A rule takes numpy on the grid and the float
+namespace dasym._FLOATS on one point, so the scalar solve stays on
+Python floats.  What stays per shape is control flow: the early
+returns and raises of the scalar solve, the masks of the grid and its
+hand-over to beta_field, and the Newton and bracket-search loops.
 """
 
 import math
@@ -23,12 +32,19 @@ from . import dasym, prasym, tetra
 from .core import (HalfInt, InvariantError, SixJLabels, SolverError,
                    ValidationError, _twice, bounds, phase,
                    require_valid, wigner_d)
+from .dasym import _FLOATS
 
 BETA_GEOM_EPS = 1e-12    # keep d_geometry off beta = 0, pi during solves
 NEAR_CAUSTIC_VOL = 1e-6  # |V|/(J1 J12 J4) below this switches the ratio
 NEAR_CAUSTIC_STEP = 1e-4 # J23 offset for the averaged amplitude ratio
 _SOLVE_TOL = 1e-12
+# an allowed target within this times its scale of an end of the d-matrix
+# phase range pins there; past the end by more than _PIN_WRONG times it,
+# it is an error
+_PIN_WINDOW = 1e-9
+_PIN_WRONG = 1e-6
 _MAX_NEWTON = 60
+_MAX_BRACKET = 200  # halvings toward the pole in a forbidden bracket search
 
 
 @dataclass(frozen=True)
@@ -103,11 +119,115 @@ def _continuous_map(js, bnds, J12, J23):
                       (nu_ex + 1.5) * math.pi)
 
 
+# --------------------------------------------- rules of the beta solve
+
+def _clamp(xp, x, lo, hi):
+    return xp.minimum(xp.maximum(x, lo), hi)
+
+
+def _off_poles(xp, beta):
+    """beta kept BETA_GEOM_EPS off 0 and pi, where the d-geometry of a
+    solve is evaluated."""
+    return _clamp(xp, beta, BETA_GEOM_EPS, math.pi - BETA_GEOM_EPS)
+
+
+def _near_beta1(kind):
+    """Whether the region letter kind meets the d-matrix caustic at
+    beta1, as B and C do; A and D meet it at beta2.  kind may be an
+    array of letters."""
+    return (kind == tetra.REGION_B) | (kind == tetra.REGION_C)
+
+
+def _scale(xp, target):
+    """max(1, |target|): the tolerances of a solve scale with its PR
+    target."""
+    return xp.maximum(1.0, abs(target))
+
+
+def _phase_range(xp, j, m, mp):
+    """(a_lo, a_hi): the d-matrix phase Phi_d falls from a_hi at beta1
+    to a_lo at beta2."""
+    return (xp.maximum(0.0, -(m + mp)) * math.pi,
+            (j + 0.5 - xp.maximum(m, mp)) * math.pi)
+
+
+def _range_pins(target, scale, a_lo, a_hi):
+    """(top, bottom): an allowed target within _PIN_WINDOW * scale of
+    a_hi, or above it, pins at beta1; one as close to a_lo, or below
+    it, at beta2.  A NaN target pins at neither end."""
+    window = _PIN_WINDOW * scale
+    return target >= a_hi - window, target <= a_lo + window
+
+
+def _allowed_bracket(xp, target, a_lo, a_hi, beta1, beta2):
+    """(lo, hi, seed) of the Newton solve of an allowed target that pins
+    at neither end of the phase range: the turning points kept off 0 and
+    pi, and beta linear in the phase between them."""
+    return (xp.maximum(beta1, BETA_GEOM_EPS),
+            xp.minimum(beta2, math.pi - BETA_GEOM_EPS),
+            beta1 + (a_hi - target) / (a_hi - a_lo) * (beta2 - beta1))
+
+
+def _forbidden_window(xp, kind, beta1, beta2):
+    """The beta window of a forbidden point of region kind, as (below,
+    edge, sign, exists).  B and C solve below the edge beta1, where
+    Phi_bar_d falls from +inf at beta = 0 to zero; A and D above the
+    edge beta2, where it falls from zero toward -inf.  sign is +1 below
+    and -1 above, so sign * Phi_bar_d grows away from the edge.  The
+    window exists while the edge is more than BETA_GEOM_EPS from the
+    pole beyond it."""
+    below = _near_beta1(kind)
+    return (below, xp.where(below, beta1, beta2), xp.where(below, 1.0, -1.0),
+            xp.where(below, beta1 > BETA_GEOM_EPS,
+                     beta2 < math.pi - BETA_GEOM_EPS))
+
+
+def _forbidden_pin(sign, target):
+    """Whether a forbidden target lies past zero, the value of Phi_bar_d
+    at the edge, as roundoff can put it: the solve pins at the edge.  A
+    NaN target does not pin."""
+    return sign * target < 0.0
+
+
+def _bracket_step(xp, below, far):
+    """The next far end of a bracket search: half as far from 0 (below)
+    or from pi as far."""
+    return xp.where(below, far / 2.0, math.pi - (math.pi - far) / 2.0)
+
+
+def _bracketed(sign, residual):
+    """Whether a far end where Phi_bar_d - target is residual closes the
+    bracket of a forbidden solve."""
+    return sign * residual >= 0.0
+
+
+def _forbidden_bracket(xp, below, edge, far, beta1, beta2):
+    """(lo, hi, seed) of the Newton solve of a forbidden point: the
+    bracket between the edge and the far end of its search, and the seed
+    halfway from the edge to the pole."""
+    return (xp.where(below, far, edge), xp.where(below, edge, far),
+            xp.where(below, beta1 / 2.0, (beta2 + math.pi) / 2.0))
+
+
+def _newton_step(xp, x, fx, fpx, lo, hi):
+    """One safeguarded Newton step at x, where the phase that decreases
+    in beta misses its target by fx, with slope fpx.  The bracket
+    [lo, hi] keeps the side of the root; a step that leaves it, or a
+    flat slope, bisects.  Returns (next x, lo, hi)."""
+    up = fx > 0.0
+    lo = xp.where(up, x, lo)
+    hi = xp.where(up, hi, x)
+    xn = x - fx / xp.where(fpx == 0.0, 1.0, fpx)
+    inside = (fpx != 0.0) & (lo < xn) & (xn < hi)
+    return xp.where(inside, xn, 0.5 * (lo + hi)), lo, hi
+
+
+# ----------------------------------------------------------- one point
+
 def _geom(umap, beta):
     """dasym.d_geometry at beta, kept off 0 and pi, for the checked
     (j, m, m') of umap (see _solve_for_lengths)."""
-    beta = min(max(beta, BETA_GEOM_EPS), math.pi - BETA_GEOM_EPS)
-    return dasym._geometry(umap.j, umap.m, umap.mp, beta)
+    return dasym._geometry(umap.j, umap.m, umap.mp, _off_poles(_FLOATS, beta))
 
 
 def _residual(umap, beta, target, continued=False):
@@ -128,18 +248,12 @@ def _newton(umap, target, lo, hi, seed, scale, continued=False):
     """Find beta in [lo, hi] with phase(beta) = target, the phase
     monotone decreasing (see _residual); safeguarded Newton."""
     tol = _SOLVE_TOL * scale
-    x = min(max(seed, lo), hi)
+    x = _clamp(_FLOATS, seed, lo, hi)
     for it in range(1, _MAX_NEWTON + 1):
         fx, fpx = _residual(umap, x, target, continued)
         if abs(fx) <= tol:
             return x, it, abs(fx)
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        xn = x - fx / fpx if fpx != 0.0 else lo
-        if not lo < xn < hi:
-            xn = 0.5 * (lo + hi)
+        xn, lo, hi = _newton_step(_FLOATS, x, fx, fpx, lo, hi)
         if xn == x:
             return x, it, abs(fx)
         x = xn
@@ -165,62 +279,54 @@ def _solve_for_lengths(J, umap, region):
         # on the caustic the matched beta is the turning point itself.  A
         # cos psi may pass +-1 by more than phi_pr allows there, so the
         # residual is taken from the clipped angles
-        beta = (beta1 if region.segment in (tetra.REGION_B, tetra.REGION_C)
-                else beta2)
+        beta = beta1 if _near_beta1(region.segment) else beta2
         target = float(np.asarray(J, float) @ dih.psi) - umap.Phi0
         res = abs(_residual(umap, beta, target)[0])
         return beta, SolveReport(iterations=0, residual=res,
                                  bracket=(beta, beta), region=region.kind)
     target = prasym.phi_pr(J, dih) - umap.Phi0
-    a_hi = (float(umap.j) + 0.5 - max(float(umap.m), float(umap.mp))) * math.pi
-    a_lo = max(0.0, -(float(umap.m) + float(umap.mp))) * math.pi
-    scale = max(1.0, abs(target))
-    for pin, end, at, wrong, side in (
-            (target >= a_hi - 1e-9 * scale, a_hi, beta1,
-             target > a_hi + 1e-6 * scale, "above"),
-            (target <= a_lo + 1e-9 * scale, a_lo, beta2,
-             target < a_lo - 1e-6 * scale, "below")):
+    scale = _scale(_FLOATS, target)
+    a_lo, a_hi = _phase_range(_FLOATS, float(umap.j), float(umap.m),
+                              float(umap.mp))
+    top, bottom = _range_pins(target, scale, a_lo, a_hi)
+    for pin, end, at, past, side in (
+            (top, a_hi, beta1, target > a_hi + _PIN_WRONG * scale, "above"),
+            (bottom, a_lo, beta2, target < a_lo - _PIN_WRONG * scale,
+             "below")):
         if pin:
-            if wrong:
+            if past:
                 raise InvariantError(f"PR phase {target} {side} the "
                                      f"d-matrix range [{a_lo}, {a_hi}]")
             return at, SolveReport(iterations=0, residual=abs(target - end),
                                    bracket=(at, at), region=region.kind)
-    seed = beta1 + (a_hi - target) / (a_hi - a_lo) * (beta2 - beta1)
-    lo = max(beta1, BETA_GEOM_EPS)
-    hi = min(beta2, math.pi - BETA_GEOM_EPS)
+    lo, hi, seed = _allowed_bracket(_FLOATS, target, a_lo, a_hi, beta1, beta2)
     beta, its, res = _newton(umap, target, lo, hi, seed, scale)
     return beta, SolveReport(iterations=its, residual=res,
                              bracket=(lo, hi), region=region.kind)
 
 
 def _solve_forbidden(J, dih, umap, kind, beta1, beta2):
-    """B and C solve in the window below beta1, where Phi_bar_d falls
-    from +inf at beta = 0 to zero; A and D above beta2, where it falls
-    from zero toward -inf."""
+    """The solve of a forbidden point in the beta window of its region
+    (_forbidden_window)."""
     target = prasym.phi_pr_bar(J, dih)
-    scale = max(1.0, abs(target))
-    below = kind in (tetra.REGION_B, tetra.REGION_C)
-    edge, name = (beta1, "beta1") if below else (beta2, "beta2")
-    if beta1 <= BETA_GEOM_EPS if below else beta2 >= math.pi - BETA_GEOM_EPS:
+    scale = _scale(_FLOATS, target)
+    below, edge, sign, exists = _forbidden_window(_FLOATS, kind, beta1,
+                                                  beta2)
+    name = "beta1" if below else "beta2"
+    if not exists:
         raise SolverError(f"region {kind} has no beta window: {name} = {edge}")
-    # sign > 0 where Phi_bar_d falls toward the window, so that a target
-    # beyond its zero at the turning point (roundoff) pins there, and a
-    # bracket end has sign * (Phi_bar_d - target) >= 0
-    sign = 1.0 if below else -1.0
-    if sign * -target > 0.0:
+    if _forbidden_pin(sign, target):
         return edge, SolveReport(iterations=0, residual=abs(target),
                                  bracket=(edge, edge), region=kind)
     far = edge
-    for _ in range(200):
-        far = far / 2.0 if below else math.pi - (math.pi - far) / 2.0
-        if sign * _residual(umap, far, target, continued=True)[0] >= 0.0:
+    for _ in range(_MAX_BRACKET):
+        far = _bracket_step(_FLOATS, below, far)
+        if _bracketed(sign, _residual(umap, far, target, continued=True)[0]):
             break
     else:
         raise SolverError(f"no bracket {'below' if below else 'above'} "
                           f"{name} for target {target}")
-    lo, hi = (far, edge) if below else (edge, far)
-    seed = beta1 / 2.0 if below else (beta2 + math.pi) / 2.0
+    lo, hi, seed = _forbidden_bracket(_FLOATS, below, edge, far, beta1, beta2)
     beta, its, res = _newton(umap, target, lo, hi, seed, scale,
                              continued=True)
     return beta, SolveReport(iterations=its, residual=res,
@@ -238,17 +344,19 @@ def beta_field(j1, j2, j3, j4, J12, J23):
     return _solve_for_lengths(J, _continuous_map(js, b, *J[4:]), region)
 
 
+# ------------------------------------------------------------ the grid
+
 def beta_grid(j1, j2, j3, j4, J12, J23):
     """beta_field on every point of the grid J12 x J23 (the two axes);
     returns (beta, region) arrays over the points in row order, J12
     outer and J23 inner.
 
-    The grid solves its ordinary points together, with the constants of
-    _solve_for_lengths: an allowed point, or a caustic point off the
-    segments, whose phi_pr is defined and whose target lies strictly
-    inside the d-matrix phase range; and a forbidden point with a beta
-    window, its target on the window side of zero and a bracket.  The
-    geometry comes from tetra.classify_grid, the d-matrix phases from
+    The grid solves its ordinary points together, by the rules of the
+    scalar solve: an allowed point, or a caustic point off the
+    segments, whose phi_pr is defined and whose target pins at neither
+    end of the d-matrix phase range; and a forbidden point with a beta
+    window, a target that does not pin and a bracket.  The geometry
+    comes from tetra.classify_grid, the d-matrix phases from
     dasym.phase_grid, and one safeguarded Newton solve runs in lockstep.
     Every other point (a tangency point, a pin, a point where the
     scalar solve raises) is solved by beta_field at that point, so each
@@ -263,8 +371,8 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     J23 = [float(x) for x in J23]
     g = tetra._classify_grid(J12, J23, b)
     n12, n = len(J12), len(J23)
-    # the map per axis value, and the turning points from it in Python
-    # floats as dasym computes them
+    # the map per axis value, and its cone angles in Python floats as
+    # dasym computes them
     umap = _continuous_map(js, b, np.array(J12), np.array(J23))
     Jd = b.D / 2.0
     m, mp = umap.m.tolist(), umap.mp.tolist()
@@ -275,14 +383,11 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
                                 for v in (m, ct, st, th, J12, umap.Phi0))
     mp, ctp, stp, thp, L23 = (np.tile(v, n12) for v in (mp, ctp, stp, thp,
                                                         J23))
-    beta1 = np.abs(th - thp)
-    beta2 = np.minimum(th + thp, 2.0 * math.pi - th - thp)
+    beta1, beta2 = dasym._turning_points(np, th, thp)
 
     def phases(pts, beta):
-        beta = np.minimum(np.maximum(beta, BETA_GEOM_EPS),
-                          math.pi - BETA_GEOM_EPS)
         return dasym.phase_grid(Jd, m[pts], mp[pts], ct[pts], ctp[pts],
-                                st[pts], stp[pts], beta)
+                                st[pts], stp[pts], _off_poles(np, beta))
 
     # the PR targets of _solve_for_lengths and _solve_forbidden
     forbidden = np.isin(g.kind, (tetra.REGION_A, tetra.REGION_B,
@@ -291,48 +396,34 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     target = np.where(
         forbidden, sum(x * a for x, a in zip(lengths6, g.psi_bar)),
         sum(x * a for x, a in zip(lengths6, g.psi)) - Phi0)
-    scale = np.maximum(1.0, np.abs(target))
+    scale = _scale(np, target)
 
     # allowed points and caustic points off the segments, with phi_pr
     # defined and no pin at an end of the d-matrix phase range
-    a_hi = (float(umap.j) + 0.5 - np.maximum(m, mp)) * math.pi
-    a_lo = np.maximum(0.0, -(m + mp)) * math.pi
+    a_lo, a_hi = _phase_range(np, float(umap.j), m, mp)
+    top, bottom = _range_pins(target, scale, a_lo, a_hi)
     free = (((g.kind == tetra.ALLOWED)
              | ((g.kind == tetra.CAUSTIC) & (g.pattern_index < 0)))
-            & (np.abs(g.cos_psi) <= 1.0 + 1e-8).all(axis=0)
-            & (target < a_hi - 1e-9 * scale) & (target > a_lo + 1e-9 * scale))
+            & (np.abs(g.cos_psi) <= 1.0 + prasym.COS_PSI_SLACK).all(axis=0)
+            & ~(top | bottom))
     pts = np.flatnonzero(free)
-    b1, b2, t = beta1[pts], beta2[pts], target[pts]
-    a1, a0 = a_hi[pts], a_lo[pts]
-    solves = [(pts, np.maximum(b1, BETA_GEOM_EPS),
-               np.minimum(b2, math.pi - BETA_GEOM_EPS),
-               b1 + (a1 - t) / (a1 - a0) * (b2 - b1), False)]
+    solves = [(pts, *_allowed_bracket(np, target[pts], a_lo[pts], a_hi[pts],
+                                      beta1[pts], beta2[pts]), False)]
 
-    # forbidden points: B and C solve in the window below beta1, A and D
-    # above beta2; sign > 0 where Phi_bar_d falls toward the window, and
-    # a bracket end has sign * (Phi_bar_d - target) >= 0
-    near_beta1 = np.isin(g.segment, (tetra.REGION_B, tetra.REGION_C))
-    sign = np.where(near_beta1, 1.0, -1.0)
-    window = np.where(near_beta1, beta1 > BETA_GEOM_EPS,
-                      beta2 < math.pi - BETA_GEOM_EPS)
-    pts = np.flatnonzero(forbidden & window & (sign * target >= 0.0))
-    below = near_beta1[pts]
-    edge = np.where(below, beta1[pts], beta2[pts])
-    far, search = edge.copy(), np.arange(len(pts))
-    for _ in range(200):
-        f = far[search]
-        far[search] = np.where(below[search], f / 2.0,
-                               math.pi - (math.pi - f) / 2.0)
-        found = sign[pts[search]] * (phases(pts[search], far[search])[1]
-                                     - target[pts[search]]) >= 0.0
+    # forbidden points with a window, no pin and a bracket
+    below, edge, sign, exists = _forbidden_window(np, g.kind, beta1, beta2)
+    pts = np.flatnonzero(forbidden & exists & ~_forbidden_pin(sign, target))
+    far, search = edge[pts], np.arange(len(pts))
+    for _ in range(_MAX_BRACKET):
+        at = pts[search]
+        far[search] = _bracket_step(np, below[at], far[search])
+        found = _bracketed(sign[at], phases(at, far[search])[1] - target[at])
         search = search[~found]
         if not len(search):
             break
-    pts, below, far, edge = (np.delete(v, search)
-                             for v in (pts, below, far, edge))
-    solves.append((pts, np.where(below, far, edge), np.where(below, edge, far),
-                   np.where(below, beta1[pts] / 2.0,
-                            (beta2[pts] + math.pi) / 2.0), True))
+    pts, far = np.delete(pts, search), np.delete(far, search)
+    solves.append((pts, *_forbidden_bracket(np, below[pts], edge[pts], far,
+                                            beta1[pts], beta2[pts]), True))
 
     beta = np.full(len(target), np.nan)
 
@@ -356,18 +447,13 @@ def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued):
     _residual; phases(pts, beta) gives the d-matrix phases there
     (dasym.phase_grid)."""
     tol = _SOLVE_TOL * scale
-    x = np.minimum(np.maximum(seed, lo), hi)
+    x = _clamp(np, seed, lo, hi)
     out = np.empty(len(pts))
     pos = np.arange(len(pts))
     for _ in range(_MAX_NEWTON):
         ph, ph_bar, fpx, real = phases(pts, x)
         fx = np.where(real, 0.0 if continued else ph, ph_bar) - target
-        up = fx > 0.0
-        lo = np.where(up, x, lo)
-        hi = np.where(up, hi, x)
-        flat = fpx == 0.0
-        xn = np.where(flat, lo, x - fx / np.where(flat, 1.0, fpx))
-        xn = np.where((lo < xn) & (xn < hi), xn, 0.5 * (lo + hi))
+        xn, lo, hi = _newton_step(np, x, fx, fpx, lo, hi)
         # a NaN phase (a sign pattern of no region) leaves NaN in out
         lost = np.isnan(fx)
         done = (np.abs(fx) <= tol) | (xn == x) | lost

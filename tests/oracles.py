@@ -451,8 +451,8 @@ def side_touch_200(four, b, side, n=2001):
         c = b.J23_min if side == "J23_min" else b.J23_max
         lo, hi = b.J12_min, b.J12_max
         point = lambda s: (s, c)
-    f = lambda s: float(figures._det_g(four, *(np.array([x], float)
-                                               for x in point(s)))[0])
+    f = lambda s: float(tetra._det_g(*four, *(np.array([x], float)
+                                              for x in point(s)))[0])
     scan = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     best_i = max(range(n), key=lambda i: f(scan[i]))
     a = scan[max(best_i - 1, 0)]

@@ -310,6 +310,22 @@ class TestSweep:
         for r in rows:
             assert abs(r["uniform"] - r["exact"]) < 0.05 * scale
 
+    @pytest.mark.parametrize("methods", [("pr", "uniform"), ("exact", "pr"),
+                                         ("pr",)], ids=str)
+    def test_error_columns_need_both_values(self, methods):
+        labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "13/2")
+        fixed = {n: getattr(labels, n) for n in
+                 ("j1", "j2", "j3", "j4", "j23")}
+        rows = scans.sweep_rows(fixed, "j12", methods)
+        assert len(rows) == bounds("9/2", 3, "11/2", 6).D
+        for r in rows:
+            assert (r["exact"] is not None) == ("exact" in methods)
+            assert (r["uniform"] is not None) == ("uniform" in methods)
+            assert (r["beta"] is not None) == ("uniform" in methods)
+            for m in ("pr", "uniform"):
+                both = r[m] is not None and r["exact"] is not None
+                assert (r[f"abs_err_{m}"] is not None) == both
+
     def test_sweep_j23(self, capsys):
         rc, out, _ = run(capsys, [
             "sweep", *SQUARE_FLAGS, "--j12", "9/2", "--sweep", "j23",
@@ -547,7 +563,7 @@ class TestFlatSides:
         assert b.J12_min == 0.0
         x = np.linspace(b.J12_min, b.J12_max, grid)
         y = np.linspace(b.J23_min, b.J23_max, grid)
-        Z = figures._det_g(four, x[:, None], y[None, :])
+        Z = tetra._det_g(*four, x[:, None], y[None, :])
         assert Z[0].tolist() == [0.0] * grid
         inner = slice(1 if b.J23_min == 0.0 else 0, None)
         assert np.array_equal(Z[1:, inner], tetra.det_gram(
@@ -556,7 +572,7 @@ class TestFlatSides:
         _, ys = figures._square_grid(b, grid)
         caustic = figures.figure_spots(js, grid)["caustic"]
         assert all([0.0, J23] in caustic for J23 in ys)
-        assert figures._det_g(four, 0.0, ys[0]) == 0.0
+        assert tetra._det_g(*four, 0.0, ys[0]) == 0.0
 
     @flat
     def test_scalar_det_g_equals_array_path(self, js):
@@ -564,8 +580,8 @@ class TestFlatSides:
         b, four = bounds(*js), _four(js)
         x = np.linspace(b.J12_min, b.J12_max, 9)
         y = np.linspace(b.J23_min, b.J23_max, 9)
-        Z = figures._det_g(four, x[:, None], y[None, :])
-        got = [[figures._det_g(four, J12, J23) for J23 in y.tolist()]
+        Z = tetra._det_g(*four, x[:, None], y[None, :])
+        got = [[tetra._det_g(*four, J12, J23) for J23 in y.tolist()]
                for J12 in x.tolist()]
         assert all(type(v) is float for row in got for v in row)
         assert got[0] == [0.0] * 9

@@ -275,6 +275,19 @@ class TestSolidAngle:
         with pytest.raises(ValidationError):
             dasym.solid_angle_polygon(v, axes, arcs)
 
+    @pytest.mark.parametrize("vertices,axes,text", [
+        ([[0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+         "^need matching lists"),
+        ([[2.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], "^vertices and axes must be"),
+        ([[0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0]],
+         "^vertex 0 sits on a side's axis$")],
+        ids=["shapes", "not-unit", "vertex-on-axis"])
+    def test_refused_polygons(self, vertices, axes, text):
+        # the last one closes: its vertex turns about itself
+        with pytest.raises(ValidationError, match=text):
+            dasym.solid_angle_polygon(np.array(vertices), np.array(axes),
+                                      np.array([2 * math.pi]))
+
 
 class TestOneIndexCheck:
     """core and dasym share one (j, m, m') check, so a bad triple raises

@@ -749,6 +749,17 @@ class TestGridHandOver:
         uniform.beta_grid(*js, xs, ys)
         assert calls == []
 
+    def test_one_window_moves_both_solves(self, monkeypatch):
+        # a wider range-end window pins points of the demo square in the
+        # scalar solve, and the grid hands over exactly those
+        monkeypatch.setattr(uniform, "_PIN_WINDOW", 1e-3)
+        xs, ys = figures._square_grid(bounds(*DEMO), 41)
+        pinned = [(x, y) for x in xs for y in ys
+                  if uniform.beta_field(*DEMO, x, y)[1].iterations == 0]
+        calls = self.handed(monkeypatch)
+        uniform.beta_grid(*DEMO, xs, ys)
+        assert calls == pinned and len(calls) == 18
+
     @pytest.mark.parametrize("line,count", [
         ("C-segment", 55), ("C-forbidden", 55), ("allowed-low", 0),
         ("allowed-high", 0), ("B-segment", 63), ("D-segment", 66)])
@@ -761,3 +772,35 @@ class TestGridHandOver:
         calls = self.handed(monkeypatch)
         uniform.beta_grid(*DEMO, [J12], ys)
         assert calls == pinned and len(calls) == count
+
+
+def _python_numbers(beta, rep):
+    """Whether beta and the report of a solve are Python numbers."""
+    return (type(beta) is float and type(rep.residual) is float
+            and type(rep.iterations) is int
+            and [type(x) for x in rep.bracket] == [float, float])
+
+
+class TestPythonFloats:
+    """The scalar solve runs on Python floats: a numpy scalar would
+    print the same CLI bytes, but not be the same object."""
+
+    @pytest.mark.parametrize("point,iterated", [
+        ((5.0, 9.0), True), (RANGE_END, False), (SEGMENT_D, False),
+        ((7.0, 8.0), True), (FORBIDDEN_PINS[0], False),
+        (FORBIDDEN_PINS[1], False)],
+        ids=["allowed", "range-end", "caustic-segment", "forbidden",
+             "B-at-beta1", "A-at-beta2"])
+    def test_beta_field(self, point, iterated):
+        beta, rep = uniform.beta_field(*DEMO, *point)
+        assert (rep.iterations > 0) == iterated
+        assert _python_numbers(beta, rep)
+
+    @pytest.mark.parametrize("labels,region", [
+        (("9/2", 3, "9/2", "11/2", 6, "17/2"), tetra.ALLOWED),
+        (("9/2", 3, "3/2", "11/2", 6, "17/2"), tetra.REGION_D)],
+        ids=["allowed", "forbidden"])
+    def test_uniform_6j(self, labels, region):
+        umap = uniform.uniform_6j(SixJLabels.of(*labels)).map
+        assert umap.solver.region == region
+        assert _python_numbers(umap.beta, umap.solver)
