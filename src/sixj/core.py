@@ -191,17 +191,6 @@ class HalfInt:
         t = self._twice_of(other)
         return NotImplemented if t is None else HalfInt(self.twice - t)
 
-    def __rsub__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else HalfInt(t - self.twice)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return HalfInt(-self.twice)
 

@@ -7,6 +7,13 @@ Phi_d is a spherical lune area.  Beyond the turning points the cosines
 of the lune angles leave [-1, 1] and the phase continues via arccosh.
 A lattice (j, m, m') goes through core's d-matrix index check, so a bad
 triple raises the same error here as in wigner_d.
+
+The lune is written once, as the kernel _lune over an array namespace:
+the cone cosines, the region rule (_lune_region), the principal and
+continued angles (tetra._psi_pair), the phase J kappa - m phi - m' eta
+and its beta derivative.  The beta solve of uniform runs it on Python
+floats (_FLOATS, math's functions), phase_grid on numpy arrays, and
+d_geometry builds its record from the same rule and angle pair.
 """
 
 import math
@@ -75,14 +82,6 @@ class DAsymResult:
     region: str
 
 
-def _principal(c):
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
-def _bar(c):
-    return math.copysign(math.acosh(max(abs(c), 1.0)), c)
-
-
 def _soft_coerce(j, m, mp):
     """core's (j, m, m') check, except that m and m' may be continuous
     (floats) short of the poles; the uniform map evaluates the geometry
@@ -98,12 +97,19 @@ def _soft_coerce(j, m, mp):
     return j, m, mp
 
 
-# The array namespace of a computation on Python floats: the three names
-# of numpy's elementwise functions that the turning points and the rules
-# of the beta solve (uniform) call, as builtins and a conditional.  numpy
-# on a float costs several times as much and returns numpy scalars.
-_FLOATS = SimpleNamespace(maximum=max, minimum=min,
-                          where=lambda cond, a, b: a if cond else b)
+# The array namespace of a computation on Python floats: the names of
+# numpy's elementwise functions that the lune kernel, the turning points
+# and the rules of the beta solve (uniform) call, as math functions,
+# builtins and conditionals.  numpy on a float costs several times as
+# much and returns numpy scalars.  math's arccos and arccosh differ from
+# numpy's in the last bit on some inputs; sign is numpy's, NaN at NaN
+# and +0 at -0.
+_FLOATS = SimpleNamespace(
+    maximum=max, minimum=min, where=lambda cond, a, b: a if cond else b,
+    abs=abs, sqrt=math.sqrt, cos=math.cos, sin=math.sin, arccos=math.acos,
+    arccosh=math.acosh, clip=lambda x, lo, hi: min(max(x, lo), hi),
+    sign=lambda c: c if c != c else float(c > 0.0) - (c < 0.0),
+    isin=lambda x, values: x in values)
 
 
 def _cone_cosines(ct, ctp, st, stp, cb, sb):
@@ -124,40 +130,78 @@ def _cone(m, J):
     return c, math.sqrt(1.0 - c * c), math.acos(c)
 
 
+def _lune_region(xp, cos_kappa, cos_phi, cos_eta, vd_sq):
+    """The region rule of a lune, in the array namespace xp: (caustic,
+    real, bits, known).  real is the caustic or V_d^2 > 0; bits is the
+    sign pattern of the lune angles, 1 where a cosine is not positive,
+    kappa the high bit; known is real or a pattern of PIN_PATTERNS."""
+    caustic = xp.abs(vd_sq) <= VD_CAUSTIC_TOL
+    real = caustic | (vd_sq > 0.0)
+    bits = 7 - (4 * (cos_kappa > 0.0) + 2 * (cos_phi > 0.0)
+                + (cos_eta > 0.0))
+    return caustic, real, bits, real | xp.isin(bits, _PIN_BITS)
+
+
+def _no_region(j, m, mp, beta, bits):
+    """The error of a forbidden lune whose sign pattern bits match no
+    region."""
+    bits = int(bits)
+    return InvariantError(
+        f"sign pattern {(bits >> 2, bits >> 1 & 1, bits & 1)} matches no "
+        f"forbidden region at (j={j}, m={m}, m'={mp}, beta={beta})")
+
+
+def _phase(J, m, mp, kappa, phi, eta):
+    """The d-matrix phase J kappa - m phi - m' eta of the lune angles,
+    principal or continued."""
+    return J * kappa - m * phi - mp * eta
+
+
+def _slope(xp, J, vd_sq, sb):
+    """d(Phi_d)/d(beta) = -J |V_d| / sin(beta), sb = sin(beta)."""
+    return -J * xp.sqrt(xp.abs(vd_sq)) / sb
+
+
+def _lune(xp, J, m, mp, ct, ctp, st, stp, beta):
+    """The lune of the cones of m and m' (cosines ct, ctp and sines st,
+    stp of theta, theta') on a spin of length J at beta, kept off 0 and
+    pi, in the array namespace xp: numpy on arrays, _FLOATS on floats.
+
+    Returns (Phi_d, Phi_bar_d, dPhi_d/dbeta, V_d^2, real, bits) with
+    real and bits of _lune_region: Phi_d is the phase where real, the
+    continued Phi_bar_d beyond the d-caustic.  Both phases are NaN where
+    bits match no region, where d_geometry raises InvariantError."""
+    sb = xp.sin(beta)
+    cosines = _cone_cosines(ct, ctp, st, stp, xp.cos(beta), sb)
+    _, real, bits, known = _lune_region(xp, *cosines)
+    (kappa, kappa_bar), (phi, phi_bar), (eta, eta_bar) = (
+        tetra._psi_pair(xp, c) for c in cosines[:3])
+    return (xp.where(known, _phase(J, m, mp, kappa, phi, eta), math.nan),
+            xp.where(known, _phase(J, m, mp, kappa_bar, phi_bar, eta_bar),
+                     math.nan),
+            _slope(xp, J, cosines[3], sb), cosines[3], real, bits)
+
+
 def d_geometry(j, m, mp, beta):
     """Cone geometry of d^j_{m m'}(beta) for 0 < beta < pi."""
     j, m, mp = _soft_coerce(j, m, mp)
     beta = float(beta)
     if not 0.0 < beta < math.pi:
         raise ValidationError(f"beta = {beta} is outside (0, pi)")
-    return _geometry(j, m, mp, beta)
-
-
-def _geometry(j, m, mp, beta):
-    """d_geometry of a checked (j, m, m'), as _soft_coerce returns it,
-    and a float beta in (0, pi); the beta solve of uniform checks its
-    (j, m, m') once and calls this on every step."""
     J = (j.twice + 1) / 2.0
     ct, st, theta = _cone(float(m), J)
     ctp, stp, theta_p = _cone(float(mp), J)
-    cos_kappa, cos_phi, cos_eta, vd_sq = _cone_cosines(
-        ct, ctp, st, stp, math.cos(beta), math.sin(beta))
-    if abs(vd_sq) <= VD_CAUSTIC_TOL:
-        region = CAUSTIC
-    elif vd_sq > 0.0:
-        region = ALLOWED
-    else:
-        bits = (4 * (not cos_kappa > 0.0) + 2 * (not cos_phi > 0.0)
-                + (not cos_eta > 0.0))
-        if bits not in _PIN_BITS:
-            raise InvariantError(
-                f"sign pattern {(bits >> 2, bits >> 1 & 1, bits & 1)} "
-                "matches no forbidden region at "
-                f"(j={j}, m={m}, m'={mp}, beta={beta})")
-        region = PIN_PATTERNS[_PIN_BITS.index(bits)][0]
-    angles = DAngles(kappa=_principal(cos_kappa), phi=_principal(cos_phi),
-                     eta=_principal(cos_eta), kappa_bar=_bar(cos_kappa),
-                     phi_bar=_bar(cos_phi), eta_bar=_bar(cos_eta))
+    cosines = _cone_cosines(ct, ctp, st, stp, math.cos(beta), math.sin(beta))
+    caustic, real, bits, known = _lune_region(_FLOATS, *cosines)
+    if not known:
+        raise _no_region(j, m, mp, beta, bits)
+    region = (CAUSTIC if caustic else ALLOWED if real
+              else PIN_PATTERNS[_PIN_BITS.index(bits)][0])
+    (kappa, kappa_bar), (phi, phi_bar), (eta, eta_bar) = (
+        tetra._psi_pair(_FLOATS, c) for c in cosines[:3])
+    angles = DAngles(kappa=kappa, phi=phi, eta=eta, kappa_bar=kappa_bar,
+                     phi_bar=phi_bar, eta_bar=eta_bar)
+    cos_kappa, cos_phi, cos_eta, vd_sq = cosines
     return DGeometry(j=j, m=m, mp=mp, beta=beta, J=J,
                      theta=theta, theta_p=theta_p,
                      cos_kappa=cos_kappa, cos_phi=cos_phi, cos_eta=cos_eta,
@@ -165,28 +209,15 @@ def _geometry(j, m, mp, beta):
 
 
 def phase_grid(J, m, mp, ct, ctp, st, stp, beta):
-    """d_geometry and the phases at many points at once: numpy arrays of
-    m, m' (cosines ct, ctp and sines st, stp of theta, theta') and
-    beta, in (0, pi), for one J.
-
-    Returns Phi_d, the continued Phi_bar_d, dPhi_d/dbeta and a mask of
-    the points in the allowed region or on the caustic, where Phi_d is
-    the phase.  Both phases are NaN at a forbidden point whose sign
-    pattern matches no region, where d_geometry raises InvariantError.
-    """
-    sb = np.sin(beta)
-    cos_kappa, cos_phi, cos_eta, vd_sq = _cone_cosines(
-        ct, ctp, st, stp, np.cos(beta), sb)
-    real = (np.abs(vd_sq) <= VD_CAUSTIC_TOL) | (vd_sq > 0.0)
-    cosines = np.array([cos_kappa, cos_phi, cos_eta])
-    bits = (4 * ~(cos_kappa > 0.0) + 2 * ~(cos_phi > 0.0)
-            + ~(cos_eta > 0.0))
-    cosines[:, ~real & ~np.isin(bits, _PIN_BITS)] = np.nan
-    (kappa, phi, eta), (kappa_bar, phi_bar, eta_bar) = tetra._psi_pair(
-        cosines)
-    return (J * kappa - m * phi - mp * eta,
-            J * kappa_bar - m * phi_bar - mp * eta_bar,
-            -J * np.sqrt(np.abs(vd_sq)) / sb, real)
+    """The lune kernel on numpy arrays of m, m' (cosines ct, ctp and
+    sines st, stp of theta, theta') and beta, in (0, pi), for one J:
+    Phi_d, the continued Phi_bar_d, dPhi_d/dbeta and the mask of the
+    points in the allowed region or on the caustic, where Phi_d is the
+    phase.  Both phases are NaN at a forbidden point whose sign pattern
+    matches no region."""
+    ph, ph_bar, slope, _, real, _ = _lune(np, J, m, mp, ct, ctp, st, stp,
+                                          beta)
+    return ph, ph_bar, slope, real
 
 
 def turning_points(j, m, mp):
@@ -210,21 +241,21 @@ def phi_d(g):
         raise WrongRegionError(
             f"phi_d is defined in the allowed region, not {g.region}")
     a = g.angles
-    return g.J * a.kappa - float(g.m) * a.phi - float(g.mp) * a.eta
+    return _phase(g.J, float(g.m), float(g.mp), a.kappa, a.phi, a.eta)
 
 
 def phi_d_bar(g):
     """Continued phase J kappa_bar - m phi_bar - m' eta_bar; zero in the
     allowed region and on the caustic."""
     a = g.angles
-    return (g.J * a.kappa_bar - float(g.m) * a.phi_bar
-            - float(g.mp) * a.eta_bar)
+    return _phase(g.J, float(g.m), float(g.mp), a.kappa_bar, a.phi_bar,
+                  a.eta_bar)
 
 
 def dphi_d_dbeta(g):
     """d(Phi_d)/d(beta) = -J |V_d| / sin(beta); the same formula
     differentiates phi_d_bar in the forbidden regions."""
-    return -g.J * math.sqrt(abs(g.Vd_sq)) / math.sin(g.beta)
+    return _slope(_FLOATS, g.J, g.Vd_sq, math.sin(g.beta))
 
 
 def nu_d(kind, j, m, mp):

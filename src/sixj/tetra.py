@@ -279,12 +279,13 @@ def _cofactor_cos_psi(g11, g22, g33, g12, g13, g23):
 _FACE_NAMES = ("012", "023", "013", "123")
 
 
-def _psi_pair(cos_psi):
-    """(psi, psi_bar) from cos psi: the principal angles and the
-    continued ones, sign(cos psi) * arccosh|cos psi|.  dasym.phase_grid
-    takes its lune angles from the same pair."""
-    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
-    psi_bar = np.sign(cos_psi) * np.arccosh(np.maximum(np.abs(cos_psi), 1.0))
+def _psi_pair(xp, cos_psi):
+    """(psi, psi_bar) from cos psi in the array namespace xp: the
+    principal angles and the continued ones, sign(cos psi) *
+    arccosh|cos psi|.  The lune kernel of dasym takes its angles from
+    the same pair, on numpy or on dasym._FLOATS."""
+    psi = xp.arccos(xp.clip(cos_psi, -1.0, 1.0))
+    psi_bar = xp.sign(cos_psi) * xp.arccosh(xp.maximum(xp.abs(cos_psi), 1.0))
     return psi, psi_bar
 
 
@@ -296,7 +297,7 @@ def _angles(faces, num, den):
             raise ValidationError(
                 f"degenerate face {face}: area^2 = {nn / 4.0}")
     cos_psi = num / np.sqrt(den)
-    psi, psi_bar = _psi_pair(cos_psi)
+    psi, psi_bar = _psi_pair(np, cos_psi)
     return DihedralAngles(cos_psi=cos_psi, psi=psi, psi_bar=psi_bar)
 
 
@@ -450,7 +451,7 @@ def _classify_grid(J12, J23, bnds):
     flat = np.logical_or.reduce([nn <= 0.0 for nn in faces])
     cos_psi = num / np.sqrt(np.where(flat, 1.0, den))
     cos_psi[:, flat] = np.nan
-    psi, psi_bar = _psi_pair(cos_psi)
+    psi, psi_bar = _psi_pair(np, cos_psi)
     # NaN reads as all ones, a pattern of no column: off the caustic a
     # flat face, like a forbidden pattern of no column, takes kind None
     col = _COLUMN_OF_BITS[_PATTERN_BITS @ ~(cos_psi > 0)]

@@ -224,24 +224,35 @@ def _newton_step(xp, x, fx, fpx, lo, hi):
 
 # ----------------------------------------------------------- one point
 
-def _geom(umap, beta):
-    """dasym.d_geometry at beta, kept off 0 and pi, for the checked
-    (j, m, m') of umap (see _solve_for_lengths)."""
-    return dasym._geometry(umap.j, umap.m, umap.mp, _off_poles(_FLOATS, beta))
+def _lune(umap, beta):
+    """dasym's lune kernel on floats at beta, kept off 0 and pi, for the
+    checked (j, m, m') of umap (see _solve_for_lengths): (Phi_d,
+    Phi_bar_d, dPhi_d/dbeta, V_d^2, real).  InvariantError, as from
+    dasym.d_geometry, where the lune's sign pattern matches no region."""
+    J = (umap.j.twice + 1) / 2.0
+    m, mp = float(umap.m), float(umap.mp)
+    (ct, st, _), (ctp, stp, _) = dasym._cone(m, J), dasym._cone(mp, J)
+    beta = _off_poles(_FLOATS, beta)
+    *lune, bits = dasym._lune(_FLOATS, J, m, mp, ct, ctp, st, stp, beta)
+    if math.isnan(lune[1]):
+        raise dasym._no_region(umap.j, umap.m, umap.mp, beta, bits)
+    return lune
+
+
+def _solve_phase(xp, ph, ph_bar, real, continued):
+    """The d-matrix phase of a solve: Phi_bar_d beyond the d-caustic,
+    and Phi_d in the allowed region and on the caustic; with continued
+    set (the forbidden solves) Phi_bar_d there too, which is zero: its
+    arccosh of a cosine within roundoff of 1 would be noise of order
+    1e-8."""
+    return xp.where(real, 0.0 if continued else ph, ph_bar)
 
 
 def _residual(umap, beta, target, continued=False):
-    """The d-matrix phase at beta minus target, and its beta derivative.
-    The phase is Phi_bar_d beyond the d-caustic, and Phi_d in the allowed
-    region and on the caustic; with continued set (the forbidden solves)
-    it is Phi_bar_d there too, which is zero: its arccosh of a cosine
-    within roundoff of 1 would be noise of order 1e-8."""
-    g = _geom(umap, beta)
-    if g.region not in (dasym.ALLOWED, dasym.CAUSTIC):
-        val = dasym.phi_d_bar(g)
-    else:
-        val = 0.0 if continued else dasym.phi_d(g)
-    return val - target, dasym.dphi_d_dbeta(g)
+    """The phase of _solve_phase at beta minus target, and its beta
+    derivative."""
+    ph, ph_bar, slope, _, real = _lune(umap, beta)
+    return _solve_phase(_FLOATS, ph, ph_bar, real, continued) - target, slope
 
 
 def _newton(umap, target, lo, hi, seed, scale, continued=False):
@@ -452,7 +463,7 @@ def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued):
     pos = np.arange(len(pts))
     for _ in range(_MAX_NEWTON):
         ph, ph_bar, fpx, real = phases(pts, x)
-        fx = np.where(real, 0.0 if continued else ph, ph_bar) - target
+        fx = _solve_phase(np, ph, ph_bar, real, continued) - target
         xn, lo, hi = _newton_step(np, x, fx, fpx, lo, hi)
         # a NaN phase (a sign pattern of no region) leaves NaN in out
         lost = np.isnan(fx)
@@ -486,8 +497,7 @@ def _near_caustic_ratio(labels, J, umap):
         Js = J[:5] + (J[5] + ds,)
         region_s = tetra.classify(Js)
         beta_s, _ = _solve_for_lengths(Js, umap, region_s)
-        g = _geom(umap, beta_s)
-        num += math.sqrt(abs(g.Vd_sq))
+        num += math.sqrt(abs(_lune(umap, beta_s)[3]))
         den += region_s.vol_abs
     if den == 0.0:
         raise InvariantError(
@@ -525,8 +535,7 @@ def uniform_6j(labels):
             raise InvariantError(
                 f"parity mismatch in region {region.kind}: nu_ex={nu_ex} "
                 f"nu_6j={nu6} nu_d={nud} do not cancel")
-    g = _geom(umap, beta)
-    vd = math.sqrt(abs(g.Vd_sq))
+    vd = math.sqrt(abs(_lune(umap, beta)[3]))
     vol = region.vol_abs
     near = region.is_caustic or vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
     ratio = _near_caustic_ratio(labels, J, umap) if near else vd / vol

@@ -47,6 +47,13 @@ class TestHalfInt:
         assert float(HalfInt(39)) == 19.5
         assert int(HalfInt(6)) == 3
 
+    def test_refused_values(self):
+        # the stored 2j must be an int, and only an integral j is an int
+        with pytest.raises(ValidationError, match="stores 2j as int"):
+            HalfInt(1.5)
+        with pytest.raises(ValidationError, match="^3/2 is not an integer$"):
+            int(HalfInt.of("3/2"))
+
     @given(halfints, halfints)
     def test_arithmetic_matches_fractions(self, a, b):
         assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()

@@ -2,13 +2,14 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
-from sixj import (HalfInt, OnCausticError, ValidationError, WrongRegionError,
-                  dasym, exact_wigner_d, tetra, wigner_d)
+from sixj import (HalfInt, InvariantError, OnCausticError, ValidationError,
+                  WrongRegionError, dasym, exact_wigner_d, tetra, wigner_d)
 
 
 def lune_vertices(g):
@@ -287,6 +288,99 @@ class TestSolidAngle:
         with pytest.raises(ValidationError, match=text):
             dasym.solid_angle_polygon(np.array(vertices), np.array(axes),
                                       np.array([2 * math.pi]))
+
+
+class TestLuneKernel:
+    """dasym._lune is the one d-matrix phase: on Python floats
+    (dasym._FLOATS) in the beta solve and d_geometry, on numpy arrays in
+    phase_grid."""
+
+    J2 = 40   # 2j of every point, as phase_grid takes one J
+
+    @classmethod
+    def points(cls):
+        """Seeded random (m, m', beta) with at least 20 points in the
+        allowed region, on the caustic band and in each of A-D: random
+        beta, and the turning points themselves."""
+        rng = random.Random(2203)
+        J = (cls.J2 + 1) / 2.0
+        by_region = {}
+        while min(map(len, by_region.values()), default=0) < 20 \
+                or len(by_region) < 6:
+            m, mp = (rng.uniform(-0.99, 0.99) * J for _ in range(2))
+            b1, b2 = dasym.turning_points(HalfInt(cls.J2), m, mp)
+            for beta in (rng.uniform(0.01, math.pi - 0.01), b1, b2):
+                if 0.0 < beta < math.pi:
+                    g = dasym.d_geometry(HalfInt(cls.J2), m, mp, beta)
+                    by_region.setdefault(g.region, []).append((m, mp, beta))
+        assert set(by_region) == {dasym.ALLOWED, dasym.CAUSTIC, *"ABCD"}
+        return [p for pts in by_region.values() for p in pts]
+
+    def lune_args(self, pts):
+        """The arguments of _lune after the namespace, one tuple a
+        point."""
+        J = (self.J2 + 1) / 2.0
+        args = []
+        for m, mp, beta in pts:
+            (ct, st, _), (ctp, stp, _) = (dasym._cone(x, J) for x in (m, mp))
+            args.append((J, m, mp, ct, ctp, st, stp, beta))
+        return args
+
+    def test_one_point_equals_the_arrays(self):
+        args = self.lune_args(self.points())
+        J, *columns = zip(*args)
+        grid = dasym._lune(np, J[0], *map(np.array, columns))
+        assert [r.tolist() for r in grid[:3] + grid[4:5]] == [
+            r.tolist() for r in dasym.phase_grid(J[0],
+                                                 *map(np.array, columns))]
+        # math's arccos and arccosh are the only entries of _FLOATS whose
+        # bits differ from numpy's: with numpy's, each point is the grid
+        numpy_angles = SimpleNamespace(**{**vars(dasym._FLOATS),
+                                          "arccos": np.arccos,
+                                          "arccosh": np.arccosh})
+        for k, a in enumerate(args):
+            want = [r[k].item() for r in grid]
+            got = dasym._lune(numpy_angles, *a)
+            assert [float(x).hex() for x in got[:4]] == [
+                x.hex() for x in want[:4]]
+            assert got[4:] == tuple(want[4:])
+            got = dasym._lune(dasym._FLOATS, *a)
+            assert [type(x) for x in got] == [float] * 4 + [bool, int]
+            assert [x.hex() for x in got[2:4]] == [x.hex() for x in want[2:4]]
+            assert got[4:] == tuple(want[4:])
+            for x, y in zip(got[:2], want[:2]):
+                assert x == pytest.approx(y, rel=0.0, abs=1e-13 * a[0])
+
+    @pytest.mark.parametrize("c", [-2, -0.3, -0.0, 0.0, 0.5, math.nan])
+    def test_sign_is_numpy_sign(self, c):
+        assert (float(dasym._FLOATS.sign(c) * 0.0).hex()
+                == float(np.sign(c) * 0.0).hex())
+
+    def test_d_geometry_angles_are_the_pair_on_floats(self):
+        for m, mp, beta in self.points()[::7]:
+            g = dasym.d_geometry(HalfInt(self.J2), m, mp, beta)
+            pairs = [tetra._psi_pair(dasym._FLOATS, c)
+                     for c in (g.cos_kappa, g.cos_phi, g.cos_eta)]
+            a = g.angles
+            assert [x.hex() for x in (a.kappa, a.kappa_bar, a.phi, a.phi_bar,
+                                      a.eta, a.eta_bar)] == [
+                x.hex() for pair in pairs for x in pair]
+
+    def test_pattern_of_no_region(self, monkeypatch):
+        # cos kappa flipped: at this forbidden point no region has the
+        # pattern, so d_geometry raises and both phases are NaN
+        cones = dasym._cone_cosines
+        monkeypatch.setattr(dasym, "_cone_cosines", lambda *args: (
+            lambda ck, cp, ce, vd: (-ck, cp, ce, vd))(*cones(*args)))
+        m, mp, beta = 5.0, -3.0, 0.3     # region C without the stub
+        with pytest.raises(InvariantError, match=(
+                r"^sign pattern \(0, 1, 0\) matches no forbidden region at "
+                r"\(j=20, m=5\.0, m'=-3\.0, beta=0\.3\)$")):
+            dasym.d_geometry(HalfInt(self.J2), m, mp, beta)
+        (a,) = self.lune_args([(m, mp, beta)])
+        got = dasym._lune(dasym._FLOATS, *a)
+        assert math.isnan(got[0]) and math.isnan(got[1])
+        assert got[4:] == (False, 2)
 
 
 class TestOneIndexCheck:

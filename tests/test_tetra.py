@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sixj import (HalfInt, InvariantError, SixJLabels, ValidationError,
-                  bounds, lengths, tetra)
+                  WrongRegionError, bounds, lengths, tetra)
 from sixj.scans import _random_labels
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
@@ -294,3 +294,12 @@ class TestPoissonBracket:
             got = tetra.poisson_bracket_check(t)
             want = 6.0 * t.volume / (J[4] * J[5])
             assert abs(got) == pytest.approx(abs(want), rel=1e-9)
+
+    def test_forbidden_tetrahedron_refused(self):
+        # region D: the z components are imaginary, so there is no
+        # real triple product
+        t = tetra.construct(lengths(SixJLabels.of("9/2", 3, "3/2", "11/2",
+                                                  6, "17/2")))
+        assert t.imag_z
+        with pytest.raises(WrongRegionError, match="needs a real tetrahedron"):
+            tetra.poisson_bracket_check(t)

@@ -102,6 +102,15 @@ class TestUniformValue:
         assert res.value == pytest.approx(-0.029907921289284392, rel=1e-12)
         assert res.value == pytest.approx(float(oracles.SIXJ_NEAR_CAUSTIC), rel=1e-3)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: an allowed target within the range-end window "
+        "of the d-matrix phase range pins at beta1, far from its root"))
+    def test_range_end_pin(self):
+        labels = SixJLabels.of("399/2", 167, "645/2", "507/2", 77, "321/2")
+        want = float(exact_sixj(labels))
+        assert uniform.uniform_6j(labels).value == pytest.approx(want,
+                                                                 rel=1e-2)
+
     def test_family_sweep_all_regions(self):
         seen = set()
         for labels in FAMILY:
@@ -206,14 +215,26 @@ class TestGeometryRecord:
         def forbidden(*args, **kwargs):
             raise AssertionError("the vector picture is off the hot path")
 
+        def no_record(*args, **kwargs):
+            raise AssertionError("the beta solve builds no d-geometry")
+
         monkeypatch.setattr(tetra, "classify", counted)
         monkeypatch.setattr(tetra, "construct", forbidden)
         monkeypatch.setattr(tetra, "dihedrals", forbidden)
+        monkeypatch.setattr(dasym, "DGeometry", no_record)
+        monkeypatch.setattr(dasym, "DAngles", no_record)
         prasym.pr_value(labels)
         assert len(calls) == 1
         res = uniform.uniform_6j(labels)
         assert not res.near_caustic
         assert len(calls) == 2
+        # the solves of a forbidden symbol and of the averaged ratio, and
+        # of a forbidden continuous point, read dasym's lune kernel
+        region_d = SixJLabels.of("9/2", 3, "3/2", "11/2", 6, "17/2")
+        assert uniform.uniform_6j(region_d).map.solver.region == "D"
+        monkeypatch.setattr(uniform, "NEAR_CAUSTIC_VOL", 1.0)
+        assert uniform.uniform_6j(NEAR_CAUSTIC).near_caustic
+        assert uniform.beta_field(*DEMO, 7.0, 8.0)[1].region == "C"
 
     def test_one_label_check_per_call(self, monkeypatch):
         # each method checks its labels once; the map, the solve and the
