@@ -20,6 +20,14 @@ command that fails writes nothing.  The JSON bytes are those of
 json.dumps(indent=2, sort_keys=True) on the cleaned payload.  A list of
 [x, y] pairs of finite floats is one % format of a pair template; a
 numpy array (a figure polyline) becomes a list only when it is written.
+A list of dicts with the keys of its first item (the beta-contours
+rows, the spots points) is written _ROW_BLOCK rows at a time: a block
+whose items have exactly those keys, each key's values all strings or
+all finite floats, is one % format and one write of a row template (a
+"%" in a key is escaped); any other block is written item by item.
+The floats of such a list go through one repr memo, which holds at
+most _MEMO_MAX of them and is cleared when full.  A zero is never kept
+there: -0.0 == 0.0, but their reprs differ.
 """
 
 import argparse
@@ -29,6 +37,7 @@ import json
 import math
 import sys
 from itertools import chain
+from operator import itemgetter
 
 from .core import (LABEL_NAMES, HalfInt, SixJError, SixJLabels,
                    ValidationError, WrongRegionError, bounds)
@@ -101,6 +110,33 @@ def _json(payload):
 
 
 _str = json.encoder.encode_basestring_ascii
+# rows of a list of same-key dicts per % format and write; a block of
+# the beta-contours rows is about 130 kB of text
+_ROW_BLOCK = 1024
+# floats in the repr memo of a list of rows: about 0.4 MB at 100 bytes
+# an entry (the repr and its dict slot; the float is the payload's)
+_MEMO_MAX = 4096
+
+
+class _Reprs(dict):
+    """The repr of each finite nonzero float written, by value: the memo
+    of one list of rows, so that a repeated float is formatted once.  It
+    is cleared when full.  A zero is formatted at each lookup and never
+    kept: -0.0 == 0.0, but their reprs differ.  Looking up a non-finite
+    float raises ValueError, as its repr is not the standard encoder's
+    text."""
+
+    __slots__ = ()
+
+    def __missing__(self, v):
+        if not math.isfinite(v):
+            raise ValueError(v)
+        text = float.__repr__(v)
+        if v:
+            if len(self) >= _MEMO_MAX:
+                self.clear()
+            self[v] = text
+        return text
 
 
 def _pairs(obj, inner):
@@ -117,6 +153,45 @@ def _pairs(obj, inner):
     pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
     text = ("," + inner).join([pair] * len(obj)) % tuple(flat)
     return None if "n" in text else text
+
+
+def _row_format(row, inner):
+    """The formatter of a block of rows like row, a dict of string keys,
+    on lines indented by inner: it joins the items of a block by one %
+    format of the row template, one %s a value in sorted key order, or
+    returns None unless the items are dicts with exactly the keys of row
+    and each key's values are all strs or all finite Python floats.  Its
+    floats go through one repr memo."""
+    keys = sorted(row)
+    deeper = inner + "  "
+    template = ("{" + deeper + ("," + deeper).join(
+        _str(k).replace("%", "%%") + ": %s" for k in keys) + inner + "}")
+    memo = _Reprs()
+
+    def format_block(block):
+        if {*map(type, block)} != {dict} or {*map(len, block)} != {
+                len(keys)}:
+            return None
+        columns = []
+        for key in keys:
+            try:
+                column = [*map(itemgetter(key), block)]
+            except KeyError:
+                return None
+            kinds = {*map(type, column)}
+            if kinds == {str}:
+                columns.append(map(_str, column))
+                continue
+            if kinds != {float}:
+                return None
+            try:
+                columns.append(tuple(map(memo.__getitem__, column)))
+            except ValueError:
+                return None
+        return (("," + inner).join([template] * len(block))
+                % tuple(chain.from_iterable(zip(*columns))))
+
+    return format_block
 
 
 def _emit(obj, newline_indent, write):
@@ -148,11 +223,23 @@ def _emit(obj, newline_indent, write):
         if text is not None:
             write("[" + inner + text + newline_indent + "]")
             return
+        # a list of dicts with the keys of the first: one row template
+        # per block of rows; a block that does not fit it is written
+        # item by item
+        rows = (_row_format(obj[0], inner)
+                if type(obj[0]) is dict and obj[0] else None)
         sep = "[" + inner
-        for v in obj:
-            write(sep)
-            _emit(v, inner, write)
-            sep = "," + inner
+        for first in range(0, len(obj), _ROW_BLOCK):
+            block = obj[first:first + _ROW_BLOCK]
+            text = rows and rows(block)
+            if text is not None:
+                write(sep + text)
+                sep = "," + inner
+                continue
+            for v in block:
+                write(sep)
+                _emit(v, inner, write)
+                sep = "," + inner
         write(newline_indent + "]")
     elif isinstance(obj, str):
         write(_str(obj))

@@ -107,9 +107,8 @@ def _soft_coerce(j, m, mp):
 _FLOATS = SimpleNamespace(
     maximum=max, minimum=min, where=lambda cond, a, b: a if cond else b,
     abs=abs, sqrt=math.sqrt, cos=math.cos, sin=math.sin, arccos=math.acos,
-    arccosh=math.acosh, clip=lambda x, lo, hi: min(max(x, lo), hi),
-    sign=lambda c: c if c != c else float(c > 0.0) - (c < 0.0),
-    isin=lambda x, values: x in values)
+    arccosh=math.acosh,
+    sign=lambda c: c if c != c else float(c > 0.0) - (c < 0.0))
 
 
 def _cone_cosines(ct, ctp, st, stp, cb, sb):
@@ -134,12 +133,14 @@ def _lune_region(xp, cos_kappa, cos_phi, cos_eta, vd_sq):
     """The region rule of a lune, in the array namespace xp: (caustic,
     real, bits, known).  real is the caustic or V_d^2 > 0; bits is the
     sign pattern of the lune angles, 1 where a cosine is not positive,
-    kappa the high bit; known is real or a pattern of PIN_PATTERNS."""
+    kappa the high bit; known is real or a pattern of PIN_PATTERNS.
+    The patterns of PIN_PATTERNS are exactly those with an odd number of
+    positive cosines, so known takes the parity of the three signs."""
     caustic = xp.abs(vd_sq) <= VD_CAUSTIC_TOL
     real = caustic | (vd_sq > 0.0)
-    bits = 7 - (4 * (cos_kappa > 0.0) + 2 * (cos_phi > 0.0)
-                + (cos_eta > 0.0))
-    return caustic, real, bits, real | xp.isin(bits, _PIN_BITS)
+    k, p, e = cos_kappa > 0.0, cos_phi > 0.0, cos_eta > 0.0
+    bits = 7 - (4 * k + 2 * p + e)
+    return caustic, real, bits, real | (k ^ p ^ e)
 
 
 def _no_region(j, m, mp, beta, bits):

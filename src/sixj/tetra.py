@@ -279,12 +279,19 @@ def _cofactor_cos_psi(g11, g22, g33, g12, g13, g23):
 _FACE_NAMES = ("012", "023", "013", "123")
 
 
+def _clamp(xp, x, lo, hi):
+    """x clamped to [lo, hi] in the array namespace xp, NaN kept: the
+    clamp of the angle pair and of the beta solve (uniform).  np.clip
+    would run numpy's Python-level wrapper on every call."""
+    return xp.minimum(xp.maximum(x, lo), hi)
+
+
 def _psi_pair(xp, cos_psi):
     """(psi, psi_bar) from cos psi in the array namespace xp: the
     principal angles and the continued ones, sign(cos psi) *
     arccosh|cos psi|.  The lune kernel of dasym takes its angles from
     the same pair, on numpy or on dasym._FLOATS."""
-    psi = xp.arccos(xp.clip(cos_psi, -1.0, 1.0))
+    psi = xp.arccos(_clamp(xp, cos_psi, -1.0, 1.0))
     psi_bar = xp.sign(cos_psi) * xp.arccosh(xp.maximum(xp.abs(cos_psi), 1.0))
     return psi, psi_bar
 

@@ -33,6 +33,7 @@ from .core import (HalfInt, InvariantError, SixJLabels, SolverError,
                    ValidationError, _twice, bounds, phase,
                    require_valid, wigner_d)
 from .dasym import _FLOATS
+from .tetra import _clamp
 
 BETA_GEOM_EPS = 1e-12    # keep d_geometry off beta = 0, pi during solves
 NEAR_CAUSTIC_VOL = 1e-6  # |V|/(J1 J12 J4) below this switches the ratio
@@ -120,10 +121,6 @@ def _continuous_map(js, bnds, J12, J23):
 
 
 # --------------------------------------------- rules of the beta solve
-
-def _clamp(xp, x, lo, hi):
-    return xp.minimum(xp.maximum(x, lo), hi)
-
 
 def _off_poles(xp, beta):
     """beta kept BETA_GEOM_EPS off 0 and pi, where the d-geometry of a

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -978,8 +979,9 @@ class TestOutput:
     @pytest.mark.parametrize("argv,bound", [
         (["--kind", "j23-orbits", "--grid", "256"], 2.5),
         (["--kind", "j23-orbits", "--grid", "256", "--format", "csv"], 2.5),
-        (["--kind", "spots"], 6.0)], ids=["orbits-json", "orbits-csv",
-                                          "spots-json"])
+        (["--kind", "spots"], 6.0),
+        (["--kind", "beta-contours"], 6.0)],
+        ids=["orbits-json", "orbits-csv", "spots-json", "beta-contours-json"])
     def test_peak_memory_bounded_by_bytes_written(self, tmp_path, argv,
                                                   bound):
         # a whole-output string, or its fragments held until a join,
@@ -1068,6 +1070,16 @@ _pair_lists = st.lists(st.one_of(
     st.lists(st.floats(allow_nan=False, allow_infinity=False),
              min_size=2, max_size=2),
     st.lists(_floats, max_size=3)))
+# lists of dicts with one set of keys: each key's values are drawn from
+# one strategy, so that most blocks fit the row template
+_column_values = st.sampled_from([
+    st.text(max_size=3), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 0.5, 1.5]), _scalars])
+_row_lists = st.lists(st.text(max_size=3), min_size=1, max_size=4,
+                      unique=True).flatmap(
+    lambda keys: st.tuples(*[_column_values] * len(keys)).flatmap(
+        lambda values: st.lists(st.fixed_dictionaries(
+            dict(zip(keys, values))), max_size=7)))
 _payloads = st.recursive(
     st.one_of(_scalars, _float_lists, st.lists(_floats), _pair_lists,
               st.dictionaries(st.text(), _floats, max_size=4)),
@@ -1105,6 +1117,48 @@ class TestJsonWriter:
         # other item falls back to the item-by-item writer
         for payload in (pairs, {"polylines": [pairs, pairs]}):
             assert cli._json(payload) == oracles.stdlib_json(payload)
+
+    @given(_row_lists)
+    @example([{"x": -0.0, "y": 0.0}, {"x": 0.0, "y": -0.0},
+              {"x": -0.0, "y": -0.0}])
+    @example([{"a": 0.5, "b": "s"}, {"a": math.nan, "b": "t"},
+              {"a": 0.5, "b": "u"}, {"a": -math.inf, "b": "v"}])
+    @example([{"%": 0.5, "%s": "x", "a%%b": 1.5, "%(a)s": "%d"}])
+    @example([{"a": 1.0, "b": 0.5}, {"a": 1, "b": 0.5}])
+    @example([{"a": 1.0}, {"a": True}])
+    @example([{"a": 1}, {"a": 2}])
+    @example([{"a": None, "b": 0.5}, {"a": "n", "b": 0.5}])
+    @example([{"J12": 0.1 + 0.2, "beta": 0.30000000000000004},
+              {"J12": 0.30000000000000004, "beta": 0.1 + 0.2}] * 3)
+    @example([{"J12": float(i), "region": "A"}
+              for i in range(cli._ROW_BLOCK + 1)])
+    @example([{"a": 0.5}, {"a": 1.5, "b": "x"}, {"b": 0.5}, [0.5]])
+    @settings(max_examples=200, deadline=None)
+    def test_row_lists(self, rows):
+        # a block of same-key dicts whose values are all strs or all
+        # finite floats, key by key, goes through one format call; any
+        # other block falls back to the item-by-item writer.  A block of
+        # two rows mixes both in one list.
+        for block in (cli._ROW_BLOCK, 2):
+            with mock.patch.object(cli, "_ROW_BLOCK", block):
+                for payload in (rows, {"rows": rows, "more": [rows]}):
+                    assert cli._json(payload) == oracles.stdlib_json(payload)
+
+    def test_memo_keeps_no_zero_and_no_more_than_its_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MEMO_MAX", 3)
+        memo = cli._Reprs()
+        assert [memo[v] for v in (-0.0, 0.0, -0.0)] == ["-0.0", "0.0",
+                                                        "-0.0"]
+        assert not memo
+        sizes = []
+        for v in (0.5, 1.5, 0.5, 2.5, 3.5, 4.5):
+            assert memo[v] == repr(v)
+            sizes.append(len(memo))
+        assert sizes == [1, 2, 2, 3, 1, 2]
+        for v in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                memo[v]
+        assert len(memo) == 2
 
     @pytest.mark.parametrize("grid", [12, None])
     @pytest.mark.parametrize("kind", cli.FIGURE_KINDS)

@@ -1,5 +1,6 @@
 """d-matrix semiclassics: cone geometry, lune phase, asymptotic values."""
 
+import itertools
 import math
 import random
 from types import SimpleNamespace
@@ -365,6 +366,19 @@ class TestLuneKernel:
             assert [x.hex() for x in (a.kappa, a.kappa_bar, a.phi, a.phi_bar,
                                       a.eta, a.eta_bar)] == [
                 x.hex() for pair in pairs for x in pair]
+
+    def test_known_patterns_are_the_odd_parities(self):
+        # the parity of the three signs, on floats and on arrays, is
+        # membership in _PIN_BITS over all 8 patterns of a forbidden lune
+        signs = list(itertools.product((-0.5, 0.5), repeat=3))
+        for cosines in signs:
+            _, real, bits, known = dasym._lune_region(dasym._FLOATS,
+                                                      *cosines, -1.0)
+            assert not real and known == (bits in dasym._PIN_BITS)
+        _, real, bits, known = dasym._lune_region(
+            np, *map(np.array, zip(*signs)), np.full(8, -1.0))
+        assert not real.any() and sorted(bits[known]) == sorted(
+            dasym._PIN_BITS)
 
     def test_pattern_of_no_region(self, monkeypatch):
         # cos kappa flipped: at this forbidden point no region has the
