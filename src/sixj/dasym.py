@@ -8,12 +8,17 @@ of the lune angles leave [-1, 1] and the phase continues via arccosh.
 A lattice (j, m, m') goes through core's d-matrix index check, so a bad
 triple raises the same error here as in wigner_d.
 
-The lune is written once, as the kernel _lune over an array namespace:
-the cone cosines, the region rule (_lune_region), the principal and
-continued angles (tetra._psi_pair), the phase J kappa - m phi - m' eta
-and its beta derivative.  The beta solve of uniform runs it on Python
-floats (_FLOATS, math's functions), phase_grid on numpy arrays, and
-d_geometry builds its record from the same rule and angle pair.
+The lune is written once, in parts over an array namespace: the cone
+cosines (_cone_cosines), the region rule (_lune_region), the principal
+and the continued angles (the halves tetra._psi and tetra._psi_bar),
+the phase J kappa - m phi - m' eta (_phase) and its beta derivative
+(_slope).  The kernel _lune runs them all, on numpy arrays for
+phase_grid; d_geometry builds its record from the same parts on Python
+floats (_FLOATS, math's functions).  The scalar beta solve of uniform
+takes the cones of its (j, m, m') once per solve (_cones, with the
+check of turning_points), and each step runs the cone cosines, the
+region rule, the slope and only the half of the angles whose phase it
+reads.
 """
 
 import math
@@ -129,6 +134,16 @@ def _cone(m, J):
     return c, math.sqrt(1.0 - c * c), math.acos(c)
 
 
+def _cones(j, m, mp):
+    """(J, m, m', cone of m, cone of m') of (j, m, m') after core's
+    check (_soft_coerce), with m and m' as floats and each cone the
+    (cos theta, sin theta, theta) of _cone."""
+    j, m, mp = _soft_coerce(j, m, mp)
+    J = (j.twice + 1) / 2.0
+    m, mp = float(m), float(mp)
+    return J, m, mp, _cone(m, J), _cone(mp, J)
+
+
 def _lune_region(xp, cos_kappa, cos_phi, cos_eta, vd_sq):
     """The region rule of a lune, in the array namespace xp: (caustic,
     real, bits, known).  real is the caustic or V_d^2 > 0; bits is the
@@ -223,10 +238,8 @@ def phase_grid(J, m, mp, ct, ctp, st, stp, beta):
 
 def turning_points(j, m, mp):
     """(beta1, beta2): the caustic colatitudes bounding the allowed region."""
-    j, m, mp = _soft_coerce(j, m, mp)
-    J = (j.twice + 1) / 2.0
-    return _turning_points(_FLOATS, _cone(float(m), J)[2],
-                           _cone(float(mp), J)[2])
+    *_, cone, cone_p = _cones(j, m, mp)
+    return _turning_points(_FLOATS, cone[2], cone_p[2])
 
 
 def _turning_points(xp, theta, theta_p):

@@ -286,14 +286,22 @@ def _clamp(xp, x, lo, hi):
     return xp.minimum(xp.maximum(x, lo), hi)
 
 
+def _psi(xp, cos_psi):
+    """The principal angles psi of cos psi in the array namespace xp."""
+    return xp.arccos(_clamp(xp, cos_psi, -1.0, 1.0))
+
+
+def _psi_bar(xp, cos_psi):
+    """The continued angles sign(cos psi) * arccosh|cos psi| of cos psi
+    in the array namespace xp; a signed zero where |cos psi| <= 1."""
+    return xp.sign(cos_psi) * xp.arccosh(xp.maximum(xp.abs(cos_psi), 1.0))
+
+
 def _psi_pair(xp, cos_psi):
-    """(psi, psi_bar) from cos psi in the array namespace xp: the
-    principal angles and the continued ones, sign(cos psi) *
-    arccosh|cos psi|.  The lune kernel of dasym takes its angles from
-    the same pair, on numpy or on dasym._FLOATS."""
-    psi = xp.arccos(_clamp(xp, cos_psi, -1.0, 1.0))
-    psi_bar = xp.sign(cos_psi) * xp.arccosh(xp.maximum(xp.abs(cos_psi), 1.0))
-    return psi, psi_bar
+    """(psi, psi_bar): both halves.  The lune of dasym takes its angles
+    from the same halves, on numpy or on dasym._FLOATS; the scalar beta
+    solve (uniform) calls only the half whose phase it reads."""
+    return _psi(xp, cos_psi), _psi_bar(xp, cos_psi)
 
 
 def _angles(faces, num, den):

@@ -20,6 +20,15 @@ namespace dasym._FLOATS on one point, so the scalar solve stays on
 Python floats.  What stays per shape is control flow: the early
 returns and raises of the scalar solve, the masks of the grid and its
 hand-over to beta_field, and the Newton and bracket-search loops.
+
+The d-matrix phase comes from the parts of dasym's lune in both shapes.
+The grid runs the whole kernel, dasym._lune, through dasym.phase_grid.
+The scalar solve checks its (j, m, m') and computes their cones and
+turning points once per solve (_cones); each step then computes the
+cone cosines, the region rule and the slope, and only the half of the
+angles whose phase _solve_phase reads (_lune_residual): the principal
+angles on the real side, the continued ones beyond the d-caustic, and
+none on the real side of a forbidden solve, where that phase is zero.
 """
 
 import math
@@ -221,19 +230,45 @@ def _newton_step(xp, x, fx, fpx, lo, hi):
 
 # ----------------------------------------------------------- one point
 
-def _lune(umap, beta):
-    """dasym's lune kernel on floats at beta, kept off 0 and pi, for the
-    checked (j, m, m') of umap (see _solve_for_lengths): (Phi_d,
-    Phi_bar_d, dPhi_d/dbeta, V_d^2, real).  InvariantError, as from
-    dasym.d_geometry, where the lune's sign pattern matches no region."""
-    J = (umap.j.twice + 1) / 2.0
-    m, mp = float(umap.m), float(umap.mp)
-    (ct, st, _), (ctp, stp, _) = dasym._cone(m, J), dasym._cone(mp, J)
+class _Cones(NamedTuple):
+    """The cones of the (j, m, m') of umap, a UniformMap, for the scalar
+    solve: the lune arguments J, m, m' (floats), cos theta, cos theta',
+    sin theta and sin theta', and the turning points beta1 and beta2
+    from the same theta."""
+
+    umap: UniformMap
+    J: float
+    m: float
+    mp: float
+    ct: float
+    ctp: float
+    st: float
+    stp: float
+    beta1: float
+    beta2: float
+
+
+def _cones(umap):
+    """The _Cones of umap: its (j, m, m') checked and its cones computed
+    once, by dasym._cones, for every step of a solve after."""
+    J, m, mp, (ct, st, th), (ctp, stp, thp) = dasym._cones(umap.j, umap.m,
+                                                           umap.mp)
+    return _Cones(umap, J, m, mp, ct, ctp, st, stp,
+                  *dasym._turning_points(_FLOATS, th, thp))
+
+
+def _cosines_at(cones, beta):
+    """(beta, sin beta, cosines): beta kept off 0 and pi, and there the
+    cos kappa, cos phi, cos eta and V_d^2 of dasym._cone_cosines."""
     beta = _off_poles(_FLOATS, beta)
-    *lune, bits = dasym._lune(_FLOATS, J, m, mp, ct, ctp, st, stp, beta)
-    if math.isnan(lune[1]):
-        raise dasym._no_region(umap.j, umap.m, umap.mp, beta, bits)
-    return lune
+    sb = math.sin(beta)
+    return beta, sb, dasym._cone_cosines(cones.ct, cones.ctp, cones.st,
+                                         cones.stp, math.cos(beta), sb)
+
+
+def _vd(cones, beta):
+    """|V_d| of the cones at beta, from V_d^2 alone (_cosines_at)."""
+    return math.sqrt(abs(_cosines_at(cones, beta)[2][3]))
 
 
 def _solve_phase(xp, ph, ph_bar, real, continued):
@@ -245,20 +280,43 @@ def _solve_phase(xp, ph, ph_bar, real, continued):
     return xp.where(real, 0.0 if continued else ph, ph_bar)
 
 
-def _residual(umap, beta, target, continued=False):
+def _lune_residual(cones, beta, target, continued=False):
     """The phase of _solve_phase at beta minus target, and its beta
-    derivative."""
-    ph, ph_bar, slope, _, real = _lune(umap, beta)
-    return _solve_phase(_FLOATS, ph, ph_bar, real, continued) - target, slope
+    derivative, on the cones of a solve: dasym's lune on floats with
+    only the half of the angles (tetra._psi or tetra._psi_bar) whose
+    phase _solve_phase reads, and no angle where it reads zero.
+    InvariantError, as from dasym.d_geometry, where the lune's sign
+    pattern matches no region."""
+    beta, sb, (ck, cp, ce, vd_sq) = _cosines_at(cones, beta)
+    _, real, bits, known = dasym._lune_region(_FLOATS, ck, cp, ce, vd_sq)
+    slope = dasym._slope(_FLOATS, cones.J, vd_sq, sb)
+    if real:
+        if continued:
+            return 0.0 - target, slope
+        half = tetra._psi
+    elif known:
+        half = tetra._psi_bar
+    else:
+        umap = cones.umap
+        raise dasym._no_region(umap.j, umap.m, umap.mp, beta, bits)
+    ph = dasym._phase(cones.J, cones.m, cones.mp, half(_FLOATS, ck),
+                      half(_FLOATS, cp), half(_FLOATS, ce))
+    return ph - target, slope
 
 
-def _newton(umap, target, lo, hi, seed, scale, continued=False):
-    """Find beta in [lo, hi] with phase(beta) = target, the phase
-    monotone decreasing (see _residual); safeguarded Newton."""
+def _residual(umap, beta, target, continued=False):
+    """_lune_residual of the (j, m, m') of umap at one beta."""
+    return _lune_residual(_cones(umap), beta, target, continued)
+
+
+def _newton(residual, lo, hi, seed, scale):
+    """Find beta in [lo, hi] where residual(beta) = (phase - target,
+    slope) vanishes, the phase monotone decreasing (see _lune_residual);
+    safeguarded Newton."""
     tol = _SOLVE_TOL * scale
     x = _clamp(_FLOATS, seed, lo, hi)
     for it in range(1, _MAX_NEWTON + 1):
-        fx, fpx = _residual(umap, x, target, continued)
+        fx, fpx = residual(x)
         if abs(fx) <= tol:
             return x, it, abs(fx)
         xn, lo, hi = _newton_step(_FLOATS, x, fx, fpx, lo, hi)
@@ -270,32 +328,34 @@ def _newton(umap, target, lo, hi, seed, scale, continued=False):
         f"residual {fx} against tolerance {tol}")
 
 
-def _solve_for_lengths(J, umap, region):
+def _solve_for_lengths(J, umap, region, cones=None):
     """beta matching the PR phase of the point (lengths J, geometry
     region from tetra.classify), plus a report.  The (j, m, m') of
-    umap, a UniformMap, is checked once, by dasym.turning_points, and
-    every step after takes it as checked."""
+    umap, a UniformMap, is checked and its cones computed once, by
+    _cones, unless the caller passes them as cones; every step of the
+    solve reads them."""
     dih = region.angles
     if dih is None:
         raise ValidationError(
             f"lengths {J} are a caustic tangency point: a face "
             "degenerates, so the dihedral angles are undefined")
-    beta1, beta2 = dasym.turning_points(umap.j, umap.m, umap.mp)
+    if cones is None:
+        cones = _cones(umap)
+    beta1, beta2 = cones.beta1, cones.beta2
     if region.is_forbidden:
-        return _solve_forbidden(J, dih, umap, region.kind, beta1, beta2)
+        return _solve_forbidden(J, dih, cones, region.kind)
     if region.is_caustic and region.segment is not None:
         # on the caustic the matched beta is the turning point itself.  A
         # cos psi may pass +-1 by more than phi_pr allows there, so the
         # residual is taken from the clipped angles
         beta = beta1 if _near_beta1(region.segment) else beta2
         target = float(np.asarray(J, float) @ dih.psi) - umap.Phi0
-        res = abs(_residual(umap, beta, target)[0])
+        res = abs(_lune_residual(cones, beta, target)[0])
         return beta, SolveReport(iterations=0, residual=res,
                                  bracket=(beta, beta), region=region.kind)
     target = prasym.phi_pr(J, dih) - umap.Phi0
     scale = _scale(_FLOATS, target)
-    a_lo, a_hi = _phase_range(_FLOATS, float(umap.j), float(umap.m),
-                              float(umap.mp))
+    a_lo, a_hi = _phase_range(_FLOATS, float(umap.j), cones.m, cones.mp)
     top, bottom = _range_pins(target, scale, a_lo, a_hi)
     for pin, end, at, past, side in (
             (top, a_hi, beta1, target > a_hi + _PIN_WRONG * scale, "above"),
@@ -308,16 +368,18 @@ def _solve_for_lengths(J, umap, region):
             return at, SolveReport(iterations=0, residual=abs(target - end),
                                    bracket=(at, at), region=region.kind)
     lo, hi, seed = _allowed_bracket(_FLOATS, target, a_lo, a_hi, beta1, beta2)
-    beta, its, res = _newton(umap, target, lo, hi, seed, scale)
+    beta, its, res = _newton(lambda x: _lune_residual(cones, x, target),
+                             lo, hi, seed, scale)
     return beta, SolveReport(iterations=its, residual=res,
                              bracket=(lo, hi), region=region.kind)
 
 
-def _solve_forbidden(J, dih, umap, kind, beta1, beta2):
+def _solve_forbidden(J, dih, cones, kind):
     """The solve of a forbidden point in the beta window of its region
     (_forbidden_window)."""
     target = prasym.phi_pr_bar(J, dih)
     scale = _scale(_FLOATS, target)
+    beta1, beta2 = cones.beta1, cones.beta2
     below, edge, sign, exists = _forbidden_window(_FLOATS, kind, beta1,
                                                   beta2)
     name = "beta1" if below else "beta2"
@@ -329,14 +391,14 @@ def _solve_forbidden(J, dih, umap, kind, beta1, beta2):
     far = edge
     for _ in range(_MAX_BRACKET):
         far = _bracket_step(_FLOATS, below, far)
-        if _bracketed(sign, _residual(umap, far, target, continued=True)[0]):
+        if _bracketed(sign, _lune_residual(cones, far, target, True)[0]):
             break
     else:
         raise SolverError(f"no bracket {'below' if below else 'above'} "
                           f"{name} for target {target}")
     lo, hi, seed = _forbidden_bracket(_FLOATS, below, edge, far, beta1, beta2)
-    beta, its, res = _newton(umap, target, lo, hi, seed, scale,
-                             continued=True)
+    beta, its, res = _newton(
+        lambda x: _lune_residual(cones, x, target, True), lo, hi, seed, scale)
     return beta, SolveReport(iterations=its, residual=res,
                              bracket=(lo, hi), region=kind)
 
@@ -488,13 +550,15 @@ def solve_beta(labels, umap=None):
 def _near_caustic_ratio(labels, J, umap):
     """|V_d|/|V| averaged over J23 +- step, where both vanish together;
     J the lengths of the labels, umap their UniformMap.  A lattice J23
-    lies at least 1/2 inside the square, so both neighbors are in it."""
+    lies at least 1/2 inside the square, so both neighbors are in it.
+    The two neighbour solves share one computation of the cones."""
+    cones = _cones(umap)
     num = den = 0.0
     for ds in (NEAR_CAUSTIC_STEP, -NEAR_CAUSTIC_STEP):
         Js = J[:5] + (J[5] + ds,)
         region_s = tetra.classify(Js)
-        beta_s, _ = _solve_for_lengths(Js, umap, region_s)
-        num += math.sqrt(abs(_lune(umap, beta_s)[3]))
+        beta_s, _ = _solve_for_lengths(Js, umap, region_s, cones)
+        num += _vd(cones, beta_s)
         den += region_s.vol_abs
     if den == 0.0:
         raise InvariantError(
@@ -524,7 +588,8 @@ def uniform_6j(labels):
     b, J, region = tetra.classify_labels(labels)
     umap = _map(labels, b)
     j, m, mp, nu_ex = umap[:4]
-    beta, rep = _solve_for_lengths(J, umap, region)
+    cones = _cones(umap)
+    beta, rep = _solve_for_lengths(J, umap, region, cones)
     if region.is_forbidden:
         nu6 = prasym.nu_6j(region, labels)
         nud = dasym.nu_d(region.kind, j, m, mp)
@@ -532,7 +597,7 @@ def uniform_6j(labels):
             raise InvariantError(
                 f"parity mismatch in region {region.kind}: nu_ex={nu_ex} "
                 f"nu_6j={nu6} nu_d={nud} do not cancel")
-    vd = math.sqrt(abs(_lune(umap, beta)[3]))
+    vd = _vd(cones, beta)
     vol = region.vol_abs
     near = region.is_caustic or vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
     ratio = _near_caustic_ratio(labels, J, umap) if near else vd / vol

@@ -733,9 +733,8 @@ class TestGridHandOver:
         # the bracket has shrunk to two neighboring floats: the bisection
         # step repeats the iterate, and both Newton solves stop there
         hi = math.nextafter(1.0, 2.0)
-        monkeypatch.setattr(uniform, "_residual",
-                            lambda *args, **kwargs: (1.0, -1.0))
-        assert uniform._newton(None, 0.0, 0.5, hi, 1.0, 1.0) == (1.0, 1, 1.0)
+        assert uniform._newton(lambda beta: (1.0, -1.0), 0.5, hi, 1.0,
+                               1.0) == (1.0, 1, 1.0)
         one = np.ones(1)
         got = uniform._newton_grid(lambda pts, beta: (one, one, -one, one > 0),
                                    np.arange(1), 0.0 * one, 0.5 * one,
@@ -825,3 +824,129 @@ class TestPythonFloats:
         umap = uniform.uniform_6j(SixJLabels.of(*labels)).map
         assert umap.solver.region == region
         assert _python_numbers(umap.beta, umap.solver)
+
+
+# the console-script symbols of the scalar solve: allowed, pinned to an
+# end of the d-matrix phase range, and one of each forbidden region, with
+# the Newton iterations of each
+SOLVE_SYMBOLS = [
+    (("9/2", 3, "9/2", "11/2", 6, "17/2"), tetra.ALLOWED, 6),
+    (("399/2", 167, "645/2", "507/2", 77, "321/2"), tetra.ALLOWED, 0),
+    (("9/2", 3, "15/2", "11/2", 6, "5/2"), tetra.REGION_A, 7),
+    (("9/2", 3, "3/2", "11/2", 6, "5/2"), tetra.REGION_B, 7),
+    (("9/2", 3, "11/2", "11/2", 6, "17/2"), tetra.REGION_C, 6),
+    (("9/2", 3, "3/2", "11/2", 6, "17/2"), tetra.REGION_D, 8)]
+
+
+class TestScalarLune:
+    """The scalar solve checks its (j, m, m') and computes their cones
+    once, and each step computes only the phase that _solve_phase reads
+    of dasym's lune kernel: the same bits with fewer angles."""
+
+    J2 = 40   # 2j of every sampled point
+
+    @classmethod
+    def sample(cls):
+        """Seeded random (m, m', beta), half of them lattice points, with
+        at least 20 in the allowed region, on the d-caustic and in each
+        of A-D: random beta, and the turning points themselves."""
+        rng = random.Random(2411)
+        j = HalfInt(cls.J2)
+        by_region = {}
+        while min(map(len, by_region.values()), default=0) < 20 \
+                or len(by_region) < 6:
+            if rng.random() < 0.5:
+                m, mp = (HalfInt(rng.randrange(-cls.J2, cls.J2 + 1, 2))
+                         for _ in range(2))
+            else:
+                m, mp = (rng.uniform(-0.99, 0.99) * float(j) for _ in
+                         range(2))
+            b1, b2 = dasym.turning_points(j, m, mp)
+            for beta in (rng.uniform(0.01, math.pi - 0.01), b1, b2):
+                if 0.0 < beta < math.pi:
+                    g = dasym.d_geometry(j, m, mp, beta)
+                    by_region.setdefault(g.region, []).append((m, mp, beta))
+        assert set(by_region) == {dasym.ALLOWED, dasym.CAUSTIC, *"ABCD"}
+        return [p for pts in by_region.values() for p in pts]
+
+    @classmethod
+    def cones(cls, m, mp):
+        return uniform._cones(uniform.UniformMap(
+            j=HalfInt(cls.J2), m=m, mp=mp, nu_ex=0, Phi0=0.0))
+
+    def test_residual_is_the_lune_kernel_bit_for_bit(self):
+        rng = random.Random(2412)
+        J = (self.J2 + 1) / 2.0
+        for m, mp, beta in self.sample():
+            cones = self.cones(m, mp)
+            (ct, st, _), (ctp, stp, _) = (dasym._cone(float(x), J)
+                                          for x in (m, mp))
+            ph, ph_bar, slope, _, real, _ = dasym._lune(
+                dasym._FLOATS, J, float(m), float(mp), ct, ctp, st, stp,
+                uniform._off_poles(dasym._FLOATS, beta))
+            target = rng.uniform(-10.0, 10.0)
+            for continued in (False, True):
+                want = (uniform._solve_phase(dasym._FLOATS, ph, ph_bar, real,
+                                             continued) - target, slope)
+                got = uniform._lune_residual(cones, beta, target, continued)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("m,mp", [(5.0, -3.0), (HalfInt(10), HalfInt(-6))],
+                             ids=["continuous", "lattice"])
+    def test_pattern_of_no_region(self, monkeypatch, m, mp):
+        # cos kappa flipped: at this point of region C no region has the
+        # pattern, and the residual raises the error of d_geometry
+        cones = dasym._cone_cosines
+        monkeypatch.setattr(dasym, "_cone_cosines", lambda *args: (
+            lambda ck, cp, ce, vd: (-ck, cp, ce, vd))(*cones(*args)))
+        with pytest.raises(core.InvariantError) as want:
+            dasym.d_geometry(HalfInt(self.J2), m, mp, 0.3)
+        assert re.search(r"^sign pattern \(0, 1, 0\) matches no forbidden "
+                         r"region at \(j=20, m=5(\.0)?, m'=-3(\.0)?, "
+                         r"beta=0\.3\)$", str(want.value))
+        for continued in (False, True):
+            with pytest.raises(core.InvariantError) as got:
+                uniform._lune_residual(self.cones(m, mp), 0.3, 1.0, continued)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("labels,region,iterations", SOLVE_SYMBOLS,
+                             ids=["allowed", "range-end", *"ABCD"])
+    def test_cones_once_per_call(self, monkeypatch, labels, region,
+                                 iterations):
+        # two cones, of m and m', however many steps the solve takes
+        calls = []
+        cone = dasym._cone
+        monkeypatch.setattr(dasym, "_cone", lambda *args: (
+            calls.append(args) or cone(*args)))
+        res = uniform.uniform_6j(SixJLabels.of(*labels))
+        assert res.map.solver.region == region
+        assert res.map.solver.iterations == iterations
+        assert len(calls) == 2
+
+    def test_near_caustic_ratio_from_the_neighbours(self, monkeypatch):
+        # the averaged ratio: |V_d| of d_geometry at the beta of each
+        # neighbour over the summed |V|, bit for bit.  The two neighbour
+        # solves share one computation of the cones
+        monkeypatch.setattr(uniform, "NEAR_CAUSTIC_VOL", 1.0)
+        solves, ratios, calls = [], [], []
+        solve, ratio, cone = (uniform._solve_for_lengths,
+                              uniform._near_caustic_ratio, dasym._cone)
+        monkeypatch.setattr(uniform, "_solve_for_lengths", lambda J, *args: (
+            lambda out: solves.append((J, out[0])) or out)(solve(J, *args)))
+        monkeypatch.setattr(uniform, "_near_caustic_ratio", lambda *args: (
+            ratios.append(ratio(*args)) or ratios[-1]))
+        monkeypatch.setattr(dasym, "_cone", lambda *args: (
+            calls.append(args) or cone(*args)))
+        res = uniform.uniform_6j(NEAR_CAUSTIC)
+        assert res.near_caustic and len(calls) == 4
+        (J, _), *neighbours = solves
+        step = uniform.NEAR_CAUSTIC_STEP
+        assert [Js for Js, _ in neighbours] == [
+            J[:5] + (J[5] + ds,) for ds in (step, -step)]
+        um = res.map
+        num = den = 0.0
+        for Js, beta in neighbours:
+            g = dasym.d_geometry(um.j, um.m, um.mp, beta)
+            num += math.sqrt(abs(g.Vd_sq))
+            den += tetra.classify(Js).vol_abs
+        assert [r.hex() for r in ratios] == [(num / den).hex()]
