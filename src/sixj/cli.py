@@ -25,9 +25,12 @@ rows, the spots points) is written _ROW_BLOCK rows at a time: a block
 whose items have exactly those keys, each key's values all strings or
 all finite floats, is one % format and one write of a row template (a
 "%" in a key is escaped); any other block is written item by item.
-The floats of such a list go through one repr memo, which holds at
-most _MEMO_MAX of them and is cleared when full.  A zero is never kept
-there: -0.0 == 0.0, but their reprs differ.
+The floats of a pair list, and of each float column of a block, are
+formatted by one orjson.dumps (_reprs), whose tokens are repr's except
+in exponent style: those with |x| < 1e-4 or |x| >= 1e16 are written
+again by repr.  A list that holds a nan or an infinity goes to the
+item-by-item writer.  Strings stay on the standard library's escape,
+since orjson does not escape non-ASCII.
 """
 
 import argparse
@@ -113,46 +116,47 @@ _str = json.encoder.encode_basestring_ascii
 # rows of a list of same-key dicts per % format and write; a block of
 # the beta-contours rows is about 130 kB of text
 _ROW_BLOCK = 1024
-# floats in the repr memo of a list of rows: about 0.4 MB at 100 bytes
-# an entry (the repr and its dict slot; the float is the payload's)
-_MEMO_MAX = 4096
+# the starts of the tokens orjson writes for 0 < |x| < 1e-4
+_SMALL = ("0.0000", "-0.0000")
 
 
-class _Reprs(dict):
-    """The repr of each finite nonzero float written, by value: the memo
-    of one list of rows, so that a repeated float is formatted once.  It
-    is cleared when full.  A zero is formatted at each lookup and never
-    kept: -0.0 == 0.0, but their reprs differ.  Looking up a non-finite
-    float raises ValueError, as its repr is not the standard encoder's
-    text."""
-
-    __slots__ = ()
-
-    def __missing__(self, v):
-        if not math.isfinite(v):
-            raise ValueError(v)
-        text = float.__repr__(v)
-        if v:
-            if len(self) >= _MEMO_MAX:
-                self.clear()
-            self[v] = text
-        return text
+def _reprs(values):
+    """[float.__repr__(v) for v in values] for a list of Python floats,
+    by one orjson.dumps, or None if a value is nan or +-inf (orjson
+    writes null).  orjson writes the shortest round-trip digits, as repr
+    does, but not repr's exponent style: "0.00001" and "1e16" where repr
+    writes "1e-05" and "1e+16".  The tokens that hold an "e" or start
+    with "0.0000" or "-0.0000", the values with |x| < 1e-4 or |x| >=
+    1e16, are written again by repr.  orjson is imported on first use,
+    so a process that never writes a list of floats does not load it."""
+    if not values:
+        return []
+    import orjson
+    text = orjson.dumps(values)
+    if b"n" in text:
+        return None
+    tokens = text[1:-1].decode().split(",")
+    if b"e" in text or b"0.0000" in text:
+        tokens = [float.__repr__(v) if "e" in t or t.startswith(_SMALL)
+                  else t for t, v in zip(tokens, values)]
+    return tokens
 
 
 def _pairs(obj, inner):
     """The items of obj, a list of [x, y] pairs of finite Python floats
     (polylines, point lists), on lines indented by inner, by one %
-    format of a pair template; else None.  Only a non-finite repr (nan,
-    inf) holds an "n"."""
+    format of a pair template; else None."""
     if {*map(type, obj)} != {list} or {*map(len, obj)} != {2}:
         return None
     flat = [*chain.from_iterable(obj)]
     if {*map(type, flat)} != {float}:
         return None
+    tokens = _reprs(flat)
+    if tokens is None:
+        return None
     deeper = inner + "  "
-    pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
-    text = ("," + inner).join([pair] * len(obj)) % tuple(flat)
-    return None if "n" in text else text
+    pair = "[" + deeper + "%s," + deeper + "%s" + inner + "]"
+    return ("," + inner).join([pair] * len(obj)) % tuple(tokens)
 
 
 def _row_format(row, inner):
@@ -160,13 +164,11 @@ def _row_format(row, inner):
     on lines indented by inner: it joins the items of a block by one %
     format of the row template, one %s a value in sorted key order, or
     returns None unless the items are dicts with exactly the keys of row
-    and each key's values are all strs or all finite Python floats.  Its
-    floats go through one repr memo."""
+    and each key's values are all strs or all finite Python floats."""
     keys = sorted(row)
     deeper = inner + "  "
     template = ("{" + deeper + ("," + deeper).join(
         _str(k).replace("%", "%%") + ": %s" for k in keys) + inner + "}")
-    memo = _Reprs()
 
     def format_block(block):
         if {*map(type, block)} != {dict} or {*map(len, block)} != {
@@ -182,12 +184,10 @@ def _row_format(row, inner):
             if kinds == {str}:
                 columns.append(map(_str, column))
                 continue
-            if kinds != {float}:
+            tokens = _reprs(column) if kinds == {float} else None
+            if tokens is None:
                 return None
-            try:
-                columns.append(tuple(map(memo.__getitem__, column)))
-            except ValueError:
-                return None
+            columns.append(tokens)
         return (("," + inner).join([template] * len(block))
                 % tuple(chain.from_iterable(zip(*columns))))
 

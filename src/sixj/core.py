@@ -574,8 +574,8 @@ def exact_sixj(labels):
     for k in range(kmax - 1, kmin - 1, -1):
         up = (k + 2) * (q1 - k) * (q2 - k) * (q3 - k)
         down = (k + 1 - s1) * (k + 1 - s2) * (k + 1 - s3) * (k + 1 - s4)
-        num = den * down - num * up
         den *= down
+        num = den - num * up
     num *= phase(kmin) * (kmin + 1) * _multinomial(
         (kmin - s1, kmin - s2, kmin - s3, kmin - s4,
          q1 - kmin, q2 - kmin, q3 - kmin))

@@ -1105,6 +1105,7 @@ class TestJsonWriter:
         min_size=2, max_size=2)))
     @example([[0.5, math.nan], [1.0, 2.0]])
     @example([[-0.0, 0.0], [5e-324, -1e308]])
+    @example([[1e-05, 1e16], [5e-324, -1e-05], [0.5, -1e16]])
     @example([[0.5, 1.5], [2.5], [3.5, 4.5, 5.5]])
     @example([[0.5, 1.5], 2.5])
     @example([[1, 2], [0.5, 1.5]])
@@ -1121,6 +1122,8 @@ class TestJsonWriter:
     @given(_row_lists)
     @example([{"x": -0.0, "y": 0.0}, {"x": 0.0, "y": -0.0},
               {"x": -0.0, "y": -0.0}])
+    @example([{"x": 1e-05, "y": "a"}, {"x": 1e16, "y": "b"},
+              {"x": 5e-324, "y": "c"}, {"x": 0.5, "y": "d"}])
     @example([{"a": 0.5, "b": "s"}, {"a": math.nan, "b": "t"},
               {"a": 0.5, "b": "u"}, {"a": -math.inf, "b": "v"}])
     @example([{"%": 0.5, "%s": "x", "a%%b": 1.5, "%(a)s": "%d"}])
@@ -1144,21 +1147,43 @@ class TestJsonWriter:
                 for payload in (rows, {"rows": rows, "more": [rows]}):
                     assert cli._json(payload) == oracles.stdlib_json(payload)
 
-    def test_memo_keeps_no_zero_and_no_more_than_its_cap(self, monkeypatch):
-        monkeypatch.setattr(cli, "_MEMO_MAX", 3)
-        memo = cli._Reprs()
-        assert [memo[v] for v in (-0.0, 0.0, -0.0)] == ["-0.0", "0.0",
-                                                        "-0.0"]
-        assert not memo
-        sizes = []
-        for v in (0.5, 1.5, 0.5, 2.5, 3.5, 4.5):
-            assert memo[v] == repr(v)
-            sizes.append(len(memo))
-        assert sizes == [1, 2, 2, 3, 1, 2]
-        for v in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                memo[v]
-        assert len(memo) == 2
+    @given(st.lists(st.floats()))
+    @example([1e-4, math.nextafter(1e-4, 0), 1e16, math.nextafter(1e16, 0),
+              5e-324, 0.0, -0.0, 1.7976931348623157e308])
+    @example([-1e-4, -math.nextafter(1e-4, 0), -1e16,
+              -math.nextafter(1e16, 0), -5e-324, -1.7976931348623157e308])
+    @example([1e-05, 0.00015, 10.00001, 1e15, 1.2345e20])
+    @example([0.5, math.nan])
+    @example([-math.inf, 1e-05])
+    @example([math.inf])
+    @example([])
+    @settings(max_examples=500, deadline=None)
+    def test_reprs_kernel(self, values):
+        # orjson's tokens, with its exponent style written again by
+        # repr, are repr's; a nan or an infinity gives None
+        tokens = cli._reprs(values)
+        if all(map(math.isfinite, values)):
+            assert tokens == [float.__repr__(v) for v in values]
+        else:
+            assert tokens is None
+
+    def test_orjson_loaded_on_first_list(self):
+        script = """
+import contextlib, io, json, sys
+import sixj, sixj.cli
+loaded = ["orjson" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    sixj.cli.main(["figure", "--kind", "spots", "--j1", "9/2", "--j2", "3",
+                   "--j3", "11/2", "--j4", "6", "--grid", "8"])
+loaded.append("orjson" in sys.modules)
+print(json.dumps(loaded))
+"""
+        src = str(Path(sixj.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, True]
 
     @pytest.mark.parametrize("grid", [12, None])
     @pytest.mark.parametrize("kind", cli.FIGURE_KINDS)

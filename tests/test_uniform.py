@@ -502,24 +502,40 @@ class TestGridSolve:
         grid, region = uniform.beta_grid(*DEMO, [J12], [J23])
         assert grid.tolist() == [beta] and region.tolist() == [rep.region]
 
-    def test_forbidden_solve_next_to_the_d_caustic(self):
-        # a region-B point whose Newton walks into the band where the
-        # d-geometry is caustic: the forbidden solve matches the continued
-        # phase there too, not the principal one (7.47 away).  Its target,
-        # -1.5e-11, is roundoff below the zero of Phi_bar_d at beta1, so
-        # no beta matches it closer than |target|
-        J12, J23 = 1.6, 4.878623008728027
-        want = 1.6573225361490174
+    def test_forbidden_solve_next_to_the_d_caustic(self, monkeypatch):
+        # a region-B point whose target, 2.1e-12, puts its root next to
+        # beta1: the Newton steps land in the band below beta1 where the
+        # d-geometry is caustic, |V_d^2| <= VD_CAUSTIC_TOL.  There the
+        # forbidden solve reads the continued phase, zero, not the
+        # principal one (0.10 away)
+        J12, J23 = 4.0, 2.5324519225813384
+        want = 1.7242663953602513
+        lune_residual, sides = uniform._lune_residual, []
+
+        def spy(cones, beta, target, continued=False):
+            cosines = uniform._cosines_at(cones, beta)[2]
+            real = dasym._lune_region(uniform._FLOATS, *cosines)[1]
+            sides.append((continued, real))
+            return lune_residual(cones, beta, target, continued)
+
+        monkeypatch.setattr(uniform, "_lune_residual", spy)
         beta, rep = uniform.beta_field(*DEMO, J12, J23)
-        assert rep.region == tetra.REGION_B
+        monkeypatch.undo()
+        assert rep.region == tetra.REGION_B and rep.iterations > 0
+        assert {continued for continued, _ in sides} == {True}
+        assert (True, True) in sides
         assert abs(beta - want) <= math.ulp(want)
         J = _four(DEMO) + (J12, J23)
         target = prasym.phi_pr_bar(J, tetra.classify(J).angles)
-        assert abs(target) < 1e-10
-        assert rep.residual <= abs(target) + uniform._SOLVE_TOL
+        assert 0.0 < target < 1e-11
+        assert rep.residual <= uniform._SOLVE_TOL
+        # the phase is flat at beta1, so the grid's root may lie 1e-8
+        # away: both pass the scalar acceptance
         grid, region = uniform.beta_grid(*DEMO, [J12], [J23])
         assert region.tolist() == [tetra.REGION_B]
-        assert abs(grid[0] - want) <= math.ulp(want)
+        assert abs(grid[0] - want) <= 1e-7
+        assert self.scalar_acceptance(DEMO, J12, J23, beta)
+        assert self.scalar_acceptance(DEMO, J12, J23, float(grid[0]))
 
     @pytest.mark.parametrize("J12,J23,side,want", [
         (1.6, 4.878623008728027, 0, 1.6573225361490176),
