@@ -2,10 +2,29 @@
 caustic, beta contours, J23 orbits and the caustic diagram.
 
 Each builder takes the four fixed labels and a grid size and returns
-the payload that `sixj figure` writes.  The ternary search for a side
-touch point of figure spots stops at its fixed point, where a step
-leaves the bracket unchanged.
+the payload that `sixj figure` writes.
+
+det G, the Cayley-Menger determinant, is quadratic in the square of
+each edge.  On a line of fixed J23 = F the tetrahedron is two triangles
+hinged on the edge F, (J1, J4, F) and (J2, J3, F), and det G = 36 V^2
+is a*x^2 + b*x + c in x = J12^2, with a = -F^2/4.  It vanishes where
+the hinge lies flat:
+
+    x = (P^2 + (r1 -/+ r2)^2) / F^2,    P = (J1^2 - J2^2 + J3^2 - J4^2)/2,
+
+with r = 2 * area of each triangle, by Heron's product, so P/F is the
+offset of the feet of the two heights r/F on the hinge.  The maximum
+of det G on the line sits halfway, at x = (P^2 + r1^2 + r2^2) / F^2.
+(So b = (P^2 + r1^2 + r2^2)/2 and b^2 - 4ac = r1^2 r2^2.)  Lines of
+fixed J12 are the same with J2 and J4 swapped, the symmetry
+{j1 j2 j12; j3 j4 j23} = {j1 j4 j23; j3 j2 j12}.  Every term is a sum
+of squares or a product of differences of lengths, so no digit is lost
+to cancellation.  The caustic points of figure spots are these roots
+on each grid line, and a side touch is the maximum on the side,
+clamped to it.
 """
+
+import math
 
 import numpy as np
 
@@ -13,11 +32,10 @@ from . import sphere, tetra, uniform
 from .core import HalfInt, bounds
 
 _TOUCH_TOL = 1e-6   # |det G| / caustic scale at an accepted touch point
-_TOUCH_SCAN = 2001  # samples of det G along a side before the ternary search
-# points per call in the caustic scan of figure spots and the beta
-# solve of beta-contours: arrays of 64 KB stay on the heap and are
-# reused instead of raising peak memory
+# points per call in the beta solve of beta-contours: arrays of 64 KB
+# stay on the heap and are reused instead of raising peak memory
 _SCAN_BLOCK = 8192
+_SIDES = ("J12_min", "J12_max", "J23_min", "J23_max")
 
 
 def _square(b):
@@ -28,88 +46,69 @@ def _square(b):
 
 def _square_grid(b, n):
     """n cell-center values per axis, strictly inside the square."""
-    xs = [b.J12_min + (b.J12_max - b.J12_min) * (i + 0.5) / n
-          for i in range(n)]
-    ys = [b.J23_min + (b.J23_max - b.J23_min) * (i + 0.5) / n
-          for i in range(n)]
+    lo12, hi12, lo23, hi23 = b.J12_min, b.J12_max, b.J23_min, b.J23_max
+    xs = [lo12 + (hi12 - lo12) * (i + 0.5) / n for i in range(n)]
+    ys = [lo23 + (hi23 - lo23) * (i + 0.5) / n for i in range(n)]
     return xs, ys
 
 
-def _scan(lo, hi, n):
-    """n evenly spaced samples from lo to hi, both ends included."""
-    return lo + (hi - lo) * np.arange(n) / (n - 1)
+def _hinge(four, along_j12, F):
+    """(P^2, r1, r2) of the lines of fixed J23 = F (along_j12) or of
+    fixed J12 = F, as in the module docstring; F may be a numpy array.
+    On the closed square each triangle obeys its inequalities, so the
+    Heron factors are >= 0."""
+    J1, J2, J3, J4 = four
+    if not along_j12:
+        J2, J4 = J4, J2
+    P = 0.5 * (J1 * J1 - J2 * J2 + J3 * J3 - J4 * J4)
+    r1, r2 = ((0.25 * (x + y + F) * (x + y - F) * (F + x - y)
+               * (F - x + y)) ** 0.5 for x, y in ((J1, J4), (J2, J3)))
+    return P * P, r1, r2
+
+
+def _line_roots(four, along_j12, F):
+    """Roots x of det G on the lines at F, as rows of two in ascending
+    order; where a triangle is flat (r1 * r2 = 0) the double root counts
+    once, with NaN second."""
+    P2, r1, r2 = _hinge(four, along_j12, F)
+    F2 = F * F
+    return np.column_stack(((P2 + (r1 - r2) ** 2) / F2,
+                            np.where(r1 * r2 > 0.0,
+                                     (P2 + (r1 + r2) ** 2) / F2, np.nan)))
 
 
 def _caustic_curve(b, grid):
     """Roots of det G on every grid line of the square: the lines at
-    fixed J23 first, then those at fixed J12, each in scan order.
-
-    Each line is scanned at grid samples, a block of lines per call.  A
-    sample where det G is exactly zero is a root; every sign change
-    between two nonzero samples is bisected, all brackets in lockstep,
-    80 times or until a step changes none of them.
-    """
+    fixed J23 first, then those at fixed J12, each in ascending order.
+    A root counts where its length lies on the side, both ends
+    included."""
     xs, ys = _square_grid(b, grid)
-    samples = np.array([_scan(b.J12_min, b.J12_max, grid),
-                        _scan(b.J23_min, b.J23_max, grid)])
-    lines = np.array([ys, xs])   # direction 0: lines at fixed J23
-    block = max(1, _SCAN_BLOCK // grid)
-    found = []
-    for d in (0, 1):
-        for first in range(0, grid, block):
-            c, s = lines[d, first:first + block, None], samples[d]
-            v = tetra._det_g(*b.four, *((s, c) if d == 0 else (c, s)))
-            v0, v1 = v[:, :-1], v[:, 1:]
-            zero = v0 == 0.0
-            change = (v0 != 0.0) & (v1 != 0.0) & ((v0 < 0.0) != (v1 < 0.0))
-            line, k = np.nonzero(zero | change)
-            found.append((np.full(len(k), d), first + line, k,
-                          v0[line, k], zero[line, k]))
-    d, line, k, fa, done = (np.concatenate(x) for x in zip(*found))
-    along_j12 = d == 0
-    fixed = lines[d, line]
-
-    def point(s):
-        return (np.where(along_j12, s, fixed), np.where(along_j12, fixed, s))
-
-    # an exact zero starts done, with both ends of its bracket on it
-    a = samples[d, k]
-    bb = np.where(done, a, samples[d, k + 1])
-    state = (a, bb, fa, done)
-    for _ in range(80):
-        mid = 0.5 * (a + bb)
-        fm = tetra._det_g(*b.four, *point(mid))
-        done = done | (fm == 0.0)
-        low = ~done & ((fm < 0.0) == (fa < 0.0))
-        a, bb, fa = (np.where(low | done, mid, a), np.where(low, bb, mid),
-                     np.where(low, fm, fa))
-        if all(map(np.array_equal, state, (a, bb, fa, done))):
-            break   # a fixed point: every later step would repeat this one
-        state = (a, bb, fa, done)
-    return np.column_stack(point(0.5 * (a + bb))).tolist()
+    curve = []
+    for along_j12, fixed, lo, hi in ((True, ys, b.J12_min, b.J12_max),
+                                     (False, xs, b.J23_min, b.J23_max)):
+        fixed = np.array(fixed)
+        s = np.sqrt(_line_roots(b.four, along_j12, fixed))
+        line, k = np.nonzero((s >= lo) & (s <= hi))
+        s, f = s[line, k], fixed[line]
+        curve.append(np.column_stack((s, f) if along_j12 else (f, s)))
+    return np.concatenate(curve).tolist()
 
 
 def _side_touch(b, side):
-    """Maximum of det G along one square side, refined by ternary
-    search; the caustic touches the side where this maximum vanishes."""
+    """Maximum of det G along one square side, where the caustic touches
+    it.  A triangle is flat on every side, so the maximum is the double
+    root of det G there; the clamp to the side only holds roundoff at a
+    corner.  On a side at J12 = 0 or J23 = 0 det G vanishes identically,
+    and the touch is the side's low end."""
     c, on_j12 = getattr(b, side), side.startswith("J12")
     lo, hi = (b.J23_min, b.J23_max) if on_j12 else (b.J12_min, b.J12_max)
-    point = lambda s: (c, s) if on_j12 else (s, c)
-    f = lambda s: tetra._det_g(*b.four, *point(s))
-    scan = _scan(lo, hi, _TOUCH_SCAN)
-    best_i = int(np.argmax(f(scan)))
-    a = float(scan[max(best_i - 1, 0)])
-    bb = float(scan[min(best_i + 1, _TOUCH_SCAN - 1)])
-    for _ in range(200):
-        m1 = a + (bb - a) / 3.0
-        m2 = bb - (bb - a) / 3.0
-        state = (m1, bb) if f(m1) < f(m2) else (a, m2)
-        if state == (a, bb):
-            break   # a fixed point: every later step would repeat this one
-        a, bb = state
-    s = 0.5 * (a + bb)
-    g = f(s)
-    J12, J23 = point(s)
+    if c == 0.0:
+        s = lo
+    else:
+        P2, r1, r2 = _hinge(b.four, not on_j12, c)
+        s = min(max(math.sqrt((P2 + r1 * r1 + r2 * r2) / (c * c)), lo), hi)
+    J12, J23 = (c, s) if on_j12 else (s, c)
+    g = tetra._det_g(*b.four, J12, J23)
     return {"side": side, "J12": J12, "J23": J23, "det_g": g,
             "touch": abs(g) <= _TOUCH_TOL * tetra._caustic_scale(
                 b.four + (J12, J23))}
@@ -117,28 +116,28 @@ def _side_touch(b, side):
 
 def figure_spots(js, grid):
     b = bounds(*js)
-    t12s = range(b.j12_min.twice, b.j12_max.twice + 1, 2)
-    t23s = range(b.j23_min.twice, b.j23_max.twice + 1, 2)
-    kinds = iter(tetra.classify_grid([t / 2.0 + 0.5 for t in t12s],
-                                     [t / 2.0 + 0.5 for t in t23s], b)
+    lo12, hi12, lo23, hi23 = b.J12_min, b.J12_max, b.J23_min, b.J23_max
+    # (label, length) per axis value: each label is formatted once
+    axis12 = [(str(HalfInt(t)), t / 2.0 + 0.5)
+              for t in range(b.j12_min.twice, b.j12_max.twice + 1, 2)]
+    axis23 = [(str(HalfInt(t)), t / 2.0 + 0.5)
+              for t in range(b.j23_min.twice, b.j23_max.twice + 1, 2)]
+    kinds = iter(tetra.classify_grid([J for _, J in axis12],
+                                     [J for _, J in axis23], b)
                  .kind.tolist())
     points = []
-    for t12 in t12s:
-        for t23 in t23s:
-            J12, J23 = t12 / 2.0 + 0.5, t23 / 2.0 + 0.5
-            margin = min(J12 - b.J12_min, b.J12_max - J12,
-                         J23 - b.J23_min, b.J23_max - J23)
-            points.append({"j12": str(HalfInt(t12)), "j23": str(HalfInt(t23)),
-                           "J12": J12, "J23": J23,
+    for j12, J12 in axis12:
+        m12 = min(J12 - lo12, hi12 - J12)
+        for j23, J23 in axis23:
+            margin = min(m12, J23 - lo23, hi23 - J23)
+            points.append({"j12": j12, "j23": j23, "J12": J12, "J23": J23,
                            "region": next(kinds), "margin": margin})
-    touches = [_side_touch(b, side)
-               for side in ("J12_min", "J12_max", "J23_min", "J23_max")]
     return {
         "square": _square(b),
         "D": b.D,
         "points": points,
         "caustic": _caustic_curve(b, grid),
-        "touches": touches,
+        "touches": [_side_touch(b, side) for side in _SIDES],
     }
 
 

@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 
 from sixj import (Bounds, HalfInt, InvariantError, SixJLabels, ValidationError,
-                  cli, figures, tetra)
+                  cli)
 from sixj.core import LABEL_NAMES, TRIANGLES
 
 # exact 6j values, 37 digits, from sympy.physics.wigner.wigner_6j
@@ -129,9 +129,14 @@ def cayley_menger_volume_sq(J):
 def _cayley_menger(J):
     """Bordered 5x5 Cayley-Menger matrix of exact squared lengths, in the
     vertex layout of cayley_menger_volume_sq (row/column 0 the border)."""
-    J1, J2, J3, J4, J12, J23 = [exact_rational(x) for x in J]
-    d2 = {(0, 1): J1 ** 2, (0, 2): J12 ** 2, (0, 3): J4 ** 2,
-          (1, 2): J2 ** 2, (2, 3): J3 ** 2, (1, 3): J23 ** 2}
+    return _cayley_menger_sq([exact_rational(x) ** 2 for x in J])
+
+
+def _cayley_menger_sq(sq):
+    """_cayley_menger of the six squared lengths, exact rationals."""
+    J1, J2, J3, J4, J12, J23 = sq
+    d2 = {(0, 1): J1, (0, 2): J12, (0, 3): J4,
+          (1, 2): J2, (2, 3): J3, (1, 3): J23}
     m = [[Fraction(0)] * 5 for _ in range(5)]
     for i in range(1, 5):
         m[0][i] = m[i][0] = Fraction(1)
@@ -440,36 +445,39 @@ def stdlib_json(payload):
     return json.dumps(cli._clean(payload), indent=2, sort_keys=True)
 
 
-def side_touch_200(four, b, side, n=2001):
-    """figures._side_touch with all 200 ternary steps, det G evaluated on
-    one-element arrays."""
-    if side in ("J12_min", "J12_max"):
-        c = b.J12_min if side == "J12_min" else b.J12_max
-        lo, hi = b.J23_min, b.J23_max
-        point = lambda s: (c, s)
-    else:
-        c = b.J23_min if side == "J23_min" else b.J23_max
-        lo, hi = b.J12_min, b.J12_max
-        point = lambda s: (s, c)
-    f = lambda s: float(tetra._det_g(*four, *(np.array([x], float)
-                                              for x in point(s)))[0])
-    scan = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    best_i = max(range(n), key=lambda i: f(scan[i]))
-    a = scan[max(best_i - 1, 0)]
-    bb = scan[min(best_i + 1, n - 1)]
-    for _ in range(200):
-        m1 = a + (bb - a) / 3.0
-        m2 = bb - (bb - a) / 3.0
-        if f(m1) < f(m2):
-            a = m1
-        else:
-            bb = m2
-    s = 0.5 * (a + bb)
-    g = f(s)
-    J12, J23 = point(s)
-    return {"side": side, "J12": J12, "J23": J23, "det_g": g,
-            "touch": abs(g) <= figures._TOUCH_TOL * tetra._caustic_scale(
-                four + (J12, J23))}
+def caustic_quadratic(js, along_j12, fixed):
+    """det G = a*x^2 + b*x + c on the line of fixed J23 at x = J12^2
+    (along_j12), or of fixed J12 at x = J23^2, from the half-integer
+    labels js = (j1, j2, j3, j4) and the dyadic line value fixed.
+
+    a, b and c are Fractions, fitted exactly through det G = det CM / 8
+    of the Cayley-Menger matrix at x = 0, 1 and 2.  Returns (a, b, c,
+    roots, vertex): the lengths sqrt(x) of the real roots x >= 0 in
+    ascending order, a double root once, and sqrt(max(-b/2a, 0)), both
+    as floats of 50-digit square roots; no roots and vertex None when
+    a = 0.
+    """
+    sq = [Fraction(j.twice + 1, 2) ** 2 for j in js]
+    line = Fraction(fixed) ** 2
+    f0, f1, f2 = (_fraction_det(_cayley_menger_sq(
+        sq + ([x, line] if along_j12 else [line, x]))) / 8
+        for x in (0, 1, 2))
+    a = (f2 - 2 * f1 + f0) / 2
+    b = f1 - f0 - a
+    c = f0
+    if a == 0:
+        return a, b, c, [], None
+    mp = lambda q: mpmath.mpf(q.numerator) / q.denominator
+    disc = b * b - 4 * a * c
+    with mpmath.workdps(50):
+        r = mpmath.sqrt(mp(disc)) if disc > 0 else 0
+        # a set: a double root once; at c = 0 the root 0 exactly, not
+        # rounded to either side of it
+        xs = ([] if disc < 0 else {mp(-b / a), mpmath.mpf(0)} if c == 0 else
+              {(-mp(b) + s * r) / mp(2 * a) for s in (-1, 1)})
+        roots = sorted(float(mpmath.sqrt(x)) for x in xs if x >= 0)
+        vertex = float(mpmath.sqrt(max(mp(-b / (2 * a)), 0)))
+    return a, b, c, roots, vertex
 
 
 def getattr_validate(labels):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -440,8 +441,9 @@ class TestFigureCsv:
 
 class TestWholeGridFigures:
     """The figure builders work on whole grids; every root and polyline
-    equals the one of the scalar code they replaced.  (beta-contours is
-    checked against the scalar beta solve in test_uniform.TestGridSolve.)"""
+    equals the one of the scalar code they replaced, or of an exact
+    oracle.  (beta-contours is checked against the scalar beta solve in
+    test_uniform.TestGridSolve.)"""
 
     @staticmethod
     def scalar_caustic_curve(four, b, grid):
@@ -458,31 +460,101 @@ class TestWholeGridFigures:
                 b.J23_min, b.J23_max, grid, f)]
         return curve
 
-    @each_grid
+    @staticmethod
+    def exact_caustic_curve(js, grid):
+        """The exact roots on every grid line that lie on its side."""
+        b = bounds(*js)
+        xs, ys = figures._square_grid(b, grid)
+        curve = []
+        for J23 in ys:
+            curve += [[r, J23] for r in oracles.caustic_quadratic(
+                js, True, J23)[3] if b.J12_min <= r <= b.J12_max]
+        for J12 in xs:
+            curve += [[J12, r] for r in oracles.caustic_quadratic(
+                js, False, J12)[3] if b.J23_min <= r <= b.J23_max]
+        return curve
+
+    @pytest.mark.parametrize("grid", [12, 41, 201])
     @each_quad
     def test_spots_roots_equal_scalar_scan(self, js, grid):
-        want = self.scalar_caustic_curve(_four(js), bounds(*js), grid)
         got = figures.figure_spots(js, grid)["caustic"]
-        assert want and got == want
+        want = self.exact_caustic_curve(js, grid)
+        assert want and len(got) == len(want) == len(
+            self.scalar_caustic_curve(_four(js), bounds(*js), grid))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("js", [*FIGURE_QUADS.values(), (40, 40, 30, 30)],
+                             ids=str)
+    def test_spots_points_equal_point_loop(self, js):
+        js = tuple(HalfInt.of(j) for j in js)
+        b = bounds(*js)
+        want = []
+        for t12 in range(b.j12_min.twice, b.j12_max.twice + 1, 2):
+            for t23 in range(b.j23_min.twice, b.j23_max.twice + 1, 2):
+                J12, J23 = t12 / 2.0 + 0.5, t23 / 2.0 + 0.5
+                want.append((str(HalfInt(t12)), str(HalfInt(t23)), J12, J23,
+                             min(J12 - b.J12_min, b.J12_max - J12,
+                                 J23 - b.J23_min, b.J23_max - J23)))
+        got = [(p["j12"], p["j23"], p["J12"], p["J23"], p["margin"])
+               for p in figures.figure_spots(js, 8)["points"]]
+        assert got == want
 
     @each_grid
     @each_quad
-    def test_exact_zeros_equal_scalar_scan(self, js, grid, monkeypatch):
-        # det G replaced by a product with roots on scan samples (exact
-        # zeros), at a bracket midpoint (bisection hits 0.0 at once) and
-        # between samples
+    def test_roots_are_zeros_of_det_g(self, js, grid):
+        four = _four(js)
+        caustic = figures.figure_spots(js, grid)["caustic"]
+        assert caustic
+        for J12, J23 in caustic:
+            J = four + (J12, J23)
+            assert abs(tetra.det_gram(J)) <= 1e-9 * tetra._caustic_scale(J)
+
+    @pytest.mark.parametrize("js", [*FIGURE_QUADS.values(), (40, 40, 40, 40),
+                                    ("5/2", "5/2", 3, 3), (40, 40, 30, 30)],
+                             ids=str)
+    def test_hinge_is_the_quadratic(self, js):
+        # in exact arithmetic on the grid lines and the sides: the hinge
+        # terms give b and the discriminant of the Cayley-Menger
+        # quadratic, and the discriminant is never negative
+        js = tuple(HalfInt.of(j) for j in js)
         b = bounds(*js)
-        s12 = figures._scan(b.J12_min, b.J12_max, grid)
-        s23 = figures._scan(b.J23_min, b.J23_max, grid)
-        c, d, m = s12[3], s23[5], 0.5 * (s12[7] + s12[8])
-        e = 0.37 * (b.J12_max + b.J23_max)
-        monkeypatch.setattr(tetra, "_det_g", lambda *J: (
-            (J[4] - c) * (J[4] - m) * (J[5] - d) * (J[4] + J[5] - e)))
-        want = self.scalar_caustic_curve(_four(js), b, grid)
-        xs, ys = figures._square_grid(b, grid)
-        assert [c, ys[0]] in want and [m, ys[0]] in want
-        assert [xs[0], d] in want
-        assert figures._caustic_curve(b, grid) == want
+        xs, ys = figures._square_grid(b, 5)
+        for along_j12, lines in ((True, [b.J23_min, *ys, b.J23_max]),
+                                 (False, [b.J12_min, *xs, b.J12_max])):
+            J1, J2, J3, J4 = (Fraction(j.twice + 1, 2) for j in js)
+            if not along_j12:
+                J2, J4 = J4, J2
+            for F in map(Fraction, lines):
+                qa, qb, qc, *_ = oracles.caustic_quadratic(js, along_j12, F)
+                u1, u2 = ((x + y + F) * (x + y - F) * (F + x - y)
+                          * (F - x + y) / 4 for x, y in ((J1, J4), (J2, J3)))
+                P = (J1 ** 2 - J2 ** 2 + J3 ** 2 - J4 ** 2) / 2
+                assert u1 >= 0 and u2 >= 0
+                assert qa == -F * F / 4
+                assert qb == (P * P + u1 + u2) / 2
+                assert qb * qb - 4 * qa * qc == u1 * u2
+
+    def test_double_root_counts_once(self):
+        # on the side J23 = J23_min = J3 - J2 of the demo square the
+        # triangle (J2, J3, J23) is flat and the two roots coincide
+        js = tuple(HalfInt.of(j) for j in FIGURE_QUADS["demo"])
+        b = bounds(*js)
+        J23 = np.array([b.J23_min])
+        assert b.J23_min == b.four[2] - b.four[1]
+        x = figures._line_roots(b.four, True, J23)
+        *_, roots, _ = oracles.caustic_quadratic(js, True, b.J23_min)
+        assert len(roots) == 1 and np.isnan(x[0, 1])
+        assert math.sqrt(x[0, 0]) == pytest.approx(roots[0], rel=1e-14)
+
+    def test_coarse_grid_finds_roots_between_samples(self):
+        # at grid 8 both roots of some lines fall between two samples,
+        # where a sign-change scan finds neither
+        js = tuple(HalfInt.of(j) for j in ("89/2", 9, 53, "39/2"))
+        got = figures.figure_spots(js, 8)["caustic"]
+        assert len(got) == 32
+        assert len(self.scalar_caustic_curve(_four(js), bounds(*js), 8)) == 28
+        np.testing.assert_allclose(got, self.exact_caustic_curve(js, 8),
+                                   rtol=1e-13, atol=0.0)
 
     @each_grid
     @each_quad
@@ -529,13 +601,22 @@ class TestWholeGridFigures:
     @pytest.mark.parametrize("side", ["J12_min", "J12_max", "J23_min",
                                       "J23_max"])
     @pytest.mark.parametrize("js", [*FIGURE_QUADS.values(), (40, 40, 40, 40),
-                                    ("5/2", "5/2", 3, 3)], ids=str)
-    def test_side_touch_equals_all_200_steps(self, js, side):
-        # the last two squares have flat sides
+                                    ("5/2", "5/2", 3, 3), (40, 40, 30, 30)],
+                             ids=str)
+    def test_side_touch_is_exact_maximum(self, js, side):
+        # the last three squares have flat sides
         js = tuple(HalfInt.of(j) for j in js)
-        b, four = bounds(*js), _four(js)
-        assert (figures._side_touch(b, side)
-                == oracles.side_touch_200(four, b, side))
+        b = bounds(*js)
+        t = figures._side_touch(b, side)
+        on_j12 = side.startswith("J12")
+        lo, hi = ((b.J23_min, b.J23_max) if on_j12
+                  else (b.J12_min, b.J12_max))
+        *_, vertex = oracles.caustic_quadratic(js, not on_j12,
+                                               getattr(b, side))
+        want = lo if vertex is None else min(max(vertex, lo), hi)
+        got = t["J23"] if on_j12 else t["J12"]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert t["det_g"] == tetra._det_g(*b.four, t["J12"], t["J23"])
 
 
 class TestFlatSides:
@@ -587,6 +668,43 @@ class TestFlatSides:
         assert all(type(v) is float for row in got for v in row)
         assert got[0] == [0.0] * 9
         assert np.array(got).tobytes() == Z.tobytes()
+
+
+class TestDegenerateSquares:
+    """Squares with a flat side (J12 = 0 or J23 = 0, where det G vanishes
+    identically) and caustic lines next to it."""
+
+    degenerate = pytest.mark.parametrize(
+        "js", [(40, 40, 40, 40), ("5/2", "5/2", 3, 3), (40, 40, 30, 30)],
+        ids=str)
+
+    @degenerate
+    def test_flat_side_touch_is_low_end(self, js):
+        b = bounds(*(HalfInt.of(j) for j in js))
+        flat = [side for side in figures._SIDES if getattr(b, side) == 0.0]
+        assert flat
+        for side in flat:
+            t = figures._side_touch(b, side)
+            on_j12 = side.startswith("J12")
+            lo = b.J23_min if on_j12 else b.J12_min
+            assert (t["J12"], t["J23"]) == ((0.0, lo) if on_j12 else (lo, 0.0))
+            assert t["det_g"] == 0.0 and math.copysign(1.0, t["det_g"]) == 1.0
+            assert t["touch"] is True
+
+    @degenerate
+    @pytest.mark.parametrize("grid", [8, 41])
+    @pytest.mark.filterwarnings("error")
+    def test_caustic_equals_exact_roots(self, js, grid):
+        js = tuple(HalfInt.of(j) for j in js)
+        b = bounds(*js)
+        got = figures.figure_spots(js, grid)["caustic"]
+        np.testing.assert_allclose(
+            got, TestWholeGridFigures.exact_caustic_curve(js, grid),
+            rtol=1e-13, atol=0.0)
+        for J12, J23 in got:
+            assert math.copysign(1.0, J12) == math.copysign(1.0, J23) == 1.0
+            assert (abs(tetra._det_g(*b.four, J12, J23))
+                    <= 1e-9 * tetra._caustic_scale(b.four + (J12, J23)))
 
 
 class TestWorstcase:
