@@ -14,23 +14,22 @@ list in a CSV cell (eval's uniform.solver.bracket) is its items by
 str(), joined by spaces, like "1e-12 3.141592653588793".
 
 Each command builds its payload, then opens its output once (_output)
-and writes every piece as it formats it: JSON fragments in one pass
-that knows the payload shapes (_emit), CSV rows one at a time.  A
-command that fails writes nothing.  The JSON bytes are those of
-json.dumps(indent=2, sort_keys=True) on the cleaned payload.  A list of
-[x, y] pairs of finite floats is one % format of a pair template; a
-numpy array (a figure polyline) becomes a list only when it is written.
-A list of dicts with the keys of its first item (the beta-contours
-rows, the spots points) is written _ROW_BLOCK rows at a time: a block
-whose items have exactly those keys, each key's values all strings or
-all finite floats, is one % format and one write of a row template (a
-"%" in a key is escaped); any other block is written item by item.
-The floats of a pair list, and of each float column of a block, are
-formatted by one orjson.dumps (_reprs), whose tokens are repr's except
-in exponent style: those with |x| < 1e-4 or |x| >= 1e16 are written
-again by repr.  A list that holds a nan or an infinity goes to the
-item-by-item writer.  Strings stay on the standard library's escape,
-since orjson does not escape non-ASCII.
+and writes every piece as it formats it: JSON in pieces of bounded
+size (_emit), CSV rows one at a time.  A command that fails writes
+nothing.  The JSON bytes are those of json.dumps(indent=2,
+sort_keys=True) on the cleaned payload.  A dict is written key by key;
+a list of dicts of scalars (the beta-contours rows, the spots points,
+the sweep rows) _BLOCK items at a time; a list of numpy arrays, or of
+dicts that hold containers (the polylines, the orbit levels), item by
+item; anything else is one piece.  Each piece is one orjson.dumps with
+indent 2 and sorted keys, its lines then indented to its depth
+(_piece); a float64 array goes through orjson's numpy writer, so it
+never becomes a list.  orjson writes the shortest round-trip digits, as
+repr does, but "0.00001", "1e-7" and "1e16" where repr writes "1e-05",
+"1e-07" and "1e+16"; those tokens are written again by repr
+(_repr_exponents).  A piece that orjson refuses (an int beyond 64
+bits), or whose text holds a byte >= 0x7f (orjson writes non-ASCII,
+U+2028 and DEL raw), is written by json.dumps instead.
 """
 
 import argparse
@@ -39,8 +38,8 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
-from operator import itemgetter
+
+import numpy as np
 
 from .core import (LABEL_NAMES, HalfInt, SixJError, SixJLabels,
                    ValidationError, WrongRegionError, bounds)
@@ -104,7 +103,7 @@ def _output(args):
 
 def _json(payload):
     """json.dumps(_clean(payload), indent=2, sort_keys=True) for a
-    payload whose dict keys are strings, written in one pass: with an
+    payload whose dict keys are strings, written by _emit: with an
     indent, json.dumps runs CPython's pure-Python encoder, which takes
     one generator step per value."""
     out = []
@@ -113,94 +112,85 @@ def _json(payload):
 
 
 _str = json.encoder.encode_basestring_ascii
-# rows of a list of same-key dicts per % format and write; a block of
+# items of a list of dicts of scalars per orjson.dumps call; a block of
 # the beta-contours rows is about 130 kB of text
-_ROW_BLOCK = 1024
-# the starts of the tokens orjson writes for 0 < |x| < 1e-4
-_SMALL = ("0.0000", "-0.0000")
+_BLOCK = 1024
 
 
-def _reprs(values):
-    """[float.__repr__(v) for v in values] for a list of Python floats,
-    by one orjson.dumps, or None if a value is nan or +-inf (orjson
-    writes null).  orjson writes the shortest round-trip digits, as repr
-    does, but not repr's exponent style: "0.00001" and "1e16" where repr
-    writes "1e-05" and "1e+16".  The tokens that hold an "e" or start
-    with "0.0000" or "-0.0000", the values with |x| < 1e-4 or |x| >=
-    1e16, are written again by repr.  orjson is imported on first use,
-    so a process that never writes a list of floats does not load it."""
-    if not values:
-        return []
+def _default(obj):
+    """What orjson writes in place of a value it does not know: a
+    HalfInt as its string, a numpy value as its Python list or scalar."""
+    if isinstance(obj, HalfInt):
+        return str(obj)
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _repr_exponents(text):
+    """text, orjson's indented JSON, with each float that orjson writes
+    in its own exponent style ("0.00001", "1e-7", "1e16") written again
+    by repr ("1e-05", "1e-07", "1e+16").  A candidate is a digit before
+    an "e", or "0.0000"; it counts when the token around it, from after
+    the last space on its line to the line's end less a ",", is a
+    number.  A string never is: its line ends with a quote."""
+    u = np.frombuffer(text, np.uint8)
+    marks = np.flatnonzero(u[1:] == ord("e"))
+    marks = marks[u[marks] - ord("0") < 10].tolist()
+    i = text.find(b"0.0000")
+    while i >= 0:
+        marks.append(i)
+        i = text.find(b"0.0000", i + 1)
+    spans = set()
+    for i in marks:
+        line = text.rfind(b"\n", 0, i) + 1
+        end = text.find(b"\n", i)
+        spans.add((max(text.rfind(b" ", line, i) + 1, line),
+                   len(text) if end < 0 else end))
+    out, done = [], 0
+    for start, end in sorted(spans):
+        token = text[start:end].rstrip(b",")
+        if not token.strip(b"0123456789.+-e"):
+            out += text[done:start], float.__repr__(float(token)).encode()
+            done = start + len(token)
+    out.append(text[done:])
+    return b"".join(out)
+
+
+def _piece(obj, newline_indent):
+    """The JSON text of obj by one orjson.dumps, a float64 array or
+    scalar through orjson's numpy writer, its lines indented to follow
+    newline_indent; or by json.dumps where orjson refuses obj or writes
+    a byte >= 0x7f.  orjson is imported on first use, so a process that
+    writes no JSON does not load it."""
     import orjson
-    text = orjson.dumps(values)
-    if b"n" in text:
-        return None
-    tokens = text[1:-1].decode().split(",")
-    if b"e" in text or b"0.0000" in text:
-        tokens = [float.__repr__(v) if "e" in t or t.startswith(_SMALL)
-                  else t for t, v in zip(tokens, values)]
-    return tokens
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+    if getattr(obj, "dtype", None) == "d":
+        option |= orjson.OPT_SERIALIZE_NUMPY
+    try:
+        text = orjson.dumps(obj, default=_default, option=option)
+    except orjson.JSONEncodeError:
+        text = None
+    if text is None or not text.isascii() or b"\x7f" in text:
+        return json.dumps(_clean(obj), indent=2, sort_keys=True
+                          ).replace("\n", newline_indent)
+    return (_repr_exponents(text).replace(b"\n", newline_indent.encode())
+            .decode())
 
 
-def _pairs(obj, inner):
-    """The items of obj, a list of [x, y] pairs of finite Python floats
-    (polylines, point lists), on lines indented by inner, by one %
-    format of a pair template; else None."""
-    if {*map(type, obj)} != {list} or {*map(len, obj)} != {2}:
-        return None
-    flat = [*chain.from_iterable(obj)]
-    if {*map(type, flat)} != {float}:
-        return None
-    tokens = _reprs(flat)
-    if tokens is None:
-        return None
-    deeper = inner + "  "
-    pair = "[" + deeper + "%s," + deeper + "%s" + inner + "]"
-    return ("," + inner).join([pair] * len(obj)) % tuple(tokens)
-
-
-def _row_format(row, inner):
-    """The formatter of a block of rows like row, a dict of string keys,
-    on lines indented by inner: it joins the items of a block by one %
-    format of the row template, one %s a value in sorted key order, or
-    returns None unless the items are dicts with exactly the keys of row
-    and each key's values are all strs or all finite Python floats."""
-    keys = sorted(row)
-    deeper = inner + "  "
-    template = ("{" + deeper + ("," + deeper).join(
-        _str(k).replace("%", "%%") + ": %s" for k in keys) + inner + "}")
-
-    def format_block(block):
-        if {*map(type, block)} != {dict} or {*map(len, block)} != {
-                len(keys)}:
-            return None
-        columns = []
-        for key in keys:
-            try:
-                column = [*map(itemgetter(key), block)]
-            except KeyError:
-                return None
-            kinds = {*map(type, column)}
-            if kinds == {str}:
-                columns.append(map(_str, column))
-                continue
-            tokens = _reprs(column) if kinds == {float} else None
-            if tokens is None:
-                return None
-            columns.append(tokens)
-        return (("," + inner).join([template] * len(block))
-                % tuple(chain.from_iterable(zip(*columns))))
-
-    return format_block
+def _nested(obj):
+    """Whether obj is a container: a dict, list, tuple or numpy array."""
+    return isinstance(obj, (dict, list, tuple)) or getattr(obj, "ndim", 0)
 
 
 def _emit(obj, newline_indent, write):
-    """Write the JSON of obj, piece by piece; newline_indent is the
-    newline and indent of the line obj starts on."""
-    if isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
+    """Write the JSON of obj in pieces of bounded size; newline_indent is
+    the newline and indent of the line obj starts on.  A dict is written
+    key by key; a list whose first item is a dict of scalars (rows,
+    points) in pieces of _BLOCK items; one whose first item is a numpy
+    array or a dict that holds a container (polylines, orbit levels)
+    item by item; anything else is one piece."""
+    if isinstance(obj, dict) and obj:
         inner = newline_indent + "  "
         sep = "{" + inner
         for key in sorted(obj):
@@ -214,39 +204,25 @@ def _emit(obj, newline_indent, write):
                 _emit(v, inner, write)
             sep = "," + inner
         write(newline_indent + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-            return
-        inner = newline_indent + "  "
-        text = _pairs(obj, inner)
-        if text is not None:
-            write("[" + inner + text + newline_indent + "]")
-            return
-        # a list of dicts with the keys of the first: one row template
-        # per block of rows; a block that does not fit it is written
-        # item by item
-        rows = (_row_format(obj[0], inner)
-                if type(obj[0]) is dict and obj[0] else None)
-        sep = "[" + inner
-        for first in range(0, len(obj), _ROW_BLOCK):
-            block = obj[first:first + _ROW_BLOCK]
-            text = rows and rows(block)
-            if text is not None:
-                write(sep + text)
-                sep = "," + inner
-                continue
-            for v in block:
-                write(sep)
-                _emit(v, inner, write)
-                sep = "," + inner
-        write(newline_indent + "]")
-    elif isinstance(obj, str):
-        write(_str(obj))
-    elif hasattr(obj, "tolist"):    # numpy array or scalar
-        _emit(obj.tolist(), newline_indent, write)
-    else:   # None, bools, ints, floats and HalfInt
-        write(json.dumps(_clean(obj)))
+        return
+    first = obj[0] if isinstance(obj, (list, tuple)) and obj else None
+    rows = type(first) is dict and not any(map(_nested, first.values()))
+    if not (rows or isinstance(first, dict) or getattr(first, "ndim", 0)):
+        write(_piece(obj, newline_indent))
+        return
+    inner = newline_indent + "  "
+    sep = "[" + inner
+    if rows:    # the items of each block's list, without its brackets
+        for i in range(0, len(obj), _BLOCK):
+            text = _piece(obj[i:i + _BLOCK], newline_indent)
+            write(sep + text[len(inner) + 1:-len(newline_indent) - 1])
+            sep = "," + inner
+    else:
+        for v in obj:
+            write(sep)
+            _emit(v, inner, write)
+            sep = "," + inner
+    write(newline_indent + "]")
 
 
 def _parse_methods(arg):

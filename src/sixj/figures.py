@@ -97,18 +97,25 @@ def _caustic_curve(b, grid):
 def _side_touch(b, side):
     """Maximum of det G along one square side, where the caustic touches
     it.  A triangle is flat on every side, so the maximum is the double
-    root of det G there; the clamp to the side only holds roundoff at a
-    corner.  On a side at J12 = 0 or J23 = 0 det G vanishes identically,
-    and the touch is the side's low end."""
+    root of det G there, and det G = -F^2/4 (x - x1)(x - x2) there is
+    exactly 0.0; the clamp to the side only holds roundoff at a corner,
+    where det G is taken at the clamped end.  On a side at J12 = 0 or
+    J23 = 0 det G vanishes identically, and the touch is the side's low
+    end."""
     c, on_j12 = getattr(b, side), side.startswith("J12")
     lo, hi = (b.J23_min, b.J23_max) if on_j12 else (b.J12_min, b.J12_max)
     if c == 0.0:
-        s = lo
+        s, g = lo, 0.0
     else:
         P2, r1, r2 = _hinge(b.four, not on_j12, c)
-        s = min(max(math.sqrt((P2 + r1 * r1 + r2 * r2) / (c * c)), lo), hi)
+        F2 = c * c
+        x1, x, x2 = ((P2 + r) / F2 for r in (
+            (r1 - r2) ** 2, r1 * r1 + r2 * r2, (r1 + r2) ** 2))
+        s = min(max(math.sqrt(x), lo), hi)
+        if s != math.sqrt(x):
+            x = s * s
+        g = 0.25 * F2 * (x - x1) * (x2 - x)
     J12, J23 = (c, s) if on_j12 else (s, c)
-    g = tetra._det_g(*b.four, J12, J23)
     return {"side": side, "J12": J12, "J23": J23, "det_g": g,
             "touch": abs(g) <= _TOUCH_TOL * tetra._caustic_scale(
                 b.four + (J12, J23))}

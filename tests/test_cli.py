@@ -611,12 +611,19 @@ class TestWholeGridFigures:
         on_j12 = side.startswith("J12")
         lo, hi = ((b.J23_min, b.J23_max) if on_j12
                   else (b.J12_min, b.J12_max))
-        *_, vertex = oracles.caustic_quadratic(js, not on_j12,
-                                               getattr(b, side))
+        qa, qb, qc, _, vertex = oracles.caustic_quadratic(
+            js, not on_j12, getattr(b, side))
         want = lo if vertex is None else min(max(vertex, lo), hi)
         got = t["J23"] if on_j12 else t["J12"]
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-        assert t["det_g"] == tetra._det_g(*b.four, t["J12"], t["J23"])
+        # a triangle is flat on every side: det G on the hinge is the
+        # double root's 0.0, and the exact quadratic at the written
+        # point is zero to within its rounding
+        x = Fraction(got) ** 2
+        assert abs(float(qa * x * x + qb * x + qc)) <= 1e-20 * (
+            tetra._caustic_scale(b.four + (t["J12"], t["J23"])))
+        assert t["det_g"] == 0.0 and math.copysign(1.0, t["det_g"]) == 1.0
+        assert t["touch"] is True
 
 
 class TestFlatSides:
@@ -1189,7 +1196,7 @@ _pair_lists = st.lists(st.one_of(
              min_size=2, max_size=2),
     st.lists(_floats, max_size=3)))
 # lists of dicts with one set of keys: each key's values are drawn from
-# one strategy, so that most blocks fit the row template
+# one strategy, so that most blocks are written by orjson
 _column_values = st.sampled_from([
     st.text(max_size=3), st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 0.5, 1.5]), _scalars])
@@ -1230,11 +1237,20 @@ class TestJsonWriter:
     @example([[True, False], [0.5, 1.5]])
     @example([[np.float64(0.5), 1.5]])
     @example([np.array([[0.5, math.nan], [1.0, 2.0]]), np.arange(3.0)])
+    @example([np.array([[1e-05, 1e16], [-1e-07, 9.99e-05]]),
+              np.array([1.5e17, -5e-324, 0.0, math.inf])])
+    @example([[np.arange(2.0), np.array([[1e-05, 0.5]])], [np.arange(3.0)],
+              [[np.array([1e16])]]])
+    @example([np.array([0.1], dtype=np.float32), np.arange(3),
+              np.arange(4.0)[::2], np.array(1e-05)])
     @settings(max_examples=200, deadline=None)
-    def test_pair_lists(self, pairs):
-        # lists of [x, y] float pairs go through one format call; any
-        # other item falls back to the item-by-item writer
-        for payload in (pairs, {"polylines": [pairs, pairs]}):
+    def test_pair_and_array_lists(self, pairs):
+        # a list of pairs is one piece; a list of numpy arrays is written
+        # array by array, a float64 one through orjson's numpy writer
+        arrays = [np.array(p) for p in pairs if isinstance(p, list)
+                  and all(isinstance(v, float) for v in p)]
+        for payload in (pairs, {"polylines": [pairs, pairs]}, arrays,
+                        {"levels": [{"polylines": arrays}]}):
             assert cli._json(payload) == oracles.stdlib_json(payload)
 
     @given(_row_lists)
@@ -1252,16 +1268,20 @@ class TestJsonWriter:
     @example([{"J12": 0.1 + 0.2, "beta": 0.30000000000000004},
               {"J12": 0.30000000000000004, "beta": 0.1 + 0.2}] * 3)
     @example([{"J12": float(i), "region": "A"}
-              for i in range(cli._ROW_BLOCK + 1)])
+              for i in range(cli._BLOCK + 1)])
+    @example([{"J12": 1e-05 * i, "beta": 1e16 * i, "region": "1e-05"}
+              for i in range(cli._BLOCK + 1)])
     @example([{"a": 0.5}, {"a": 1.5, "b": "x"}, {"b": 0.5}, [0.5]])
+    @example([{"a": 0.5, "b": "x"}, {"a": 1.5, "b": "\u00e9"},
+              {"a": 2 ** 64, "b": "y"}, {"a": -1e-07, "b": "z"}])
+    @example([{"a": 0.5}, {"a": [1e-05]}, {"a": {"b": np.arange(2.0)}}])
     @settings(max_examples=200, deadline=None)
-    def test_row_lists(self, rows):
-        # a block of same-key dicts whose values are all strs or all
-        # finite floats, key by key, goes through one format call; any
-        # other block falls back to the item-by-item writer.  A block of
-        # two rows mixes both in one list.
-        for block in (cli._ROW_BLOCK, 2):
-            with mock.patch.object(cli, "_ROW_BLOCK", block):
+    def test_row_blocks(self, rows):
+        # a list of dicts of scalars is written a block of rows per
+        # piece; a block of two rows puts a piece that orjson refuses or
+        # writes unlike the standard library next to one it writes
+        for block in (cli._BLOCK, 2):
+            with mock.patch.object(cli, "_BLOCK", block):
                 for payload in (rows, {"rows": rows, "more": [rows]}):
                     assert cli._json(payload) == oracles.stdlib_json(payload)
 
@@ -1276,14 +1296,38 @@ class TestJsonWriter:
     @example([math.inf])
     @example([])
     @settings(max_examples=500, deadline=None)
-    def test_reprs_kernel(self, values):
-        # orjson's tokens, with its exponent style written again by
-        # repr, are repr's; a nan or an infinity gives None
-        tokens = cli._reprs(values)
-        if all(map(math.isfinite, values)):
-            assert tokens == [float.__repr__(v) for v in values]
-        else:
-            assert tokens is None
+    def test_float_tokens(self, values):
+        # orjson writes the shortest round-trip digits, as repr does, but
+        # "0.00001", "1e-7" and "1e16" where repr writes "1e-05", "1e-07"
+        # and "1e+16": in a list, a numpy array, a row and a dict value
+        for payload in (values, np.array(values, dtype=float),
+                        [{"x": v, "y": "s"} for v in values],
+                        {str(i): v for i, v in enumerate(values)},
+                        [[v, v] for v in values]):
+            assert cli._json(payload) == oracles.stdlib_json(payload)
+
+    @given(st.recursive(
+        st.one_of(st.text(), st.integers(), st.sampled_from(
+            ["1e-05", "0.00001", "a 1e5, b", "1e16", "-0.0000", "5e-324,",
+             "\x7f", "\u2028", "\u00e9t\u00e9", 2 ** 64, -2 ** 64 - 1,
+             2 ** 64 - 1, -2 ** 63])),
+        lambda kids: st.one_of(st.lists(kids, max_size=4),
+                               st.dictionaries(st.text(), kids, max_size=4)),
+        max_leaves=12))
+    @example({"1e5": 1e-07, "1e-05": "0.00001", "a": ["a 1e5, b", 1e16],
+              "b": {"0.0000": "1e5", "c 1e5": 2.5}})
+    @example([{"1e5": 1, "a 1e5": 2, "0.00001": 3}, {"1e-05": "1e5"}])
+    @example([[{"1e5": 1, "1e16": 1e16}], {"x 1e16": [1e-05, "0.00001"]}])
+    @example(["\x7f", "\u2028", "caf\u00e9", {"\u00e9": 1e-05}])
+    @example({"rows": [{"a": "\u2028", "b": 1e-05}], "k\x7f": [0.5]})
+    @example([2 ** 64, -2 ** 63 - 1, 2 ** 100, [1e-05, 2 ** 64]])
+    @example({"a": 2 ** 64 - 1, "b": -2 ** 63, "c": [2 ** 64 - 1, 0.5]})
+    @settings(max_examples=200, deadline=None)
+    def test_strings_and_big_ints(self, payload):
+        # a string or key that looks like a number keeps its text; a
+        # piece with a byte >= 0x7f or an int beyond 64 bits is written
+        # by the standard library encoder
+        assert cli._json(payload) == oracles.stdlib_json(payload)
 
     def test_orjson_loaded_on_first_list(self):
         script = """
