@@ -70,6 +70,12 @@ def pr_value(labels):
     """The Ponzano-Regge value with diagnostics."""
     require_valid(labels)
     _, J, region = tetra.classify_labels(labels)
+    return _pr_value(labels, J, region)
+
+
+def _pr_value(labels, J, region):
+    """pr_value of checked labels, J their lengths and region their
+    tetra.classify record (tetra.classify_labels)."""
     if region.is_caustic:
         raise OnCausticError(
             f"{labels} lies on a caustic; the PR amplitude diverges there")

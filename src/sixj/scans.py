@@ -3,7 +3,10 @@ its range, and the worst-case error families.
 
 Each scan returns the record that `sixj eval`, `sixj sweep` and
 `sixj worstcase` write.  The inputs are taken as given: the CLI checks
-their bounds before it calls a scan.
+their bounds before it calls a scan.  A scan checks each symbol once and
+builds its lattice point once (tetra.classify_labels); the PR and
+uniform values are computed from that point, by prasym._pr_value and
+uniform._uniform_at.
 """
 
 import random
@@ -23,7 +26,8 @@ def _label_strs(labels):
 
 def eval_record(labels, methods, digits=17):
     require_valid(labels)
-    b, _, region = tetra.classify_labels(labels)
+    point = tetra.classify_labels(labels)
+    b, J, region = point
     rec = {
         "labels": _label_strs(labels),
         "D": b.D,
@@ -47,7 +51,7 @@ def eval_record(labels, methods, digits=17):
         }
     if "pr" in methods:
         try:
-            pr = prasym.pr_value(labels)
+            pr = prasym._pr_value(labels, J, region)
             rec["pr"] = {"value": pr.value, "phase": pr.phase,
                          "amplitude": pr.amplitude, "nu_6j": pr.nu6j}
             if exact_v is not None:
@@ -55,7 +59,7 @@ def eval_record(labels, methods, digits=17):
         except OnCausticError as e:
             rec["pr"] = {"value": None, "note": str(e)}
     if "uniform" in methods:
-        u = uniform.uniform_6j(labels)
+        u = uniform._uniform_at(labels, point)
         rec["uniform"] = {
             "value": u.value,
             "beta": u.map.beta,
@@ -98,10 +102,11 @@ def sweep_range(fixed, swept):
     return range(lo, hi + 1, 2)
 
 
-def _pr_or_none(labels):
-    """The PR value, or None at a caustic point, where PR refuses."""
+def _pr_or_none(labels, J, region):
+    """The PR value of checked labels at their lattice point (J, region),
+    or None at a caustic point, where PR refuses."""
     try:
-        return prasym.pr_value(labels).value
+        return prasym._pr_value(labels, J, region).value
     except OnCausticError:
         return None
 
@@ -110,12 +115,17 @@ def sweep_rows(fixed, swept, methods):
     rows = []
     for t in sweep_range(fixed, swept):
         labels = SixJLabels(**{**fixed, swept: HalfInt(t)})
-        _, _, region = tetra.classify_labels(labels)
+        point = tetra.classify_labels(labels)
+        _, J, region = point
+        if not rows:
+            # sweep_range keeps the two triangles of the swept label
+            # valid; the other two are the same on every row
+            require_valid(labels)
         exact_v = float(exact_sixj(labels)) if "exact" in methods else None
-        pr_v = _pr_or_none(labels) if "pr" in methods else None
+        pr_v = _pr_or_none(labels, J, region) if "pr" in methods else None
         uni_v = beta = None
         if "uniform" in methods:
-            u = uniform.uniform_6j(labels)
+            u = uniform._uniform_at(labels, point)
             uni_v, beta = u.value, u.map.beta
         rows.append({
             swept: t / 2.0,
@@ -172,13 +182,15 @@ def _pr_reference(labels, b, region):
 
 
 def worstcase_row(labels):
-    b, _, region = tetra.classify_labels(labels)
+    point = tetra.classify_labels(labels)
+    b, J, region = point
+    # exact_sixj checks the labels before PR and uniform read the point
     exact_v = float(exact_sixj(labels))
     ref = _pr_reference(labels, b, region)
     if ref is None:
         ref = abs(exact_v)
-    pr_v = _pr_or_none(labels)
-    uni_v = uniform.uniform_6j(labels).value
+    pr_v = _pr_or_none(labels, J, region)
+    uni_v = uniform._uniform_at(labels, point).value
     # a reference below the double range gives no relative error
     scaled = ref != 0.0
     return {

@@ -547,17 +547,17 @@ def solve_beta(labels, umap=None):
     return _solve_for_lengths(J, umap, region)
 
 
-def _near_caustic_ratio(labels, J, umap):
+def _near_caustic_ratio(labels, J, cones):
     """|V_d|/|V| averaged over J23 +- step, where both vanish together;
-    J the lengths of the labels, umap their UniformMap.  A lattice J23
-    lies at least 1/2 inside the square, so both neighbors are in it.
-    The two neighbour solves share one computation of the cones."""
-    cones = _cones(umap)
+    J the lengths of the labels, cones the _Cones of their UniformMap,
+    which the solve at the labels computed.  A lattice J23 lies at least
+    1/2 inside the square, so both neighbors are in it, and their solves
+    read the same cones."""
     num = den = 0.0
     for ds in (NEAR_CAUSTIC_STEP, -NEAR_CAUSTIC_STEP):
         Js = J[:5] + (J[5] + ds,)
         region_s = tetra.classify(Js)
-        beta_s, _ = _solve_for_lengths(Js, umap, region_s, cones)
+        beta_s, _ = _solve_for_lengths(Js, cones.umap, region_s, cones)
         num += _vd(cones, beta_s)
         den += region_s.vol_abs
     if den == 0.0:
@@ -584,8 +584,21 @@ def _canonical_updown(labels):
 def uniform_6j(labels):
     """The uniform approximation, valid in all regions and on caustics."""
     require_valid(labels)
-    labels = _canonical_updown(labels)
-    b, J, region = tetra.classify_labels(labels)
+    return _uniform_at(labels)
+
+
+def _uniform_at(labels, point=None):
+    """uniform_6j of checked labels, computed on their up-down
+    representative (_canonical_updown).  point is the tetra.classify_labels
+    triple of the labels, read only when they are their own
+    representative: another member of the orbit may lie in a different
+    region (A where the representative is D, or D where it is A), so the
+    representative's point is built here."""
+    canon = _canonical_updown(labels)
+    if canon is not labels or point is None:
+        point = tetra.classify_labels(canon)
+    labels = canon
+    b, J, region = point
     umap = _map(labels, b)
     j, m, mp, nu_ex = umap[:4]
     cones = _cones(umap)
@@ -600,7 +613,7 @@ def uniform_6j(labels):
     vd = _vd(cones, beta)
     vol = region.vol_abs
     near = region.is_caustic or vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
-    ratio = _near_caustic_ratio(labels, J, umap) if near else vd / vol
+    ratio = _near_caustic_ratio(labels, J, cones) if near else vd / vol
     Jd = b.D / 2.0
     dval = wigner_d(j, m, mp, beta)
     sgn = phase(nu_ex + (j.twice - mp.twice) // 2)

@@ -161,6 +161,17 @@ class TestExitCodes:
         assert rc == 2 and out == ""
         assert err == f"sixj: error: no valid j12: {why}\n"
 
+    @pytest.mark.parametrize("methods", ["pr", "uniform"])
+    def test_fixed_triangle_checked_without_exact(self, capsys, methods):
+        # every j12 of the range keeps its two triangles; the fixed
+        # triangle (j2,j3,j23) fails, and no exact sum checks a row
+        rc, out, err = run(capsys, [
+            "sweep", "--j1", "1", "--j2", "1", "--j3", "1", "--j4", "1",
+            "--j23", "3/2", "--methods", methods])
+        assert rc == 2 and out == ""
+        assert err == ("sixj: error: triangle (j2,j3,j23): perimeter 7/2 "
+                       "is not an integer\n")
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def stalled(*args):
             raise SolverError("beta solve stalled")
@@ -177,18 +188,18 @@ class TestExitCodes:
 
 class TestPRRefusal:
     """The scans on a point where PR refuses (OnCausticError): no valid
-    symbol with every 2j <= 8 is a caustic point, so pr_value is made to
-    refuse."""
+    symbol with every 2j <= 8 is a caustic point, so the PR body that
+    pr_value and the scans call, prasym._pr_value, is made to refuse."""
 
     NOTE = "on a caustic"
     ROW = [*SQUARE_FLAGS, "--j23", "17/2"]
 
     @pytest.fixture
     def refused(self, monkeypatch):
-        def pr_value(labels):
+        def pr_value(labels, J, region):
             raise OnCausticError(self.NOTE)
 
-        monkeypatch.setattr(prasym, "pr_value", pr_value)
+        monkeypatch.setattr(prasym, "_pr_value", pr_value)
 
     def test_eval_record(self, capsys, refused):
         argv = ["eval", *self.ROW, "--j12", "9/2"]
@@ -218,14 +229,14 @@ class TestPRRefusal:
             assert cells["exact"] != ""
 
     def test_worstcase_worst_from_other_rows(self, monkeypatch):
-        pr_value = prasym.pr_value
+        pr_value = prasym._pr_value
 
-        def refuse_top(labels):
+        def refuse_top(labels, J, region):
             if labels.j1 == 10:
                 raise OnCausticError(self.NOTE)
-            return pr_value(labels)
+            return pr_value(labels, J, region)
 
-        monkeypatch.setattr(prasym, "pr_value", refuse_top)
+        monkeypatch.setattr(prasym, "_pr_value", refuse_top)
         rep = scans.worstcase_report("equal-pairs", j_max=10)
         top = [r for r in rep["rows"] if r["labels"]["j1"] == "10"]
         rest = [r for r in rep["rows"] if r["labels"]["j1"] != "10"]
@@ -250,10 +261,111 @@ class TestPRRefusal:
         with pytest.raises(OnCausticError) as e:
             prasym.pr_value(labels)
         assert str(e.value) == note
-        assert scans._pr_or_none(labels) is None
+        assert scans._pr_or_none(labels,
+                                 *tetra.classify_labels(labels)[1:]) is None
         rec = scans.eval_record(labels, ("exact", "pr"))
         assert rec["region"] == tetra.CAUSTIC
         assert rec["pr"] == {"value": None, "note": note}
+
+
+class TestOneLatticePass:
+    """eval, sweep and worstcase check each symbol once and build its
+    lattice point once (tetra.classify_labels), and PR and uniform read
+    that point.  uniform computes on the up-down representative of the
+    symbol, whose point is built again when it is another symbol."""
+
+    OWN = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
+    # region A; its representative {317/2 82 169/2; 187 437/2 246} is D
+    AD = SixJLabels.of(187, 82, 246, "317/2", "437/2", "169/2")
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """counted(f, *args): f(*args), the require_valid calls and the
+        tetra.classify_labels calls it made."""
+        calls = {"checks": 0, "points": 0}
+        require_valid = sixj.core.require_valid
+        classify_labels = tetra.classify_labels
+
+        def checked(labels):
+            calls["checks"] += 1
+            return require_valid(labels)
+
+        def classified(labels):
+            calls["points"] += 1
+            return classify_labels(labels)
+
+        for mod in (sixj, sixj.core, tetra, prasym, sixj.dasym,
+                    sixj.uniform, sphere, scans):
+            for attr, val in list(vars(mod).items()):
+                if val is require_valid:
+                    monkeypatch.setattr(mod, attr, checked)
+        monkeypatch.setattr(tetra, "classify_labels", classified)
+
+        def count(f, *args):
+            calls.update(checks=0, points=0)
+            out = f(*args)
+            return out, calls["checks"], calls["points"]
+
+        return count
+
+    @pytest.mark.parametrize("labels,points", [(OWN, 1), (AD, 2)],
+                             ids=["own", "A-D"])
+    def test_eval_record(self, counted, labels, points):
+        pr = prasym.pr_value(labels)
+        u = sixj.uniform.uniform_6j(labels)
+        rec, checks, got = counted(scans.eval_record, labels, cli.METHODS)
+        # its own check and exact_sixj's
+        assert (checks, got) == (2, points)
+        assert rec["pr"]["value"].hex() == pr.value.hex()
+        assert rec["uniform"]["value"].hex() == u.value.hex()
+        assert rec["uniform"]["beta"].hex() == u.map.beta.hex()
+        assert rec["region"] == pr.region.kind
+        assert rec["uniform"]["solver"]["region"] == u.map.solver.region
+        if labels == self.AD:
+            assert (rec["region"], u.map.solver.region) == ("A", "D")
+
+    @pytest.mark.parametrize("labels", [OWN, AD], ids=["own", "A-D"])
+    def test_sweep_rows(self, counted, labels):
+        fixed = {n: getattr(labels, n) for n in
+                 ("j1", "j2", "j3", "j4", "j23")}
+        rows, checks, points = counted(scans.sweep_rows, fixed, "j12",
+                                       cli.METHODS)
+        lattice = [SixJLabels(**{**fixed, "j12": HalfInt(t)})
+                   for t in scans.sweep_range(fixed, "j12")]
+        # exact_sixj's on every row, and one on the first row for the
+        # two triangles that do not hold the swept label
+        assert checks == len(rows) + 1
+        canonical = sixj.uniform._canonical_updown
+        assert points == len(rows) + sum(canonical(x) is not x
+                                         for x in lattice)
+        row, = (r for r in rows if r["j12"] == float(labels.j12))
+        u = sixj.uniform.uniform_6j(labels)
+        assert row["pr"].hex() == prasym.pr_value(labels).value.hex()
+        assert row["uniform"].hex() == u.value.hex()
+        assert row["beta"].hex() == u.map.beta.hex()
+
+    def test_sweep_counts_on_the_x1_row(self, counted):
+        # no symbol of this row is its own up-down representative
+        fixed = {n: HalfInt.of(v) for n, v in (
+            ("j1", "39/2"), ("j2", 23), ("j3", "17/2"), ("j4", 20),
+            ("j23", "47/2"))}
+        rows, checks, points = counted(scans.sweep_rows, fixed, "j12",
+                                       cli.METHODS)
+        assert (len(rows), checks, points) == (18, 19, 36)
+
+    @pytest.mark.parametrize("labels,points", [(OWN, 1), (AD, 2)],
+                             ids=["own", "A-D"])
+    def test_worstcase_row(self, counted, labels, points):
+        pr = prasym.pr_value(labels)
+        u = sixj.uniform.uniform_6j(labels)
+        row, checks, got = counted(scans.worstcase_row, labels)
+        # exact_sixj's alone
+        assert (checks, got) == (1, points)
+        exact_v, ref = row["exact"], row["reference"]
+        assert row["err_pr"].hex() == (abs(pr.value - exact_v) / ref).hex()
+        assert row["err_uniform"].hex() == (
+            abs(u.value - exact_v) / ref).hex()
+        assert row["region"] == pr.region.kind
 
 
 class TestDigits:

@@ -196,7 +196,8 @@ class TestUniformValue:
         g = dasym.d_geometry(um.j, um.m, um.mp, beta)
         t = tetra.construct(lengths(labels))
         direct = math.sqrt(abs(g.Vd_sq)) / t.vol_abs
-        avg = uniform._near_caustic_ratio(labels, lengths(labels), um)
+        avg = uniform._near_caustic_ratio(labels, lengths(labels),
+                                         uniform._cones(um))
         assert avg == pytest.approx(direct, rel=1e-6)
 
 
@@ -260,7 +261,7 @@ class TestGeometryRecord:
     def test_beta_field_at_tangency_point_raises_validation_error(self):
         # the face (J1, J2, J12) is flat at J12 = J1 - J2: no angles
         with pytest.raises(ValidationError):
-            uniform.beta_field("9/2", 3, "11/2", 6, 1.5, 6.238322445473239)
+            uniform.beta_field("9/2", 3, "11/2", 6, *TANGENCY)
 
 
 class TestPermutation:
@@ -941,8 +942,9 @@ class TestScalarLune:
 
     def test_near_caustic_ratio_from_the_neighbours(self, monkeypatch):
         # the averaged ratio: |V_d| of d_geometry at the beta of each
-        # neighbour over the summed |V|, bit for bit.  The two neighbour
-        # solves share one computation of the cones
+        # neighbour over the summed |V|, bit for bit.  The neighbour
+        # solves read the cones of the solve at the symbol: two cones, of
+        # m and m', in all
         monkeypatch.setattr(uniform, "NEAR_CAUSTIC_VOL", 1.0)
         solves, ratios, calls = [], [], []
         solve, ratio, cone = (uniform._solve_for_lengths,
@@ -954,7 +956,7 @@ class TestScalarLune:
         monkeypatch.setattr(dasym, "_cone", lambda *args: (
             calls.append(args) or cone(*args)))
         res = uniform.uniform_6j(NEAR_CAUSTIC)
-        assert res.near_caustic and len(calls) == 4
+        assert res.near_caustic and len(calls) == 2
         (J, _), *neighbours = solves
         step = uniform.NEAR_CAUSTIC_STEP
         assert [Js for Js, _ in neighbours] == [
