@@ -24,7 +24,14 @@ double precision, O(j) steps with a power-of-two scale carried along.
 exact_wigner_d is the reference: Wigner's sum in mpmath, stepping from
 term to term by the exact term ratio, at a precision raised until 17
 digits survive the cancellation, so the double it returns is correct to
-about a unit in the last place.  Both share one entry check.
+about a unit in the last place.  Both share one entry check, _d_entry;
+behind it wigner_d's body, _wigner_d, takes the checked twice-values,
+and the uniform approximation calls that body on the (j, m, m') its map
+puts on the lattice.
+
+The per-symbol records here and in tetra, prasym and uniform (Bounds,
+RegionClass, PRResult, UniformResult, ...) are typing.NamedTuples:
+immutable tuples with named fields.
 
 mpmath work runs on one shared context per precision (see _mp).  The
 contexts are set up once and never changed afterwards, and the code
@@ -41,6 +48,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
+from typing import NamedTuple
 
 MP_DPS = 50            # emission precision for exact 6j values
 _TINY_SIN_BETA = 2.0 ** -900  # below it wigner_d takes first order in beta
@@ -296,8 +304,7 @@ def require_valid(labels):
         raise ValidationError(report)
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """Quantum and classical limits of j12 and j23 at fixed (j1..j4).
 
     The classical window of the continuous length J12 is
@@ -646,22 +653,22 @@ def _d_indices(j, m, mp):
 
 
 def _d_entry(j, m, mp, beta):
-    """The entry check of the d-matrix functions.
-
-    Returns (tj, tm, tmp, beta, edge): the twice-values, beta as a float,
-    and the exact element at beta = 0 or pi (None for 0 < beta < pi).
-    """
+    """The entry check of the d-matrix functions: (tj, tm, tmp, beta),
+    the twice-values of (j, m, m') and beta as a float in [0, pi]."""
     j, m, mp = _d_indices(j, m, mp)
-    tj, tm, tmp = j.twice, m.twice, mp.twice
     beta = float(beta)
     if not 0.0 <= beta <= math.pi:
         raise ValidationError(f"beta must be in [0, pi], got {beta}")
-    edge = None
+    return j.twice, m.twice, mp.twice, beta
+
+
+def _d_edge(tj, tm, tmp, beta):
+    """The exact element at beta = 0 or pi; None for 0 < beta < pi."""
     if beta == 0.0:
-        edge = 1.0 if tm == tmp else 0.0
-    elif beta == math.pi:
-        edge = float(phase((tj - tmp) // 2)) if tm == -tmp else 0.0
-    return tj, tm, tmp, beta, edge
+        return 1.0 if tm == tmp else 0.0
+    if beta == math.pi:
+        return float(phase((tj - tmp) // 2)) if tm == -tmp else 0.0
+    return None
 
 
 def exact_wigner_d(j, m, mp, beta):
@@ -675,7 +682,8 @@ def exact_wigner_d(j, m, mp, beta):
     factorials, for 2j <= 800.  An element below 1e-330
     underflows to 0.0, so 3 digits suffice there.
     """
-    tj, tm, tmp, beta, edge = _d_entry(j, m, mp, beta)
+    tj, tm, tmp, beta = _d_entry(j, m, mp, beta)
+    edge = _d_edge(tj, tm, tmp, beta)
     if edge is not None:
         return edge
     return _wigner_d_mp(tj, tm, tmp, beta, 40 + tj // 4)
@@ -715,7 +723,13 @@ def wigner_d(j, m, mp, beta):
     next to the turning points, where d has nodes, the error is at most
     1e-11 times the largest |d| at m - 1, m and m + 1.
     """
-    tj, tm, tmp, beta, edge = _d_entry(j, m, mp, beta)
+    return _wigner_d(*_d_entry(j, m, mp, beta))
+
+
+def _wigner_d(tj, tm, tmp, beta):
+    """wigner_d of checked arguments: the twice-values of a d-matrix
+    index triple and a float beta in [0, pi] (_d_entry)."""
+    edge = _d_edge(tj, tm, tmp, beta)
     if edge is not None:
         return edge
     sign = 1.0

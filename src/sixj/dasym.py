@@ -139,8 +139,13 @@ def _cones(j, m, mp):
     check (_soft_coerce), with m and m' as floats and each cone the
     (cos theta, sin theta, theta) of _cone."""
     j, m, mp = _soft_coerce(j, m, mp)
-    J = (j.twice + 1) / 2.0
-    m, mp = float(m), float(mp)
+    return _cones_of(j.twice, float(m), float(mp))
+
+
+def _cones_of(tj, m, mp):
+    """_cones of checked arguments: 2j and the float projections m, m'
+    of a d-matrix element, within the poles of J = j + 1/2."""
+    J = (tj + 1) / 2.0
     return J, m, mp, _cone(m, J), _cone(mp, J)
 
 

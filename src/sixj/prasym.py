@@ -8,7 +8,7 @@ the caustic table column for the region.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ _EDGE_AT = tuple(LABEL_NAMES.index(name)
 COS_PSI_SLACK = 1e-8
 
 
-@dataclass(frozen=True)
-class PRResult:
+class PRResult(NamedTuple):
     """value = amplitude*cos(phase + pi/4) in the allowed region,
     amplitude*exp(-|phase|) in forbidden regions (amplitude signed)."""
 

@@ -115,12 +115,12 @@ def sweep_rows(fixed, swept, methods):
     rows = []
     for t in sweep_range(fixed, swept):
         labels = SixJLabels(**{**fixed, swept: HalfInt(t)})
-        point = tetra.classify_labels(labels)
-        _, J, region = point
         if not rows:
             # sweep_range keeps the two triangles of the swept label
             # valid; the other two are the same on every row
             require_valid(labels)
+        point = tetra.classify_labels(labels)
+        _, J, region = point
         exact_v = float(exact_sixj(labels)) if "exact" in methods else None
         pr_v = _pr_or_none(labels, J, region) if "pr" in methods else None
         uni_v = beta = None
@@ -182,10 +182,10 @@ def _pr_reference(labels, b, region):
 
 
 def worstcase_row(labels):
+    # exact_sixj checks the labels before their point is built
+    exact_v = float(exact_sixj(labels))
     point = tetra.classify_labels(labels)
     b, J, region = point
-    # exact_sixj checks the labels before PR and uniform read the point
-    exact_v = float(exact_sixj(labels))
     ref = _pr_reference(labels, b, region)
     if ref is None:
         ref = abs(exact_v)

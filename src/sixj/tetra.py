@@ -8,6 +8,10 @@ The same formulas hold in the forbidden case (det G < 0), where every
 cos psi lies outside [-1, 1] and the sign pattern against the caustic
 table classifies the region.  classify_labels() builds the lattice
 point of a symbol: its square's bounds, its lengths and that record.
+classify() checks its lengths (positive, and inside the square when
+given one) and calls the body _classify(); classify_labels() calls the
+body alone, since the lattice point of a checked symbol passes both
+checks.  The records DihedralAngles and RegionClass are NamedTuples.
 
 construct() diagonalizes G with numpy's symmetric eigensolver to realize
 the edge vectors (with pure imaginary z components, stored as real
@@ -17,6 +21,7 @@ picture: the phase-space sphere and the Poisson bracket.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +62,7 @@ for _col, (_, _pat) in enumerate(SIGN_PATTERNS):
     _COLUMN_OF_BITS[_PATTERN_BITS @ _pat] = _col
 
 
-@dataclass(frozen=True)
-class DihedralAngles:
+class DihedralAngles(NamedTuple):
     """Exterior dihedral angles in EDGE_ORDER.
 
     psi holds the principal values arccos(clip(cos_psi)); psi_bar holds
@@ -70,8 +74,7 @@ class DihedralAngles:
     psi_bar: np.ndarray
 
 
-@dataclass(frozen=True)
-class RegionClass:
+class RegionClass(NamedTuple):
     """Geometry of a point of the (J12, J23) square: its region, Table-1
     column, det G = 36 V^2 and exterior dihedral angles."""
 
@@ -338,8 +341,8 @@ def classify(J, bnds=None):
     """Region and geometry of the point: allowed, caustic, or forbidden
     A-D, with det G and the dihedral angles from the Gram cofactors.
 
-    When bnds is given, lengths outside the classical square raise
-    ValidationError.
+    A length that is not positive raises ValidationError, and so do
+    lengths outside the classical square when bnds is given.
     """
     J = tuple(float(x) for x in J)
     if bnds is not None:
@@ -347,7 +350,15 @@ def classify(J, bnds=None):
         if not (bnds.J12_min <= J12 <= bnds.J12_max
                 and bnds.J23_min <= J23 <= bnds.J23_max):
             raise _outside_square(bnds, J12, J23)
-    det_g, *parts = _cofactor_cos_psi(*_gram_entries(*_positive_lengths(J)))
+    _positive_lengths(J)
+    return _classify(J)
+
+
+def _classify(J):
+    """classify() of checked lengths, a tuple of six positive floats
+    within their square; classify_labels calls it on a lattice point,
+    which lies inside its square with every length at least 1/2."""
+    det_g, *parts = _cofactor_cos_psi(*_gram_entries(*J))
     caustic = abs(det_g) <= EPS_CAUSTIC * _caustic_scale(J)
     try:
         dih = _angles(*parts)
@@ -379,12 +390,13 @@ def classify(J, bnds=None):
 def classify_labels(labels):
     """(bounds, lengths, RegionClass) of the lattice point of a symbol:
     the core.Bounds of its (j1..j4), its six lengths J = j + 1/2 and
-    classify() of them within that square.  The labels are not checked
-    here; callers check them first (core.require_valid)."""
+    classify() of them.  The labels are not checked here; callers check
+    them first (core.require_valid), so the point needs none of the
+    checks of classify (_classify)."""
     t1, t2, t12, t3, t4, t23 = _twice(labels)
     b = _bounds(t1, t2, t3, t4)
     J = b.four + (t12 / 2 + 0.5, t23 / 2 + 0.5)
-    return b, J, classify(J, b)
+    return b, J, _classify(J)
 
 
 @dataclass(frozen=True)

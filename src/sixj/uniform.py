@@ -7,6 +7,8 @@ Ponzano-Regge phase to the d-matrix phase.  The amplitudes match at a
 common caustic, so the approximation stays finite there and reduces to
 the primitive forms deep in each region.
 
+The records UniformMap, SolveReport and UniformResult are NamedTuples.
+
 beta_field solves beta at one continuous point of the (J12, J23)
 square.  beta_grid solves a whole grid for the beta-contours figure:
 the ordinary points, on numpy arrays with all Newton solves in
@@ -23,8 +25,11 @@ hand-over to beta_field, and the Newton and bracket-search loops.
 
 The d-matrix phase comes from the parts of dasym's lune in both shapes.
 The grid runs the whole kernel, dasym._lune, through dasym.phase_grid.
-The scalar solve checks its (j, m, m') and computes their cones and
-turning points once per solve (_cones); each step then computes the
+The scalar solve computes the cones and turning points of its
+(j, m, m') once per solve.  A continuous map is checked there (_cones).
+The lattice map of uniform_6j is not (_lattice_cones): _map builds it
+on the d-matrix lattice, and for the same reason uniform_6j takes d
+from core._wigner_d, the body of wigner_d.  Each step then computes the
 cone cosines, the region rule and the slope, and only the half of the
 angles whose phase _solve_phase reads (_lune_residual): the principal
 angles on the real side, the continued ones beyond the d-caustic, and
@@ -32,15 +37,14 @@ none on the real side of a forbidden solve, where that phase is zero.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dasym, prasym, tetra
 from .core import (HalfInt, InvariantError, SixJLabels, SolverError,
-                   ValidationError, _twice, bounds, phase,
-                   require_valid, wigner_d)
+                   ValidationError, _twice, _wigner_d, bounds, phase,
+                   require_valid)
 from .dasym import _FLOATS
 from .tetra import _clamp
 
@@ -57,8 +61,7 @@ _MAX_NEWTON = 60
 _MAX_BRACKET = 200  # halvings toward the pole in a forbidden bracket search
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     iterations: int
     residual: float
     bracket: tuple
@@ -79,8 +82,7 @@ class UniformMap(NamedTuple):
     solver: SolveReport | None = None
 
 
-@dataclass(frozen=True)
-class UniformResult:
+class UniformResult(NamedTuple):
     value: float
     map: UniformMap
     pr_amp: float        # 1/sqrt(12 pi |V|), unsigned
@@ -251,8 +253,20 @@ class _Cones(NamedTuple):
 def _cones(umap):
     """The _Cones of umap: its (j, m, m') checked and its cones computed
     once, by dasym._cones, for every step of a solve after."""
-    J, m, mp, (ct, st, th), (ctp, stp, thp) = dasym._cones(umap.j, umap.m,
-                                                           umap.mp)
+    return _cones_from(umap, dasym._cones(umap.j, umap.m, umap.mp))
+
+
+def _lattice_cones(umap):
+    """_cones of the UniformMap of checked labels (_map), with no check:
+    _map puts its (j, m, m') on the d-matrix lattice."""
+    return _cones_from(umap, dasym._cones_of(umap.j.twice, umap.m.twice / 2,
+                                             umap.mp.twice / 2))
+
+
+def _cones_from(umap, cones):
+    """The _Cones of umap from the (J, m, m', cone, cone') of
+    dasym._cones."""
+    J, m, mp, (ct, st, th), (ctp, stp, thp) = cones
     return _Cones(umap, J, m, mp, ct, ctp, st, stp,
                   *dasym._turning_points(_FLOATS, th, thp))
 
@@ -309,14 +323,16 @@ def _residual(umap, beta, target, continued=False):
     return _lune_residual(_cones(umap), beta, target, continued)
 
 
-def _newton(residual, lo, hi, seed, scale):
+def _newton(residual, lo, hi, seed, scale, at_seed=None):
     """Find beta in [lo, hi] where residual(beta) = (phase - target,
     slope) vanishes, the phase monotone decreasing (see _lune_residual);
-    safeguarded Newton."""
+    safeguarded Newton.  at_seed, when given, is residual(seed) for a
+    seed within [lo, hi], taken as the first step's evaluation."""
     tol = _SOLVE_TOL * scale
     x = _clamp(_FLOATS, seed, lo, hi)
     for it in range(1, _MAX_NEWTON + 1):
-        fx, fpx = residual(x)
+        fx, fpx = residual(x) if at_seed is None else at_seed
+        at_seed = None
         if abs(fx) <= tol:
             return x, it, abs(fx)
         xn, lo, hi = _newton_step(_FLOATS, x, fx, fpx, lo, hi)
@@ -388,17 +404,23 @@ def _solve_forbidden(J, dih, cones, kind):
     if _forbidden_pin(sign, target):
         return edge, SolveReport(iterations=0, residual=abs(target),
                                  bracket=(edge, edge), region=kind)
-    far = edge
+    far, first = edge, None
     for _ in range(_MAX_BRACKET):
         far = _bracket_step(_FLOATS, below, far)
-        if _bracketed(sign, _lune_residual(cones, far, target, True)[0]):
+        fx = _lune_residual(cones, far, target, True)
+        if first is None:
+            first = fx
+        if _bracketed(sign, fx[0]):
             break
     else:
         raise SolverError(f"no bracket {'below' if below else 'above'} "
                           f"{name} for target {target}")
     lo, hi, seed = _forbidden_bracket(_FLOATS, below, edge, far, beta1, beta2)
+    # below beta1 the first far end, beta1 / 2, is the Newton seed too;
+    # above beta2 the two differ in the last bit on some inputs
     beta, its, res = _newton(
-        lambda x: _lune_residual(cones, x, target, True), lo, hi, seed, scale)
+        lambda x: _lune_residual(cones, x, target, True), lo, hi, seed, scale,
+        first if below else None)
     return beta, SolveReport(iterations=its, residual=res,
                              bracket=(lo, hi), region=kind)
 
@@ -601,7 +623,7 @@ def _uniform_at(labels, point=None):
     b, J, region = point
     umap = _map(labels, b)
     j, m, mp, nu_ex = umap[:4]
-    cones = _cones(umap)
+    cones = _lattice_cones(umap)
     beta, rep = _solve_for_lengths(J, umap, region, cones)
     if region.is_forbidden:
         nu6 = prasym.nu_6j(region, labels)
@@ -615,7 +637,7 @@ def _uniform_at(labels, point=None):
     near = region.is_caustic or vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
     ratio = _near_caustic_ratio(labels, J, cones) if near else vd / vol
     Jd = b.D / 2.0
-    dval = wigner_d(j, m, mp, beta)
+    dval = _wigner_d(j.twice, m.twice, mp.twice, beta)
     sgn = phase(nu_ex + (j.twice - mp.twice) // 2)
     value = sgn * math.sqrt(Jd * ratio / 24.0) * dval
     d_amp = (1.0 / math.sqrt((math.pi / 2.0) * Jd * vd) if vd > 0.0

@@ -23,6 +23,7 @@ from sixj import HalfInt, SixJLabels, bounds, cli, sphere, tetra
 from sixj import figures, prasym, scans
 from sixj import OnCausticError, SolverError
 from sixj import exact_sixj, validate
+from sixj.core import LABEL_NAMES
 
 SQUARE_FLAGS = ["--j1", "9/2", "--j2", "3", "--j3", "11/2", "--j4", "6"]
 
@@ -85,6 +86,29 @@ class TestEval:
         assert rc == 0 and out == ""
         rec = json.loads(path.read_text())
         assert rec["exact"]["value"] == pytest.approx(1 / 3, rel=1e-15)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _pinned_evals():
+    """(name, labels) of each line of data/eval-symbols.txt: one allowed
+    symbol and one each of regions A, B, C and D."""
+    lines = (DATA / "eval-symbols.txt").read_text().splitlines()
+    return [tuple(line.split(maxsplit=1)) for line in lines]
+
+
+class TestPinnedEval:
+    # the stdout of `sixj eval` on each symbol, byte for byte; CI
+    # compares the console script's with the same files by cmp
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("name, labels", _pinned_evals())
+    def test_eval_bytes(self, capsys, name, labels, fmt):
+        argv = [x for name, label in zip(LABEL_NAMES, labels.split())
+                for x in (f"--{name}", label)]
+        rc, out, err = run(capsys, ["eval", *argv, "--format", fmt])
+        assert rc == 0 and err == ""
+        assert out.encode() == (DATA / f"eval-{name}.{fmt}").read_bytes()
 
 
 class TestExitCodes:
@@ -171,6 +195,18 @@ class TestExitCodes:
         assert rc == 2 and out == ""
         assert err == ("sixj: error: triangle (j2,j3,j23): perimeter 7/2 "
                        "is not an integer\n")
+
+    @pytest.mark.parametrize("j23, want", [
+        ("20", "perimeter 57/2 is not an integer"),
+        ("1/2", "|3 - 11/2| <= 1/2 <= 3 + 11/2 fails")])
+    def test_fixed_triangle_reported_before_geometry(self, capsys, j23,
+                                                     want):
+        # J23 lies outside the square: the first row is checked before
+        # its lattice point is built, as eval checks its symbol
+        rc, out, err = run(capsys, [
+            "sweep", *SQUARE_FLAGS, "--j23", j23, "--methods", "pr"])
+        assert rc == 2 and out == ""
+        assert err == f"sixj: error: triangle (j2,j3,j23): {want}\n"
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def stalled(*args):
@@ -885,10 +921,9 @@ class TestWorstcase:
         # no small lattice point lies on the caustic: the point is made
         # one, and no neighbor toward the center of the j12 range is
         # allowed, so the reference is |exact|
-        import dataclasses
         labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "13/2")
         b, J, region = tetra.classify_labels(labels)
-        caustic = dataclasses.replace(region, kind=tetra.CAUSTIC)
+        caustic = region._replace(kind=tetra.CAUSTIC)
         want = abs(float(exact_sixj(labels)))
         assert scans.amplitude_reference(labels, b, caustic) != want
         classify, classify_labels = tetra.classify, tetra.classify_labels

@@ -207,7 +207,7 @@ class TestGeometryRecord:
         # once and reads angles and |V| from that record
         labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "13/2")
         calls = []
-        classify = tetra.classify
+        classify = tetra._classify
 
         def counted(*args, **kwargs):
             calls.append(args[0])
@@ -219,7 +219,7 @@ class TestGeometryRecord:
         def no_record(*args, **kwargs):
             raise AssertionError("the beta solve builds no d-geometry")
 
-        monkeypatch.setattr(tetra, "classify", counted)
+        monkeypatch.setattr(tetra, "_classify", counted)
         monkeypatch.setattr(tetra, "construct", forbidden)
         monkeypatch.setattr(tetra, "dihedrals", forbidden)
         monkeypatch.setattr(dasym, "DGeometry", no_record)
@@ -375,6 +375,32 @@ class TestForbiddenSolve:
                 assert sign * uniform._residual(
                     umap, far, target, continued=True)[0] >= 0.0
         assert seen == counts
+
+    @pytest.mark.parametrize("labels", [
+        SixJLabels.of("9/2", 3, "3/2", "11/2", 6, "5/2"),
+        SixJLabels.of("9/2", 3, "11/2", "11/2", 6, "17/2")], ids=["B", "C"])
+    def test_seed_evaluated_once_below_beta1(self, monkeypatch, labels):
+        # below beta1 the first far end of the bracket search, beta1 / 2,
+        # is the Newton seed: the solve evaluates its lune once, and a
+        # Newton that evaluates it again finds the same beta and report
+        lune, newton = uniform._lune_residual, uniform._newton
+
+        def solve():
+            betas = []
+            monkeypatch.setattr(uniform, "_lune_residual", lambda c, x, *a: (
+                betas.append(x) or lune(c, x, *a)))
+            res = uniform.uniform_6j(labels)
+            return betas, res.map.beta, res.map.solver
+
+        betas, beta, rep = solve()
+        assert rep.region in "BC" and rep.iterations > 1
+        seed = rep.bracket[1] / 2.0
+        assert betas[0] == seed and betas.count(seed) == 1
+        monkeypatch.setattr(uniform, "_newton", lambda *args: newton(
+            *args[:5]))
+        again, beta_again, rep_again = solve()
+        assert sorted(again) == sorted(betas + [seed])
+        assert beta_again.hex() == beta.hex() and rep_again == rep
 
 
 class TestGridSolve:
