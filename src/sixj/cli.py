@@ -37,14 +37,11 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
-
-import numpy as np
 
 from .core import (LABEL_NAMES, HalfInt, SixJError, SixJLabels,
                    ValidationError, WrongRegionError, bounds)
-from .figures import (figure_beta_contours, figure_caustic_diagram,
-                      figure_j23_orbits, figure_spots)
 # amplitude_reference is not called here: perfbench/make_refs.py reads
 # it as cli.amplitude_reference
 from .scans import (amplitude_reference, eval_record, sweep_range,
@@ -127,16 +124,21 @@ def _default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# an exponent as orjson writes it: "e", then a "-" or a digit
+_EXPONENT = re.compile(rb"e[-0-9]")
+_DIGITS = frozenset(b"0123456789")
+
+
 def _repr_exponents(text):
     """text, orjson's indented JSON, with each float that orjson writes
     in its own exponent style ("0.00001", "1e-7", "1e16") written again
     by repr ("1e-05", "1e-07", "1e+16").  A candidate is a digit before
-    an "e", or "0.0000"; it counts when the token around it, from after
-    the last space on its line to the line's end less a ",", is a
-    number.  A string never is: its line ends with a quote."""
-    u = np.frombuffer(text, np.uint8)
-    marks = np.flatnonzero(u[1:] == ord("e"))
-    marks = marks[u[marks] - ord("0") < 10].tolist()
+    an exponent (_EXPONENT), or "0.0000"; it counts when the token
+    around it, from after the last space on its line to the line's end
+    less a ",", is a number.  A string never is: its line ends with a
+    quote."""
+    marks = [m.start() - 1 for m in _EXPONENT.finditer(text, 1)
+             if text[m.start() - 1] in _DIGITS]
     i = text.find(b"0.0000")
     while i >= 0:
         marks.append(i)
@@ -330,11 +332,13 @@ def cmd_figure(args):
             raise ValidationError(
                 f"--kind {args.kind} needs D, the number of j12 values, "
                 f"at most {GRID_MAX}; got D = {D}")
+    # figures works on numpy arrays: only this command imports it
+    from . import figures
     builder = {
-        "spots": figure_spots,
-        "beta-contours": figure_beta_contours,
-        "j23-orbits": figure_j23_orbits,
-        "caustic-diagrams": figure_caustic_diagram,
+        "spots": figures.figure_spots,
+        "beta-contours": figures.figure_beta_contours,
+        "j23-orbits": figures.figure_j23_orbits,
+        "caustic-diagrams": figures.figure_caustic_diagram,
     }[args.kind]
     payload = builder(js, grid)
     with _output(args) as write:

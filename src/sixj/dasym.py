@@ -14,7 +14,9 @@ and the continued angles (the halves tetra._psi and tetra._psi_bar),
 the phase J kappa - m phi - m' eta (_phase) and its beta derivative
 (_slope).  The kernel _lune runs them all, on numpy arrays for
 phase_grid; d_geometry builds its record from the same parts on Python
-floats (_FLOATS, math's functions).  The scalar beta solve of uniform
+floats (_FLOATS, math's functions).  Only phase_grid and
+solid_angle_polygon use numpy, and they import it when called.  The
+scalar beta solve of uniform
 takes the cones of its (j, m, m') once per solve (_cones, with the
 check of turning_points), and each step runs the cone cosines, the
 region rule, the slope and only the half of the angles whose phase it
@@ -23,9 +25,6 @@ reads.
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-
-import numpy as np
 
 from . import tetra
 from .core import (HalfInt, InvariantError, OnCausticError, ValidationError,
@@ -102,18 +101,12 @@ def _soft_coerce(j, m, mp):
     return j, m, mp
 
 
-# The array namespace of a computation on Python floats: the names of
-# numpy's elementwise functions that the lune kernel, the turning points
-# and the rules of the beta solve (uniform) call, as math functions,
-# builtins and conditionals.  numpy on a float costs several times as
-# much and returns numpy scalars.  math's arccos and arccosh differ from
-# numpy's in the last bit on some inputs; sign is numpy's, NaN at NaN
-# and +0 at -0.
-_FLOATS = SimpleNamespace(
-    maximum=max, minimum=min, where=lambda cond, a, b: a if cond else b,
-    abs=abs, sqrt=math.sqrt, cos=math.cos, sin=math.sin, arccos=math.acos,
-    arccosh=math.acosh,
-    sign=lambda c: c if c != c else float(c > 0.0) - (c < 0.0))
+# The array namespace of the lune kernel, the turning points and the
+# rules of the beta solve (uniform) on Python floats: tetra's, where the
+# angle halves run on it.  Its acos and acosh are the platform libm's,
+# which differ from numpy's arccos and arccosh by up to 1 and 2 ulp, so
+# one point and a grid can differ in the last bits.
+_FLOATS = tetra._FLOATS
 
 
 def _cone_cosines(ct, ctp, st, stp, cb, sb):
@@ -236,6 +229,7 @@ def phase_grid(J, m, mp, ct, ctp, st, stp, beta):
     points in the allowed region or on the caustic, where Phi_d is the
     phase.  Both phases are NaN at a forbidden point whose sign pattern
     matches no region."""
+    import numpy as np
     ph, ph_bar, slope, _, real, _ = _lune(np, J, m, mp, ct, ctp, st, stp,
                                           beta)
     return ph, ph_bar, slope, real
@@ -322,6 +316,7 @@ def d_asym(j, m, mp, beta):
 
 
 def _rodrigues(n, v, ang):
+    import numpy as np
     c, s = math.cos(ang), math.sin(ang)
     return v * c + np.cross(n, v) * s + n * np.dot(n, v) * (1.0 - c)
 
@@ -330,6 +325,7 @@ def solid_angle_polygon(vertices, axes, arc_angles):
     """Solid angle of a spherical polygon whose side i runs from vertex i
     to vertex i+1 along the small circle about axes[i], swept by
     arc_angles[i].  Sides oriented counterclockwise seen from inside."""
+    import numpy as np
     v = np.asarray(vertices, float)
     n = np.asarray(axes, float)
     ang = np.asarray(arc_angles, float)

@@ -5,12 +5,14 @@ J_i times the exterior dihedral angles.  Forbidden regions: the phase
 continues to sum of J_i psi_bar_i and the value decays like
 exp(-|Phi_bar|), with a sign given by the integer parity nu_6j read off
 the caustic table column for the region.
+
+The phases run on Python floats: each is the left-to-right sum of
+J_i times the angles of tetra.classify (_phase_sum), the sum that
+uniform.beta_grid takes over the angle arrays of tetra.classify_grid.
 """
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from . import tetra
 from .core import (LABEL_NAMES, InvariantError, OnCausticError,
@@ -36,19 +38,28 @@ class PRResult(NamedTuple):
     nu6j: int | None
 
 
+def _phase_sum(J, angles):
+    """sum_i J_i angles_i, added left to right: on six floats, or on six
+    numpy arrays of one grid (uniform.beta_grid)."""
+    total = 0.0
+    for x, a in zip(J, angles):
+        total = total + x * a
+    return total
+
+
 def phi_pr(J, dih):
     """Phi_PR = sum_i J_i psi_i; allowed region, continuous up to and on
     the caustic."""
-    if np.any(np.abs(dih.cos_psi) > 1.0 + COS_PSI_SLACK):
+    if any(abs(c) > 1.0 + COS_PSI_SLACK for c in dih.cos_psi):
         raise WrongRegionError("phi_pr is defined in the allowed region; "
                                "use phi_pr_bar beyond the caustic")
-    return float(np.asarray(J, float) @ dih.psi)
+    return float(_phase_sum(J, dih.psi))
 
 
 def phi_pr_bar(J, dih):
     """Continued phase sum_i J_i psi_bar_i; zero on the caustic,
     nonzero in forbidden regions."""
-    return float(np.asarray(J, float) @ dih.psi_bar)
+    return float(_phase_sum(J, dih.psi_bar))
 
 
 def nu_6j(region, labels):

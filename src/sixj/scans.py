@@ -17,6 +17,18 @@ from .core import (LABEL_NAMES, MP_DPS, HalfInt, OnCausticError, SixJLabels,
                    require_valid)
 
 
+def _fraction_str(q):
+    """str(q) of a Fraction, its numerator and denominator written by
+    decimal, which has no limit on the digits of an int: str() of an
+    int of more than 4,300 digits raises ValueError (the radicand of
+    all labels 1000 has about 5,700)."""
+    import decimal
+    num = str(decimal.Decimal(q.numerator))
+    if q.denominator == 1:
+        return num
+    return f"{num}/{decimal.Decimal(q.denominator)}"
+
+
 def _label_strs(labels):
     """{"j1": "9/2", ...}: the labels of a record, in LABEL_NAMES order."""
     return {n: str(getattr(labels, n)) for n in LABEL_NAMES}
@@ -46,8 +58,8 @@ def eval_record(labels, methods, digits=17):
         rec["exact"] = {
             "value": exact_v,
             "digits": mpmath.nstr(held, digits),
-            "rational": str(ev.rational),
-            "radicand": str(ev.radicand),
+            "rational": _fraction_str(ev.rational),
+            "radicand": _fraction_str(ev.radicand),
         }
     if "pr" in methods:
         try:

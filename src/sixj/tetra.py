@@ -13,17 +13,31 @@ given one) and calls the body _classify(); classify_labels() calls the
 body alone, since the lattice point of a checked symbol passes both
 checks.  The records DihedralAngles and RegionClass are NamedTuples.
 
-construct() diagonalizes G with numpy's symmetric eigensolver to realize
-the edge vectors (with pure imaginary z components, stored as real
-coefficients with a flag, when det G < 0); it serves only the vector
-picture: the phase-space sphere and the Poisson bracket.
+classify() runs on Python floats and math: its angles are tuples, each
+half from its rule (_psi, _psi_bar) in the float namespace _FLOATS.
+classify_grid() runs the same formulas on numpy arrays.  cos psi and
+det G are the same floats bit for bit in both shapes, being sums,
+products, quotients and square roots, which IEEE arithmetic rounds
+correctly; the angles are each shape's own: math.acos and math.acosh
+(the platform libm) on one point, numpy's arccos and arccosh (its
+CPU-dispatched loops) on the grid, which differ from them by up to
+1 ulp in psi and 2 ulp in psi_bar.
+
+Only the array code uses numpy, and it imports numpy when called:
+classify_grid(), gram(), construct(), from_vectors() and
+poisson_bracket_check().  construct() diagonalizes G with numpy's
+symmetric eigensolver to realize the edge vectors (with pure imaginary
+z components, stored as real coefficients with a flag, when
+det G < 0); it serves only the vector picture: the phase-space sphere
+and the Poisson bracket.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import (InvariantError, ValidationError, WrongRegionError, _bounds,
                    _twice)
@@ -56,22 +70,35 @@ SIGN_PATTERNS = (
 # Table-1 column of each cos psi sign pattern read as a 6-bit number
 # (edge J1 the high bit), -1 where no column has it; classify and
 # classify_grid both look the column up here
-_PATTERN_BITS = 1 << np.arange(5, -1, -1)
-_COLUMN_OF_BITS = np.full(64, -1)
-for _col, (_, _pat) in enumerate(SIGN_PATTERNS):
-    _COLUMN_OF_BITS[_PATTERN_BITS @ _pat] = _col
+_PATTERN_BITS = (32, 16, 8, 4, 2, 1)
+_COLUMN_OF_PATTERN = {sum(b * p for b, p in zip(_PATTERN_BITS, pat)): col
+                      for col, (_, pat) in enumerate(SIGN_PATTERNS)}
+_COLUMN_OF_BITS = tuple(_COLUMN_OF_PATTERN.get(bits, -1)
+                        for bits in range(64))
+
+# The array namespace of a computation on Python floats: the names of
+# numpy's elementwise functions that the angle halves (_psi, _psi_bar),
+# dasym's lune kernel, the turning points and the rules of the beta
+# solve (uniform) call, as math functions, builtins and conditionals.
+# numpy on a float costs several times as much, returns numpy scalars
+# and needs numpy imported.  sign is numpy's, NaN at NaN and +0 at -0.
+_FLOATS = SimpleNamespace(
+    maximum=max, minimum=min, where=lambda cond, a, b: a if cond else b,
+    abs=abs, sqrt=math.sqrt, cos=math.cos, sin=math.sin, arccos=math.acos,
+    arccosh=math.acosh,
+    sign=lambda c: c if c != c else float(c > 0.0) - (c < 0.0))
 
 
 class DihedralAngles(NamedTuple):
-    """Exterior dihedral angles in EDGE_ORDER.
+    """Exterior dihedral angles in EDGE_ORDER, as tuples of six floats.
 
     psi holds the principal values arccos(clip(cos_psi)); psi_bar holds
     sign(cos psi)*arccosh|cos psi| (zero wherever |cos psi| <= 1).
     """
 
-    cos_psi: np.ndarray
-    psi: np.ndarray
-    psi_bar: np.ndarray
+    cos_psi: tuple
+    psi: tuple
+    psi_bar: tuple
 
 
 class RegionClass(NamedTuple):
@@ -160,17 +187,19 @@ def _gram_entries(J1, J2, J3, J4, J12, J23):
 def _positive_lengths(J):
     """The six lengths as floats or numpy arrays; ValidationError unless
     each is positive everywhere."""
-    J = [x if isinstance(x, np.ndarray) else float(x) for x in J]
+    J = [x if getattr(x, "ndim", 0) else float(x) for x in J]
     for val, name in zip(J, EDGE_ORDER):
         ok = val > 0.0
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-            raise ValidationError(f"length {name} = {float(np.min(val))} "
+        if not (ok.all() if getattr(ok, "ndim", 0) else ok):
+            low = val.min() if getattr(val, "ndim", 0) else val
+            raise ValidationError(f"length {name} = {float(low)} "
                                   "must be positive")
     return J
 
 
 def gram(J):
     """Gram matrix of (A1, A2, A3) = (J1, J12, -J4) from the lengths."""
+    import numpy as np
     g11, g22, g33, g12, g13, g23 = _gram_entries(*_positive_lengths(J))
     return np.array([
         [g11, g12, g13],
@@ -210,6 +239,7 @@ def construct(J):
     applied if needed).  Forbidden case: z components imaginary, stored
     as real coefficients with imag_z set.
     """
+    import numpy as np
     J = tuple(float(x) for x in J)
     G = gram(J)
     w, V = np.linalg.eigh(G)
@@ -244,6 +274,7 @@ def _norm(v):
 def from_vectors(A):
     """Tetrahedron from explicit real columns A1, A2, A3; the volume
     keeps the sign of det A (no handedness fix)."""
+    import numpy as np
     A = np.array(A, dtype=float)
     a1, a2, a3 = A[:, 0], A[:, 1], A[:, 2]
     J = (_norm(a1), _norm(a2 - a1), _norm(a3 - a2),
@@ -264,8 +295,8 @@ def _cofactor_cos_psi(g11, g22, g33, g12, g13, g23):
     faces on edge e.  Returns det G = g11 c11 + g12 c12 + g13 c13 (the
     expansion of det_gram, bit for bit), the four n.n (faces 012, 023,
     013, 123), and the numerators and the squared denominators of
-    cos psi in EDGE_ORDER as arrays of six rows.  The entries may be
-    floats or numpy arrays of one shape.
+    cos psi in EDGE_ORDER as tuples of six.  The entries may be floats
+    or numpy arrays of one shape.
     """
     c11, c22, c33, c12, c13, c23 = (
         g22 * g33 - g23 * g23, g11 * g33 - g13 * g13, g11 * g22 - g12 * g12,
@@ -274,9 +305,9 @@ def _cofactor_cos_psi(g11, g22, g33, g12, g13, g23):
     faces = (c33, c11, c22, s1 + s2 + s3)
     n012, n023, n013, n123 = faces
     return (g11 * c11 + g12 * c12 + g13 * c13, faces,
-            np.array([c23, -s3, -s1, c12, c13, -s2]), np.array([
-                n012 * n013, n012 * n123, n023 * n123,
-                n023 * n013, n012 * n023, n013 * n123]))
+            (c23, -s3, -s1, c12, c13, -s2),
+            (n012 * n013, n012 * n123, n023 * n123,
+             n023 * n013, n012 * n023, n013 * n123))
 
 
 _FACE_NAMES = ("012", "023", "013", "123")
@@ -302,28 +333,31 @@ def _psi_bar(xp, cos_psi):
 
 def _psi_pair(xp, cos_psi):
     """(psi, psi_bar): both halves.  The lune of dasym takes its angles
-    from the same halves, on numpy or on dasym._FLOATS; the scalar beta
-    solve (uniform) calls only the half whose phase it reads."""
+    from the same halves, on numpy or on _FLOATS; the scalar beta solve
+    (uniform) calls only the half whose phase it reads."""
     return _psi(xp, cos_psi), _psi_bar(xp, cos_psi)
 
 
 def _angles(faces, num, den):
-    """Exterior dihedral angles from the face norms and the cos psi
-    parts of _cofactor_cos_psi; ValidationError at a degenerate face."""
+    """Exterior dihedral angles, tuples of floats, from the face norms
+    and the cos psi parts of _cofactor_cos_psi on floats;
+    ValidationError at a degenerate face."""
     for face, nn in zip(_FACE_NAMES, faces):
         if nn <= 0.0:
             raise ValidationError(
                 f"degenerate face {face}: area^2 = {nn / 4.0}")
-    cos_psi = num / np.sqrt(den)
-    psi, psi_bar = _psi_pair(np, cos_psi)
-    return DihedralAngles(cos_psi=cos_psi, psi=psi, psi_bar=psi_bar)
+    cos_psi = tuple(n / math.sqrt(d) for n, d in zip(num, den))
+    return DihedralAngles(cos_psi=cos_psi,
+                          psi=tuple(_psi(_FLOATS, c) for c in cos_psi),
+                          psi_bar=tuple(_psi_bar(_FLOATS, c)
+                                        for c in cos_psi))
 
 
 def dihedrals(t):
     """Exterior dihedral angles of the (possibly complex) tetrahedron."""
-    G = t.gram
-    return _angles(*_cofactor_cos_psi(G[0, 0], G[1, 1], G[2, 2], G[0, 1],
-                                      G[0, 2], G[1, 2])[1:])
+    G = t.gram.tolist()
+    return _angles(*_cofactor_cos_psi(G[0][0], G[1][1], G[2][2], G[0][1],
+                                      G[0][2], G[1][2])[1:])
 
 
 def _caustic_scale(J):
@@ -371,12 +405,11 @@ def _classify(J):
     if det_g > 0.0 and not caustic:
         return RegionClass(kind=ALLOWED, pattern_index=None, det_g=det_g,
                            angles=dih)
-    # the 6-bit pattern of classify_grid, by a Python loop: a numpy
-    # product on six entries costs several times more
+    # the 6-bit pattern of classify_grid, by a Python loop
     bits = 0
-    for c in dih.cos_psi.tolist():
+    for c in dih.cos_psi:
         bits = 2 * bits + (not c > 0)
-    col = int(_COLUMN_OF_BITS[bits])
+    col = _COLUMN_OF_BITS[bits]
     if col < 0 and not caustic:
         pat = tuple(0 if c > 0 else 1 for c in dih.cos_psi)
         raise InvariantError(
@@ -417,11 +450,11 @@ class GridClass:
 
 
 # The kind of each Table-1 column, then ALLOWED, CAUSTIC and None, the
-# kind of _classify_grid where classify raises (column -1).  An object
-# array holds the strings themselves: taking from it shares them, where
-# numpy strings would make one new str per point of a large grid.
-_KINDS = np.array([kind for kind, _ in SIGN_PATTERNS]
-                  + [ALLOWED, CAUSTIC, None], dtype=object)
+# kind of _classify_grid where classify raises (column -1).  The grid
+# takes its kinds from an object array of these: taking from it shares
+# the strings, where numpy strings would make one new str per point of
+# a large grid.
+_KINDS = tuple(kind for kind, _ in SIGN_PATTERNS) + (ALLOWED, CAUSTIC, None)
 
 
 def _first_point(bad12, bad23):
@@ -447,6 +480,7 @@ def classify_grid(J12, J23, bnds):
     off the caustic, a forbidden sign pattern of no column) is passed
     to classify, which raises its error.
     """
+    import numpy as np
     g = _classify_grid(J12, J23, bnds)
     refused = np.flatnonzero(np.equal(g.kind, None))
     if len(refused):
@@ -460,6 +494,7 @@ def _classify_grid(J12, J23, bnds):
     """classify_grid, with the kind None at the points where classify
     raises in place of an error there; uniform.beta_grid hands those
     points to the scalar solve."""
+    import numpy as np
     J1, J2, J3, J4 = (float(x) for x in bnds.four)
     J12 = [float(x) for x in J12]
     J23 = [float(x) for x in J23]
@@ -471,6 +506,7 @@ def _classify_grid(J12, J23, bnds):
     J = (J1, J2, J3, J4, np.repeat(J12, n), np.tile(J23, len(J12)))
     det_g, faces, num, den = _cofactor_cos_psi(
         *_gram_entries(*_positive_lengths(J)))
+    num, den = np.array(num), np.array(den)
     # Python's ** and numpy's power differ in the last bit for some
     # inputs: the scale is the one of classify only from Python floats
     scale = np.repeat([_caustic_scale(J[:4] + (x, 0.0)) for x in J12], n)
@@ -481,10 +517,12 @@ def _classify_grid(J12, J23, bnds):
     psi, psi_bar = _psi_pair(np, cos_psi)
     # NaN reads as all ones, a pattern of no column: off the caustic a
     # flat face, like a forbidden pattern of no column, takes kind None
-    col = _COLUMN_OF_BITS[_PATTERN_BITS @ ~(cos_psi > 0)]
+    col = np.array(_COLUMN_OF_BITS)[np.array(_PATTERN_BITS)
+                                    @ ~(cos_psi > 0)]
     allowed = ~caustic & ~flat & (det_g > 0.0)
     col[allowed] = -1
-    kind = _KINDS[np.where(caustic, -2, np.where(allowed, -3, col))]
+    kind = np.array(_KINDS, dtype=object)[
+        np.where(caustic, -2, np.where(allowed, -3, col))]
     return GridClass(kind=kind, pattern_index=col, det_g=det_g,
                      cos_psi=cos_psi, psi=psi, psi_bar=psi_bar)
 
@@ -501,6 +539,7 @@ def poisson_bracket_check(t):
     """J1 . (J2 x J3) / (J12 * J23); equals 6V/(J12*J23) when allowed."""
     if t.imag_z:
         raise WrongRegionError("poisson_bracket_check needs a real tetrahedron")
+    import numpy as np
     v = t.edge_vectors()
     J12, J23 = t.lengths[4], t.lengths[5]
     return float(v["J1"] @ np.cross(v["J2"], v["J3"])) / (J12 * J23)

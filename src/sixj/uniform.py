@@ -19,9 +19,15 @@ target, the d-matrix phase range and its pins, the forbidden windows,
 their pins and bracket searches, the Newton brackets and seeds, and the
 safeguarded Newton step.  A rule takes numpy on the grid and the float
 namespace dasym._FLOATS on one point, so the scalar solve stays on
-Python floats.  What stays per shape is control flow: the early
-returns and raises of the scalar solve, the masks of the grid and its
-hand-over to beta_field, and the Newton and bracket-search loops.
+Python floats and never imports numpy; beta_grid and _newton_grid
+import it when called.  What stays per shape is control flow: the
+early returns and raises of the scalar solve, the masks of the grid
+and its hand-over to beta_field, and the Newton and bracket-search
+loops.  The elementary functions are each shape's own: the targets
+are the same left-to-right sums (prasym._phase_sum) of the angles of
+tetra.classify (math) and of tetra.classify_grid (numpy), which differ
+by up to 1 ulp in psi and 2 ulp in psi_bar, so a grid point and
+beta_field at it can differ in the last bits of the target and beta.
 
 The d-matrix phase comes from the parts of dasym's lune in both shapes.
 The grid runs the whole kernel, dasym._lune, through dasym.phase_grid.
@@ -38,8 +44,6 @@ none on the real side of a forbidden solve, where that phase is zero.
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from . import dasym, prasym, tetra
 from .core import (HalfInt, InvariantError, SixJLabels, SolverError,
@@ -365,7 +369,7 @@ def _solve_for_lengths(J, umap, region, cones=None):
         # cos psi may pass +-1 by more than phi_pr allows there, so the
         # residual is taken from the clipped angles
         beta = beta1 if _near_beta1(region.segment) else beta2
-        target = float(np.asarray(J, float) @ dih.psi) - umap.Phi0
+        target = float(prasym._phase_sum(J, dih.psi)) - umap.Phi0
         res = abs(_lune_residual(cones, beta, target)[0])
         return beta, SolveReport(iterations=0, residual=res,
                                  bracket=(beta, beta), region=region.kind)
@@ -457,6 +461,7 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     stalled Newton; a point whose Newton step meets a d-matrix sign
     pattern of no region goes to beta_field after the Newton.
     """
+    import numpy as np
     js = tuple(HalfInt.of(x) for x in (j1, j2, j3, j4))
     b = bounds(*js)
     J12 = [float(x) for x in J12]
@@ -485,9 +490,8 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     forbidden = np.isin(g.kind, (tetra.REGION_A, tetra.REGION_B,
                                  tetra.REGION_C, tetra.REGION_D))
     lengths6 = b.four + (L12, L23)
-    target = np.where(
-        forbidden, sum(x * a for x, a in zip(lengths6, g.psi_bar)),
-        sum(x * a for x, a in zip(lengths6, g.psi)) - Phi0)
+    target = np.where(forbidden, prasym._phase_sum(lengths6, g.psi_bar),
+                      prasym._phase_sum(lengths6, g.psi) - Phi0)
     scale = _scale(np, target)
 
     # allowed points and caustic points off the segments, with phi_pr
@@ -538,6 +542,7 @@ def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued):
     """_newton on the points pts in lockstep, with the phase of
     _residual; phases(pts, beta) gives the d-matrix phases there
     (dasym.phase_grid)."""
+    import numpy as np
     tol = _SOLVE_TOL * scale
     x = _clamp(np, seed, lo, hi)
     out = np.empty(len(pts))

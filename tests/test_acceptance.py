@@ -12,8 +12,8 @@ import pytest
 
 import oracles
 from sixj import (HalfInt, SixJLabels, bounds, cli, dasym, exact_sixj,
-                  exact_wigner_d, lengths, prasym, scans, sphere, tetra,
-                  uniform)
+                  exact_wigner_d, figures, lengths, prasym, scans, sphere,
+                  tetra, uniform)
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
 
@@ -204,7 +204,7 @@ def test_criterion_8_geometry_identities():
 def test_criterion_9_figure_spots():
     t0 = time.time()
     js = tuple(HalfInt.of(x) for x in ("9/2", 3, "11/2", 6))
-    payload = cli.figure_spots(js, 400)
+    payload = figures.figure_spots(js, 400)
     points = payload["points"]
     assert len(points) == 49
     for p in points:

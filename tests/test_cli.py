@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -112,6 +113,32 @@ class TestPinnedEval:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_labels_1000_exact(self, capsys, fmt):
+        # the radicand's denominator has more digits than Python converts
+        # between int and str (4,300 by default); the record writes them
+        flags = [x for name in LABEL_NAMES for x in (f"--{name}", "1000")]
+        rc, out, err = run(capsys, ["eval", *flags, "--methods", "exact",
+                                    "--format", fmt])
+        assert rc == 0 and err == ""
+        if fmt == "json":
+            rec = json.loads(out)["exact"]
+        else:
+            rec = {k[len("exact."):]: v for k, v in (
+                line.split(",", 1) for line in out.splitlines()[1:])
+                if k.startswith("exact.")}
+        ev = exact_sixj(SixJLabels.of(*[1000] * 6))
+        for key, want in (("rational", ev.rational),
+                          ("radicand", ev.radicand)):
+            num, _, den = rec[key].partition("/")
+            assert Fraction(int(Decimal(num)), int(Decimal(den or 1))) == want
+        assert len(rec["radicand"].partition("/")[2]) > 4300
+
+    @given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+    def test_fraction_digits_equal_str(self, num, den):
+        q = Fraction(num, den)
+        assert scans._fraction_str(q) == str(q)
+
     def test_invalid_triangle(self, capsys):
         rc, _, err = run(capsys, [
             "eval", "--j1", "5", "--j2", "1", "--j12", "1",
@@ -1089,7 +1116,7 @@ class TestInputBounds:
         assert "--grid" in err and str(cli.GRID_MAX) in err
 
     def test_grid_max_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "figure_caustic_diagram",
+        monkeypatch.setattr(figures, "figure_caustic_diagram",
                             lambda js, grid: {"grid": grid})
         rc, out, _ = run(capsys, ["figure", "--kind", "caustic-diagrams",
                                   *SQUARE_FLAGS, "--grid",
@@ -1152,7 +1179,7 @@ class TestInputBounds:
             raise AssertionError("a figure was built")
         for name in ("figure_spots", "figure_beta_contours",
                      "figure_j23_orbits", "figure_caustic_diagram"):
-            monkeypatch.setattr(cli, name, fail)
+            monkeypatch.setattr(figures, name, fail)
         rc, out, err = run(capsys, [
             "figure", "--kind", "spots", "--j1", "1001", "--j2", "1",
             "--j3", "1000", "--j4", "2"])
@@ -1160,7 +1187,7 @@ class TestInputBounds:
         assert "--j1" in err and str(cli.J_MAX_MAX) in err
 
     def test_figure_label_limit_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "figure_spots",
+        monkeypatch.setattr(figures, "figure_spots",
                             lambda js, grid: {"js": [str(j) for j in js]})
         rc, out, _ = run(capsys, [
             "figure", "--kind", "spots", "--j1", "1000", "--j2", "1",
@@ -1177,7 +1204,7 @@ class TestInputBounds:
             raise AssertionError("a figure was built")
         for name in ("figure_spots", "figure_beta_contours",
                      "figure_j23_orbits", "figure_caustic_diagram"):
-            monkeypatch.setattr(cli, name, fail)
+            monkeypatch.setattr(figures, name, fail)
         rc, out, err = run(capsys, [
             "figure", "--kind", kind, "--j1", "1000", "--j2", "1000",
             "--j3", "1000", "--j4", "1000"])
@@ -1282,7 +1309,7 @@ class TestOutput:
                                     argv, code):
         def fail(js, grid):
             raise SolverError("no convergence")
-        monkeypatch.setattr(cli, "figure_caustic_diagram", fail)
+        monkeypatch.setattr(figures, "figure_caustic_diagram", fail)
         path = tmp_path / "out"
         rc, out, err = run(capsys, [*argv, "--out", str(path)])
         assert rc == code and out == "" and err.startswith("sixj: ")

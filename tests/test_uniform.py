@@ -7,6 +7,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import sixj
@@ -301,6 +303,51 @@ def _four(js):
     return tuple(float(HalfInt.of(j)) + 0.5 for j in js)
 
 
+# The declared gap between the angles of one point (tetra.classify, on
+# math) and of a grid (tetra.classify_grid, on numpy), in ulp of the
+# larger magnitude: the largest gap measured between math.acos and
+# np.arccos (psi) and between math.acosh and np.arccosh (psi_bar)
+PSI_ULPS = 1
+PSI_BAR_ULPS = 2
+
+
+def _ulps(a, b):
+    """|a - b| in units in the last place of the larger of |a|, |b|."""
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def _grid_matches_points(b, xs, ys):
+    """tetra.classify_grid on xs x ys in the square of b against
+    tetra.classify at each point: the kind, the Table-1 column, det G
+    and cos psi bit for bit; the angles of each shape bit for bit by its
+    own rule, math on a point and numpy on the grid; and the two within
+    PSI_ULPS and PSI_BAR_ULPS of each other."""
+    got = tetra.classify_grid(xs, ys, b)
+    want = [tetra.classify(b.four + (x, y), b) for x in xs for y in ys]
+    assert got.kind.tolist() == [r.kind for r in want]
+    assert got.pattern_index.tolist() == [
+        -1 if r.pattern_index is None else r.pattern_index for r in want]
+    assert ([x.hex() for x in got.det_g.tolist()]
+            == [r.det_g.hex() for r in want])
+    cos = got.cos_psi
+    assert (got.psi.tobytes()
+            == np.arccos(np.clip(cos, -1.0, 1.0)).tobytes())
+    assert got.psi_bar.tobytes() == (
+        np.sign(cos) * np.arccosh(np.maximum(np.abs(cos), 1.0))).tobytes()
+    for k, r in enumerate(want):
+        a = r.angles
+        assert ([c.hex() for c in a.cos_psi]
+                == [c.hex() for c in cos[:, k].tolist()])
+        assert [p.hex() for p in a.psi] == [
+            math.acos(max(-1.0, min(c, 1.0))).hex() for c in a.cos_psi]
+        assert [p.hex() for p in a.psi_bar] == [
+            (((c > 0) - (c < 0)) * math.acosh(max(abs(c), 1.0))).hex()
+            for c in a.cos_psi]
+        assert max(map(_ulps, a.psi, got.psi[:, k].tolist())) <= PSI_ULPS
+        assert (max(map(_ulps, a.psi_bar, got.psi_bar[:, k].tolist()))
+                <= PSI_BAR_ULPS)
+
+
 def _caustic_line(J12, inside, outside):
     """The 80 J23 midpoints of a bisection for the caustic of the demo
     square along the line J12, from J23 = inside (the allowed side) and
@@ -438,17 +485,16 @@ class TestGridSolve:
     @each_grid
     @each_grid_quad
     def test_classify_grid_equals_classify(self, js, grid):
-        b, four = bounds(*js), _four(js)
-        xs, ys = figures._square_grid(b, grid)
-        got = tetra.classify_grid(xs, ys, b)
-        want = [tetra.classify(four + (x, y), b) for x in xs for y in ys]
-        assert got.kind.tolist() == [r.kind for r in want]
-        assert got.pattern_index.tolist() == [
-            -1 if r.pattern_index is None else r.pattern_index for r in want]
-        assert got.det_g.tolist() == [r.det_g for r in want]
-        for name in ("cos_psi", "psi", "psi_bar"):
-            assert np.array_equal(getattr(got, name), np.array(
-                [getattr(r.angles, name) for r in want]).T)
+        b = bounds(*js)
+        _grid_matches_points(b, *figures._square_grid(b, grid))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_classify_grid_equals_classify_up_to_1000(self, seed, grid):
+        # a random square of scans._random_labels, labels up to 1000
+        labels = _random_labels(random.Random(seed), 1000)
+        b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
+        _grid_matches_points(b, *figures._square_grid(b, grid))
 
     def test_spots_lattice_equals_classify(self):
         js = (100, 99, 100, 99)
@@ -530,13 +576,15 @@ class TestGridSolve:
         assert grid.tolist() == [beta] and region.tolist() == [rep.region]
 
     def test_forbidden_solve_next_to_the_d_caustic(self, monkeypatch):
-        # a region-B point whose target, 2.1e-12, puts its root next to
+        # a region-B point whose target, 1.7e-12, puts its root next to
         # beta1: the Newton steps land in the band below beta1 where the
         # d-geometry is caustic, |V_d^2| <= VD_CAUSTIC_TOL.  There the
         # forbidden solve reads the continued phase, zero, not the
-        # principal one (0.10 away)
-        J12, J23 = 4.0, 2.5324519225813384
-        want = 1.7242663953602513
+        # principal one (0.10 away).  The target sits at the roundoff
+        # floor of the phase, so which steps land in the band depends on
+        # the last bits of the angles (math's, tetra.classify)
+        J12, J23 = 4.0, 2.5324519225797064
+        want = 1.724266395318646
         lune_residual, sides = uniform._lune_residual, []
 
         def spy(cones, beta, target, continued=False):
@@ -624,8 +672,8 @@ FORBIDDEN_PINS = [(1.6, 4.878623008728027), (5.207541155562932, 2.517499999)]
 
 
 def _no_column_for_c(monkeypatch):
-    cols = tetra._COLUMN_OF_BITS.copy()
-    cols[cols == 4] = -1       # SIGN_PATTERNS[4] is the one of region C
+    # SIGN_PATTERNS[4] is the one of region C
+    cols = tuple(-1 if c == 4 else c for c in tetra._COLUMN_OF_BITS)
     monkeypatch.setattr(tetra, "_COLUMN_OF_BITS", cols)
 
 
@@ -634,7 +682,8 @@ def _cos_psi_past_the_slack(monkeypatch):
 
     def past(*entries):
         det_g, faces, num, den = cofactor(*entries)
-        num[4] = np.sqrt(den[4]) * (1.0 + 1e-7)   # cos psi of J12
+        num = (*num[:4], np.sqrt(den[4]) * (1.0 + 1e-7),   # cos psi of J12
+               *num[5:])
         return det_g, faces, num, den
     monkeypatch.setattr(tetra, "_cofactor_cos_psi", past)
 
