@@ -6,7 +6,9 @@ projection cones intersect when Vd_sq > 0 (allowed region); the phase
 Phi_d is a spherical lune area.  Beyond the turning points the cosines
 of the lune angles leave [-1, 1] and the phase continues via arccosh.
 A lattice (j, m, m') goes through core's d-matrix index check, so a bad
-triple raises the same error here as in wigner_d.
+triple raises the same error here as in wigner_d; the bodies _cones_of
+and _nu_d skip it for a triple that uniform_6j's map puts on the
+lattice.
 
 The lune is written once, in parts over an array namespace: the cone
 cosines (_cone_cosines), the region rule (_lune_region), the principal
@@ -274,11 +276,18 @@ def dphi_d_dbeta(g):
 def nu_d(kind, j, m, mp):
     """Integer parity for the forbidden-region sign of d_asym."""
     j, m, mp = _d_indices(j, m, mp)
+    return _nu_d(kind, j.twice, m.twice, mp.twice)
+
+
+def _nu_d(kind, tj, tm, tmp):
+    """nu_d of the twice-values of a checked (j, m, m'), with no index
+    check: d_asym calls it after its check, and uniform_6j on the
+    lattice map of _map."""
     twice = {
         tetra.REGION_A: 0,
-        tetra.REGION_B: j.twice - mp.twice,
-        tetra.REGION_C: j.twice - m.twice,
-        tetra.REGION_D: -m.twice - mp.twice,
+        tetra.REGION_B: tj - tmp,
+        tetra.REGION_C: tj - tm,
+        tetra.REGION_D: -tm - tmp,
     }.get(kind)
     if twice is None:
         raise WrongRegionError(f"nu_d is defined per forbidden region, "
@@ -305,7 +314,7 @@ def d_asym(j, m, mp, beta):
         return DAsymResult(value=samp * math.cos(ph - math.pi / 4.0),
                            phase=ph, amplitude=samp, nu_d=None,
                            region=g.region)
-    nu = nu_d(g.region, g.j, g.m, g.mp)
+    nu = _nu_d(g.region, g.j.twice, g.m.twice, g.mp.twice)
     ph = phi_d_bar(g)
     if not tetra._phibar_sign_ok(g.region, ph, 1.0 + g.J):
         raise InvariantError(

@@ -15,19 +15,22 @@ the ordinary points, on numpy arrays with all Newton solves in
 lockstep; every pin and every failure by beta_field at its point.
 
 Each rule of the solve is one function that both call: the scale of a
-target, the d-matrix phase range and its pins, the forbidden windows,
-their pins and bracket searches, the Newton brackets and seeds, and the
-safeguarded Newton step.  A rule takes numpy on the grid and the float
-namespace dasym._FLOATS on one point, so the scalar solve stays on
-Python floats and never imports numpy; beta_grid and _newton_grid
-import it when called.  What stays per shape is control flow: the
-early returns and raises of the scalar solve, the masks of the grid
-and its hand-over to beta_field, and the Newton and bracket-search
-loops.  The elementary functions are each shape's own: the targets
-are the same left-to-right sums (prasym._phase_sum) of the angles of
-tetra.classify (math) and of tetra.classify_grid (numpy), which differ
-by up to 1 ulp in psi and 2 ulp in psi_bar, so a grid point and
-beta_field at it can differ in the last bits of the target and beta.
+target, the d-matrix phase range and its pins, the forbidden windows
+and their pins, the Newton brackets and seeds, and the safeguarded
+Newton step.  Every solve brackets on its window: an allowed one
+between the turning points, a forbidden one between its turning point
+and BETA_GEOM_EPS from the pole beyond it, whose far end is checked
+once.  A rule takes numpy on the grid and the float namespace
+dasym._FLOATS on one point, so the scalar solve stays on Python floats
+and never imports numpy; beta_grid and _newton_grid import it when
+called.  What stays per shape is control flow: the early returns and
+raises of the scalar solve, the masks of the grid and its hand-over to
+beta_field, and the Newton loops.  The elementary functions are each
+shape's own: the targets are the same left-to-right sums
+(prasym._phase_sum) of the angles of tetra.classify (math) and of
+tetra.classify_grid (numpy), which differ by up to 1 ulp in psi and 2
+ulp in psi_bar, so a grid point and beta_field at it can differ in the
+last bits of the target and beta.
 
 The d-matrix phase comes from the parts of dasym's lune in both shapes.
 The grid runs the whole kernel, dasym._lune, through dasym.phase_grid.
@@ -62,7 +65,6 @@ _SOLVE_TOL = 1e-12
 _PIN_WINDOW = 1e-9
 _PIN_WRONG = 1e-6
 _MAX_NEWTON = 60
-_MAX_BRACKET = 200  # halvings toward the pole in a forbidden bracket search
 
 
 class SolveReport(NamedTuple):
@@ -182,16 +184,20 @@ def _allowed_bracket(xp, target, a_lo, a_hi, beta1, beta2):
 
 def _forbidden_window(xp, kind, beta1, beta2):
     """The beta window of a forbidden point of region kind, as (below,
-    edge, sign, exists).  B and C solve below the edge beta1, where
-    Phi_bar_d falls from +inf at beta = 0 to zero; A and D above the
-    edge beta2, where it falls from zero toward -inf.  sign is +1 below
-    and -1 above, so sign * Phi_bar_d grows away from the edge.  The
-    window exists while the edge is more than BETA_GEOM_EPS from the
-    pole beyond it."""
+    lo, hi, seed, sign).  B and C solve below the edge beta1, in
+    [BETA_GEOM_EPS, beta1], where Phi_bar_d falls from +inf at beta = 0
+    to zero; A and D above the edge beta2, in [beta2, pi -
+    BETA_GEOM_EPS], where it falls from zero toward -inf.  The
+    d-geometry of a solve is never evaluated nearer the poles
+    (_off_poles), so the far end of the window is the last beta that
+    can bracket the target.  The window exists while lo < hi.  The
+    Newton seed lies halfway from the edge to the pole.  sign is +1
+    below and -1 above, so sign * Phi_bar_d grows away from the edge."""
     below = _near_beta1(kind)
-    return (below, xp.where(below, beta1, beta2), xp.where(below, 1.0, -1.0),
-            xp.where(below, beta1 > BETA_GEOM_EPS,
-                     beta2 < math.pi - BETA_GEOM_EPS))
+    return (below, xp.where(below, BETA_GEOM_EPS, beta2),
+            xp.where(below, beta1, math.pi - BETA_GEOM_EPS),
+            xp.where(below, beta1 / 2.0, (beta2 + math.pi) / 2.0),
+            xp.where(below, 1.0, -1.0))
 
 
 def _forbidden_pin(sign, target):
@@ -201,24 +207,10 @@ def _forbidden_pin(sign, target):
     return sign * target < 0.0
 
 
-def _bracket_step(xp, below, far):
-    """The next far end of a bracket search: half as far from 0 (below)
-    or from pi as far."""
-    return xp.where(below, far / 2.0, math.pi - (math.pi - far) / 2.0)
-
-
 def _bracketed(sign, residual):
-    """Whether a far end where Phi_bar_d - target is residual closes the
-    bracket of a forbidden solve."""
+    """Whether the far end of a forbidden window, where Phi_bar_d -
+    target is residual, brackets the target."""
     return sign * residual >= 0.0
-
-
-def _forbidden_bracket(xp, below, edge, far, beta1, beta2):
-    """(lo, hi, seed) of the Newton solve of a forbidden point: the
-    bracket between the edge and the far end of its search, and the seed
-    halfway from the edge to the pole."""
-    return (xp.where(below, far, edge), xp.where(below, edge, far),
-            xp.where(below, beta1 / 2.0, (beta2 + math.pi) / 2.0))
 
 
 def _newton_step(xp, x, fx, fpx, lo, hi):
@@ -327,16 +319,14 @@ def _residual(umap, beta, target, continued=False):
     return _lune_residual(_cones(umap), beta, target, continued)
 
 
-def _newton(residual, lo, hi, seed, scale, at_seed=None):
+def _newton(residual, lo, hi, seed, scale):
     """Find beta in [lo, hi] where residual(beta) = (phase - target,
     slope) vanishes, the phase monotone decreasing (see _lune_residual);
-    safeguarded Newton.  at_seed, when given, is residual(seed) for a
-    seed within [lo, hi], taken as the first step's evaluation."""
+    safeguarded Newton."""
     tol = _SOLVE_TOL * scale
     x = _clamp(_FLOATS, seed, lo, hi)
     for it in range(1, _MAX_NEWTON + 1):
-        fx, fpx = residual(x) if at_seed is None else at_seed
-        at_seed = None
+        fx, fpx = residual(x)
         if abs(fx) <= tol:
             return x, it, abs(fx)
         xn, lo, hi = _newton_step(_FLOATS, x, fx, fpx, lo, hi)
@@ -395,36 +385,26 @@ def _solve_for_lengths(J, umap, region, cones=None):
 
 
 def _solve_forbidden(J, dih, cones, kind):
-    """The solve of a forbidden point in the beta window of its region
-    (_forbidden_window)."""
+    """The solve of a forbidden point on the beta window of its region
+    (_forbidden_window): the far end of the window must bracket the
+    target, and the Newton runs on the whole window."""
     target = prasym.phi_pr_bar(J, dih)
     scale = _scale(_FLOATS, target)
-    beta1, beta2 = cones.beta1, cones.beta2
-    below, edge, sign, exists = _forbidden_window(_FLOATS, kind, beta1,
-                                                  beta2)
-    name = "beta1" if below else "beta2"
-    if not exists:
+    below, lo, hi, seed, sign = _forbidden_window(_FLOATS, kind, cones.beta1,
+                                                  cones.beta2)
+    side, name, edge, far = (("below", "beta1", hi, lo) if below
+                             else ("above", "beta2", lo, hi))
+    if not lo < hi:
         raise SolverError(f"region {kind} has no beta window: {name} = {edge}")
     if _forbidden_pin(sign, target):
         return edge, SolveReport(iterations=0, residual=abs(target),
                                  bracket=(edge, edge), region=kind)
-    far, first = edge, None
-    for _ in range(_MAX_BRACKET):
-        far = _bracket_step(_FLOATS, below, far)
-        fx = _lune_residual(cones, far, target, True)
-        if first is None:
-            first = fx
-        if _bracketed(sign, fx[0]):
-            break
-    else:
-        raise SolverError(f"no bracket {'below' if below else 'above'} "
-                          f"{name} for target {target}")
-    lo, hi, seed = _forbidden_bracket(_FLOATS, below, edge, far, beta1, beta2)
-    # below beta1 the first far end, beta1 / 2, is the Newton seed too;
-    # above beta2 the two differ in the last bit on some inputs
-    beta, its, res = _newton(
-        lambda x: _lune_residual(cones, x, target, True), lo, hi, seed, scale,
-        first if below else None)
+
+    def residual(x):
+        return _lune_residual(cones, x, target, True)
+    if not _bracketed(sign, residual(far)[0]):
+        raise SolverError(f"no bracket {side} {name} for target {target}")
+    beta, its, res = _newton(residual, lo, hi, seed, scale)
     return beta, SolveReport(iterations=its, residual=res,
                              bracket=(lo, hi), region=kind)
 
@@ -506,20 +486,13 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     solves = [(pts, *_allowed_bracket(np, target[pts], a_lo[pts], a_hi[pts],
                                       beta1[pts], beta2[pts]), False)]
 
-    # forbidden points with a window, no pin and a bracket
-    below, edge, sign, exists = _forbidden_window(np, g.kind, beta1, beta2)
-    pts = np.flatnonzero(forbidden & exists & ~_forbidden_pin(sign, target))
-    far, search = edge[pts], np.arange(len(pts))
-    for _ in range(_MAX_BRACKET):
-        at = pts[search]
-        far[search] = _bracket_step(np, below[at], far[search])
-        found = _bracketed(sign[at], phases(at, far[search])[1] - target[at])
-        search = search[~found]
-        if not len(search):
-            break
-    pts, far = np.delete(pts, search), np.delete(far, search)
-    solves.append((pts, *_forbidden_bracket(np, below[pts], edge[pts], far,
-                                            beta1[pts], beta2[pts]), True))
+    # forbidden points with a window, no pin, and a target that the far
+    # end of the window brackets
+    below, lo, hi, seed, sign = _forbidden_window(np, g.kind, beta1, beta2)
+    pts = np.flatnonzero(forbidden & (lo < hi) & ~_forbidden_pin(sign, target))
+    far = np.where(below[pts], lo[pts], hi[pts])
+    pts = pts[_bracketed(sign[pts], phases(pts, far)[1] - target[pts])]
+    solves.append((pts, lo[pts], hi[pts], seed[pts], True))
 
     beta = np.full(len(target), np.nan)
 
@@ -632,7 +605,7 @@ def _uniform_at(labels, point=None):
     beta, rep = _solve_for_lengths(J, umap, region, cones)
     if region.is_forbidden:
         nu6 = prasym.nu_6j(region, labels)
-        nud = dasym.nu_d(region.kind, j, m, mp)
+        nud = dasym._nu_d(region.kind, j.twice, m.twice, mp.twice)
         if (nu_ex + nu6 + nud) % 2:
             raise InvariantError(
                 f"parity mismatch in region {region.kind}: nu_ex={nu_ex} "

@@ -8,6 +8,7 @@ of the Gram eigendecomposition, explicit coordinate placement instead
 of eigenvectors, plain bisection instead of safeguarded Newton.
 """
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -160,6 +161,7 @@ def cayley_menger_cos_psi(J):
     """
     m = _cayley_menger(J)
 
+    @functools.cache
     def cof(i, k):
         minor = [row[:k] + row[k + 1:] for r, row in enumerate(m) if r != i]
         return (-1) ** (i + k) * _fraction_det(minor)
@@ -170,6 +172,18 @@ def cayley_menger_cos_psi(J):
         c2 = cik * cik / (cof(i, i) * cof(k, k))
         out.append(-math.copysign(math.sqrt(c2), cik))
     return out
+
+
+def gram_det_512(twice):
+    """512 det G = det(8G) at the lattice point of a symbol, an exact int
+    from its six twice-values 2j in LABEL_NAMES order.  With A = (2J)^2
+    = (2j + 1)^2 per edge, 8G has the diagonal 2 A1, 2 A12, 2 A4 and the
+    off-diagonals A1 + A12 - A2, A1 + A4 - A23 and A12 + A4 - A3 (the
+    vertex layout of cayley_menger_volume_sq)."""
+    A1, A2, A12, A3, A4, A23 = ((t + 1) ** 2 for t in twice)
+    a, b, c = 2 * A1, 2 * A12, 2 * A4
+    x, y, z = A1 + A12 - A2, A1 + A4 - A23, A12 + A4 - A3
+    return a * (b * c - z * z) - x * (x * c - y * z) + y * (x * z - b * y)
 
 
 def _fraction_det(m):

@@ -2,17 +2,20 @@
 (tests/oracles.py), the bits of the evaluators at one symbol of each
 region, and the CLI parser kept for a process."""
 
+import collections
 import contextlib
 import io
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sixj import (HalfInt, SixJLabels, ValidationError, bounds, cli, lengths,
-                  prasym, require_valid, tetra, uniform, validate)
+from sixj import (HalfInt, SixJLabels, ValidationError, bounds, cli, core,
+                  lengths, prasym, require_valid, tetra, uniform, validate)
+from sixj.scans import _random_labels
 
 
 def _labels(twice):
@@ -89,6 +92,61 @@ class TestBounds:
         assert (region.angles is None) == (want.angles is None)
         if want.angles is not None:
             assert region.angles.cos_psi == want.angles.cos_psi
+
+
+def _valid_twice(t_max):
+    """The twice-values, in LABEL_NAMES order, of every valid symbol
+    with each 2j <= t_max."""
+    def triad(a, b, c):
+        return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
+    r = range(t_max + 1)
+    return [(t1, t2, t12, t3, t4, t23)
+            for t1, t2, t12 in itertools.product(r, r, r)
+            if triad(t1, t2, t12)
+            for t3, t4 in itertools.product(r, r) if triad(t3, t4, t12)
+            for t23 in r if triad(t2, t3, t23) and triad(t1, t4, t23)]
+
+
+class TestLatticeDetG:
+    """512 det G is an exact nonzero int at every lattice point, so no
+    symbol lies on the caustic.  Its 2-adic valuation depends only on
+    which labels are half-integers: 2 with none, or with four on a
+    4-cycle of edges; 1 with three, which meet at one vertex.  Hence
+    |det G| >= 1/256."""
+
+    def test_half_integer_labels_break_the_odd_length_argument(self):
+        # with half-integer labels some 2J = 2j + 1 are even, and 512 det G
+        # is not 4 mod 16
+        det = oracles.gram_det_512((42, 20, 46, 51, 7, 37))
+        assert det == -2_704_355_802 and det % 16 == 6
+
+    def test_valuation_and_regions(self):
+        rng = random.Random(1)
+        symbols = [_labels(t) for t in _valid_twice(6)]
+        randoms = [_random_labels(rng, j_max) for j_max in (40, 300, 1000)
+                   for _ in range(60)]
+        seen = collections.Counter()
+        for labels in symbols + randoms:
+            twice = core._twice(labels)
+            det = oracles.gram_det_512(twice)
+            half = sum(t % 2 for t in twice)
+            assert det != 0, labels
+            assert (det & -det).bit_length() - 1 == (1 if half == 3 else 2)
+            _, J, region = tetra.classify_labels(labels)
+            assert region.kind != tetra.CAUSTIC
+            assert region.is_allowed == (det > 0), labels
+            if det < 0:
+                bits = sum(bit for bit, c in zip(
+                    tetra._PATTERN_BITS, oracles.cayley_menger_cos_psi(J))
+                    if not c > 0)
+                assert region.pattern_index == tetra._COLUMN_OF_BITS[bits]
+            seen[half, region.kind] += 1
+        assert {half for half, _ in seen} == {0, 3, 4}
+        assert {kind for _, kind in seen} == {tetra.ALLOWED, *"ABCD"}
+        for labels in randoms[::6]:
+            J = lengths(labels)
+            assert (oracles.gram_det_512(core._twice(labels))
+                    == 512 * 36 * oracles.cayley_menger_volume_sq(J))
 
 
 class TestCanonicalUpdown:

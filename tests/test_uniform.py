@@ -391,8 +391,19 @@ def _field_map(js, J12, J23):
 
 class TestForbiddenSolve:
     """The forbidden solve of beta_field: B and C solve in a window that
-    ends at beta1, A and D in one that starts at beta2, and the far end
-    of the window brackets the target."""
+    ends at beta1, A and D in one that starts at beta2, both
+    BETA_GEOM_EPS from the pole beyond, and the far end of the window
+    brackets the target."""
+
+    @staticmethod
+    def window(kind, beta1, beta2):
+        """(window, far end, seed, sign) of a forbidden solve of region
+        kind: the seed lies halfway from the edge to the pole."""
+        eps = uniform.BETA_GEOM_EPS
+        if kind in (tetra.REGION_B, tetra.REGION_C):
+            return (eps, beta1), eps, beta1 / 2.0, 1.0
+        return ((beta2, math.pi - eps), math.pi - eps,
+                (beta2 + math.pi) / 2.0, -1.0)
 
     @pytest.mark.parametrize("js,counts", [
         (GRID_QUADS[0], {"B": 121, "C": 523, "A": 106, "D": 65}),
@@ -408,46 +419,51 @@ class TestForbiddenSolve:
                     continue
                 seen[region.kind] += 1
                 beta, rep = uniform.beta_field(*js, x, y)
-                lo, hi = rep.bracket
-                assert lo <= beta <= hi
                 umap = _field_map(js, x, y)
-                beta1, beta2 = dasym.turning_points(umap.j, umap.m, umap.mp)
-                if region.kind in (tetra.REGION_B, tetra.REGION_C):
-                    assert hi == beta1
-                    far, sign = lo, 1.0
-                else:
-                    assert lo == beta2
-                    far, sign = hi, -1.0
+                window, far, _, sign = self.window(
+                    region.kind,
+                    *dasym.turning_points(umap.j, umap.m, umap.mp))
+                assert rep.bracket == window
+                assert window[0] <= beta <= window[1]
                 target = prasym.phi_pr_bar(four + (x, y), region.angles)
                 assert sign * uniform._residual(
                     umap, far, target, continued=True)[0] >= 0.0
         assert seen == counts
 
     @pytest.mark.parametrize("labels", [
+        SixJLabels.of("9/2", 3, "15/2", "11/2", 6, "5/2"),
         SixJLabels.of("9/2", 3, "3/2", "11/2", 6, "5/2"),
-        SixJLabels.of("9/2", 3, "11/2", "11/2", 6, "17/2")], ids=["B", "C"])
-    def test_seed_evaluated_once_below_beta1(self, monkeypatch, labels):
-        # below beta1 the first far end of the bracket search, beta1 / 2,
-        # is the Newton seed: the solve evaluates its lune once, and a
-        # Newton that evaluates it again finds the same beta and report
-        lune, newton = uniform._lune_residual, uniform._newton
+        SixJLabels.of("9/2", 3, "11/2", "11/2", 6, "17/2"),
+        SixJLabels.of("9/2", 3, "3/2", "11/2", 6, "17/2")],
+        ids=["A", "B", "C", "D"])
+    def test_far_end_and_seed_evaluated_once(self, monkeypatch, labels):
+        # the solve evaluates the far end of its window once, then runs
+        # the Newton from its seed on the whole window, and reports the
+        # window as its bracket
+        lune, betas = uniform._lune_residual, []
+        monkeypatch.setattr(uniform, "_lune_residual", lambda c, x, *a: (
+            betas.append(x) or lune(c, x, *a)))
+        res = uniform.uniform_6j(labels)
+        rep = res.map.solver
+        beta1, beta2 = dasym.turning_points(*res.map[:3])
+        window, far, seed, _ = self.window(rep.region, beta1, beta2)
+        assert rep.bracket == window and rep.iterations > 1
+        assert len(betas) == 1 + rep.iterations
+        assert betas[:2] == [far, seed]
+        assert betas.count(far) == betas.count(seed) == 1
+        assert all(window[0] <= x <= window[1] for x in betas)
 
-        def solve():
-            betas = []
-            monkeypatch.setattr(uniform, "_lune_residual", lambda c, x, *a: (
-                betas.append(x) or lune(c, x, *a)))
-            res = uniform.uniform_6j(labels)
-            return betas, res.map.beta, res.map.solver
-
-        betas, beta, rep = solve()
-        assert rep.region in "BC" and rep.iterations > 1
-        seed = rep.bracket[1] / 2.0
-        assert betas[0] == seed and betas.count(seed) == 1
-        monkeypatch.setattr(uniform, "_newton", lambda *args: newton(
-            *args[:5]))
-        again, beta_again, rep_again = solve()
-        assert sorted(again) == sorted(betas + [seed])
-        assert beta_again.hex() == beta.hex() and rep_again == rep
+    def test_deepest_bracket_of_the_pool(self):
+        # the forbidden symbol of the benchmark pool whose bracket search,
+        # halving from beta1 toward 0, took the most steps (5); beta is the
+        # one that search found
+        labels = SixJLabels.of("5/2", 31, "65/2", 1, "63/2", 32)
+        res = uniform.uniform_6j(labels)
+        rep = res.map.solver
+        assert rep.region == tetra.REGION_C and rep.iterations > 0
+        beta1, beta2 = dasym.turning_points(*res.map[:3])
+        assert rep.bracket == self.window(rep.region, beta1, beta2)[0]
+        assert abs(res.map.beta - 0.089856634286707537) <= 1e-15
 
 
 class TestGridSolve:
