@@ -25,6 +25,7 @@ clamped to it.
 """
 
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -157,9 +158,9 @@ def figure_beta_contours(js, grid):
         J12s = xs[first:first + block]
         beta, region = uniform.beta_grid(*js, J12s, ys)
         rows += [{"J12": J12, "J23": J23, "beta": bt, "region": rg}
-                 for (J12, J23), bt, rg in zip(
-                     ((J12, J23) for J12 in J12s for J23 in ys),
-                     beta.tolist(), region.tolist())]
+                 for J12, J23, bt, rg in zip(
+                     chain.from_iterable(repeat(x, len(ys)) for x in J12s),
+                     ys * len(J12s), beta.tolist(), region.tolist())]
     return {"square": _square(b), "grid": grid, "rows": rows}
 
 

@@ -9,16 +9,20 @@ sphere whose level curves are the quantization orbits.
 
 The contours come from marching squares, run on arrays for a block of
 levels at a time (at most _BLOCK_CELLS cells, so the memory of a pass
-does not grow with levels x samples).  One uint8 mask of the block
-marks the samples above each level, and shifted slices of it give the
-corner-sign index b00 + 2 b10 + 4 b11 + 8 b01 of every cell (a copy of
-the first column closes the periodic phi axis).  A table indexed by
-index * 2 + center_high gives the segments of the cells a contour
-crosses; the saddle cells 5 and 10 are split by the mean of their
+does not grow with levels x samples).  Per level, one bool mask marks
+the samples above it (a copy of the first column closes the periodic
+phi axis), and the any and all of the four corners of each cell, from
+shifted slices of the mask, give the cells the contour crosses; a mask
+is the size of one level's samples, so it is reused from level to
+level.  Only at the crossed cells are the corner-sign index b00 + 2 b10
++ 4 b11 + 8 b01 and the side of the center taken, from the corner
+values.  A table indexed by index * 2 + center_high gives their
+segments; the saddle cells 5 and 10 are split by the mean of their
 corners.  Every crossing is a node with an integer id built from the
 level, the edge kind and the sample, and all crossings are interpolated
 at once.  Python then only walks the integer neighbour lists of the
-nodes, one step per node, to chain them into polylines.
+nodes, one step per node, to chain them into polylines, and phi is
+unwrapped along them on arrays (_unwrap).
 """
 
 import math
@@ -30,6 +34,7 @@ from . import tetra
 from .core import ValidationError, WrongRegionError, bounds, require_valid
 
 _EDGE_TOL = 1e-9
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ def butterfly_j23(four, J12, phi12):
 _EDGE_KIND = np.array([0, 1, 0, 1])
 _EDGE_DI = np.array([0, 1, 0, 0])
 _EDGE_DK = np.array([0, 0, 1, 0])
-# cells per block of levels: the per-cell arrays of a block stay a few
+# cells per block of levels: the arrays of a block's crossings stay a few
 # MB whatever the number of levels and samples
 _BLOCK_CELLS = 1 << 20
 
@@ -162,16 +167,17 @@ def _trace_block(x, y, Z, Zc, levels):
     pts, lnode = _crossings(x, y, Z, lev, keys)
     # the first end of a segment comes before its second, and both are
     # in one chain: only first ends start chains
-    chains = _walk(ends[::2].tolist(), nb0.tolist(), nb1.tolist())
-    lengths = [len(c) for c in chains]
-    pts = pts[[n for c in chains for n in c]]
-    stops = np.cumsum(lengths, dtype=np.intp)
+    order, lengths = _walk(ends[::2].tolist(), nb0, nb1)
+    order, lengths = np.array(order, np.intp), np.array(lengths, np.intp)
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    pts = pts[order]
     if Zc is not Z:
         _unwrap(pts[:, 1], stops)
     out = [[] for _ in levels]
-    lnode = lnode.tolist()
-    for c, lo, hi in zip(chains, (stops - lengths).tolist(), stops.tolist()):
-        out[lnode[c[0]]].append(pts[lo:hi])
+    for level, lo, hi in zip(lnode[order[starts]].tolist(), starts.tolist(),
+                             stops.tolist()):
+        out[level].append(pts[lo:hi])
     return out
 
 
@@ -180,31 +186,27 @@ def _segment_ends(Z, Zc, lev):
     order: row-major cells of the first level, then of the next, and the
     first segment of a cell before its second."""
     nx, ny = Z.shape
-    # the corner-sign index at every flat position of the (levels, nx,
-    # row) mask; a position in the last row or column of a level is no
-    # cell and is dropped below
-    above = (Zc > lev[:, None, None]).view(np.uint8).ravel()
-    row = Zc.shape[1]
-    n = above.size - row - 1
-    index = above[row:row + n] << 1
-    index |= above[:n]
-    index |= above[row + 1:row + 1 + n] << 2
-    index |= above[1:1 + n] << 3
-    del above
-    # the cells a contour crosses, index 1 to 14
-    p = np.flatnonzero(index - 1 < 14)
-    kk = p % row
-    ii = p // row % nx
-    cell = (kk < row - 1) & (ii < nx - 1)
-    p, ii, kk = p[cell], ii[cell], kk[cell]
-    ll = p // (row * nx)
-    kn = (kk + 1) % ny
-    center_high = (Z[ii, kk] + Z[ii + 1, kk] + Z[ii, kn]
-                   + Z[ii + 1, kn]) / 4.0 > lev[ll]
-    edges = _SEGMENTS[index[p] * 2 + center_high]
-    ids = (((ll[:, None] * 2 + _EDGE_KIND[edges]) * nx + ii[:, None]
-            + _EDGE_DI[edges]) * ny + (kk[:, None] + _EDGE_DK[edges]) % ny)
-    return ids[edges >= 0]
+    cells = []
+    for v in lev.tolist():
+        # a contour crosses the cells with some corners above its level,
+        # not all
+        above = Zc > v
+        some, every = above[:-1] | above[1:], above[:-1] & above[1:]
+        crossed = some[:, :-1] | some[:, 1:]
+        crossed ^= every[:, :-1] & every[:, 1:]
+        cells.append(np.flatnonzero(crossed))
+    ll = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+    ii, kk = np.divmod(np.concatenate(cells), Zc.shape[1] - 1)
+    z00, z10, z11, z01 = (Zc[ii + di, kk + dk] for di, dk in
+                          ((0, 0), (1, 0), (1, 1), (0, 1)))
+    at = lev[ll]
+    index = (z00 > at) + 2 * (z10 > at) + 4 * (z11 > at) + 8 * (z01 > at)
+    center_high = (z00 + z10 + z01 + z11) / 4.0 > at
+    edges = _SEGMENTS[index * 2 + center_high]
+    cell, end = np.nonzero(edges >= 0)
+    edge = edges[cell, end]
+    return (((ll[cell] * 2 + _EDGE_KIND[edge]) * nx + ii[cell]
+             + _EDGE_DI[edge]) * ny + (kk[cell] + _EDGE_DK[edge]) % ny)
 
 
 def _graph(ids):
@@ -247,17 +249,20 @@ def _crossings(x, y, Z, lev, keys):
 
 
 def _walk(starts, nb0, nb1):
-    """Node chains of the polylines.  Each node of starts not yet seen
-    starts a chain, which runs first to its tail, through the node's
-    first neighbour, then to its head; each step goes on to the first
-    neighbour not yet seen.  A loop repeats its first node."""
+    """The node chains of the polylines, one after another, and the
+    length of each; nb0 and nb1 are the neighbour arrays of _graph.
+    Each node of starts not yet seen starts a chain, which runs first to
+    its tail, through the node's first neighbour, then to its head; each
+    step goes on to the first neighbour not yet seen.  A loop repeats
+    its first node."""
     # the neighbour of a node other than prev is the sum of its
     # neighbours less prev: -1 (none) at a chain end, and prev again
     # where two segments join the same two nodes
-    after = [a + b for a, b in zip(nb0, nb1)]
+    after = (nb0 + nb1).tolist()
+    nb0, nb1 = nb0.tolist(), nb1.tolist()
     seen = bytearray(len(nb0) + 1)
     seen[-1] = 1   # node -1 ends a chain
-    chains = []
+    order, lengths = [], []
     for s in starts:
         if seen[s]:
             continue
@@ -265,11 +270,17 @@ def _walk(starts, nb0, nb1):
         tail = _run(s, nb0[s], after, seen)
         head = _run(s, nb1[s], after, seen)
         head.reverse()
-        chain = head + [s] + tail
-        if len(chain) > 2 and chain[0] in (nb0[chain[-1]], nb1[chain[-1]]):
-            chain.append(chain[0])
-        chains.append(chain)
-    return chains
+        first = head[0] if head else s
+        end = tail[-1] if tail else s
+        order += head
+        order.append(s)
+        order += tail
+        n = len(head) + 1 + len(tail)
+        if n > 2 and first in (nb0[end], nb1[end]):
+            order.append(first)
+            n += 1
+        lengths.append(n)
+    return order, lengths
 
 
 def _run(prev, cur, after, seen):
@@ -286,20 +297,73 @@ def _unwrap(phi, stops):
     """Unwrap in place the phi of each polyline (the polylines end at
     stops): along a polyline, each point steps by 2 pi while it lies
     more than pi above the point before, then while it lies more than
-    pi below."""
-    vals = phi.tolist()
-    lo = 0
-    for hi in stops.tolist():
-        prev = vals[lo]
-        for n in range(lo + 1, hi):
-            py = vals[n]
-            while py - prev > math.pi:
-                py -= 2.0 * math.pi
-            while py - prev < -math.pi:
-                py += 2.0 * math.pi
-            vals[n] = prev = py
-        lo = hi
-    phi[:] = vals
+    pi below.
+
+    The number of steps of each point is guessed from the raw
+    differences, summed along its polyline, and every point is checked
+    against the rule from the point before it as guessed.  Where the
+    check fails, the step count changes from that point on, and the
+    check repeats.  The first failing point of a polyline follows a
+    point that holds, so the rule's value there is final: each pass
+    settles at least one point of every polyline that still fails."""
+    raw = phi.copy()
+    first = np.zeros(len(raw), bool)
+    first[:1] = True
+    first[stops[:-1]] = True
+    lengths = np.diff(stops, prepend=0)
+    count = np.rint(np.diff(raw, prepend=raw[:1]) / _TWO_PI)
+    count[first | np.isnan(count)] = 0.0
+    count = _along(count, first, lengths)
+    held = np.zeros(len(raw), bool)
+    out = raw
+    while True:
+        out = np.where(held, out, _stepped(raw, count))
+        rule, steps = _rule(raw[1:], out[:-1])
+        # a NaN phi stays NaN, whatever its count
+        fail = np.flatnonzero((rule != out[1:]) & (rule == rule)
+                              & ~first[1:]) + 1
+        if not len(fail):
+            break
+        line = np.cumsum(first)[fail]
+        settled = fail[np.diff(line, prepend=0) > 0]
+        out[settled] = rule[settled - 1]
+        held[settled] = True
+        change = np.zeros(len(raw))
+        change[fail] = steps[fail - 1] - count[fail]
+        count += _along(change, first, lengths)
+    phi[:] = out
+
+
+def _along(v, first, lengths):
+    """The running sums of v along each polyline, restarting at each
+    first point."""
+    total = np.cumsum(v)
+    return total - np.repeat(total[first] - v[first], lengths)
+
+
+def _stepped(raw, count):
+    """raw with count steps of 2 pi down, or -count up where count < 0,
+    taken one at a time as _unwrap's rule takes them."""
+    out = raw
+    for n in range(int(np.abs(count).max(initial=0.0))):
+        out = np.where(count > n, out - _TWO_PI,
+                       np.where(count < -n, out + _TWO_PI, out))
+    return out
+
+
+def _rule(raw, prev):
+    """The value of each raw after _unwrap's rule from prev, and its net
+    number of steps down."""
+    out = raw.copy()
+    steps = np.zeros(len(raw))
+    for sign, beyond in ((1.0, lambda d: d > math.pi),
+                         (-1.0, lambda d: d < -math.pi)):
+        live = np.flatnonzero(beyond(out - prev))
+        while len(live):
+            out[live] -= sign * _TWO_PI
+            steps[live] += sign
+            live = live[beyond(out[live] - prev[live])]
+    return out, steps
 
 
 def contour_polylines(x, y, Z, level, wrap_y=False):

@@ -11,8 +11,9 @@ The records UniformMap, SolveReport and UniformResult are NamedTuples.
 
 beta_field solves beta at one continuous point of the (J12, J23)
 square.  beta_grid solves a whole grid for the beta-contours figure:
-the ordinary points, on numpy arrays with all Newton solves in
-lockstep; every pin and every failure by beta_field at its point.
+the ordinary points, allowed and forbidden, on numpy arrays in one
+lockstep Newton solve; every pin and every failure by beta_field at its
+point.
 
 Each rule of the solve is one function that both call: the scale of a
 target, the d-matrix phase range and its pins, the forbidden windows
@@ -284,10 +285,10 @@ def _vd(cones, beta):
 def _solve_phase(xp, ph, ph_bar, real, continued):
     """The d-matrix phase of a solve: Phi_bar_d beyond the d-caustic,
     and Phi_d in the allowed region and on the caustic; with continued
-    set (the forbidden solves) Phi_bar_d there too, which is zero: its
-    arccosh of a cosine within roundoff of 1 would be noise of order
-    1e-8."""
-    return xp.where(real, 0.0 if continued else ph, ph_bar)
+    set (the forbidden solves, a mask on the grid) Phi_bar_d there too,
+    which is zero: its arccosh of a cosine within roundoff of 1 would be
+    noise of order 1e-8."""
+    return xp.where(real, xp.where(continued, 0.0, ph), ph_bar)
 
 
 def _lune_residual(cones, beta, target, continued=False):
@@ -433,8 +434,11 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     end of the d-matrix phase range; and a forbidden point with a beta
     window, a target that does not pin and a bracket.  The geometry
     comes from tetra.classify_grid, the d-matrix phases from
-    dasym.phase_grid, and one safeguarded Newton solve runs in lockstep.
-    Every other point (a tangency point, a pin, a point where the
+    dasym.phase_grid, and one safeguarded Newton solve runs on all of
+    them in lockstep: each point on its own bracket and seed, between
+    the turning points or on its forbidden window, with the mask
+    continued marking the forbidden points for _solve_phase.  Every
+    other point (a tangency point, a pin, a point where the
     scalar solve raises) is solved by beta_field at that point, so each
     pin and each error is the scalar one.  After the outside-the-square
     check, the first such point in row order raises first, then a
@@ -482,31 +486,32 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
              | ((g.kind == tetra.CAUSTIC) & (g.pattern_index < 0)))
             & (np.abs(g.cos_psi) <= 1.0 + prasym.COS_PSI_SLACK).all(axis=0)
             & ~(top | bottom))
-    pts = np.flatnonzero(free)
-    solves = [(pts, *_allowed_bracket(np, target[pts], a_lo[pts], a_hi[pts],
-                                      beta1[pts], beta2[pts]), False)]
 
     # forbidden points with a window, no pin, and a target that the far
     # end of the window brackets
     below, lo, hi, seed, sign = _forbidden_window(np, g.kind, beta1, beta2)
     pts = np.flatnonzero(forbidden & (lo < hi) & ~_forbidden_pin(sign, target))
     far = np.where(below[pts], lo[pts], hi[pts])
-    pts = pts[_bracketed(sign[pts], phases(pts, far)[1] - target[pts])]
-    solves.append((pts, lo[pts], hi[pts], seed[pts], True))
+    lockstep = free.copy()
+    lockstep[pts[_bracketed(sign[pts],
+                            phases(pts, far)[1] - target[pts])]] = True
 
+    # one lockstep solve of both, each point on its own bracket: a free
+    # point between its turning points, a forbidden one on its window
+    pts = np.flatnonzero(free)
+    for window, allowed in zip((lo, hi, seed), _allowed_bracket(
+            np, target[pts], a_lo[pts], a_hi[pts], beta1[pts], beta2[pts])):
+        window[pts] = allowed
     beta = np.full(len(target), np.nan)
 
     def scalar(pts):
         for p in pts.tolist():
             beta[p] = beta_field(*js, J12[p // n], J23[p % n])[0]
 
-    lockstep = np.zeros(len(target), bool)
-    for pts, *_ in solves:
-        lockstep[pts] = True
     scalar(np.flatnonzero(~lockstep))
-    for pts, lo, hi, seed, continued in solves:
-        beta[pts] = _newton_grid(phases, pts, target[pts], lo, hi, seed,
-                                 scale[pts], continued)
+    pts = np.flatnonzero(lockstep)
+    beta[pts] = _newton_grid(phases, pts, target[pts], lo[pts], hi[pts],
+                             seed[pts], scale[pts], ~free[pts])
     scalar(np.flatnonzero(np.isnan(beta)))
     return beta, g.kind
 
@@ -514,7 +519,8 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
 def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued):
     """_newton on the points pts in lockstep, with the phase of
     _residual; phases(pts, beta) gives the d-matrix phases there
-    (dasym.phase_grid)."""
+    (dasym.phase_grid), and the mask continued marks the forbidden
+    solves."""
     import numpy as np
     tol = _SOLVE_TOL * scale
     x = _clamp(np, seed, lo, hi)
@@ -531,8 +537,9 @@ def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued):
         if done.all():
             return out
         keep = ~done
-        fx, pos, pts, target, tol, lo, hi, x = (
-            v[keep] for v in (fx, pos, pts, target, tol, lo, hi, xn))
+        fx, pos, pts, target, tol, lo, hi, x, continued = (
+            v[keep] for v in (fx, pos, pts, target, tol, lo, hi, xn,
+                              continued))
     raise SolverError(
         f"beta solve stalled after {_MAX_NEWTON} iterations; "
         f"residual {fx[0]} against tolerance {tol[0]}")

@@ -221,6 +221,15 @@ class TestContours:
         st.sampled_from([0.0, 1e-16, -1e-16, 4e-16, -4e-16, 1e-15])),
         min_size=1, max_size=6), min_size=1, max_size=4))
     @example([[(math.pi, 1e-15), (-math.pi, 0.0)]])
+    # winds twice: the last point steps by 2 pi twice
+    @example([[(math.pi, 4e-16), (-math.pi, 1e-16),
+               (2.0 * math.pi, -1e-16)]])
+    # the step of exactly -pi after the third point of the second
+    # polyline does not step, against the guess from the raw differences
+    # that shifts it and every point after it
+    @example([[(math.pi, 0.0)],
+              [(-math.pi, 0.0), (2.0 * math.pi, 0.0), (-math.pi, 0.0),
+               (-2.0 * math.pi, 0.0), (-2.0 * math.pi, 0.0)]])
     @settings(max_examples=300, deadline=None)
     def test_unwrap_equals_point_loop(self, polylines):
         # steps of the raw phi by about pi, where one rounding decides

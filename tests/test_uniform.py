@@ -14,7 +14,7 @@ import oracles
 import sixj
 from sixj import (HalfInt, SixJLabels, ValidationError, bounds, core,
                   dasym, exact_sixj, lengths, prasym, sphere, tetra, uniform)
-from sixj import figures, scans
+from sixj import cli, figures, scans
 from sixj.scans import _random_labels
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
@@ -846,8 +846,39 @@ class TestGridHandOver:
         one = np.ones(1)
         got = uniform._newton_grid(lambda pts, beta: (one, one, -one, one > 0),
                                    np.arange(1), 0.0 * one, 0.5 * one,
-                                   hi * one, one, one, False)
+                                   hi * one, one, one, one < 0)
         assert got.tolist() == [1.0]
+
+    @pytest.mark.parametrize("js", GRID_QUADS[:2], ids=str)
+    def test_mixed_batch_equals_split_batches(self, monkeypatch, js):
+        # the one lockstep solve of a grid holds allowed and forbidden
+        # points; each kind solved on its own gives the same bits
+        seen = []
+        newton = uniform._newton_grid
+        monkeypatch.setattr(uniform, "_newton_grid",
+                            lambda *args: seen.append(args) or newton(*args))
+        xs, ys = figures._square_grid(bounds(*js), 41)
+        uniform.beta_grid(*js, xs, ys)
+        (phases, pts, *rest, continued), = seen
+        assert continued.any() and not continued.all()
+        split = np.empty(len(pts))
+        for part in (continued, ~continued):
+            split[part] = newton(phases, pts[part], *(v[part] for v in rest),
+                                 continued[part])
+        got = newton(phases, pts, *rest, continued)
+        assert got.tobytes() == split.tobytes()
+
+    @pytest.mark.parametrize("js", GRID_QUADS[:2], ids=str)
+    def test_phase_grid_calls_of_a_figure(self, monkeypatch, js):
+        # the far ends of the forbidden windows, then one Newton step a
+        # call until the slowest point of the one lockstep solve converges
+        calls = []
+        phase_grid = dasym.phase_grid
+        monkeypatch.setattr(dasym, "phase_grid",
+                            lambda *args: calls.append(1) or phase_grid(*args))
+        figures.figure_beta_contours(
+            js, cli._FIGURE_GRID_DEFAULT["beta-contours"])
+        assert len(calls) == 12
 
     def test_d_pattern_in_the_newton_goes_to_beta_field(self, monkeypatch):
         # every phase is NaN: a forbidden point finds no bracket, and
