@@ -61,6 +61,14 @@ def sphere_point(bnds, J12, phi12):
                        J12=float(J12), phi12=phi12)
 
 
+def _j12_window(four):
+    """(lo, hi): the classical window of J12 for the lengths (J1..J4),
+    max(|J1 - J2|, |J3 - J4|) to min(J1 + J2, J3 + J4), where both faces
+    (J1, J2, J12) and (J3, J4, J12) close."""
+    J1, J2, J3, J4 = (float(x) for x in four)
+    return max(abs(J1 - J2), abs(J3 - J4)), min(J1 + J2, J3 + J4)
+
+
 def _butterfly_heights(four, J12):
     """Heights along J12 of the J2 and J3 tips (J2z, J3z) and squared
     distances from the J12 axis (h2sq, h3sq); J12 broadcasts.
@@ -83,10 +91,8 @@ def butterfly(four, J12, phi12):
     """Tetrahedron with the given (J1, J2, J3, J4), intermediate J12, and
     dihedral angle phi12 about the J12 edge.  Volume > 0 for
     phi12 in (0, pi); J23 is read off t.lengths[5]."""
-    J1, J2, J3, J4 = (float(x) for x in four)
     J12 = float(J12)
-    lo = max(abs(J1 - J2), abs(J3 - J4))
-    hi = min(J1 + J2, J3 + J4)
+    lo, hi = _j12_window(four)
     if not lo - _EDGE_TOL <= J12 <= hi + _EDGE_TOL:
         raise ValidationError(
             f"J12 = {J12} is outside the classical window [{lo}, {hi}]")
@@ -410,11 +416,8 @@ def orbit_area(four, level, n=10001):
     """Area of {J23 <= level} on the 6j sphere, in the dJ12 ^ dphi12
     chart.  Quantized levels j23 + 1/2 enclose (n + 1/2) * 2 pi."""
     four = tuple(float(x) for x in four)
-    J1, J2, J3, J4 = four
-    lo = max(abs(J1 - J2), abs(J3 - J4))
-    hi = min(J1 + J2, J3 + J4)
     return _simpson(lambda J: 2.0 * _phi_star(four, J, float(level)),
-                    lo, hi, n)
+                    *_j12_window(four), n)
 
 
 def lune_area_6j(labels, n=10001):
@@ -428,4 +431,4 @@ def lune_area_6j(labels, n=10001):
             f"lune area needs an allowed point, got {region.kind}")
     four = J[:4]
     return _simpson(lambda x: 2.0 * _phi_star(four, x, J[5]),
-                    J[4], min(four[0] + four[1], four[2] + four[3]), n)
+                    J[4], _j12_window(four)[1], n)

@@ -12,8 +12,11 @@ The records UniformMap, SolveReport and UniformResult are NamedTuples.
 beta_field solves beta at one continuous point of the (J12, J23)
 square.  beta_grid solves a whole grid for the beta-contours figure:
 the ordinary points, allowed and forbidden, on numpy arrays in one
-lockstep Newton solve; every pin and every failure by beta_field at its
-point.
+lockstep Newton solve; every pin and every failure by beta_field's body
+_field at its point.  _field is the one solve of a continuous point:
+beta_field, beta_grid's hand-over and the two neighbours J23 +-
+NEAR_CAUSTIC_STEP of uniform_6j's near-caustic amplitude ratio call it,
+each neighbour on its own continuous map and cones.
 
 Each rule of the solve is one function that both call: the scale of a
 target, the d-matrix phase range and its pins, the forbidden windows
@@ -26,7 +29,7 @@ dasym._FLOATS on one point, so the scalar solve stays on Python floats
 and never imports numpy; beta_grid and _newton_grid import it when
 called.  What stays per shape is control flow: the early returns and
 raises of the scalar solve, the masks of the grid and its hand-over to
-beta_field, and the Newton loops.  The elementary functions are each
+_field, and the Newton loops.  The elementary functions are each
 shape's own: the targets are the same left-to-right sums
 (prasym._phase_sum) of the angles of tetra.classify (math) and of
 tetra.classify_grid (numpy), which differ by up to 1 ulp in psi and 2
@@ -35,11 +38,12 @@ last bits of the target and beta.
 
 The d-matrix phase comes from the parts of dasym's lune in both shapes.
 The grid runs the whole kernel, dasym._lune, through dasym.phase_grid.
-The scalar solve computes the cones and turning points of its
-(j, m, m') once per solve.  A continuous map is checked there (_cones).
-The lattice map of uniform_6j is not (_lattice_cones): _map builds it
-on the d-matrix lattice, and for the same reason uniform_6j takes d
-from core._wigner_d, the body of wigner_d.  Each step then computes the
+The caller of the scalar solve computes the cones and turning points of
+its (j, m, m') once and passes them.  _field and solve_beta check their
+map there (_cones).  uniform_6j does not check its lattice map
+(_lattice_cones): _map builds it on the d-matrix lattice, and for the
+same reason uniform_6j takes d from core._wigner_d, the body of
+wigner_d.  Each step then computes the
 cone cosines, the region rule and the slope, and only the half of the
 angles whose phase _solve_phase reads (_lune_residual): the principal
 angles on the real side, the continued ones beyond the d-caustic, and
@@ -339,19 +343,14 @@ def _newton(residual, lo, hi, seed, scale):
         f"residual {fx} against tolerance {tol}")
 
 
-def _solve_for_lengths(J, umap, region, cones=None):
+def _solve_for_lengths(J, region, cones):
     """beta matching the PR phase of the point (lengths J, geometry
-    region from tetra.classify), plus a report.  The (j, m, m') of
-    umap, a UniformMap, is checked and its cones computed once, by
-    _cones, unless the caller passes them as cones; every step of the
+    region from tetra.classify, with its dihedral angles), plus a
+    report.  cones are the _Cones of the point's UniformMap, computed
+    once by the caller (_cones or _lattice_cones); every step of the
     solve reads them."""
     dih = region.angles
-    if dih is None:
-        raise ValidationError(
-            f"lengths {J} are a caustic tangency point: a face "
-            "degenerates, so the dihedral angles are undefined")
-    if cones is None:
-        cones = _cones(umap)
+    umap = cones.umap
     beta1, beta2 = cones.beta1, cones.beta2
     if region.is_forbidden:
         return _solve_forbidden(J, dih, cones, region.kind)
@@ -415,10 +414,25 @@ def beta_field(j1, j2, j3, j4, J12, J23):
     (beta, SolveReport).  The map's m, m' and nu_ex extend linearly off
     the lattice, so beta is continuous across caustics."""
     js = tuple(HalfInt.of(x) for x in (j1, j2, j3, j4))
-    b = bounds(*js)
+    return _field(js, bounds(*js), J12, J23)[:2]
+
+
+def _field(js, b, J12, J23):
+    """The solve of every continuous point: (beta, SolveReport, region,
+    cones) at (J12, J23) of the square of (j1..j4) = js, b their
+    core.Bounds, with region from tetra.classify and cones the _Cones of
+    the continuous map (_continuous_map).  At a lattice point that map
+    is the lattice map, so the solve there is uniform_6j's.  A lattice
+    point has no flat face; a continuous point on the caustic may, and
+    there the angles are undefined."""
     J = b.four + (float(J12), float(J23))
     region = tetra.classify(J, b)
-    return _solve_for_lengths(J, _continuous_map(js, b, *J[4:]), region)
+    if region.angles is None:
+        raise ValidationError(
+            f"lengths {J} are a caustic tangency point: a face "
+            "degenerates, so the dihedral angles are undefined")
+    cones = _cones(_continuous_map(js, b, *J[4:]))
+    return (*_solve_for_lengths(J, region, cones), region, cones)
 
 
 # ------------------------------------------------------------ the grid
@@ -439,11 +453,11 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     the turning points or on its forbidden window, with the mask
     continued marking the forbidden points for _solve_phase.  Every
     other point (a tangency point, a pin, a point where the
-    scalar solve raises) is solved by beta_field at that point, so each
-    pin and each error is the scalar one.  After the outside-the-square
-    check, the first such point in row order raises first, then a
-    stalled Newton; a point whose Newton step meets a d-matrix sign
-    pattern of no region goes to beta_field after the Newton.
+    scalar solve raises) is solved by _field, the body of beta_field, at
+    that point, so each pin and each error is the scalar one.  After the
+    outside-the-square check, the first such point in row order raises
+    first, then a stalled Newton; a point whose Newton step meets a
+    d-matrix sign pattern of no region goes to _field after the Newton.
     """
     import numpy as np
     js = tuple(HalfInt.of(x) for x in (j1, j2, j3, j4))
@@ -506,7 +520,7 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
 
     def scalar(pts):
         for p in pts.tolist():
-            beta[p] = beta_field(*js, J12[p // n], J23[p % n])[0]
+            beta[p] = _field(js, b, J12[p // n], J23[p % n])[0]
 
     scalar(np.flatnonzero(~lockstep))
     pts = np.flatnonzero(lockstep)
@@ -551,21 +565,21 @@ def solve_beta(labels, umap=None):
     b, J, region = tetra.classify_labels(labels)
     if umap is None:
         umap = _map(labels, b)
-    return _solve_for_lengths(J, umap, region)
+    return _solve_for_lengths(J, region, _cones(umap))
 
 
-def _near_caustic_ratio(labels, J, cones):
+def _near_caustic_ratio(labels, b, J):
     """|V_d|/|V| averaged over J23 +- step, where both vanish together;
-    J the lengths of the labels, cones the _Cones of their UniformMap,
-    which the solve at the labels computed.  A lattice J23 lies at least
-    1/2 inside the square, so both neighbors are in it, and their solves
-    read the same cones."""
+    b the core.Bounds and J the lengths of the labels.  A lattice J23
+    lies at least 1/2 inside the square, so both neighbours are in it.
+    Each neighbour is a continuous point, solved by _field on its own
+    map: that map continues the symbol's, so the neighbours' PR targets
+    fall in their own d-matrix phase ranges."""
+    js = (labels.j1, labels.j2, labels.j3, labels.j4)
     num = den = 0.0
     for ds in (NEAR_CAUSTIC_STEP, -NEAR_CAUSTIC_STEP):
-        Js = J[:5] + (J[5] + ds,)
-        region_s = tetra.classify(Js)
-        beta_s, _ = _solve_for_lengths(Js, cones.umap, region_s, cones)
-        num += _vd(cones, beta_s)
+        beta_s, _, region_s, cones_s = _field(js, b, J[4], J[5] + ds)
+        num += _vd(cones_s, beta_s)
         den += region_s.vol_abs
     if den == 0.0:
         raise InvariantError(
@@ -609,7 +623,7 @@ def _uniform_at(labels, point=None):
     umap = _map(labels, b)
     j, m, mp, nu_ex = umap[:4]
     cones = _lattice_cones(umap)
-    beta, rep = _solve_for_lengths(J, umap, region, cones)
+    beta, rep = _solve_for_lengths(J, region, cones)
     if region.is_forbidden:
         nu6 = prasym.nu_6j(region, labels)
         nud = dasym._nu_d(region.kind, j.twice, m.twice, mp.twice)
@@ -620,7 +634,7 @@ def _uniform_at(labels, point=None):
     vd = _vd(cones, beta)
     vol = region.vol_abs
     near = region.is_caustic or vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
-    ratio = _near_caustic_ratio(labels, J, cones) if near else vd / vol
+    ratio = _near_caustic_ratio(labels, b, J) if near else vd / vol
     Jd = b.D / 2.0
     dval = _wigner_d(j.twice, m.twice, mp.twice, beta)
     sgn = phase(nu_ex + (j.twice - mp.twice) // 2)

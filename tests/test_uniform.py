@@ -1,5 +1,6 @@
 """Uniform approximation: quantum map, beta solve, values, permutation."""
 
+import json
 import math
 import random
 import re
@@ -198,9 +199,73 @@ class TestUniformValue:
         g = dasym.d_geometry(um.j, um.m, um.mp, beta)
         t = tetra.construct(lengths(labels))
         direct = math.sqrt(abs(g.Vd_sq)) / t.vol_abs
-        avg = uniform._near_caustic_ratio(labels, lengths(labels),
-                                         uniform._cones(um))
+        avg = uniform._near_caustic_ratio(labels, b, lengths(labels))
         assert avg == pytest.approx(direct, rel=1e-6)
+
+
+# lattice symbols on the averaged branch, {j1 j2 j12; j3 j4 j23}.  Solved
+# on the symbol's lattice m' and cones, the neighbours J23 +-
+# NEAR_CAUSTIC_STEP of the first three have PR targets outside their
+# d-matrix phase range (below it, above it, and the largest uniform error
+# of those); the last two, of region C and allowed, evaluate either way
+NEAR_CAUSTIC_RANGE_END = [("1449/2", 4, "1441/2", "1831/2", 771, "1839/2"),
+                          (321, 663, 468, "941/2", "5/2", "637/2"),
+                          ("1753/2", 5, "1761/2", "929/2", 825, "919/2")]
+NEAR_CAUSTIC_REAL = [(("1067/2", 3, "1071/2", 668, "1769/2", 671),
+                      tetra.REGION_C),
+                     ((623, "5/2", "1245/2", "1677/2", 335, 840),
+                      tetra.ALLOWED)]
+
+
+def _relative_error(labels):
+    """uniform_6j of labels and its error relative to exact_sixj."""
+    res = uniform.uniform_6j(labels)
+    exact = float(exact_sixj(labels))
+    return res, abs(res.value - exact) / abs(exact)
+
+
+class TestNearCausticBranch:
+    """The averaged amplitude ratio on lattice symbols that reach it with
+    no change of NEAR_CAUSTIC_VOL: each neighbour is a continuous point,
+    solved by _field like beta_field."""
+
+    @pytest.mark.parametrize("labels", NEAR_CAUSTIC_RANGE_END,
+                             ids=["below-the-range", "above-the-range",
+                                  "largest-error"])
+    def test_neighbours_in_their_own_range(self, capsys, labels):
+        res, err = _relative_error(SixJLabels.of(*labels))
+        assert res.near_caustic and err < 1e-3
+        argv = [x for name, v in zip(core.LABEL_NAMES, labels)
+                for x in (f"--{name}", str(v))]
+        assert cli.main(["eval", *argv]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert json.loads(out.out)["uniform"]["near_caustic"] is True
+
+    @pytest.mark.parametrize("labels,region", NEAR_CAUSTIC_REAL,
+                             ids=["C", "allowed"])
+    def test_real_inputs(self, labels, region):
+        res, err = _relative_error(SixJLabels.of(*labels))
+        assert res.near_caustic and res.map.solver.region == region
+        assert err < 1e-3
+
+    @pytest.mark.parametrize("j_max,seed", [(40, 3501), (1000, 3502)])
+    def test_beta_field_at_the_lattice_is_the_symbol_solve(self, j_max,
+                                                           seed):
+        # at a lattice point the continuous map is the lattice map: the
+        # solve of the neighbours continues the symbol's own, bit for bit
+        rng = random.Random(seed)
+        count = 0
+        while count < 500:
+            labels = _random_labels(rng, j_max)
+            if uniform._canonical_updown(labels) is not labels:
+                continue
+            count += 1
+            umap = uniform.uniform_6j(labels).map
+            got = uniform.beta_field(
+                labels.j1, labels.j2, labels.j3, labels.j4,
+                float(labels.j12) + 0.5, float(labels.j23) + 0.5)
+            assert repr(got) == repr((umap.beta, umap.solver)), labels
 
 
 class TestGeometryRecord:
@@ -735,17 +800,17 @@ _no_lune_pattern = _lune_cosines(lambda ck, cp, ce, vd: (
 
 class TestGridHandOver:
     """beta_grid solves its ordinary points in lockstep and hands every
-    other point to beta_field, and classify_grid hands a point where
-    classify raises to classify: each pin and each error is the one of
-    the scalar solve at that point."""
+    other point to _field, the body of beta_field, and classify_grid
+    hands a point where classify raises to classify: each pin and each
+    error is the one of the scalar solve at that point."""
 
     @staticmethod
     def handed(monkeypatch):
-        """The (J12, J23) of each beta_field call, in order."""
+        """The (J12, J23) of each _field call, in order."""
         calls = []
-        beta_field = uniform.beta_field
-        monkeypatch.setattr(uniform, "beta_field", lambda *args: (
-            calls.append(args[4:]) or beta_field(*args)))
+        field = uniform._field
+        monkeypatch.setattr(uniform, "_field", lambda *args: (
+            calls.append(args[2:]) or field(*args)))
         return calls
 
     @staticmethod
@@ -1064,9 +1129,10 @@ class TestScalarLune:
 
     def test_near_caustic_ratio_from_the_neighbours(self, monkeypatch):
         # the averaged ratio: |V_d| of d_geometry at the beta of each
-        # neighbour over the summed |V|, bit for bit.  The neighbour
-        # solves read the cones of the solve at the symbol: two cones, of
-        # m and m', in all
+        # neighbour over the summed |V|, bit for bit.  Each neighbour is
+        # a continuous point with its own map, whose m' is the symbol's
+        # shifted by -+ step: two cones at the symbol and two at each
+        # neighbour, six in all
         monkeypatch.setattr(uniform, "NEAR_CAUSTIC_VOL", 1.0)
         solves, ratios, calls = [], [], []
         solve, ratio, cone = (uniform._solve_for_lengths,
@@ -1078,15 +1144,18 @@ class TestScalarLune:
         monkeypatch.setattr(dasym, "_cone", lambda *args: (
             calls.append(args) or cone(*args)))
         res = uniform.uniform_6j(NEAR_CAUSTIC)
-        assert res.near_caustic and len(calls) == 2
+        assert res.near_caustic and len(calls) == 6
         (J, _), *neighbours = solves
         step = uniform.NEAR_CAUSTIC_STEP
         assert [Js for Js, _ in neighbours] == [
             J[:5] + (J[5] + ds,) for ds in (step, -step)]
         um = res.map
+        b = bounds(NEAR_CAUSTIC.j1, NEAR_CAUSTIC.j2, NEAR_CAUSTIC.j3,
+                   NEAR_CAUSTIC.j4)
         num = den = 0.0
         for Js, beta in neighbours:
-            g = dasym.d_geometry(um.j, um.m, um.mp, beta)
+            # m' of the continuous map at the neighbour
+            g = dasym.d_geometry(um.j, um.m, b.J23_avg - Js[5], beta)
             num += math.sqrt(abs(g.Vd_sq))
             den += tetra.classify(Js).vol_abs
         assert [r.hex() for r in ratios] == [(num / den).hex()]
