@@ -9,6 +9,10 @@ the caustic table column for the region.
 The phases run on Python floats: each is the left-to-right sum of
 J_i times the angles of tetra.classify (_phase_sum), the sum that
 uniform.beta_grid takes over the angle arrays of tetra.classify_grid.
+The record of tetra.classify holds cos psi; each phase computes the
+one half of the angles it reads, psi (phi_pr) or psi_bar (phi_pr_bar),
+so a value reads one.  pr_value builds no core.Bounds: the lattice
+point (tetra.classify_labels) is its lengths and that record.
 """
 
 import math
@@ -79,8 +83,7 @@ def nu_6j(region, labels):
 def pr_value(labels):
     """The Ponzano-Regge value with diagnostics."""
     require_valid(labels)
-    _, J, region = tetra.classify_labels(labels)
-    return _pr_value(labels, J, region)
+    return _pr_value(labels, *tetra.classify_labels(labels))
 
 
 def _pr_value(labels, J, region):

@@ -4,9 +4,13 @@ its range, and the worst-case error families.
 Each scan returns the record that `sixj eval`, `sixj sweep` and
 `sixj worstcase` write.  The inputs are taken as given: the CLI checks
 their bounds before it calls a scan.  A scan checks each symbol once and
-builds its lattice point once (tetra.classify_labels); the PR and
-uniform values are computed from that point, by prasym._pr_value and
-uniform._uniform_at.
+builds its lattice point once (tetra.classify_labels): its lengths and
+their tetra.classify record, which holds cos psi.  The PR and uniform
+values are computed from that point, by prasym._pr_value and
+uniform._uniform_at, each of which computes the half of the angles it
+reads.  The square's core.Bounds are built where they are read: by
+uniform._uniform_at for its representative, and by eval (D) and
+worstcase (the reference scale) for the record.
 """
 
 import random
@@ -39,7 +43,8 @@ def _label_strs(labels):
 def eval_record(labels, methods, digits=17):
     require_valid(labels)
     point = tetra.classify_labels(labels)
-    b, J, region = point
+    J, region = point
+    b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
     rec = {
         "labels": _label_strs(labels),
         "D": b.D,
@@ -132,7 +137,7 @@ def sweep_rows(fixed, swept, methods):
             # valid; the other two are the same on every row
             require_valid(labels)
         point = tetra.classify_labels(labels)
-        _, J, region = point
+        J, region = point
         exact_v = float(exact_sixj(labels)) if "exact" in methods else None
         pr_v = _pr_or_none(labels, J, region) if "pr" in methods else None
         uni_v = beta = None
@@ -197,8 +202,9 @@ def worstcase_row(labels):
     # exact_sixj checks the labels before their point is built
     exact_v = float(exact_sixj(labels))
     point = tetra.classify_labels(labels)
-    b, J, region = point
-    ref = _pr_reference(labels, b, region)
+    J, region = point
+    ref = _pr_reference(labels, bounds(labels.j1, labels.j2, labels.j3,
+                                       labels.j4), region)
     if ref is None:
         ref = abs(exact_v)
     pr_v = _pr_or_none(labels, J, region)

@@ -425,7 +425,7 @@ def lune_area_6j(labels, n=10001):
     twice the matched Ponzano-Regge phase Phi_PR - Phi0 in the allowed
     region."""
     require_valid(labels)
-    _, J, region = tetra.classify_labels(labels)
+    J, region = tetra.classify_labels(labels)
     if not region.is_allowed:
         raise WrongRegionError(
             f"lune area needs an allowed point, got {region.kind}")

@@ -3,18 +3,21 @@
 The vector realization uses A1 = J1, A2 = J12, A3 = -J4, from which all
 Gram entries follow from the lengths alone.  classify() builds the one
 geometry record per point from the six Gram entries and their
-cofactors: det G = 36 V^2, |V| and the six exterior dihedral angles.
-The same formulas hold in the forbidden case (det G < 0), where every
-cos psi lies outside [-1, 1] and the sign pattern against the caustic
-table classifies the region.  classify_labels() builds the lattice
-point of a symbol: its square's bounds, its lengths and that record.
+cofactors: det G = 36 V^2, |V| and the six exterior dihedral angles,
+held as their cos psi.  The same formulas hold in the forbidden case
+(det G < 0), where every cos psi lies outside [-1, 1] and the sign
+pattern against the caustic table classifies the region.
+classify_labels() builds the lattice point of a symbol: its lengths
+and that record; the square's bounds are built where they are read.
 classify() checks its lengths (positive, and inside the square when
 given one) and calls the body _classify(); classify_labels() calls the
 body alone, since the lattice point of a checked symbol passes both
 checks.  The records DihedralAngles and RegionClass are NamedTuples.
 
-classify() runs on Python floats and math: its angles are tuples, each
-half from its rule (_psi, _psi_bar) in the float namespace _FLOATS.
+classify() runs on Python floats and math.  Its DihedralAngles holds
+the six cos psi only: each reader computes the one half it reads, psi
+on an allowed point and psi_bar on a forbidden one, as properties that
+apply the rules _psi and _psi_bar in the float namespace _FLOATS.
 classify_grid() runs the same formulas on numpy arrays.  cos psi and
 det G are the same floats bit for bit in both shapes, being sums,
 products, quotients and square roots, which IEEE arithmetic rounds
@@ -39,8 +42,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .core import (InvariantError, ValidationError, WrongRegionError, _bounds,
-                   _twice)
+from .core import InvariantError, ValidationError, WrongRegionError, _twice
 
 EDGE_ORDER = ("J1", "J2", "J3", "J4", "J12", "J23")
 
@@ -90,15 +92,24 @@ _FLOATS = SimpleNamespace(
 
 
 class DihedralAngles(NamedTuple):
-    """Exterior dihedral angles in EDGE_ORDER, as tuples of six floats.
+    """Exterior dihedral angles in EDGE_ORDER: the six cos psi, a tuple
+    of floats, from which each reader computes the half it reads.
 
-    psi holds the principal values arccos(clip(cos_psi)); psi_bar holds
-    sign(cos psi)*arccosh|cos psi| (zero wherever |cos psi| <= 1).
+    psi gives the principal values arccos(clip(cos_psi)) and psi_bar
+    sign(cos psi)*arccosh|cos psi| (zero wherever |cos psi| <= 1), each
+    a new tuple of six floats on every read, by the rules _psi and
+    _psi_bar.
     """
 
     cos_psi: tuple
-    psi: tuple
-    psi_bar: tuple
+
+    @property
+    def psi(self):
+        return tuple(_psi(_FLOATS, c) for c in self.cos_psi)
+
+    @property
+    def psi_bar(self):
+        return tuple(_psi_bar(_FLOATS, c) for c in self.cos_psi)
 
 
 class RegionClass(NamedTuple):
@@ -339,18 +350,15 @@ def _psi_pair(xp, cos_psi):
 
 
 def _angles(faces, num, den):
-    """Exterior dihedral angles, tuples of floats, from the face norms
-    and the cos psi parts of _cofactor_cos_psi on floats;
-    ValidationError at a degenerate face."""
+    """Exterior dihedral angles (their cos psi) from the face norms and
+    the cos psi parts of _cofactor_cos_psi on floats; ValidationError at
+    a degenerate face."""
     for face, nn in zip(_FACE_NAMES, faces):
         if nn <= 0.0:
             raise ValidationError(
                 f"degenerate face {face}: area^2 = {nn / 4.0}")
-    cos_psi = tuple(n / math.sqrt(d) for n, d in zip(num, den))
-    return DihedralAngles(cos_psi=cos_psi,
-                          psi=tuple(_psi(_FLOATS, c) for c in cos_psi),
-                          psi_bar=tuple(_psi_bar(_FLOATS, c)
-                                        for c in cos_psi))
+    return DihedralAngles(cos_psi=tuple(n / math.sqrt(d)
+                                        for n, d in zip(num, den)))
 
 
 def dihedrals(t):
@@ -421,15 +429,16 @@ def _classify(J):
 
 
 def classify_labels(labels):
-    """(bounds, lengths, RegionClass) of the lattice point of a symbol:
-    the core.Bounds of its (j1..j4), its six lengths J = j + 1/2 and
-    classify() of them.  The labels are not checked here; callers check
-    them first (core.require_valid), so the point needs none of the
-    checks of classify (_classify)."""
+    """(lengths, RegionClass) of the lattice point of a symbol: its six
+    lengths J = j + 1/2 in EDGE_ORDER and classify() of them.  The
+    labels are not checked here; callers check them first
+    (core.require_valid), so the point needs none of the checks of
+    classify (_classify).  The square's core.Bounds are built by the
+    readers of them (uniform, the scans)."""
     t1, t2, t12, t3, t4, t23 = _twice(labels)
-    b = _bounds(t1, t2, t3, t4)
-    J = b.four + (t12 / 2 + 0.5, t23 / 2 + 0.5)
-    return b, J, _classify(J)
+    J = (t1 / 2 + 0.5, t2 / 2 + 0.5, t3 / 2 + 0.5, t4 / 2 + 0.5,
+         t12 / 2 + 0.5, t23 / 2 + 0.5)
+    return J, _classify(J)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,13 @@ shape's own: the targets are the same left-to-right sums
 (prasym._phase_sum) of the angles of tetra.classify (math) and of
 tetra.classify_grid (numpy), which differ by up to 1 ulp in psi and 2
 ulp in psi_bar, so a grid point and beta_field at it can differ in the
-last bits of the target and beta.
+last bits of the target and beta.  The record of tetra.classify holds
+cos psi, and the scalar target computes the one half it reads: psi on
+an allowed or caustic point, psi_bar on a forbidden one.
+
+uniform_6j builds the core.Bounds of its up-down representative
+(_square) for the map; the lattice point it reads
+(tetra.classify_labels) is the lengths and the tetra.classify record.
 
 The d-matrix phase comes from the parts of dasym's lune in both shapes.
 The grid runs the whole kernel, dasym._lune, through dasym.phase_grid.
@@ -55,8 +61,8 @@ from typing import NamedTuple
 
 from . import dasym, prasym, tetra
 from .core import (HalfInt, InvariantError, SixJLabels, SolverError,
-                   ValidationError, _twice, _wigner_d, bounds, phase,
-                   require_valid)
+                   ValidationError, _bounds, _twice, _wigner_d, bounds,
+                   phase, require_valid)
 from .dasym import _FLOATS
 from .tetra import _clamp
 
@@ -104,9 +110,13 @@ class UniformResult(NamedTuple):
 def map_quantum(labels, bnds=None):
     """(j, m, m') and the phase offset Phi0 for the d-matrix picture."""
     require_valid(labels)
-    if bnds is None:
-        bnds = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-    return _map(labels, bnds)
+    return _map(labels, _square(labels) if bnds is None else bnds)
+
+
+def _square(labels):
+    """core.Bounds of the (j1..j4) of checked labels."""
+    t1, t2, _, t3, t4, _ = _twice(labels)
+    return _bounds(t1, t2, t3, t4)
 
 
 def _map(labels, bnds):
@@ -484,9 +494,10 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
         return dasym.phase_grid(Jd, m[pts], mp[pts], ct[pts], ctp[pts],
                                 st[pts], stp[pts], _off_poles(np, beta))
 
-    # the PR targets of _solve_for_lengths and _solve_forbidden
-    forbidden = np.isin(g.kind, (tetra.REGION_A, tetra.REGION_B,
-                                 tetra.REGION_C, tetra.REGION_D))
+    # the PR targets of _solve_for_lengths and _solve_forbidden; a
+    # forbidden point is one with a Table-1 column off the caustic
+    caustic = g.kind == tetra.CAUSTIC
+    forbidden = (g.pattern_index >= 0) & ~caustic
     lengths6 = b.four + (L12, L23)
     target = np.where(forbidden, prasym._phase_sum(lengths6, g.psi_bar),
                       prasym._phase_sum(lengths6, g.psi) - Phi0)
@@ -496,8 +507,7 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     # defined and no pin at an end of the d-matrix phase range
     a_lo, a_hi = _phase_range(np, float(umap.j), m, mp)
     top, bottom = _range_pins(target, scale, a_lo, a_hi)
-    free = (((g.kind == tetra.ALLOWED)
-             | ((g.kind == tetra.CAUSTIC) & (g.pattern_index < 0)))
+    free = (((g.kind == tetra.ALLOWED) | (caustic & (g.pattern_index < 0)))
             & (np.abs(g.cos_psi) <= 1.0 + prasym.COS_PSI_SLACK).all(axis=0)
             & ~(top | bottom))
 
@@ -562,9 +572,9 @@ def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued):
 def solve_beta(labels, umap=None):
     """beta for a quantized symbol; returns (beta, SolveReport)."""
     require_valid(labels)
-    b, J, region = tetra.classify_labels(labels)
+    J, region = tetra.classify_labels(labels)
     if umap is None:
-        umap = _map(labels, b)
+        umap = _map(labels, _square(labels))
     return _solve_for_lengths(J, region, _cones(umap))
 
 
@@ -611,15 +621,18 @@ def uniform_6j(labels):
 def _uniform_at(labels, point=None):
     """uniform_6j of checked labels, computed on their up-down
     representative (_canonical_updown).  point is the tetra.classify_labels
-    triple of the labels, read only when they are their own
+    pair of the labels, read only when they are their own
     representative: another member of the orbit may lie in a different
     region (A where the representative is D, or D where it is A), so the
-    representative's point is built here."""
+    representative's point is built here.  The representative's
+    core.Bounds are built here too (_square), the one place of the
+    symbol path that reads them."""
     canon = _canonical_updown(labels)
     if canon is not labels or point is None:
         point = tetra.classify_labels(canon)
     labels = canon
-    b, J, region = point
+    J, region = point
+    b = _square(labels)
     umap = _map(labels, b)
     j, m, mp, nu_ex = umap[:4]
     cones = _lattice_cones(umap)

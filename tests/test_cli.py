@@ -313,8 +313,8 @@ class TestPRRefusal:
         classify_labels = tetra.classify_labels
 
         def on_caustic(labels):
-            b, J, region = classify_labels(labels)
-            return b, J, tetra.RegionClass(
+            J, region = classify_labels(labels)
+            return J, tetra.RegionClass(
                 kind=tetra.CAUSTIC, pattern_index=None, det_g=0.0,
                 angles=region.angles)
 
@@ -325,7 +325,7 @@ class TestPRRefusal:
             prasym.pr_value(labels)
         assert str(e.value) == note
         assert scans._pr_or_none(labels,
-                                 *tetra.classify_labels(labels)[1:]) is None
+                                 *tetra.classify_labels(labels)) is None
         rec = scans.eval_record(labels, ("exact", "pr"))
         assert rec["region"] == tetra.CAUSTIC
         assert rec["pr"] == {"value": None, "note": note}
@@ -949,7 +949,8 @@ class TestWorstcase:
         # one, and no neighbor toward the center of the j12 range is
         # allowed, so the reference is |exact|
         labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "13/2")
-        b, J, region = tetra.classify_labels(labels)
+        J, region = tetra.classify_labels(labels)
+        b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
         caustic = region._replace(kind=tetra.CAUSTIC)
         want = abs(float(exact_sixj(labels)))
         assert scans.amplitude_reference(labels, b, caustic) != want
@@ -957,7 +958,7 @@ class TestWorstcase:
         monkeypatch.setattr(tetra, "classify", lambda J_n, bnds=None: (
             caustic if J_n[4] != J[4] else classify(J_n, bnds)))
         monkeypatch.setattr(tetra, "classify_labels", lambda L: (
-            (b, J, caustic) if L == labels else classify_labels(L)))
+            (J, caustic) if L == labels else classify_labels(L)))
         assert scans.amplitude_reference(labels, b, caustic) == want
         calls = self.count_exact(monkeypatch)
         row = scans.worstcase_row(labels)

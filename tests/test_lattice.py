@@ -7,6 +7,7 @@ import contextlib
 import io
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import oracles
 from sixj import (HalfInt, SixJLabels, ValidationError, bounds, cli, core,
-                  lengths, prasym, require_valid, tetra, uniform, validate)
+                  dasym, lengths, prasym, require_valid, scans, sphere,
+                  tetra, uniform, validate)
 from sixj.scans import _random_labels
 
 
@@ -82,7 +84,8 @@ class TestBounds:
         labels = _labels(twice)
         if validate(labels) is not None:
             return
-        b, J, region = tetra.classify_labels(labels)
+        J, region = tetra.classify_labels(labels)
+        b = uniform._square(labels)
         assert b == oracles.halfint_bounds(labels.j1, labels.j2, labels.j3,
                                            labels.j4)
         assert J == lengths(labels)
@@ -132,7 +135,7 @@ class TestLatticeDetG:
             half = sum(t % 2 for t in twice)
             assert det != 0, labels
             assert (det & -det).bit_length() - 1 == (1 if half == 3 else 2)
-            _, J, region = tetra.classify_labels(labels)
+            J, region = tetra.classify_labels(labels)
             assert region.kind != tetra.CAUSTIC
             assert region.is_allowed == (det > 0), labels
             if det < 0:
@@ -147,6 +150,107 @@ class TestLatticeDetG:
             J = lengths(labels)
             assert (oracles.gram_det_512(core._twice(labels))
                     == 512 * 36 * oracles.cayley_menger_volume_sq(J))
+
+    def test_residues_mod_8_prove_det_g_nonzero(self):
+        """512 det G is an integer polynomial in the six twice-values
+        (oracles.gram_det_512), so its value mod 8 depends only on them
+        mod 8.  Over the 32,768 residue tuples that satisfy the four
+        triangle parities it is 4 mod 8, or 6 mod 8 where three
+        half-integer labels meet at a vertex.  So 512 det G is never
+        zero on the lattice: no symbol lies on the caustic, |det G| >=
+        2/512 = 1/256, and the 2-adic valuation of
+        test_valuation_and_regions (2, or 1 with three half-integer
+        labels) holds for every symbol."""
+        r = range(8)
+        count = 0
+        for t1, t2, t3, t4 in itertools.product(r, r, r, r):
+            for t12 in r:
+                if (t1 + t2 + t12) % 2 or (t3 + t4 + t12) % 2:
+                    continue
+                for t23 in r:
+                    if (t2 + t3 + t23) % 2 or (t1 + t4 + t23) % 2:
+                        continue
+                    twice = (t1, t2, t12, t3, t4, t23)
+                    half = sum(t % 2 for t in twice)
+                    assert (oracles.gram_det_512(twice) % 8
+                            == (6 if half == 3 else 4)), twice
+                    count += 1
+        assert count == 32_768
+
+
+def _eval_symbols():
+    """(name, labels) of the one allowed symbol and one of each region
+    A-D in data/eval-symbols.txt, as pytest params with the name as
+    id."""
+    lines = (Path(__file__).parent / "data" / "eval-symbols.txt"
+             ).read_text().splitlines()
+    return [pytest.param(name, SixJLabels.of(*labels), id=name)
+            for name, *labels in map(str.split, lines)]
+
+
+class TestLatticePointReads:
+    """The lattice record holds cos psi: pr_value and uniform_6j each
+    compute the one half of the angles they read, once, and only
+    uniform_6j builds the square's core.Bounds."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """counted(f, labels): f(labels), the names of the angle halves
+        read from the lattice records of tetra.classify_labels, the
+        core._bounds calls made and the calls of each angle rule
+        (tetra._psi, tetra._psi_bar), one per angle."""
+        points, reads, squares = [], [], []
+        rules = collections.Counter()
+        classify_labels, bounds_body = tetra.classify_labels, core._bounds
+
+        def classified(labels):
+            point = classify_labels(labels)
+            points.append(point[-1].angles)
+            return point
+
+        def squared(*twice):
+            squares.append(twice)
+            return bounds_body(*twice)
+
+        for name in ("psi", "psi_bar"):
+            half = getattr(tetra.DihedralAngles, name)
+
+            def spy(angles, name=name, half=half):
+                reads.append((angles, name))
+                return half.__get__(angles)
+            monkeypatch.setattr(tetra.DihedralAngles, name, property(spy))
+        for name in ("_psi", "_psi_bar"):
+            def rule(xp, cos_psi, name=name, body=getattr(tetra, name)):
+                rules[name] += 1
+                return body(xp, cos_psi)
+            monkeypatch.setattr(tetra, name, rule)
+        monkeypatch.setattr(tetra, "classify_labels", classified)
+        for mod in (core, tetra, prasym, uniform, scans, sphere, dasym):
+            for attr, val in list(vars(mod).items()):
+                if val is bounds_body:
+                    monkeypatch.setattr(mod, attr, squared)
+
+        def count(f, labels):
+            points.clear()
+            reads.clear()
+            squares.clear()
+            rules.clear()
+            out = f(labels)
+            lattice = [name for angles, name in reads
+                       if any(angles is a for a in points)]
+            return out, lattice, len(squares), dict(rules)
+
+        return count
+
+    @pytest.mark.parametrize("name,labels", _eval_symbols())
+    def test_one_half_read_once(self, counted, name, labels):
+        half = "psi" if name == "allowed" else "psi_bar"
+        pr, reads, squares, rules = counted(prasym.pr_value, labels)
+        assert pr.region.kind == name.replace("allowed", tetra.ALLOWED)
+        assert (reads, squares, rules) == ([half], 0, {"_" + half: 6})
+        # the beta solve computes lune angles by the same rules
+        _, reads, squares, _ = counted(uniform.uniform_6j, labels)
+        assert (reads, squares) == ([half], 1)
 
 
 class TestCanonicalUpdown:
