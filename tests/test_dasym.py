@@ -331,7 +331,7 @@ class TestLuneKernel:
         args = self.lune_args(self.points())
         J, *columns = zip(*args)
         grid = dasym._lune(np, J[0], *map(np.array, columns))
-        assert [r.tolist() for r in grid[:3] + grid[4:5]] == [
+        assert [r.tolist() for r in grid[:4] + grid[5:6]] == [
             r.tolist() for r in dasym.phase_grid(J[0],
                                                  *map(np.array, columns))]
         # math's arccos and arccosh are the only entries of _FLOATS whose
@@ -342,13 +342,13 @@ class TestLuneKernel:
         for k, a in enumerate(args):
             want = [r[k].item() for r in grid]
             got = dasym._lune(numpy_angles, *a)
-            assert [float(x).hex() for x in got[:4]] == [
-                x.hex() for x in want[:4]]
-            assert got[4:] == tuple(want[4:])
+            assert [float(x).hex() for x in got[:5]] == [
+                x.hex() for x in want[:5]]
+            assert got[5:] == tuple(want[5:])
             got = dasym._lune(dasym._FLOATS, *a)
-            assert [type(x) for x in got] == [float] * 4 + [bool, int]
-            assert [x.hex() for x in got[2:4]] == [x.hex() for x in want[2:4]]
-            assert got[4:] == tuple(want[4:])
+            assert [type(x) for x in got] == [float] * 5 + [bool, int]
+            assert [x.hex() for x in got[2:5]] == [x.hex() for x in want[2:5]]
+            assert got[5:] == tuple(want[5:])
             for x, y in zip(got[:2], want[:2]):
                 assert x == pytest.approx(y, rel=0.0, abs=1e-13 * a[0])
 
@@ -394,7 +394,7 @@ class TestLuneKernel:
         (a,) = self.lune_args([(m, mp, beta)])
         got = dasym._lune(dasym._FLOATS, *a)
         assert math.isnan(got[0]) and math.isnan(got[1])
-        assert got[4:] == (False, 2)
+        assert got[5:] == (False, 2)
 
 
 class TestOneIndexCheck:
