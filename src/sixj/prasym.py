@@ -12,15 +12,15 @@ uniform.beta_grid takes over the angle arrays of tetra.classify_grid.
 The record of tetra.classify holds cos psi; each phase computes the
 one half of the angles it reads, psi (phi_pr) or psi_bar (phi_pr_bar),
 so a value reads one.  pr_value builds no core.Bounds: the lattice
-point (tetra.classify_labels) is its lengths and that record.
+point (tetra.classify_labels), its lengths and record, is never caustic.
 """
 
 import math
 from typing import NamedTuple
 
 from . import tetra
-from .core import (LABEL_NAMES, InvariantError, OnCausticError,
-                   WrongRegionError, _twice, phase, require_valid)
+from .core import (LABEL_NAMES, InvariantError, WrongRegionError, _twice,
+                   phase, require_valid)
 
 # Table-1 pattern entries are in tetra.EDGE_ORDER; the parity sum reads
 # the matching twice-values at these positions of core._twice.
@@ -88,10 +88,7 @@ def pr_value(labels):
 
 def _pr_value(labels, J, region):
     """pr_value of checked labels, J their lengths and region their
-    tetra.classify record (tetra.classify_labels)."""
-    if region.is_caustic:
-        raise OnCausticError(
-            f"{labels} lies on a caustic; the PR amplitude diverges there")
+    lattice record (tetra.classify_labels)."""
     dih = region.angles
     amp = region.pr_amp
     if region.is_allowed:

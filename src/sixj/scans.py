@@ -5,19 +5,19 @@ Each scan returns the record that `sixj eval`, `sixj sweep` and
 `sixj worstcase` write.  The inputs are taken as given: the CLI checks
 their bounds before it calls a scan.  A scan checks each symbol once and
 builds its lattice point once (tetra.classify_labels): its lengths and
-their tetra.classify record, which holds cos psi.  The PR and uniform
-values are computed from that point, by prasym._pr_value and
-uniform._uniform_at, each of which computes the half of the angles it
-reads.  The square's core.Bounds are built where they are read: by
-uniform._uniform_at for its representative, and by eval (D) and
-worstcase (the reference scale) for the record.
+their record, which holds cos psi and is never caustic.  The PR and
+uniform values, which every symbol has, are computed from that point,
+by prasym._pr_value and uniform._uniform_at, each of which computes the
+half of the angles it reads.  The square's core.Bounds are built where
+they are read: by uniform._uniform_at for its representative, and by
+eval (D) and worstcase (the reference scale) for the record.
 """
 
 import random
 
 from . import prasym, tetra, uniform
-from .core import (LABEL_NAMES, MP_DPS, HalfInt, OnCausticError, SixJLabels,
-                   TRIANGLES, ValidationError, _root_form, bounds, exact_sixj,
+from .core import (LABEL_NAMES, MP_DPS, HalfInt, SixJLabels, TRIANGLES,
+                   ValidationError, _root_form, _twice, bounds, exact_sixj,
                    require_valid)
 
 
@@ -67,14 +67,11 @@ def eval_record(labels, methods, digits=17):
             "radicand": _fraction_str(ev.radicand),
         }
     if "pr" in methods:
-        try:
-            pr = prasym._pr_value(labels, J, region)
-            rec["pr"] = {"value": pr.value, "phase": pr.phase,
-                         "amplitude": pr.amplitude, "nu_6j": pr.nu6j}
-            if exact_v is not None:
-                rec["pr"]["abs_err"] = abs(pr.value - exact_v)
-        except OnCausticError as e:
-            rec["pr"] = {"value": None, "note": str(e)}
+        pr = prasym._pr_value(labels, J, region)
+        rec["pr"] = {"value": pr.value, "phase": pr.phase,
+                     "amplitude": pr.amplitude, "nu_6j": pr.nu6j}
+        if exact_v is not None:
+            rec["pr"]["abs_err"] = abs(pr.value - exact_v)
     if "uniform" in methods:
         u = uniform._uniform_at(labels, point)
         rec["uniform"] = {
@@ -119,15 +116,6 @@ def sweep_range(fixed, swept):
     return range(lo, hi + 1, 2)
 
 
-def _pr_or_none(labels, J, region):
-    """The PR value of checked labels at their lattice point (J, region),
-    or None at a caustic point, where PR refuses."""
-    try:
-        return prasym._pr_value(labels, J, region).value
-    except OnCausticError:
-        return None
-
-
 def sweep_rows(fixed, swept, methods):
     rows = []
     for t in sweep_range(fixed, swept):
@@ -139,7 +127,8 @@ def sweep_rows(fixed, swept, methods):
         point = tetra.classify_labels(labels)
         J, region = point
         exact_v = float(exact_sixj(labels)) if "exact" in methods else None
-        pr_v = _pr_or_none(labels, J, region) if "pr" in methods else None
+        pr_v = (prasym._pr_value(labels, J, region).value
+                if "pr" in methods else None)
         uni_v = beta = None
         if "uniform" in methods:
             u = uniform._uniform_at(labels, point)
@@ -165,37 +154,30 @@ def sweep_rows(fixed, swept, methods):
 
 def amplitude_reference(labels, b, region):
     """Reference scale for relative errors: |exact| in forbidden
-    regions; the PR amplitude in the allowed interior; in the
-    turning-point lobe (a caustic point, or the extreme lattice point
-    of the allowed j12 range) the PR amplitude at the nearest interior
-    allowed neighbor along j12, since the amplitude at the point
-    itself is inflated by the nearby caustic.  b and region are the
-    bounds and tetra.classify record of labels."""
+    regions; the PR amplitude in the allowed interior, and at an end of
+    the allowed j12 range (where the nearby caustic inflates it) that
+    of the nearest allowed neighbor along j12, or its own without one.
+    b and region are the bounds and region record of labels."""
     ref = _pr_reference(labels, b, region)
     return abs(float(exact_sixj(labels))) if ref is None else ref
 
 
 def _pr_reference(labels, b, region):
     """amplitude_reference where it is a PR amplitude, and None where it
-    is |exact|: in a forbidden region, and at a caustic point with no
-    allowed neighbor toward the center of the j12 range."""
+    is |exact|: in a forbidden region."""
     if region.is_forbidden:
         return None
-    in_lobe = region.is_caustic or labels.j12.twice in (b.j12_min.twice,
-                                                        b.j12_max.twice)
-    if region.is_allowed and not in_lobe:
+    if labels.j12.twice not in (b.j12_min.twice, b.j12_max.twice):
         return region.pr_amp
-    toward = 2 if labels.j12.twice < b.j12_avg.twice else -2
-    t12 = labels.j12.twice + toward
-    J23 = labels.j23.twice / 2 + 0.5
+    t1, t2, t12, t3, t4, t23 = _twice(labels)
+    toward = 2 if t12 < b.j12_avg.twice else -2
+    t12 += toward
     while b.j12_min.twice <= t12 <= b.j12_max.twice:
-        region_n = tetra.classify(b.four + (t12 / 2 + 0.5, J23), b)
+        _, region_n = tetra._lattice_point((t1, t2, t12, t3, t4, t23))
         if region_n.is_allowed:
             return region_n.pr_amp
         t12 += toward
-    if region.is_allowed:
-        return region.pr_amp
-    return None
+    return region.pr_amp
 
 
 def worstcase_row(labels):
@@ -207,7 +189,7 @@ def worstcase_row(labels):
                                        labels.j4), region)
     if ref is None:
         ref = abs(exact_v)
-    pr_v = _pr_or_none(labels, J, region)
+    pr_v = prasym._pr_value(labels, J, region).value
     uni_v = uniform._uniform_at(labels, point).value
     # a reference below the double range gives no relative error
     scaled = ref != 0.0
@@ -216,8 +198,7 @@ def worstcase_row(labels):
         "region": region.kind,
         "exact": exact_v,
         "reference": ref,
-        "err_pr": (abs(pr_v - exact_v) / ref
-                   if pr_v is not None and scaled else None),
+        "err_pr": abs(pr_v - exact_v) / ref if scaled else None,
         "err_uniform": abs(uni_v - exact_v) / ref if scaled else None,
     }
 

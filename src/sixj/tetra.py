@@ -7,12 +7,10 @@ cofactors: det G = 36 V^2, |V| and the six exterior dihedral angles,
 held as their cos psi.  The same formulas hold in the forbidden case
 (det G < 0), where every cos psi lies outside [-1, 1] and the sign
 pattern against the caustic table classifies the region.
-classify_labels() builds the lattice point of a symbol: its lengths
-and that record; the square's bounds are built where they are read.
-classify() checks its lengths (positive, and inside the square when
-given one) and calls the body _classify(); classify_labels() calls the
-body alone, since the lattice point of a checked symbol passes both
-checks.  The records DihedralAngles and RegionClass are NamedTuples.
+classify() checks the lengths of a continuous point, which its body
+_classify() calls caustic where |det G| <= EPS_CAUSTIC (J1 J12 J4)^(4/3).
+classify_labels() builds a symbol's lattice point by the sign of the
+int 512 det G, never zero: no symbol is caustic.  Records are NamedTuples.
 
 classify() runs on Python floats and math.  Its DihedralAngles holds
 the six cos psi only: each reader computes the one half it reads, psi
@@ -225,12 +223,26 @@ def _det3(M):
             + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0]))
 
 
-def _det_g(J1, J2, J3, J4, J12, J23):
-    """det G of six lengths, floats or numpy arrays that broadcast, with
-    no length check: a zero length gives the flat value +0.0."""
-    g11, g22, g33, g12, g13, g23 = _gram_entries(J1, J2, J3, J4, J12, J23)
+def _det_sym(g11, g22, g33, g12, g13, g23):
+    """det of the symmetric matrix of the entries of _gram_entries, on
+    floats, numpy arrays that broadcast, or ints (exactly)."""
     return (g11 * (g22 * g33 - g23 * g23) - g12 * (g12 * g33 - g23 * g13)
             + g13 * (g12 * g23 - g22 * g13))
+
+
+def _det_g(J1, J2, J3, J4, J12, J23):
+    """det G of six lengths, floats or numpy arrays that broadcast; a
+    zero length gives the flat value +0.0."""
+    return _det_sym(*_gram_entries(J1, J2, J3, J4, J12, J23))
+
+
+def _det_512(twice):
+    """512 det G = det(8G), an int, at the lattice point of six 2j in
+    LABEL_NAMES order: with A = (2j + 1)^2, 8G has int entries.  It is 4
+    or 6 mod 8, never zero, so |det G| >= 1/256."""
+    A1, A2, A12, A3, A4, A23 = [(t + 1) ** 2 for t in twice]
+    return _det_sym(2 * A1, 2 * A12, 2 * A4, A1 + A12 - A2, A1 + A4 - A23,
+                    A12 + A4 - A3)
 
 
 def det_gram(J):
@@ -397,9 +409,7 @@ def classify(J, bnds=None):
 
 
 def _classify(J):
-    """classify() of checked lengths, a tuple of six positive floats
-    within their square; classify_labels calls it on a lattice point,
-    which lies inside its square with every length at least 1/2."""
+    """classify() of six checked lengths, positive floats in the square."""
     det_g, *parts = _cofactor_cos_psi(*_gram_entries(*J))
     caustic = abs(det_g) <= EPS_CAUSTIC * _caustic_scale(J)
     try:
@@ -410,7 +420,13 @@ def _classify(J):
         # tangency point: a face degenerates with the tetrahedron
         return RegionClass(kind=CAUSTIC, pattern_index=None, det_g=det_g,
                            angles=None)
-    if det_g > 0.0 and not caustic:
+    return _region(J, det_g, dih, det_g > 0.0 and not caustic, caustic)
+
+
+def _region(J, det_g, dih, allowed, caustic=False):
+    """RegionClass of lengths J: ALLOWED where allowed, else CAUSTIC where
+    caustic, else the region of the Table-1 column of its cos psi."""
+    if allowed:
         return RegionClass(kind=ALLOWED, pattern_index=None, det_g=det_g,
                            angles=dih)
     # the 6-bit pattern of classify_grid, by a Python loop
@@ -428,17 +444,21 @@ def _classify(J):
                        angles=dih)
 
 
-def classify_labels(labels):
-    """(lengths, RegionClass) of the lattice point of a symbol: its six
-    lengths J = j + 1/2 in EDGE_ORDER and classify() of them.  The
-    labels are not checked here; callers check them first
-    (core.require_valid), so the point needs none of the checks of
-    classify (_classify).  The square's core.Bounds are built by the
-    readers of them (uniform, the scans)."""
-    t1, t2, t12, t3, t4, t23 = _twice(labels)
+def _lattice_point(twice):
+    """classify_labels of six twice-values: the lengths J = j + 1/2 and
+    a record allowed where _det_512 > 0, else forbidden A-D; its det G,
+    cos psi and column are the floats of classify bit for bit."""
+    t1, t2, t12, t3, t4, t23 = twice
     J = (t1 / 2 + 0.5, t2 / 2 + 0.5, t3 / 2 + 0.5, t4 / 2 + 0.5,
          t12 / 2 + 0.5, t23 / 2 + 0.5)
-    return J, _classify(J)
+    det_g, *parts = _cofactor_cos_psi(*_gram_entries(*J))
+    return J, _region(J, det_g, _angles(*parts), _det_512(twice) > 0)
+
+
+def classify_labels(labels):
+    """(lengths, RegionClass) of the lattice point of checked labels
+    (core.require_valid); it builds no core.Bounds."""
+    return _lattice_point(_twice(labels))
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ computes the one half it reads: psi on an allowed or caustic point,
 psi_bar on a forbidden one.
 
 uniform_6j builds the core.Bounds of its up-down representative
-(_square) for the map; the lattice point it reads
-(tetra.classify_labels) is the lengths and the tetra.classify record.
+(_square) for the map; its lattice point (tetra.classify_labels) is
+never caustic: the solve's caustic pin serves continuous points only.
 
 The d-matrix phase comes from the parts of dasym's lune in both shapes.
 The grid runs the whole kernel, dasym._lune, through dasym.phase_grid.
@@ -702,7 +702,7 @@ def _uniform_at(labels, point=None):
                 f"nu_6j={nu6} nu_d={nud} do not cancel")
     vd = _vd(cones, beta)
     vol = region.vol_abs
-    near = region.is_caustic or vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
+    near = vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
     ratio = _near_caustic_ratio(labels, b, J) if near else vd / vol
     Jd = b.D / 2.0
     dval = _wigner_d(j.twice, m.twice, mp.twice, beta)

@@ -22,7 +22,7 @@ import oracles
 import sixj
 from sixj import HalfInt, SixJLabels, bounds, cli, sphere, tetra
 from sixj import figures, prasym, scans
-from sixj import OnCausticError, SolverError
+from sixj import SolverError
 from sixj import exact_sixj, validate
 from sixj.core import LABEL_NAMES
 
@@ -247,88 +247,6 @@ class TestExitCodes:
     def test_non_finite_csv_cell_is_empty(self):
         assert [cli._fmt(x) for x in (math.nan, math.inf, -math.inf)] \
             == ["", "", ""]
-
-
-class TestPRRefusal:
-    """The scans on a point where PR refuses (OnCausticError): no valid
-    symbol with every 2j <= 8 is a caustic point, so the PR body that
-    pr_value and the scans call, prasym._pr_value, is made to refuse."""
-
-    NOTE = "on a caustic"
-    ROW = [*SQUARE_FLAGS, "--j23", "17/2"]
-
-    @pytest.fixture
-    def refused(self, monkeypatch):
-        def pr_value(labels, J, region):
-            raise OnCausticError(self.NOTE)
-
-        monkeypatch.setattr(prasym, "_pr_value", pr_value)
-
-    def test_eval_record(self, capsys, refused):
-        argv = ["eval", *self.ROW, "--j12", "9/2"]
-        rc, out, _ = run(capsys, argv)
-        assert rc == 0
-        assert json.loads(out)["pr"] == {"value": None, "note": self.NOTE}
-        rc, out, _ = run(capsys, argv + ["--format", "csv"])
-        assert rc == 0
-        lines = out.splitlines()
-        assert f"pr.note,{self.NOTE}" in lines and "pr.value," in lines
-        assert not any(ln.startswith("pr.abs_err,") for ln in lines)
-
-    def test_sweep_rows(self, capsys, refused):
-        rc, out, _ = run(capsys, ["sweep", *self.ROW, "--format", "json"])
-        assert rc == 0
-        rows = json.loads(out)
-        assert rows and all(r["pr"] is None and r["abs_err_pr"] is None
-                            and r["exact"] is not None for r in rows)
-        rc, out, _ = run(capsys, ["sweep", *self.ROW])
-        assert rc == 0
-        header, *lines = out.splitlines()
-        cols = header.split(",")
-        assert len(lines) == len(rows)
-        for ln in lines:
-            cells = dict(zip(cols, ln.split(",")))
-            assert cells["pr"] == cells["abs_err_pr"] == ""
-            assert cells["exact"] != ""
-
-    def test_worstcase_worst_from_other_rows(self, monkeypatch):
-        pr_value = prasym._pr_value
-
-        def refuse_top(labels, J, region):
-            if labels.j1 == 10:
-                raise OnCausticError(self.NOTE)
-            return pr_value(labels, J, region)
-
-        monkeypatch.setattr(prasym, "_pr_value", refuse_top)
-        rep = scans.worstcase_report("equal-pairs", j_max=10)
-        top = [r for r in rep["rows"] if r["labels"]["j1"] == "10"]
-        rest = [r for r in rep["rows"] if r["labels"]["j1"] != "10"]
-        assert len(top) == 1 and top[0]["err_pr"] is None
-        assert top[0]["err_uniform"] is not None
-        worst = max(rest, key=lambda r: r["err_pr"])
-        assert rep["worst"]["err_pr"] == {"labels": worst["labels"],
-                                          "err": worst["err_pr"]}
-
-    def test_caustic_region_refused_by_pr_value(self, monkeypatch):
-        classify_labels = tetra.classify_labels
-
-        def on_caustic(labels):
-            J, region = classify_labels(labels)
-            return J, tetra.RegionClass(
-                kind=tetra.CAUSTIC, pattern_index=None, det_g=0.0,
-                angles=region.angles)
-
-        monkeypatch.setattr(tetra, "classify_labels", on_caustic)
-        labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
-        note = f"{labels} lies on a caustic; the PR amplitude diverges there"
-        with pytest.raises(OnCausticError) as e:
-            prasym.pr_value(labels)
-        assert str(e.value) == note
-        assert scans._pr_or_none(labels,
-                                 *tetra.classify_labels(labels)) is None
-        rec = scans.eval_record(labels, ("exact", "pr"))
-        assert rec["region"] == tetra.CAUSTIC
-        assert rec["pr"] == {"value": None, "note": note}
 
 
 class TestOneLatticePass:
@@ -925,46 +843,18 @@ class TestWorstcase:
                            "err_uniform"
         assert any(ln.startswith("worst_err_pr,") for ln in lines)
 
-    @staticmethod
-    def count_exact(monkeypatch):
+    def test_one_exact_sum_per_row(self, monkeypatch):
         calls = []
         exact = scans.exact_sixj
         monkeypatch.setattr(scans, "exact_sixj",
                             lambda labels: calls.append(labels)
                             or exact(labels))
-        return calls
-
-    def test_one_exact_sum_per_row(self, monkeypatch):
-        calls = self.count_exact(monkeypatch)
         rep = scans.worstcase_report("random", 20)
         assert [scans._label_strs(labels) for labels in calls] \
             == [r["labels"] for r in rep["rows"]]
         forbidden = [r for r in rep["rows"] if r["region"] in "ABCD"]
         assert forbidden and all(r["reference"] == abs(r["exact"])
                                  for r in forbidden)
-
-    def test_caustic_reference_without_an_allowed_neighbor(self,
-                                                          monkeypatch):
-        # no small lattice point lies on the caustic: the point is made
-        # one, and no neighbor toward the center of the j12 range is
-        # allowed, so the reference is |exact|
-        labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "13/2")
-        J, region = tetra.classify_labels(labels)
-        b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
-        caustic = region._replace(kind=tetra.CAUSTIC)
-        want = abs(float(exact_sixj(labels)))
-        assert scans.amplitude_reference(labels, b, caustic) != want
-        classify, classify_labels = tetra.classify, tetra.classify_labels
-        monkeypatch.setattr(tetra, "classify", lambda J_n, bnds=None: (
-            caustic if J_n[4] != J[4] else classify(J_n, bnds)))
-        monkeypatch.setattr(tetra, "classify_labels", lambda L: (
-            (J, caustic) if L == labels else classify_labels(L)))
-        assert scans.amplitude_reference(labels, b, caustic) == want
-        calls = self.count_exact(monkeypatch)
-        row = scans.worstcase_row(labels)
-        assert row["region"] == tetra.CAUSTIC and row["reference"] == want
-        assert calls == [labels]
-
 
     @pytest.mark.parametrize("family,j_max", [("random", "0"),
                                               ("equal-pairs", "-3")])

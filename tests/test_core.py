@@ -586,9 +586,8 @@ class TestSixJSymmetries:
     def test_exact_value_invariant_under_144_symmetries(self):
         group = _symmetry_group()
         assert len(group) == 144
-        # Lattice points rarely classify as caustic (a full scan of
-        # j1..j4 <= 5 finds none), so the regions required are allowed
-        # and A-D; a caustic point drawn would be checked as well.
+        # No lattice point is caustic (512 det G is a nonzero int), so
+        # the regions required are allowed and A-D.
         rng = random.Random(47)
         picked = {}
         for _ in range(20000):

@@ -6,6 +6,7 @@ import collections
 import contextlib
 import io
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import oracles
 from sixj import (HalfInt, SixJLabels, ValidationError, bounds, cli, core,
-                  dasym, lengths, prasym, require_valid, scans, sphere,
-                  tetra, uniform, validate)
+                  dasym, figures, lengths, prasym, require_valid, scans,
+                  sphere, tetra, uniform, validate)
 from sixj.scans import _random_labels
 
 
@@ -134,6 +135,7 @@ class TestLatticeDetG:
             det = oracles.gram_det_512(twice)
             half = sum(t % 2 for t in twice)
             assert det != 0, labels
+            assert tetra._det_512(twice) == det, labels
             assert (det & -det).bit_length() - 1 == (1 if half == 3 else 2)
             J, region = tetra.classify_labels(labels)
             assert region.kind != tetra.CAUSTIC
@@ -186,6 +188,80 @@ def _eval_symbols():
              ).read_text().splitlines()
     return [pytest.param(name, SixJLabels.of(*labels), id=name)
             for name, *labels in map(str.split, lines)]
+
+
+# symbols at the edges of the label range: D = 1 (with a zero label)
+# and D = 2, j1 = 1000 with j2 = 1/2, labels of 999/2, all labels 1000
+EDGE_SYMBOLS = [
+    ("1000", 0, "1000", "1000", "1000", "1000"),
+    (0, "1000", "1000", "1000", "1000", "1000"),
+    (0, 0, 0, 0, 0, 0),
+    (1, 0, 1, 1, 1, 1),
+    ("1/2", "1/2", 1, "1/2", "1/2", 1),
+    ("1/2", "1/2", 0, "1/2", "1/2", 1),
+    ("1000", "1/2", "1999/2", "1000", "1/2", "1999/2"),
+    ("999/2", "999/2", 999, "999/2", "999/2", 999),
+    ("999/2", "999/2", 1, "999/2", "999/2", 1),
+    ("999/2", "999/2", 0, "999/2", "999/2", 0),
+    ("1000", "1000", "1000", "1000", "1000", "1000"),
+]
+
+
+class TestExactRegionRule:
+    """A symbol's region is allowed where the exact int 512 det G is
+    positive and forbidden A-D where it is negative; no symbol is
+    caustic, so pr_value returns on every one, and the symbol path never
+    reads the float threshold tetra.EPS_CAUSTIC of continuous points."""
+
+    @staticmethod
+    def check(labels):
+        require_valid(labels)
+        det = tetra._det_512(core._twice(labels))
+        J, region = tetra.classify_labels(labels)
+        assert region.kind != tetra.CAUSTIC, labels
+        assert region.is_allowed == (det > 0), labels
+        assert region.is_forbidden == (det < 0), labels
+        assert prasym.pr_value(labels).region == region
+        return region.kind
+
+    @pytest.mark.parametrize("js", EDGE_SYMBOLS, ids=str)
+    def test_edges(self, js):
+        self.check(SixJLabels.of(*js))
+
+    def test_edges_reach_both_sides_and_small_squares(self):
+        symbols = [SixJLabels.of(*js) for js in EDGE_SYMBOLS]
+        assert {self.check(labels) for labels in symbols} \
+            == {tetra.ALLOWED, tetra.REGION_B, tetra.REGION_C}
+        assert {bounds(s.j1, s.j2, s.j3, s.j4).D for s in symbols} \
+            >= {1, 2, 1000, 2001}
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 6, 1000]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_symbols(self, seed, j_max):
+        self.check(_random_labels(random.Random(seed), j_max))
+
+    @pytest.mark.parametrize("name,labels", _eval_symbols())
+    def test_symbol_path_never_reads_the_float_threshold(
+            self, monkeypatch, name, labels):
+        def records():
+            return repr((tetra.classify_labels(labels),
+                         prasym.pr_value(labels), uniform.uniform_6j(labels)))
+
+        want = records()
+        J = tetra.classify_labels(labels)[0]
+        monkeypatch.setattr(tetra, "EPS_CAUSTIC", math.inf)
+        assert tetra.classify(J).is_caustic
+        assert records() == want
+
+    @pytest.mark.parametrize("js", [("9/2", 3, "11/2", 6),
+                                    ("39/2", 23, "17/2", 20),
+                                    (40, 40, 40, 40)], ids=str)
+    def test_spots_regions_equal_the_exact_rule(self, js):
+        # the spots column stays on the float rule of classify_grid
+        for p in figures.figure_spots(js, 8)["points"]:
+            labels = SixJLabels.of(js[0], js[1], p["j12"], js[2], js[3],
+                                   p["j23"])
+            assert p["region"] == tetra.classify_labels(labels)[1].kind
 
 
 class TestLatticePointReads:

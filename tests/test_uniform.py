@@ -64,8 +64,6 @@ class TestSolveBeta:
             labels = _random_labels(rng, 25)
             J = lengths(labels)
             region = tetra.classify(J)
-            if region.is_caustic:
-                continue
             checked += 1
             um = uniform.map_quantum(labels)
             beta, rep = uniform.solve_beta(labels, umap=um)
@@ -118,8 +116,6 @@ class TestUniformValue:
         seen = set()
         for labels in FAMILY:
             reg = tetra.classify(lengths(labels))
-            if reg.is_caustic:
-                continue
             seen.add(reg.kind)
             e = float(exact_sixj(labels))
             r = uniform.uniform_6j(labels)
@@ -270,15 +266,15 @@ class TestNearCausticBranch:
 
 class TestGeometryRecord:
     def test_one_geometry_build_per_call(self, monkeypatch):
-        # off the near-caustic branch each method classifies its point
-        # once and reads angles and |V| from that record
+        # off the near-caustic branch each method builds its lattice
+        # point once and reads angles and |V| from that record
         labels = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "13/2")
         calls = []
-        classify = tetra._classify
+        lattice_point = tetra._lattice_point
 
         def counted(*args, **kwargs):
             calls.append(args[0])
-            return classify(*args, **kwargs)
+            return lattice_point(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the vector picture is off the hot path")
@@ -286,7 +282,7 @@ class TestGeometryRecord:
         def no_record(*args, **kwargs):
             raise AssertionError("the beta solve builds no d-geometry")
 
-        monkeypatch.setattr(tetra, "_classify", counted)
+        monkeypatch.setattr(tetra, "_lattice_point", counted)
         monkeypatch.setattr(tetra, "construct", forbidden)
         monkeypatch.setattr(tetra, "dihedrals", forbidden)
         monkeypatch.setattr(dasym, "DGeometry", no_record)
@@ -559,7 +555,8 @@ class TestGridSolve:
 
     @staticmethod
     def scalar_acceptance(js, J12, J23, beta):
-        """The residual test of the scalar Newton solve, or the turning
+        """The residual test of the scalar Newton solve, on the continued
+        phase at a forbidden point as that solve reads it, or the turning
         point that the scalar pin rule picks for the point."""
         b = bounds(*js)
         J = _four(js) + (J12, J23)
@@ -573,8 +570,8 @@ class TestGridSolve:
         target = (prasym.phi_pr_bar(J, region.angles) if region.is_forbidden
                   else prasym.phi_pr(J, region.angles) - umap.Phi0)
         scale = max(1.0, abs(target))
-        if abs(uniform._residual(umap, beta, target)[0]) \
-                <= uniform._SOLVE_TOL * scale:
+        residual = uniform._residual(umap, beta, target, region.is_forbidden)
+        if abs(residual[0]) <= uniform._SOLVE_TOL * scale:
             return True
         beta1, beta2 = dasym.turning_points(umap.j, m, mp)
         if region.segment is not None:
@@ -686,8 +683,17 @@ class TestGridSolve:
         # principal one (2.6 away).  The target sits at the roundoff
         # floor of the phase, so which steps land in the band depends on
         # the last bits of the angles (math's, tetra.classify)
-        J12, J23 = 2.2, 3.3336045598228052
-        want = 1.793424475547283
+        self.next_to_the_d_caustic(monkeypatch, 2.2, 3.3336045598228052,
+                                   1.793424475547283)
+
+    def test_forbidden_solve_stops_in_the_d_caustic_band(self, monkeypatch):
+        # the same at a target of 4.3e-13, where the solve stops in the
+        # band, 6.6e-12 below beta1, and the principal phase is 3.5 away:
+        # the scalar acceptance passes it on the continued phase
+        self.next_to_the_d_caustic(monkeypatch, 2.0, 3.6259096866601497,
+                                   1.7751590313740346)
+
+    def next_to_the_d_caustic(self, monkeypatch, J12, J23, want):
         lune_residual, sides = uniform._lune_residual, []
 
         def spy(cones, beta, target, continued=False):
