@@ -3,9 +3,9 @@
 The front end parses the arguments, checks every input that sets the
 runtime and writes the result; the results come from figures and
 scans.  Every label flag is read by one reader (_read_labels):
-required, and at most J_MAX_MAX.  The top of a sweep, --grid, the
-lattice size D of a figure, --digits and --j-max are checked here too,
-each before any symbol is evaluated or figure built.
+required, not negative, and at most J_MAX_MAX.  The top of a sweep,
+--grid, the lattice size D of a figure, --digits and --j-max are
+checked here too, each before any symbol is evaluated or figure built.
 
 Emits JSON or CSV only (no plotting).  All output is deterministic:
 fixed grid orders, fixed float formatting, LF line endings, sorted JSON
@@ -47,7 +47,6 @@ from .core import (LABEL_NAMES, HalfInt, SixJError, SixJLabels,
 from .scans import (amplitude_reference, eval_record, sweep_range,
                     sweep_rows, worstcase_report)
 
-LABEL_FLAGS = LABEL_NAMES
 _FIGURE_FLAGS = ("j1", "j2", "j3", "j4")
 METHODS = ("exact", "pr", "uniform")
 FIGURE_KINDS = ("spots", "beta-contours", "j23-orbits", "caustic-diagrams")
@@ -239,14 +238,16 @@ def _parse_methods(arg):
 
 
 def _read_labels(args, names):
-    """{name: HalfInt} of the label flags names, each one required and
-    at most J_MAX_MAX."""
+    """{name: HalfInt} of the label flags names, each one required, not
+    negative (in core.validate's words) and at most J_MAX_MAX."""
     labels = {}
     for name in names:
         v = getattr(args, name)
         if v is None:
             raise ValidationError(f"--{name} is required")
         j = labels[name] = HalfInt.of(v)
+        if j.twice < 0:
+            raise ValidationError(f"{name} = {j} is negative")
         if j > J_MAX_MAX:
             raise ValidationError(
                 f"--{name} = {j} is above the limit {J_MAX_MAX}")
@@ -271,7 +272,7 @@ def _flatten(prefix, obj):
 
 
 def cmd_eval(args):
-    labels = SixJLabels(**_read_labels(args, LABEL_FLAGS))
+    labels = SixJLabels(**_read_labels(args, LABEL_NAMES))
     methods = _parse_methods(args.methods)
     if not 1 <= args.digits <= DIGITS_MAX:
         raise ValidationError(f"--digits must be between 1 and {DIGITS_MAX}, "
@@ -295,11 +296,11 @@ _SWEEP_COLUMNS = ("exact", "pr", "uniform", "abs_err_pr",
 
 def cmd_sweep(args):
     swept = args.sweep
-    if swept not in LABEL_FLAGS:
-        raise ValidationError(f"--sweep must be one of {LABEL_FLAGS}")
+    if swept not in LABEL_NAMES:
+        raise ValidationError(f"--sweep must be one of {LABEL_NAMES}")
     if getattr(args, swept) is not None:
         raise ValidationError(f"--{swept} conflicts with --sweep {swept}")
-    fixed = _read_labels(args, [n for n in LABEL_FLAGS if n != swept])
+    fixed = _read_labels(args, [n for n in LABEL_NAMES if n != swept])
     top = HalfInt(sweep_range(fixed, swept)[-1])
     if top > J_MAX_MAX:
         raise ValidationError(f"--sweep {swept} reaches {top}, above the "
@@ -384,17 +385,17 @@ def cmd_worstcase(args):
         if args.format == "json":
             _emit(report, "\n", write)
             return 0
-        write("block," + ",".join(LABEL_FLAGS)
+        write("block," + ",".join(LABEL_NAMES)
               + ",region,err_pr,err_uniform")
         for r in report["rows"]:
-            cells = [r["labels"][n] for n in LABEL_FLAGS]
+            cells = [r["labels"][n] for n in LABEL_NAMES]
             write("\nrow," + ",".join(cells)
                   + f",{r['region']},{_fmt(r['err_pr'])},"
                   f"{_fmt(r['err_uniform'])}")
         for key in ("err_pr", "err_uniform"):
             if key in report["worst"]:
                 w = report["worst"][key]
-                cells = [w["labels"][n] for n in LABEL_FLAGS]
+                cells = [w["labels"][n] for n in LABEL_NAMES]
                 write(f"\nworst_{key}," + ",".join(cells)
                       + f",,{_fmt(w['err'])},")
     return 0
@@ -402,7 +403,7 @@ def cmd_worstcase(args):
 
 # ---------------------------------------------------------------- main
 
-def _add_label_flags(p, names=LABEL_FLAGS):
+def _add_label_flags(p, names=LABEL_NAMES):
     for name in names:
         p.add_argument(f"--{name}", help=f"quantum number {name}, "
                        "like 4, 39/2, or 3.5")

@@ -252,11 +252,6 @@ class SixJLabels:
         (a, d), (b, e), (c, f) = cols
         return SixJLabels(a, b, c, d, e, f)
 
-    def permuted(self, perm):
-        """Reorder columns by perm, a permutation of (0, 1, 2)."""
-        cols = self.columns()
-        return self.with_columns(tuple(cols[p] for p in perm))
-
     def swapped_updown(self, i, k):
         """Swap upper and lower entries in columns i and k (a 6j symmetry)."""
         cols = [list(c) for c in self.columns()]

@@ -7,8 +7,9 @@ Phi_d is a spherical lune area.  Beyond the turning points the cosines
 of the lune angles leave [-1, 1] and the phase continues via arccosh.
 A lattice (j, m, m') goes through core's d-matrix index check, so a bad
 triple raises the same error here as in wigner_d; the bodies _cones_of
-and _nu_d skip it for a triple that uniform_6j's map puts on the
-lattice.
+and _nu_d (the parity of the forbidden-region sign) skip it for a
+triple that uniform_6j's map puts on the lattice, and d_asym calls
+_nu_d after its own check.
 
 The lune is written once, in parts over an array namespace: the cone
 cosines (_cone_cosines), the region rule (_lune_region), the principal
@@ -173,7 +174,8 @@ def _phase(J, m, mp, kappa, phi, eta):
 
 
 def _slope(xp, J, vd_sq, sb):
-    """d(Phi_d)/d(beta) = -J |V_d| / sin(beta), sb = sin(beta)."""
+    """d(Phi_d)/d(beta) = -J |V_d| / sin(beta), sb = sin(beta); the same
+    formula differentiates Phi_bar_d in the forbidden regions."""
     return -J * xp.sqrt(xp.abs(vd_sq)) / sb
 
 
@@ -282,22 +284,11 @@ def phi_d_bar(g):
                   a.eta_bar)
 
 
-def dphi_d_dbeta(g):
-    """d(Phi_d)/d(beta) = -J |V_d| / sin(beta); the same formula
-    differentiates phi_d_bar in the forbidden regions."""
-    return _slope(_FLOATS, g.J, g.Vd_sq, math.sin(g.beta))
-
-
-def nu_d(kind, j, m, mp):
-    """Integer parity for the forbidden-region sign of d_asym."""
-    j, m, mp = _d_indices(j, m, mp)
-    return _nu_d(kind, j.twice, m.twice, mp.twice)
-
-
 def _nu_d(kind, tj, tm, tmp):
-    """nu_d of the twice-values of a checked (j, m, m'), with no index
-    check: d_asym calls it after its check, and uniform_6j on the
-    lattice map of _map."""
+    """The integer parity nu_d of the forbidden-region sign of d_asym,
+    from the twice-values of a checked (j, m, m'), with no index check:
+    d_asym calls it after its check, and uniform_6j on the lattice map
+    of _map."""
     twice = {
         tetra.REGION_A: 0,
         tetra.REGION_B: tj - tmp,

@@ -165,7 +165,7 @@ def figure_beta_contours(js, grid):
 
 
 def figure_j23_orbits(js, grid):
-    x, y, Z, contours = sphere.j23_contour_grid(*js, n_J12=grid, n_phi=grid)
+    x, y, Z, contours = sphere.j23_contour_grid(*js, grid)
     levels = [{"level": lev, "polylines": contours[lev]}
               for lev in sorted(contours)]
     return {"J12_range": [float(x[0]), float(x[-1])],
@@ -177,5 +177,5 @@ def figure_caustic_diagram(js, grid):
     x = np.linspace(b.J12_min, b.J12_max, grid)
     y = np.linspace(b.J23_min, b.J23_max, grid)
     Z = tetra._det_g(*b.four, x[:, None], y[None, :])
-    polys = sphere.contour_polylines(x, y, Z, 0.0, wrap_y=False)
+    polys = sphere.contour_polylines(x, y, Z, 0.0)
     return {"square": _square(b), "polylines": polys}

@@ -8,7 +8,8 @@ the caustic table column for the region.
 
 The phases run on Python floats: each is the left-to-right sum of
 J_i times the angles of tetra.classify (_phase_sum), the sum that
-uniform.beta_grid takes over the angle arrays of tetra.classify_grid.
+uniform.beta_grid takes over the angles of the cos psi of
+tetra.classify_grid.
 The record of tetra.classify holds cos psi; each phase computes the
 one half of the angles it reads, psi (phi_pr) or psi_bar (phi_pr_bar),
 so a value reads one.  pr_value builds no core.Bounds: the lattice

@@ -20,6 +20,9 @@ from .core import (LABEL_NAMES, MP_DPS, HalfInt, SixJLabels, TRIANGLES,
                    ValidationError, _root_form, _twice, bounds, exact_sixj,
                    require_valid)
 
+# symbols of the random worstcase family, drawn from the seed
+RANDOM_ROWS = 200
+
 
 def _fraction_str(q):
     """str(q) of a Fraction, its numerator and denominator written by
@@ -40,7 +43,7 @@ def _label_strs(labels):
 
 # ---------------------------------------------------------------- eval
 
-def eval_record(labels, methods, digits=17):
+def eval_record(labels, methods, digits):
     require_valid(labels)
     point = tetra.classify_labels(labels)
     J, region = point
@@ -220,7 +223,7 @@ def _random_labels(rng, j_max):
                           HalfInt(t3), HalfInt(t4), HalfInt(t23))
 
 
-def worstcase_report(family, j_max=20, seed=0, count=200):
+def worstcase_report(family, j_max, seed):
     rows = []
     if family in ("equal-pairs", "three-zeros"):
         z = HalfInt(0)
@@ -231,7 +234,7 @@ def worstcase_report(family, j_max=20, seed=0, count=200):
                 else SixJLabels(z, z, z, j, j, j)))
     elif family == "random":
         rng = random.Random(seed)
-        for _ in range(count):
+        for _ in range(RANDOM_ROWS):
             rows.append(worstcase_row(_random_labels(rng, j_max)))
     else:
         raise ValidationError(f"unknown family {family!r}")

@@ -22,11 +22,19 @@ corners.  Every crossing is a node with an integer id built from the
 level, the edge kind and the sample, and all crossings are interpolated
 at once.  Python then only walks the integer neighbour lists of the
 nodes, one step per node, to chain them into polylines, and phi is
-unwrapped along them on arrays (_unwrap).
+unwrapped along them on arrays (_unwrap).  j23_contour_grid samples the
+chart on one grid size for both axes and traces with a periodic phi
+(_contour_levels); contour_polylines traces one level with neither axis
+periodic.
+
+orbit_area and lune_area_6j integrate by Simpson's rule on
+_SIMPSON_POINTS samples.  butterfly, with tetra.from_vectors, is the
+explicit tetrahedron that butterfly_j23 reproduces in closed form, and
+lune_area_6j is the lune-area rule of the paper: both are kept as named
+references.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,30 +43,8 @@ from .core import ValidationError, WrongRegionError, bounds, require_valid
 
 _EDGE_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of the 6j sphere: the vector K and its chart coordinates."""
-
-    K: np.ndarray
-    J12: float
-    phi12: float
-
-
-def sphere_point(bnds, J12, phi12):
-    """Chart coordinates -> the vector K with |K| = D/2."""
-    R = bnds.D / 2.0
-    Kz = float(J12) - bnds.J12_avg
-    if abs(Kz) > R + _EDGE_TOL:
-        raise ValidationError(
-            f"J12 = {J12} is outside the sphere [{bnds.J12_avg - R}, "
-            f"{bnds.J12_avg + R}]")
-    Kperp = math.sqrt(max(R * R - Kz * Kz, 0.0))
-    phi12 = float(phi12)
-    return SpherePoint(K=np.array([Kperp * math.cos(phi12),
-                                   Kperp * math.sin(phi12), Kz]),
-                       J12=float(J12), phi12=phi12)
+# samples of the Simpson rule of orbit_area and lune_area_6j (odd)
+_SIMPSON_POINTS = 10001
 
 
 def _j12_window(four):
@@ -245,10 +231,9 @@ def _crossings(x, y, Z, lev, keys):
     kind = keys // (ny * nx) % 2
     lnode = keys // (2 * ny * nx)
     za = Z[i, k]
-    zb = Z[i + 1 - kind, (k + kind) % ny]
-    flat = zb == za
-    t = (lev[lnode] - za) / np.where(flat, 1.0, zb - za)
-    t[flat] = 0.5
+    # a crossed edge has one corner above its level and one not, so
+    # zb - za is never zero
+    t = (lev[lnode] - za) / (Z[i + 1 - kind, (k + kind) % ny] - za)
     return np.column_stack([
         np.where(kind == 0, x[i] + t * (x[1] - x[0]), x[i]),
         np.where(kind == 0, y[k], y[k] + t * (y[1] - y[0]))]), lnode
@@ -372,19 +357,19 @@ def _rule(raw, prev):
     return out, steps
 
 
-def contour_polylines(x, y, Z, level, wrap_y=False):
-    """Marching-squares contours of a sampled function of two variables;
-    see _contour_levels."""
+def contour_polylines(x, y, Z, level):
+    """Marching-squares contours of a sampled function of two variables,
+    neither axis periodic; see _contour_levels."""
     return _contour_levels(np.asarray(x, float), np.asarray(y, float),
-                           np.asarray(Z, float), [float(level)], wrap_y)[0]
+                           np.asarray(Z, float), [float(level)], False)[0]
 
 
-def j23_contour_grid(j1, j2, j3, j4, n_J12=201, n_phi=256):
-    """J23 sampled on the chart, with contour polylines at the quantized
-    levels J23 = j23 + 1/2."""
+def j23_contour_grid(j1, j2, j3, j4, grid):
+    """J23 sampled on the chart, grid values of J12 by grid of phi12,
+    with contour polylines at the quantized levels J23 = j23 + 1/2."""
     b = bounds(j1, j2, j3, j4)
-    x = np.linspace(b.J12_min, b.J12_max, n_J12)
-    y = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
+    x = np.linspace(b.J12_min, b.J12_max, grid)
+    y = -math.pi + 2.0 * math.pi * np.arange(grid) / grid
     Z = butterfly_j23(b.four, x[:, None], y[None, :])
     levels = [t / 2.0 + 0.5 for t in
               range(b.j23_min.twice, b.j23_max.twice + 1, 2)]
@@ -402,9 +387,9 @@ def _phi_star(four, J, level):
     return np.arccos(np.clip(c, -1.0, 1.0))
 
 
-def _simpson(f, lo, hi, n):
-    if n % 2 == 0:
-        n += 1
+def _simpson(f, lo, hi):
+    """Simpson's rule for f on [lo, hi] with _SIMPSON_POINTS samples."""
+    n = _SIMPSON_POINTS
     x = np.linspace(lo, hi, n)
     w = np.ones(n)
     w[1:-1:2] = 4.0
@@ -412,15 +397,15 @@ def _simpson(f, lo, hi, n):
     return float((f(x) * w).sum() * (hi - lo) / (n - 1) / 3.0)
 
 
-def orbit_area(four, level, n=10001):
+def orbit_area(four, level):
     """Area of {J23 <= level} on the 6j sphere, in the dJ12 ^ dphi12
     chart.  Quantized levels j23 + 1/2 enclose (n + 1/2) * 2 pi."""
     four = tuple(float(x) for x in four)
     return _simpson(lambda J: 2.0 * _phi_star(four, J, float(level)),
-                    *_j12_window(four), n)
+                    *_j12_window(four))
 
 
-def lune_area_6j(labels, n=10001):
+def lune_area_6j(labels):
     """Area of the lune {J12 >= j12 + 1/2} and {J23 <= j23 + 1/2}; equals
     twice the matched Ponzano-Regge phase Phi_PR - Phi0 in the allowed
     region."""
@@ -431,4 +416,4 @@ def lune_area_6j(labels, n=10001):
             f"lune area needs an allowed point, got {region.kind}")
     four = J[:4]
     return _simpson(lambda x: 2.0 * _phi_star(four, x, J[5]),
-                    J[4], _j12_window(four)[1], n)
+                    J[4], _j12_window(four)[1])

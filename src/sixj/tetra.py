@@ -16,21 +16,23 @@ classify() runs on Python floats and math.  Its DihedralAngles holds
 the six cos psi only: each reader computes the one half it reads, psi
 on an allowed point and psi_bar on a forbidden one, as properties that
 apply the rules _psi and _psi_bar in the float namespace _FLOATS.
-classify_grid() runs the same formulas on numpy arrays.  cos psi and
-det G are the same floats bit for bit in both shapes, being sums,
-products, quotients and square roots, which IEEE arithmetic rounds
-correctly; the angles are each shape's own: math.acos and math.acosh
-(the platform libm) on one point, numpy's arccos and arccosh (its
-CPU-dispatched loops) on the grid, which differ from them by up to
-1 ulp in psi and 2 ulp in psi_bar.
+classify_grid() runs the same formulas on numpy arrays, and its
+GridClass holds cos psi only too: uniform.beta_grid applies _psi_pair
+to it where it forms its targets.  cos psi and det G are the same
+floats bit for bit in both shapes, being sums, products, quotients and
+square roots, which IEEE arithmetic rounds correctly; the angles are
+each shape's own: math.acos and math.acosh (the platform libm) on one
+point, numpy's arccos and arccosh (its CPU-dispatched loops) on the
+grid, which differ from them by up to 1 ulp in psi and 2 ulp in
+psi_bar.
 
 Only the array code uses numpy, and it imports numpy when called:
-classify_grid(), gram(), construct(), from_vectors() and
-poisson_bracket_check().  construct() diagonalizes G with numpy's
-symmetric eigensolver to realize the edge vectors (with pure imaginary
-z components, stored as real coefficients with a flag, when
-det G < 0); it serves only the vector picture: the phase-space sphere
-and the Poisson bracket.
+classify_grid(), gram(), construct() and from_vectors().  construct()
+diagonalizes G with numpy's symmetric eigensolver to realize the edge
+vectors (with pure imaginary z components, stored as real coefficients
+with a flag, when det G < 0); it serves only the vector picture, and
+from_vectors() builds the butterfly tetrahedra of the phase-space
+sphere.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .core import InvariantError, ValidationError, WrongRegionError, _twice
+from .core import InvariantError, ValidationError, _twice
 
 EDGE_ORDER = ("J1", "J2", "J3", "J4", "J12", "J23")
 
@@ -174,14 +176,6 @@ class Tetrahedron:
     def vol_abs(self):
         """|V|, the magnitude used in semiclassical amplitudes."""
         return math.sqrt(abs(self.volume_sq))
-
-    def edge_vectors(self):
-        """The six J vectors; z components imaginary when imag_z."""
-        a1, a2, a3 = self.A[:, 0], self.A[:, 1], self.A[:, 2]
-        return {
-            "J1": a1, "J2": a2 - a1, "J3": a3 - a2, "J4": -a3,
-            "J12": a2, "J23": a3 - a1,
-        }
 
 
 def _gram_entries(J1, J2, J3, J4, J12, J23):
@@ -356,7 +350,8 @@ def _psi_bar(xp, cos_psi):
 
 def _psi_pair(xp, cos_psi):
     """(psi, psi_bar): both halves.  The lune of dasym takes its angles
-    from the same halves, on numpy or on _FLOATS; the scalar beta solve
+    from the same halves, on numpy or on _FLOATS, and uniform.beta_grid
+    its targets from the cos psi of a GridClass; the scalar beta solve
     (uniform) calls only the half whose phase it reads."""
     return _psi(xp, cos_psi), _psi_bar(xp, cos_psi)
 
@@ -466,16 +461,15 @@ class GridClass:
     """classify() on every point of a grid, as arrays over the N points
     in row order (J12 outer, J23 inner).
 
-    pattern_index is -1 where classify gives None; cos_psi, psi and
-    psi_bar have shape (6, N) and are NaN where a face is flat.
+    pattern_index is -1 where classify gives None; cos_psi has shape
+    (6, N) and is NaN where a face is flat.  The angles are not held: a
+    reader applies _psi, _psi_bar or _psi_pair to cos_psi.
     """
 
     kind: np.ndarray           # strings, as RegionClass.kind
     pattern_index: np.ndarray
     det_g: np.ndarray
     cos_psi: np.ndarray
-    psi: np.ndarray
-    psi_bar: np.ndarray
 
 
 # The kind of each Table-1 column, then ALLOWED, CAUSTIC and None, the
@@ -502,7 +496,7 @@ def classify_grid(J12, J23, bnds):
     axes.
 
     Every decision is the one classify makes at the point, and det G,
-    the Table-1 column and the angles are its values bit for bit.  A
+    the Table-1 column and cos psi are its values bit for bit.  A
     tangency point is CAUSTIC with no angles.  A point outside the
     square of bnds (core.Bounds) raises ValidationError; otherwise the
     first point in row order where classify raises (a degenerate face
@@ -543,7 +537,6 @@ def _classify_grid(J12, J23, bnds):
     flat = np.logical_or.reduce([nn <= 0.0 for nn in faces])
     cos_psi = num / np.sqrt(np.where(flat, 1.0, den))
     cos_psi[:, flat] = np.nan
-    psi, psi_bar = _psi_pair(np, cos_psi)
     # NaN reads as all ones, a pattern of no column: off the caustic a
     # flat face, like a forbidden pattern of no column, takes kind None
     col = np.array(_COLUMN_OF_BITS)[np.array(_PATTERN_BITS)
@@ -553,7 +546,7 @@ def _classify_grid(J12, J23, bnds):
     kind = np.array(_KINDS, dtype=object)[
         np.where(caustic, -2, np.where(allowed, -3, col))]
     return GridClass(kind=kind, pattern_index=col, det_g=det_g,
-                     cos_psi=cos_psi, psi=psi, psi_bar=psi_bar)
+                     cos_psi=cos_psi)
 
 
 def _phibar_sign_ok(kind, ph, scale):
@@ -562,13 +555,3 @@ def _phibar_sign_ok(kind, ph, scale):
     if kind in (REGION_A, REGION_D):
         return ph <= tol
     return ph >= -tol
-
-
-def poisson_bracket_check(t):
-    """J1 . (J2 x J3) / (J12 * J23); equals 6V/(J12*J23) when allowed."""
-    if t.imag_z:
-        raise WrongRegionError("poisson_bracket_check needs a real tetrahedron")
-    import numpy as np
-    v = t.edge_vectors()
-    J12, J23 = t.lengths[4], t.lengths[5]
-    return float(v["J1"] @ np.cross(v["J2"], v["J3"])) / (J12 * J23)

@@ -43,9 +43,10 @@ targets are the same left-to-right sums (prasym._phase_sum) of the
 angles of tetra.classify (math) and of tetra.classify_grid (numpy),
 which differ by up to 1 ulp in psi and 2 ulp in psi_bar, so a grid point
 and beta_field at it can differ in the last bits of the target and beta.
-The record of tetra.classify holds cos psi, and the scalar target
-computes the one half it reads: psi on an allowed or caustic point,
-psi_bar on a forbidden one.
+Both records hold cos psi only: the scalar target computes the one half
+it reads, psi on an allowed or caustic point and psi_bar on a forbidden
+one, and beta_grid applies tetra._psi_pair to the grid's cos psi where
+it forms its targets.
 
 uniform_6j builds the core.Bounds of its up-down representative
 (_square) for the map; its lattice point (tetra.classify_labels) is
@@ -370,11 +371,6 @@ def _lune_residual(cones, beta, target, continued=False):
     return ph - target, slope, curvature
 
 
-def _residual(umap, beta, target, continued=False):
-    """_lune_residual of the (j, m, m') of umap at one beta."""
-    return _lune_residual(_cones(umap), beta, target, continued)
-
-
 def _newton(residual, lo, hi, seed, scale, offset, far=math.nan):
     """Find beta in [lo, hi] where residual(beta) = (phase - target,
     slope, curvature) vanishes, the phase monotone decreasing (see
@@ -548,8 +544,9 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
     caustic = g.kind == tetra.CAUSTIC
     forbidden = (g.pattern_index >= 0) & ~caustic
     lengths6 = b.four + (L12, L23)
-    target = np.where(forbidden, prasym._phase_sum(lengths6, g.psi_bar),
-                      prasym._phase_sum(lengths6, g.psi) - Phi0)
+    psi, psi_bar = tetra._psi_pair(np, g.cos_psi)
+    target = np.where(forbidden, prasym._phase_sum(lengths6, psi_bar),
+                      prasym._phase_sum(lengths6, psi) - Phi0)
     scale = _scale(np, target)
 
     # allowed points and caustic points off the segments, with phi_pr
@@ -592,7 +589,7 @@ def beta_grid(j1, j2, j3, j4, J12, J23):
 def _newton_grid(phases, pts, target, lo, hi, seed, scale, continued,
                  offset, far):
     """_newton on the points pts in lockstep, with the phase of
-    _residual; phases(pts, beta) gives the d-matrix phases there
+    _lune_residual; phases(pts, beta) gives the d-matrix phases there
     (dasym.phase_grid), the mask continued marks the forbidden solves,
     and offset and far are _newton's per point, far NaN on an allowed
     solve.  A point whose far end does not bracket its target is NaN in
@@ -714,14 +711,3 @@ def _uniform_at(labels, point=None):
                          map=umap._replace(beta=beta, solver=rep),
                          pr_amp=region.pr_amp, d_amp=d_amp,
                          near_caustic=near)
-
-
-def permute_columns_for_accuracy(labels):
-    """Move the column with the largest smaller entry into the (j12, j23)
-    slot, where the uniform approximation is most accurate.  Returns the
-    permuted labels and the column permutation applied."""
-    cols = labels.columns()
-    mins = [min(a.twice, c.twice) for a, c in cols]
-    k = max(range(3), key=lambda i: (mins[i], i))
-    perm = tuple(i for i in range(3) if i != k) + (k,)
-    return labels.permuted(perm), perm

@@ -212,6 +212,22 @@ class TestExitCodes:
         assert rc == 2 and out == ""
         assert err == f"sixj: error: no valid j12: {why}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--j1", "-1", "--j2", "3", "--j12", "5", "--j3", "5",
+         "--j4", "6", "--j23", "5"],
+        ["sweep", "--j1", "-1", "--j2", "3", "--j3", "5", "--j4", "6",
+         "--j23", "5"],
+        ["figure", "--kind", "spots", "--j1", "-1", "--j2", "3", "--j3",
+         "5", "--j4", "6"]], ids=["eval", "sweep", "figure"])
+    def test_negative_label_in_validate_words(self, capsys, argv):
+        # the one label reader rejects a negative label as core.validate
+        # words it, before a sweep range or a square is built
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        labels = SixJLabels.of(-1, 3, 5, 5, 6, 5)
+        assert err == f"sixj: error: {validate(labels)}\n"
+        assert err == "sixj: error: j1 = -1 is negative\n"
+
     @pytest.mark.parametrize("methods", ["pr", "uniform"])
     def test_fixed_triangle_checked_without_exact(self, capsys, methods):
         # every j12 of the range keeps its two triangles; the fixed
@@ -294,7 +310,8 @@ class TestOneLatticePass:
     def test_eval_record(self, counted, labels, points):
         pr = prasym.pr_value(labels)
         u = sixj.uniform.uniform_6j(labels)
-        rec, checks, got = counted(scans.eval_record, labels, cli.METHODS)
+        rec, checks, got = counted(scans.eval_record, labels, cli.METHODS,
+                                   17)
         # its own check and exact_sixj's
         assert (checks, got) == (2, points)
         assert rec["pr"]["value"].hex() == pr.value.hex()
@@ -576,6 +593,18 @@ class TestWholeGridFigures:
             self.scalar_caustic_curve(_four(js), bounds(*js), grid))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
+    @each_quad
+    def test_spots_computes_no_angle(self, monkeypatch, js):
+        # spots reads the region of each lattice point, never its angles:
+        # the grid record holds cos psi only
+        calls = []
+        for name in ("_psi_pair", "_psi", "_psi_bar"):
+            monkeypatch.setattr(tetra, name, lambda *args, name=name,
+                                f=getattr(tetra, name): (
+                                    calls.append(name) or f(*args)))
+        figures.figure_spots(js, 8)
+        assert calls == []
+
     @pytest.mark.parametrize("js", [*FIGURE_QUADS.values(), (40, 40, 30, 30)],
                              ids=str)
     def test_spots_points_equal_point_loop(self, js):
@@ -667,8 +696,7 @@ class TestWholeGridFigures:
     @each_grid
     @each_quad
     def test_j23_orbits_equal_cell_loop(self, js, grid):
-        x, y, Z, contours = sphere.j23_contour_grid(*js, n_J12=grid,
-                                                    n_phi=grid)
+        x, y, Z, contours = sphere.j23_contour_grid(*js, grid)
         for lev, got in contours.items():
             want = oracles.cell_loop_marching_squares(x, y, Z, lev, True)
             assert len(got) == len(want), lev
@@ -809,7 +837,7 @@ class TestDegenerateSquares:
 
 class TestWorstcase:
     def test_equal_pairs_worst_at_top(self):
-        rep = scans.worstcase_report("equal-pairs", j_max=10)
+        rep = scans.worstcase_report("equal-pairs", 10, 0)
         assert rep["worst"]["err_pr"]["labels"]["j1"] == "10"
         assert rep["worst"]["err_pr"]["err"] == pytest.approx(0.9176,
                                                               abs=0.02)
@@ -818,16 +846,18 @@ class TestWorstcase:
 
     def test_unknown_family(self):
         with pytest.raises(sixj.ValidationError) as e:
-            scans.worstcase_report("nope")
+            scans.worstcase_report("nope", 20, 0)
         assert str(e.value) == "unknown family 'nope'"
 
     def test_three_zeros_tail(self):
-        rep = scans.worstcase_report("three-zeros", j_max=20)
+        rep = scans.worstcase_report("three-zeros", 20, 0)
         row = [r for r in rep["rows"] if r["labels"]["j4"] == "20"][0]
         assert 0.05 <= row["err_uniform"] <= 0.10
 
-    def test_random_uniform_never_much_worse(self):
-        rep = scans.worstcase_report("random", j_max=15, seed=3, count=40)
+    def test_random_uniform_never_much_worse(self, monkeypatch):
+        monkeypatch.setattr(scans, "RANDOM_ROWS", 40)
+        rep = scans.worstcase_report("random", 15, 3)
+        assert len(rep["rows"]) == 40
         for r in rep["rows"]:
             if r["err_pr"] is None or r["err_uniform"] is None:
                 continue
@@ -849,7 +879,7 @@ class TestWorstcase:
         monkeypatch.setattr(scans, "exact_sixj",
                             lambda labels: calls.append(labels)
                             or exact(labels))
-        rep = scans.worstcase_report("random", 20)
+        rep = scans.worstcase_report("random", 20, 0)
         assert [scans._label_strs(labels) for labels in calls] \
             == [r["labels"] for r in rep["rows"]]
         forbidden = [r for r in rep["rows"] if r["region"] in "ABCD"]
@@ -880,7 +910,7 @@ class TestUnderflowReference:
         assert row["err_pr"] is None and row["err_uniform"] is None
 
     def test_random_at_the_top_of_the_bound(self, capsys):
-        report = scans.worstcase_report("random", cli.J_MAX_MAX)
+        report = scans.worstcase_report("random", cli.J_MAX_MAX, 0)
         tiny = dict(zip(("j1", "j2", "j12", "j3", "j4", "j23"), self.TINY))
         rows = [r for r in report["rows"] if r["labels"] == tiny]
         assert len(rows) == 1 and rows[0]["err_uniform"] is None
@@ -889,7 +919,7 @@ class TestUnderflowReference:
                                     "--j-max", str(cli.J_MAX_MAX),
                                     "--format", "csv"])
         assert rc == 0 and err == ""
-        cells = ",".join(tiny[n] for n in cli.LABEL_FLAGS)
+        cells = ",".join(tiny[n] for n in LABEL_NAMES)
         assert f"row,{cells},C,," in out.splitlines()
 
 
@@ -1026,7 +1056,7 @@ class TestInputBounds:
         monkeypatch.setattr(scans, "worstcase_row",
                             lambda labels: stubbed.append(labels) or {
                                 "err_pr": None, "err_uniform": None})
-        report = scans.worstcase_report("three-zeros", cli.J_MAX_MAX)
+        report = scans.worstcase_report("three-zeros", cli.J_MAX_MAX, 0)
         assert len(stubbed) == 2 * cli.J_MAX_MAX - 1
         assert len(report["rows"]) == 2 * cli.J_MAX_MAX - 1
 
@@ -1427,7 +1457,7 @@ print(json.dumps(loaded))
         labels = SixJLabels.of("39/2", 23, "41/2", "17/2", 20, "47/2")
         fixed = {n: getattr(labels, n) for n in
                  ("j1", "j2", "j3", "j4", "j23")}
-        for payload in (scans.eval_record(labels, cli.METHODS),
+        for payload in (scans.eval_record(labels, cli.METHODS, 17),
                         scans.sweep_rows(fixed, "j12", cli.METHODS),
-                        scans.worstcase_report("random", 10)):
+                        scans.worstcase_report("random", 10, 0)):
             assert cli._json(payload) == oracles.stdlib_json(payload)

@@ -144,7 +144,9 @@ class TestPhiD:
             num = (dasym.phi_d(dasym.d_geometry(j, m, mp, beta + h))
                    - dasym.phi_d(dasym.d_geometry(j, m, mp, beta - h))) \
                 / (2 * h)
-            assert dasym.dphi_d_dbeta(g) == pytest.approx(num, rel=1e-6)
+            slope = dasym._slope(dasym._FLOATS, g.J, g.Vd_sq,
+                                 math.sin(g.beta))
+            assert slope == pytest.approx(num, rel=1e-6)
 
     def test_phibar_decreasing_toward_caustic(self):
         # forbidden side below beta1 (region C here): positive, falling to 0
@@ -170,20 +172,22 @@ class TestPhiD:
 
 
 class TestNuD:
+    """dasym._nu_d takes the twice-values 2j, 2m, 2m'."""
+
     def test_values_by_region(self):
-        assert dasym.nu_d(tetra.REGION_A, 10, 4, 2) == 0
-        assert dasym.nu_d(tetra.REGION_B, 10, 4, 2) == 8
-        assert dasym.nu_d(tetra.REGION_C, 10, 4, 2) == 6
-        assert dasym.nu_d(tetra.REGION_D, 10, -4, 2) == 2
+        assert dasym._nu_d(tetra.REGION_A, 20, 8, 4) == 0
+        assert dasym._nu_d(tetra.REGION_B, 20, 8, 4) == 8
+        assert dasym._nu_d(tetra.REGION_C, 20, 8, 4) == 6
+        assert dasym._nu_d(tetra.REGION_D, 20, -8, 4) == 2
 
     def test_half_integer_pairs(self):
         # j - m' and j - m stay integral on the half-integer lattice
-        assert dasym.nu_d(tetra.REGION_B, "11/2", "3/2", "1/2") == 5
-        assert dasym.nu_d(tetra.REGION_D, "11/2", "-3/2", "1/2") == 1
+        assert dasym._nu_d(tetra.REGION_B, 11, 3, 1) == 5
+        assert dasym._nu_d(tetra.REGION_D, 11, -3, 1) == 1
 
     def test_rejects_allowed(self):
         with pytest.raises(WrongRegionError):
-            dasym.nu_d(dasym.ALLOWED, 10, 4, 2)
+            dasym._nu_d(dasym.ALLOWED, 20, 8, 4)
 
 
 class TestDAsym:
@@ -410,7 +414,6 @@ class TestOneIndexCheck:
             "exact_wigner_d": lambda: exact_wigner_d(j, m, mp, 1.0),
             "d_geometry": lambda: dasym.d_geometry(j, m, mp, 1.0),
             "turning_points": lambda: dasym.turning_points(j, m, mp),
-            "nu_d": lambda: dasym.nu_d(tetra.REGION_B, j, m, mp),
             "d_asym": lambda: dasym.d_asym(j, m, mp, 1.0),
         }
         messages = {}

@@ -1,13 +1,17 @@
 """numpy is imported by the array paths only: a process that evaluates
 symbols, by the library or by `sixj eval`, `sweep` and `worstcase`,
-never loads it, and the first figure does."""
+never loads it, and the first figure does.  And every public function
+of the package is read by the program or is a named reference."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # one symbol of each region (tests/data/eval-symbols.txt), the
 # evaluators on each, four commands, then one figure
@@ -85,3 +89,137 @@ def test_scalar_paths_never_import_numpy():
 
 def test_sphere_is_imported_on_first_read():
     assert _child(SPHERE) == "ok\n"
+
+
+# ------------------------------------------------- no function unread
+
+GUARDED = ("core", "tetra", "prasym", "dasym", "uniform", "sphere",
+           "figures", "scans", "cli")
+
+# public functions that no program path reads, kept for the result of
+# the paper each one reproduces
+NAMED_REFERENCES = {
+    "sphere.butterfly": "the explicit tetrahedron of a point of the "
+                        "phase-space chart (by tetra.from_vectors), the "
+                        "reference that butterfly_j23 gives in closed form",
+    "sphere.lune_area_6j": "the lune-area rule: the lune {J12 >= j12 + 1/2, "
+                           "J23 <= j23 + 1/2} has twice the matched "
+                           "Ponzano-Regge phase Phi_PR - Phi0",
+}
+
+
+def _bindings(tree, module):
+    """{name: dotted path} of the names a file binds by import, and of
+    the top-level definitions of module (a dotted name, or None for a
+    file outside the package)."""
+    names = {}
+    if module is not None:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = f"{module}.{node.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                names[a.asname or a.name.split(".")[0]] = (
+                    a.name if a.asname else a.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, ("sixj", base)))
+            for a in node.names:
+                names[a.asname or a.name] = f"{base}.{a.name}"
+    return names
+
+
+def _path(node, names):
+    """The dotted path a Name or an attribute chain reads, or None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _path(node.value, names)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def _references(path, module, spans):
+    """(dotted path, enclosing top-level function) of every name the
+    file at path reads, of every name it imports if it is the package's
+    __init__.py, and where spans is set of every string constant
+    "module.name" of a guarded module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = _bindings(tree, module)
+    refs = []
+    if path.name == "__init__.py":
+        refs += [(target, None) for target in _bindings(tree, None).values()]
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                    node.ctx, ast.Load):
+                refs.append((_path(node, names), owner))
+            elif (spans and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and re.fullmatch(r"\w+\.\w+", node.value)
+                  and node.value.split(".")[0] in GUARDED):
+                refs.append((f"sixj.{node.value}", None))
+    return [(r, owner) for r, owner in refs if r is not None]
+
+
+def unread_functions(root):
+    """The public module-level functions of the guarded modules under
+    root that nothing reads: no code of the package outside their own
+    body, no import of sixj/__init__.py, no name in
+    tests/test_acceptance.py or perfbench/*.py (a span-name string such
+    as "tetra.det_gram" counts), and no entry of NAMED_REFERENCES."""
+    package = root / "src" / "sixj"
+    trees = {mod: ast.parse((package / f"{mod}.py").read_text(
+        encoding="utf-8")) for mod in GUARDED + ("__init__",)}
+    imported = {f"sixj.{mod}": {k: v for k, v in _bindings(
+        tree, None).items() if v.startswith("sixj.")}
+        for mod, tree in trees.items()}
+    imported["sixj"] = imported.pop("sixj.__init__")
+
+    def canon(path):
+        # a name read through a module that imports it is the original
+        while True:
+            module, _, name = path.rpartition(".")
+            target = imported.get(module, {}).get(name)
+            if target is None or target == path:
+                return path
+            path = target
+
+    read = set()
+    files = [(package / f"{mod}.py", f"sixj.{mod}", False)
+             for mod in GUARDED + ("__init__",)]
+    files += [(root / "tests" / "test_acceptance.py", None, False)]
+    files += [(p, None, True) for p in sorted((root / "perfbench").glob(
+        "*.py"))]
+    for path, module, spans in files:
+        for ref, owner in _references(path, module, spans):
+            ref = canon(ref)
+            if not (module and owner and ref == f"{module}.{owner}"):
+                read.add(ref)
+    unread = []
+    for mod in GUARDED:
+        for node in trees[mod].body:
+            name = f"{mod}.{node.name}" if isinstance(
+                node, ast.FunctionDef) else None
+            if (name and not node.name.startswith("_")
+                    and f"sixj.{name}" not in read
+                    and name not in NAMED_REFERENCES):
+                unread.append(name)
+    return unread
+
+
+def test_every_public_function_is_read():
+    assert unread_functions(ROOT) == []
+
+
+def test_named_references_are_public_functions():
+    for name, what in NAMED_REFERENCES.items():
+        mod, _, attr = name.partition(".")
+        tree = ast.parse((SRC / "sixj" / f"{mod}.py").read_text(
+            encoding="utf-8"))
+        assert attr in {node.name for node in tree.body
+                        if isinstance(node, ast.FunctionDef)}, name
+        assert what, name

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sixj import (HalfInt, InvariantError, SixJLabels, ValidationError,
-                  WrongRegionError, bounds, lengths, tetra)
+                  bounds, lengths, tetra)
 from sixj.scans import _random_labels
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
@@ -283,23 +283,3 @@ class TestDetGFromCofactors:
         region = tetra.classify(J)
         assert region.det_g == tetra.det_gram(J)
         assert type(region.det_g) is float
-
-
-class TestPoissonBracket:
-    def test_bracket_identity(self):
-        # {J23, J12} = J1 . (J2 x J3) / (J12 J23) = 6V / (J12 J23)
-        for labels in allowed_corpus(23, 10):
-            J = lengths(labels)
-            t = tetra.construct(J)
-            got = tetra.poisson_bracket_check(t)
-            want = 6.0 * t.volume / (J[4] * J[5])
-            assert abs(got) == pytest.approx(abs(want), rel=1e-9)
-
-    def test_forbidden_tetrahedron_refused(self):
-        # region D: the z components are imaginary, so there is no
-        # real triple product
-        t = tetra.construct(lengths(SixJLabels.of("9/2", 3, "3/2", "11/2",
-                                                  6, "17/2")))
-        assert t.imag_z
-        with pytest.raises(WrongRegionError, match="needs a real tetrahedron"):
-            tetra.poisson_bracket_check(t)

@@ -327,31 +327,6 @@ class TestGeometryRecord:
             uniform.beta_field("9/2", 3, "11/2", 6, *TANGENCY)
 
 
-class TestPermutation:
-    def test_equal_pairs_improves(self):
-        labels = SixJLabels.of(10, 10, 0, 10, 10, 0)
-        permuted, perm = uniform.permute_columns_for_accuracy(labels)
-        e = float(exact_sixj(labels))
-        direct = abs(uniform.uniform_6j(labels).value - e)
-        better = abs(uniform.uniform_6j(permuted).value - e)
-        assert better < direct / 10.0
-        assert perm == (0, 2, 1)
-
-    def test_permutation_preserves_exact_value(self):
-        rng = random.Random(101)
-        for _ in range(20):
-            labels = _random_labels(rng, 12)
-            permuted, _ = uniform.permute_columns_for_accuracy(labels)
-            assert exact_sixj(permuted).key() == exact_sixj(labels).key()
-
-    def test_already_best_is_stable(self):
-        # (j12, j23) column already holds the largest smaller entry
-        labels = SixJLabels.of(2, 2, 4, 2, 2, 4)
-        permuted, perm = uniform.permute_columns_for_accuracy(labels)
-        assert perm == (0, 1, 2)
-        assert permuted == labels
-
-
 GRID_QUADS = [("9/2", 3, "11/2", 6), ("39/2", 23, "17/2", 20),
               (10, 10, 10, 10), ("5/2", 7, 4, "13/2"), (30, 25, 28, 31)]
 each_grid_quad = pytest.mark.parametrize("js", GRID_QUADS, ids=str)
@@ -391,9 +366,9 @@ def _grid_matches_points(b, xs, ys):
     assert ([x.hex() for x in got.det_g.tolist()]
             == [r.det_g.hex() for r in want])
     cos = got.cos_psi
-    assert (got.psi.tobytes()
-            == np.arccos(np.clip(cos, -1.0, 1.0)).tobytes())
-    assert got.psi_bar.tobytes() == (
+    psi, psi_bar = tetra._psi(np, cos), tetra._psi_bar(np, cos)
+    assert psi.tobytes() == np.arccos(np.clip(cos, -1.0, 1.0)).tobytes()
+    assert psi_bar.tobytes() == (
         np.sign(cos) * np.arccosh(np.maximum(np.abs(cos), 1.0))).tobytes()
     for k, r in enumerate(want):
         a = r.angles
@@ -404,8 +379,8 @@ def _grid_matches_points(b, xs, ys):
         assert [p.hex() for p in a.psi_bar] == [
             (((c > 0) - (c < 0)) * math.acosh(max(abs(c), 1.0))).hex()
             for c in a.cos_psi]
-        assert max(map(_ulps, a.psi, got.psi[:, k].tolist())) <= PSI_ULPS
-        assert (max(map(_ulps, a.psi_bar, got.psi_bar[:, k].tolist()))
+        assert max(map(_ulps, a.psi, psi[:, k].tolist())) <= PSI_ULPS
+        assert (max(map(_ulps, a.psi_bar, psi_bar[:, k].tolist()))
                 <= PSI_BAR_ULPS)
 
 
@@ -487,8 +462,8 @@ class TestForbiddenSolve:
                 assert rep.bracket == window
                 assert window[0] <= beta <= window[1]
                 target = prasym.phi_pr_bar(four + (x, y), region.angles)
-                assert sign * uniform._residual(
-                    umap, far, target, continued=True)[0] >= 0.0
+                assert sign * uniform._lune_residual(
+                    uniform._cones(umap), far, target, True)[0] >= 0.0
         assert seen == counts
 
     @pytest.mark.parametrize("labels,reached", [
@@ -526,8 +501,8 @@ class TestForbiddenSolve:
             return
         assert betas[1] == far and betas.count(far) == 1
         # the step from the seed, unbounded on the far side
-        fx, slope, curvature = uniform._residual(res.map, seed, target,
-                                                 continued=True)
+        fx, slope, curvature = uniform._lune_residual(
+            uniform._cones(res.map), seed, target, True)
         unbounded = ((-math.inf, window[1]) if sign > 0
                      else (window[0], math.inf))
         step = uniform._halley_step(
@@ -570,7 +545,8 @@ class TestGridSolve:
         target = (prasym.phi_pr_bar(J, region.angles) if region.is_forbidden
                   else prasym.phi_pr(J, region.angles) - umap.Phi0)
         scale = max(1.0, abs(target))
-        residual = uniform._residual(umap, beta, target, region.is_forbidden)
+        residual = uniform._lune_residual(uniform._cones(umap), beta, target,
+                                          region.is_forbidden)
         if abs(residual[0]) <= uniform._SOLVE_TOL * scale:
             return True
         beta1, beta2 = dasym.turning_points(umap.j, m, mp)
@@ -656,7 +632,8 @@ class TestGridSolve:
         assert got.kind.tolist() == [tetra.CAUSTIC]
         assert got.pattern_index.tolist() == [-1]
         assert got.det_g.tolist() == [r.det_g]
-        assert np.isnan(got.cos_psi).all() and np.isnan(got.psi).all()
+        assert np.isnan(got.cos_psi).all()
+        assert np.isnan(tetra._psi(np, got.cos_psi)).all()
         with pytest.raises(ValidationError, match="tangency"):
             uniform.beta_field(*DEMO, *TANGENCY)
         with pytest.raises(ValidationError, match="tangency"):
