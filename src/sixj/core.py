@@ -4,9 +4,10 @@ double-precision d-matrix.
 Quantum numbers are stored as twice their value so triangle and parity
 checks stay in integer arithmetic; the HalfInt of each |2j| <= 4096 is
 one shared instance.  Inside the package a symbol's lattice rules
-(validate, the bounds of its square, the uniform map) run on its six
-twice-values, read once by _twice; HalfInts are built at the public
-entry points and for the records a caller reads.
+(validate, the limits of its square by _square, the uniform map) run on
+its six twice-values, read once by _twice; HalfInts and the Bounds of
+bounds() are built at the public entry points and for the records a
+caller reads.
 
 The 6j symbol is the Racah single sum, summed exactly by a Horner
 recurrence over the integer ratios of consecutive terms, times a
@@ -130,24 +131,23 @@ class HalfInt:
 
     @classmethod
     def of(cls, x):
-        """Coerce an int, string like '39/2' or '3.5', Fraction, or HalfInt."""
+        """Coerce an int, Fraction, HalfInt, or a string like '7', '39/2'
+        or '3.5', with no exponent: no more digits than the string."""
         if isinstance(x, HalfInt):
             return x
         if isinstance(x, int):
             return cls(2 * x)
         if isinstance(x, (str, Fraction)):
             try:
+                if isinstance(x, str) and "e" in x.lower():
+                    raise ValueError(x)
                 f = Fraction(x)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise ValidationError(f"not a half-integer: {x!r}") from None
             if f.denominator not in (1, 2):
                 raise ValidationError(f"not a half-integer: {x!r}")
             return cls(f.numerator * (2 // f.denominator))
         raise ValidationError(f"cannot interpret {x!r} as a half-integer")
-
-    @property
-    def is_integer(self):
-        return self.twice % 2 == 0
 
     def as_fraction(self):
         return Fraction(self.twice, 2)
@@ -357,38 +357,42 @@ def _bounds(t1, t2, t3, t4):
         raise ValidationError(
             "degenerate range: j1+j2 and j3+j4 differ in integer/half-integer "
             "character, no valid j12 exists")
-    t12min = max(abs(t1 - t2), abs(t3 - t4))
-    t12max = min(t1 + t2, t3 + t4)
-    t23min = max(abs(t2 - t3), abs(t1 - t4))
-    t23max = min(t2 + t3, t1 + t4)
+    t12min, t12max, t23min, t23max = _square(t1, t2, t3, t4)
     if t12max < t12min:
         raise ValidationError("degenerate range: j12_max < j12_min")
     if t23max < t23min:
         raise ValidationError("degenerate range: j23_max < j23_min")
-    d12 = (t12max - t12min) // 2 + 1
-    d23 = (t23max - t23min) // 2 + 1
-    if d12 != d23:
-        raise InvariantError(f"D mismatch: {d12} on j12 axis, {d23} on j23 axis")
-    # The two bound theorems: which pair limits one axis fixes the other.
-    if t23min in (t1 - t4, t2 - t3):
-        expect_12max = t3 + t4
-    else:
-        expect_12max = t1 + t2
-    if t12min in (t1 - t2, t4 - t3):
-        expect_23max = t2 + t3
-    else:
-        expect_23max = t1 + t4
-    if t12max != expect_12max or t23max != expect_23max:
-        raise InvariantError("bound theorems violated for (%s,%s,%s,%s)"
-                             % tuple(HalfInt(t) for t in (t1, t2, t3, t4)))
     return Bounds(
         j12_min=HalfInt(t12min), j12_max=HalfInt(t12max),
         j23_min=HalfInt(t23min), j23_max=HalfInt(t23max),
-        D=d12,
+        D=(t12max - t12min) // 2 + 1,
         j12_avg=HalfInt((t12min + t12max) // 2),
         j23_avg=HalfInt((t23min + t23max) // 2),
         four=(t1 / 2 + 0.5, t2 / 2 + 0.5, t3 / 2 + 0.5, t4 / 2 + 0.5),
     )
+
+
+def _square(t1, t2, t3, t4):
+    """The twice-limits (t12min, t12max, t23min, t23max) of the (j12, j23)
+    square of the twice-values of (j1, j2, j3, j4), not negative and with
+    an even sum.  Where neither range is empty (max < min), both must hold
+    D values and obey the two bound theorems, else InvariantError."""
+    t12min = max(abs(t1 - t2), abs(t3 - t4))
+    t12max = min(t1 + t2, t3 + t4)
+    t23min = max(abs(t2 - t3), abs(t1 - t4))
+    t23max = min(t2 + t3, t1 + t4)
+    if t12min <= t12max and t23min <= t23max:
+        if t12max - t12min != t23max - t23min:
+            raise InvariantError(f"D mismatch: {(t12max - t12min) // 2 + 1} "
+                                 f"on j12 axis, {(t23max - t23min) // 2 + 1} "
+                                 "on j23 axis")
+        # The two bound theorems: which pair limits one axis fixes the other
+        expect_12max = t3 + t4 if t23min in (t1 - t4, t2 - t3) else t1 + t2
+        expect_23max = t2 + t3 if t12min in (t1 - t2, t4 - t3) else t1 + t4
+        if t12max != expect_12max or t23max != expect_23max:
+            raise InvariantError("bound theorems violated for (%s,%s,%s,%s)"
+                                 % tuple(HalfInt(t) for t in (t1, t2, t3, t4)))
+    return t12min, t12max, t23min, t23max
 
 
 def lengths(labels):
@@ -453,10 +457,6 @@ class ExactValue:
     @property
     def sign(self):
         return (self._num > 0) - (self._num < 0)
-
-    def key(self):
-        """Hashable exact representation: (sign, R^2 * P)."""
-        return (self.sign, self.rational * self.rational * self.radicand)
 
     def __eq__(self, other):
         if not isinstance(other, ExactValue):

@@ -67,17 +67,17 @@ def phi_pr_bar(J, dih):
     return float(_phase_sum(J, dih.psi_bar))
 
 
-def nu_6j(region, labels):
-    """Integer parity: sum of j_i over edges whose Table-1 entry is pi."""
+def nu_6j(region, t):
+    """Integer parity: sum of j_i over edges whose Table-1 entry is pi;
+    t the six twice-values of the labels (core._twice)."""
     pat = region.pattern
     if pat is None:
         raise WrongRegionError(
             "nu_6j needs a forbidden region with an identified table column")
-    t = _twice(labels)
     twice = sum(t[i] for entry, i in zip(pat, _EDGE_AT) if entry)
     if twice % 2:
-        raise InvariantError(
-            f"nu_6j parity sum {twice}/2 is not an integer for {labels}")
+        raise InvariantError(f"nu_6j parity sum {twice}/2 is not an integer "
+                             f"for the twice-values {t}")
     return twice // 2
 
 
@@ -96,7 +96,7 @@ def _pr_value(labels, J, region):
         ph = phi_pr(J, dih)
         return PRResult(value=amp * math.cos(ph + math.pi / 4),
                         region=region, phase=ph, amplitude=amp, nu6j=None)
-    nu = nu_6j(region, labels)
+    nu = nu_6j(region, _twice(labels))
     ph = phi_pr_bar(J, dih)
     if not tetra._phibar_sign_ok(region.kind, ph, 1.0 + sum(J)):
         raise InvariantError(

@@ -8,16 +8,16 @@ builds its lattice point once (tetra.classify_labels): its lengths and
 their record, which holds cos psi and is never caustic.  The PR and
 uniform values, which every symbol has, are computed from that point,
 by prasym._pr_value and uniform._uniform_at, each of which computes the
-half of the angles it reads.  The square's core.Bounds are built where
-they are read: by uniform._uniform_at for its representative, and by
-eval (D) and worstcase (the reference scale) for the record.
+half of the angles it reads.  No scan builds a core.Bounds: eval (D),
+worstcase (the reference scale), the random draw and uniform._uniform_at
+read the square's twice-limits from core._square.
 """
 
 import random
 
 from . import prasym, tetra, uniform
 from .core import (LABEL_NAMES, MP_DPS, HalfInt, SixJLabels, TRIANGLES,
-                   ValidationError, _root_form, _twice, bounds, exact_sixj,
+                   ValidationError, _root_form, _square, _twice, exact_sixj,
                    require_valid)
 
 # symbols of the random worstcase family, drawn from the seed
@@ -47,11 +47,13 @@ def eval_record(labels, methods, digits):
     require_valid(labels)
     point = tetra.classify_labels(labels)
     J, region = point
-    b = bounds(labels.j1, labels.j2, labels.j3, labels.j4)
+    t1, t2, _, t3, t4, _ = _twice(labels)
+    t12min, t12max, _, _ = _square(t1, t2, t3, t4)
+    D = (t12max - t12min) // 2 + 1
     rec = {
         "labels": _label_strs(labels),
-        "D": b.D,
-        "degenerate_D1": b.D == 1,
+        "D": D,
+        "degenerate_D1": D == 1,
         "region": region.kind,
         "pattern_index": region.pattern_index,
     }
@@ -161,21 +163,21 @@ def amplitude_reference(labels, b, region):
     the allowed j12 range (where the nearby caustic inflates it) that
     of the nearest allowed neighbor along j12, or its own without one.
     b and region are the bounds and region record of labels."""
-    ref = _pr_reference(labels, b, region)
+    ref = _pr_reference(labels, b.j12_min.twice, b.j12_max.twice, region)
     return abs(float(exact_sixj(labels))) if ref is None else ref
 
 
-def _pr_reference(labels, b, region):
+def _pr_reference(labels, t12min, t12max, region):
     """amplitude_reference where it is a PR amplitude, and None where it
-    is |exact|: in a forbidden region."""
+    is |exact|: in a forbidden region.  t12min and t12max limit 2 j12."""
     if region.is_forbidden:
         return None
-    if labels.j12.twice not in (b.j12_min.twice, b.j12_max.twice):
-        return region.pr_amp
     t1, t2, t12, t3, t4, t23 = _twice(labels)
-    toward = 2 if t12 < b.j12_avg.twice else -2
+    if t12 not in (t12min, t12max):
+        return region.pr_amp
+    toward = 2 if t12 < (t12min + t12max) // 2 else -2
     t12 += toward
-    while b.j12_min.twice <= t12 <= b.j12_max.twice:
+    while t12min <= t12 <= t12max:
         _, region_n = tetra._lattice_point((t1, t2, t12, t3, t4, t23))
         if region_n.is_allowed:
             return region_n.pr_amp
@@ -188,8 +190,8 @@ def worstcase_row(labels):
     exact_v = float(exact_sixj(labels))
     point = tetra.classify_labels(labels)
     J, region = point
-    ref = _pr_reference(labels, bounds(labels.j1, labels.j2, labels.j3,
-                                       labels.j4), region)
+    t1, t2, _, t3, t4, _ = _twice(labels)
+    ref = _pr_reference(labels, *_square(t1, t2, t3, t4)[:2], region)
     if ref is None:
         ref = abs(exact_v)
     pr_v = prasym._pr_value(labels, J, region).value
@@ -213,12 +215,11 @@ def _random_labels(rng, j_max):
         t4 = rng.randint(1, tmax)
         if (t1 + t2 - t3 - t4) % 2:
             continue
-        try:
-            b = bounds(HalfInt(t1), HalfInt(t2), HalfInt(t3), HalfInt(t4))
-        except ValidationError:
+        t12min, t12max, t23min, t23max = _square(t1, t2, t3, t4)
+        if t12max < t12min or t23max < t23min:
             continue
-        t12 = rng.randrange(b.j12_min.twice, b.j12_max.twice + 1, 2)
-        t23 = rng.randrange(b.j23_min.twice, b.j23_max.twice + 1, 2)
+        t12 = rng.randrange(t12min, t12max + 1, 2)
+        t23 = rng.randrange(t23min, t23max + 1, 2)
         return SixJLabels(HalfInt(t1), HalfInt(t2), HalfInt(t12),
                           HalfInt(t3), HalfInt(t4), HalfInt(t23))
 

@@ -48,9 +48,10 @@ it reads, psi on an allowed or caustic point and psi_bar on a forbidden
 one, and beta_grid applies tetra._psi_pair to the grid's cos psi where
 it forms its targets.
 
-uniform_6j builds the core.Bounds of its up-down representative
-(_square) for the map; its lattice point (tetra.classify_labels) is
-never caustic: the solve's caustic pin serves continuous points only.
+uniform_6j runs on the six 2j of its up-down representative and the
+square's twice-limits (core._square); only its near-caustic branch
+builds a core.Bounds.  Its lattice point is never caustic: the solve's
+caustic pin serves continuous points only.
 
 The d-matrix phase comes from the parts of dasym's lune in both shapes.
 The grid runs the whole kernel, dasym._lune, through dasym.phase_grid.
@@ -70,9 +71,9 @@ import math
 from typing import NamedTuple
 
 from . import dasym, prasym, tetra
-from .core import (HalfInt, InvariantError, SixJLabels, SolverError,
-                   ValidationError, _bounds, _twice, _wigner_d, bounds,
-                   phase, require_valid)
+from .core import (HalfInt, InvariantError, SolverError, ValidationError,
+                   _bounds, _square, _twice, _wigner_d, bounds, phase,
+                   require_valid)
 from .dasym import _FLOATS
 from .tetra import _clamp
 
@@ -118,31 +119,30 @@ class UniformResult(NamedTuple):
 
 
 def map_quantum(labels, bnds=None):
-    """(j, m, m') and the phase offset Phi0 for the d-matrix picture."""
+    """(j, m, m') and the phase offset Phi0 for the d-matrix picture;
+    bnds, if given, are the core.Bounds of the labels."""
     require_valid(labels)
-    return _map(labels, _square(labels) if bnds is None else bnds)
+    t = _twice(labels)
+    return _map(t, _square(*t[:2], *t[3:5]) if bnds is None else (
+        bnds.j12_min.twice, bnds.j12_max.twice, bnds.j23_min.twice,
+        bnds.j23_max.twice))
 
 
-def _square(labels):
-    """core.Bounds of the (j1..j4) of checked labels."""
-    t1, t2, _, t3, t4, _ = _twice(labels)
-    return _bounds(t1, t2, t3, t4)
-
-
-def _map(labels, bnds):
-    """The UniformMap of checked labels, bnds their core.Bounds; its
-    rules run on the twice-values of the labels."""
-    t1, t2, t12, t3, t4, t23 = _twice(labels)
-    tj = bnds.D - 1
-    tm = t12 - bnds.j12_avg.twice
-    tmp = bnds.j23_avg.twice - t23
+def _map(t, square):
+    """The UniformMap of the six twice-values t of checked labels, square
+    their twice-limits (core._square); its rules run on ints."""
+    t1, t2, t12, t3, t4, t23 = t
+    t12min, t12max, t23min, t23max = square
+    tj = (t12max - t12min) // 2
+    tm = t12 - (t12min + t12max) // 2
+    tmp = (t23min + t23max) // 2 - t23
     if (tj - tm) % 2 or (tj - tmp) % 2:
         raise InvariantError(
             f"(m, m') = ({tm}/2, {tmp}/2) off the lattice of j = {tj}/2")
     if abs(tm) > tj or abs(tmp) > tj:
         raise InvariantError(
             f"(m, m') = ({tm}/2, {tmp}/2) outside |m| <= j = {tj}/2")
-    tnu = t1 + t2 + t3 + t4 + t12 - bnds.j12_max.twice
+    tnu = t1 + t2 + t3 + t4 + t12 - t12max
     if tnu % 2:
         raise InvariantError(f"nu_ex = {tnu}/2 is not an integer")
     nu_ex = tnu // 2
@@ -627,42 +627,39 @@ def solve_beta(labels, umap=None):
     require_valid(labels)
     J, region = tetra.classify_labels(labels)
     if umap is None:
-        umap = _map(labels, _square(labels))
+        umap = map_quantum(labels)
     return _solve_for_lengths(J, region, _cones(umap))
 
 
-def _near_caustic_ratio(labels, b, J):
+def _near_caustic_ratio(t, J):
     """|V_d|/|V| averaged over J23 +- step, where both vanish together;
-    b the core.Bounds and J the lengths of the labels.  A lattice J23
-    lies at least 1/2 inside the square, so both neighbours are in it.
-    Each neighbour is a continuous point, solved by _field on its own
-    map: that map continues the symbol's, so the neighbours' PR targets
-    fall in their own d-matrix phase ranges."""
-    js = (labels.j1, labels.j2, labels.j3, labels.j4)
+    t the six twice-values and J the lengths of checked labels.  A
+    lattice J23 lies at least 1/2 inside the square, so both neighbours
+    are in it.  Each neighbour is a continuous point, solved by _field
+    on its own map: that map continues the symbol's, so the neighbours'
+    PR targets fall in their own d-matrix phase ranges."""
+    four = (t[0], t[1], t[3], t[4])
+    js, b = tuple(map(HalfInt, four)), _bounds(*four)
     num = den = 0.0
     for ds in (NEAR_CAUSTIC_STEP, -NEAR_CAUSTIC_STEP):
         beta_s, _, region_s, cones_s = _field(js, b, J[4], J[5] + ds)
         num += _vd(cones_s, beta_s)
         den += region_s.vol_abs
     if den == 0.0:
-        raise InvariantError(
-            f"amplitude ratio undefined at {labels}: no usable neighbors")
+        raise InvariantError(f"amplitude ratio undefined at the "
+                             f"twice-values {t}: no usable neighbors")
     return num / den
 
 
-def _canonical_updown(labels):
-    """Representative of the up-down swap orbit.  The approximation is
-    invariant under the three pair swaps in exact arithmetic; computing
-    every member through one representative makes it bit-identical.
-    The representative has the least twice-values in LABEL_NAMES order;
-    the labels themselves when they are it."""
-    t = _twice(labels)
+def _canonical_updown(t):
+    """The representative of the up-down swap orbit of the six
+    twice-values t.  The approximation is invariant under the three pair
+    swaps in exact arithmetic; computing every member through one
+    representative makes it bit-identical.  The representative has the
+    least twice-values in LABEL_NAMES order, t itself when it is it."""
     a, b, c, d, e, f = t
     # the images of swapping the columns (0, 1), (0, 2) and (1, 2)
-    least = min(t, (d, e, c, a, b, f), (d, b, f, a, e, c), (a, e, f, d, b, c))
-    if least == t:
-        return labels
-    return SixJLabels(*map(HalfInt, least))
+    return min(t, (d, e, c, a, b, f), (d, b, f, a, e, c), (a, e, f, d, b, c))
 
 
 def uniform_6j(labels):
@@ -672,26 +669,24 @@ def uniform_6j(labels):
 
 
 def _uniform_at(labels, point=None):
-    """uniform_6j of checked labels, computed on their up-down
-    representative (_canonical_updown).  point is the tetra.classify_labels
-    pair of the labels, read only when they are their own
-    representative: another member of the orbit may lie in a different
-    region (A where the representative is D, or D where it is A), so the
-    representative's point is built here.  The representative's
-    core.Bounds are built here too (_square), the one place of the
-    symbol path that reads them."""
-    canon = _canonical_updown(labels)
-    if canon is not labels or point is None:
-        point = tetra.classify_labels(canon)
-    labels = canon
+    """uniform_6j of checked labels, computed on the twice-values of their
+    up-down representative (_canonical_updown).  point is the
+    tetra.classify_labels pair of the labels, read only when they are
+    their own representative: another member of the orbit may lie in a
+    different region (A where the representative is D, or D where it is
+    A), so the representative's point is built here.  The UniformMap's
+    three HalfInts are the only ones built off the near-caustic branch."""
+    t = _twice(labels)
+    canon = _canonical_updown(t)
+    if canon != t or point is None:
+        point = tetra._lattice_point(canon)
     J, region = point
-    b = _square(labels)
-    umap = _map(labels, b)
+    umap = _map(canon, _square(*canon[:2], *canon[3:5]))
     j, m, mp, nu_ex = umap[:4]
     cones = _lattice_cones(umap)
     beta, rep = _solve_for_lengths(J, region, cones)
     if region.is_forbidden:
-        nu6 = prasym.nu_6j(region, labels)
+        nu6 = prasym.nu_6j(region, canon)
         nud = dasym._nu_d(region.kind, j.twice, m.twice, mp.twice)
         if (nu_ex + nu6 + nud) % 2:
             raise InvariantError(
@@ -700,8 +695,8 @@ def _uniform_at(labels, point=None):
     vd = _vd(cones, beta)
     vol = region.vol_abs
     near = vol / (J[0] * J[4] * J[3]) < NEAR_CAUSTIC_VOL
-    ratio = _near_caustic_ratio(labels, b, J) if near else vd / vol
-    Jd = b.D / 2.0
+    ratio = _near_caustic_ratio(canon, J) if near else vd / vol
+    Jd = (j.twice + 1) / 2.0
     dval = _wigner_d(j.twice, m.twice, mp.twice, beta)
     sgn = phase(nu_ex + (j.twice - mp.twice) // 2)
     value = sgn * math.sqrt(Jd * ratio / 24.0) * dval

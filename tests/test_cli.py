@@ -228,6 +228,20 @@ class TestExitCodes:
         assert err == f"sixj: error: {validate(labels)}\n"
         assert err == "sixj: error: j1 = -1 is negative\n"
 
+    @pytest.mark.parametrize("j1", ["3/0", "1e5000", "1e3000000"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--j2", "3", "--j12", "5", "--j3", "5", "--j4", "6",
+         "--j23", "5"],
+        ["sweep", "--j2", "3", "--j3", "5", "--j4", "6", "--j23", "5"],
+        ["figure", "--kind", "spots", "--j2", "3", "--j3", "5", "--j4",
+         "6"]], ids=["eval", "sweep", "figure"])
+    def test_label_text_outside_the_forms(self, capsys, argv, j1):
+        # a zero denominator, and an exponent, whose value would have
+        # more digits than the text
+        rc, out, err = run(capsys, [*argv, "--j1", j1])
+        assert rc == 2 and out == ""
+        assert err == f"sixj: error: not a half-integer: {j1!r}\n"
+
     @pytest.mark.parametrize("methods", ["pr", "uniform"])
     def test_fixed_triangle_checked_without_exact(self, capsys, methods):
         # every j12 of the range keeps its two triangles; the fixed
@@ -269,7 +283,8 @@ class TestOneLatticePass:
     """eval, sweep and worstcase check each symbol once and build its
     lattice point once (tetra.classify_labels), and PR and uniform read
     that point.  uniform computes on the up-down representative of the
-    symbol, whose point is built again when it is another symbol."""
+    symbol, whose point is built again (tetra._lattice_point) when it is
+    another symbol."""
 
     OWN = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
     # region A; its representative {317/2 82 169/2; 187 437/2 246} is D
@@ -278,25 +293,25 @@ class TestOneLatticePass:
     @pytest.fixture
     def counted(self, monkeypatch):
         """counted(f, *args): f(*args), the require_valid calls and the
-        tetra.classify_labels calls it made."""
+        lattice points (tetra._lattice_point) it built."""
         calls = {"checks": 0, "points": 0}
         require_valid = sixj.core.require_valid
-        classify_labels = tetra.classify_labels
+        lattice_point = tetra._lattice_point
 
         def checked(labels):
             calls["checks"] += 1
             return require_valid(labels)
 
-        def classified(labels):
+        def classified(twice):
             calls["points"] += 1
-            return classify_labels(labels)
+            return lattice_point(twice)
 
         for mod in (sixj, sixj.core, tetra, prasym, sixj.dasym,
                     sixj.uniform, sphere, scans):
             for attr, val in list(vars(mod).items()):
                 if val is require_valid:
                     monkeypatch.setattr(mod, attr, checked)
-        monkeypatch.setattr(tetra, "classify_labels", classified)
+        monkeypatch.setattr(tetra, "_lattice_point", classified)
 
         def count(f, *args):
             calls.update(checks=0, points=0)
@@ -334,8 +349,8 @@ class TestOneLatticePass:
         # two triangles that do not hold the swept label
         assert checks == len(rows) + 1
         canonical = sixj.uniform._canonical_updown
-        assert points == len(rows) + sum(canonical(x) is not x
-                                         for x in lattice)
+        assert points == len(rows) + sum(canonical(t) != t for t in map(
+            sixj.core._twice, lattice))
         row, = (r for r in rows if r["j12"] == float(labels.j12))
         u = sixj.uniform.uniform_6j(labels)
         assert row["pr"].hex() == prasym.pr_value(labels).value.hex()
@@ -1149,7 +1164,7 @@ class TestInputBounds:
     def test_rejects_digits_above_limit(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a symbol was evaluated")
-        for name in ("exact_sixj", "bounds"):
+        for name in ("exact_sixj", "_square"):
             monkeypatch.setattr(scans, name, fail)
         monkeypatch.setattr(tetra, "classify", fail)
         rc, out, err = run(capsys, TestDigits.NEAR + [

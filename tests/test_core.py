@@ -37,8 +37,12 @@ class TestHalfInt:
         assert HalfInt.of(HalfInt(9)).twice == 9
 
     def test_of_rejects_off_lattice(self):
-        for bad in ("1/3", Fraction(1, 4), 0.5, "x"):
-            with pytest.raises(ValidationError):
+        # a zero denominator, and any exponent: the text 1e3000000 would
+        # otherwise stand for a number of three million digits
+        for bad in ("1/3", Fraction(1, 4), 0.5, "x", "3/0", "1e5000",
+                    "1e3000000", "5E-1"):
+            with pytest.raises(ValidationError,
+                               match="^not a half-integer|^cannot"):
                 HalfInt.of(bad)
 
     def test_str_and_float(self):
@@ -80,10 +84,6 @@ class TestHalfInt:
     @given(halfints)
     def test_roundtrip_through_str(self, a):
         assert HalfInt.of(str(a)) == a
-
-    @given(halfints)
-    def test_integer_predicate(self, a):
-        assert a.is_integer == (a.twice % 2 == 0)
 
     def test_phase_requires_integer(self):
         assert phase(HalfInt(4)) == 1
@@ -147,10 +147,15 @@ class TestBounds:
             bounds(5, 1, 1, 1)
 
 
+def _key(v):
+    """The exact (sign, R^2 * P) of an ExactValue."""
+    return (v.sign, v.rational * v.rational * v.radicand)
+
+
 class TestExactSixJ:
     def test_one_argument_zero(self):
         v = exact_sixj(SixJLabels.of(1, 1, 0, 1, 1, 0))
-        assert v.key() == (1, Fraction(1, 9))
+        assert _key(v) == (1, Fraction(1, 9))
         assert float(v) == pytest.approx(1 / 3, abs=1e-16)
 
     def test_equal_pairs_closed_form(self):
@@ -158,7 +163,7 @@ class TestExactSixJ:
         for tj in (2, 5, 20):
             j = HalfInt(tj)
             v = exact_sixj(SixJLabels(j, j, HalfInt(0), j, j, HalfInt(0)))
-            assert v.key() == ((-1) ** tj, Fraction(1, (tj + 1) ** 2))
+            assert _key(v) == ((-1) ** tj, Fraction(1, (tj + 1) ** 2))
 
     def test_three_zeros_closed_form(self):
         for tj in (7, 40, 80):
@@ -204,7 +209,6 @@ class TestExactSixJ:
     def test_key_is_exact(self):
         v1 = exact_sixj(SixJLabels.of(2, 2, 2, 2, 2, 2))
         v2 = exact_sixj(SixJLabels.of(2, 2, 2, 2, 2, 2))
-        assert v1.key() == v2.key()
         assert v1.sign in (-1, 0, 1)
         assert v1 == v2 and hash(v1) == hash(v2)
         # built on the first read, the same object on the second
@@ -604,13 +608,13 @@ class TestSixJSymmetries:
         for labels in corpus:
             t = [x.twice for x in labels.as_tuple()]
             value = exact_sixj(labels)
-            key = value.key()
+            key = _key(value)
             for g in group:
                 image = [sum(g[i][k] * t[k] for k in range(6))
                          for i in range(6)]
                 assert all(x.denominator == 1 for x in image)
                 moved = SixJLabels(*(HalfInt(int(x)) for x in image))
-                assert exact_sixj(moved).key() == key, (labels, moved)
+                assert _key(exact_sixj(moved)) == key, (labels, moved)
                 assert exact_sixj(moved) == value, (labels, moved)
 
 

@@ -1,9 +1,11 @@
 """numpy is imported by the array paths only: a process that evaluates
 symbols, by the library or by `sixj eval`, `sweep` and `worstcase`,
 never loads it, and the first figure does.  And every public function
-of the package is read by the program or is a named reference."""
+of the package is read by the program or is a named reference, and so
+is every public method and property of its classes."""
 
 import ast
+import collections
 import os
 import re
 import subprocess
@@ -211,8 +213,47 @@ def unread_functions(root):
     return unread
 
 
+def unread_members(root):
+    """The public methods and properties of the classes of the guarded
+    modules under root whose name no code reads as an attribute outside
+    their own body: in the package, tests/test_acceptance.py or
+    perfbench/*.py.  A name is matched alone, whatever the object it is
+    read from."""
+    package = root / "src" / "sixj"
+    modules = {mod: ast.parse((package / f"{mod}.py").read_text(
+        encoding="utf-8")) for mod in GUARDED}
+    others = [package / "__init__.py", root / "tests" / "test_acceptance.py",
+              *sorted((root / "perfbench").glob("*.py"))]
+    trees = [*modules.values(), *(ast.parse(p.read_text(encoding="utf-8"))
+                                  for p in others)]
+
+    def attributes(top):
+        return collections.Counter(
+            node.attr for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load))
+
+    read = sum(map(attributes, trees), collections.Counter())
+    unread = []
+    for mod, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("_")
+                        and read[member.name]
+                        == attributes(member)[member.name]):
+                    unread.append(f"{mod}.{cls.name}.{member.name}")
+    return unread
+
+
 def test_every_public_function_is_read():
     assert unread_functions(ROOT) == []
+
+
+def test_every_public_member_is_read():
+    assert unread_members(ROOT) == []
 
 
 def test_named_references_are_public_functions():

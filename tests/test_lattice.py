@@ -11,7 +11,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -79,6 +79,20 @@ class TestBounds:
         assert (_outcome(bounds, *args)
                 == _outcome(oracles.halfint_bounds, *args))
 
+    @given(quads)
+    @settings(max_examples=400)
+    # D = 1: one point on each axis
+    @example([0, 2, 2, 0])
+    @example([1, 1, 2, 0])
+    @example([40, 0, 0, 40])
+    def test_square_is_the_twice_limits_of_bounds(self, twice):
+        try:
+            b = bounds(*map(HalfInt, twice))
+        except ValidationError:
+            return
+        assert core._square(*twice) == (b.j12_min.twice, b.j12_max.twice,
+                                        b.j23_min.twice, b.j23_max.twice)
+
     @given(twice_values)
     @settings(max_examples=300)
     def test_classify_labels_square(self, twice):
@@ -86,9 +100,12 @@ class TestBounds:
         if validate(labels) is not None:
             return
         J, region = tetra.classify_labels(labels)
-        b = uniform._square(labels)
-        assert b == oracles.halfint_bounds(labels.j1, labels.j2, labels.j3,
-                                           labels.j4)
+        b = oracles.halfint_bounds(labels.j1, labels.j2, labels.j3,
+                                   labels.j4)
+        t1, t2, _, t3, t4, _ = twice
+        assert core._square(t1, t2, t3, t4) == (
+            b.j12_min.twice, b.j12_max.twice, b.j23_min.twice,
+            b.j23_max.twice)
         assert J == lengths(labels)
         want = tetra.classify(lengths(labels), b)
         assert ((region.kind, region.pattern_index, region.det_g)
@@ -266,21 +283,21 @@ class TestExactRegionRule:
 
 class TestLatticePointReads:
     """The lattice record holds cos psi: pr_value and uniform_6j each
-    compute the one half of the angles they read, once, and only
-    uniform_6j builds the square's core.Bounds."""
+    compute the one half of the angles they read, once, and neither
+    builds the square's core.Bounds."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         """counted(f, labels): f(labels), the names of the angle halves
-        read from the lattice records of tetra.classify_labels, the
+        read from the lattice records of tetra._lattice_point, the
         core._bounds calls made and the calls of each angle rule
         (tetra._psi, tetra._psi_bar), one per angle."""
         points, reads, squares = [], [], []
         rules = collections.Counter()
-        classify_labels, bounds_body = tetra.classify_labels, core._bounds
+        lattice_point, bounds_body = tetra._lattice_point, core._bounds
 
-        def classified(labels):
-            point = classify_labels(labels)
+        def classified(twice):
+            point = lattice_point(twice)
             points.append(point[-1].angles)
             return point
 
@@ -300,7 +317,7 @@ class TestLatticePointReads:
                 rules[name] += 1
                 return body(xp, cos_psi)
             monkeypatch.setattr(tetra, name, rule)
-        monkeypatch.setattr(tetra, "classify_labels", classified)
+        monkeypatch.setattr(tetra, "_lattice_point", classified)
         for mod in (core, tetra, prasym, uniform, scans, sphere, dasym):
             for attr, val in list(vars(mod).items()):
                 if val is bounds_body:
@@ -326,7 +343,73 @@ class TestLatticePointReads:
         assert (reads, squares, rules) == ([half], 0, {"_" + half: 6})
         # the beta solve computes lune angles by the same rules
         _, reads, squares, _ = counted(uniform.uniform_6j, labels)
-        assert (reads, squares) == ([half], 1)
+        assert (reads, squares) == ([half], 0)
+
+
+class TestNoRecordPerSymbol:
+    """Off the near-caustic branch a symbol's square and up-down
+    representative are ints: the symbol paths build no core.Bounds and
+    no SixJLabels, and uniform_6j builds the three HalfInts of its
+    UniformMap and no other."""
+
+    # region A; its representative {317/2 82 169/2; 187 437/2 246} is D
+    AD = SixJLabels.of(187, 82, 246, "317/2", "437/2", "169/2")
+    SYMBOLS = _eval_symbols() + [pytest.param("A-D", AD, id="A-D")]
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """counted(f, *args): f(*args), and the core._bounds calls, the
+        SixJLabels and the HalfInts (HalfInt.__new__ calls) it made."""
+        calls = collections.Counter()
+        bounds_body = core._bounds
+        init, new = SixJLabels.__init__, HalfInt.__new__
+
+        def squared(*twice):
+            calls["bounds"] += 1
+            return bounds_body(*twice)
+
+        def labels_init(self, *args, **kwargs):
+            calls["labels"] += 1
+            init(self, *args, **kwargs)
+
+        def halfint_new(cls, twice):
+            calls["halfints"] += 1
+            return new(cls, twice)
+
+        for mod in (core, tetra, prasym, uniform, scans, sphere, dasym):
+            for attr, val in list(vars(mod).items()):
+                if val is bounds_body:
+                    monkeypatch.setattr(mod, attr, squared)
+        monkeypatch.setattr(SixJLabels, "__init__", labels_init)
+        monkeypatch.setattr(HalfInt, "__new__", staticmethod(halfint_new))
+
+        def count(f, *args):
+            calls.clear()
+            out = f(*args)
+            return out, (calls["bounds"], calls["labels"], calls["halfints"])
+
+        return count
+
+    @pytest.mark.parametrize("name,labels", SYMBOLS)
+    def test_symbol_paths(self, counted, name, labels):
+        u, made = counted(uniform.uniform_6j, labels)
+        assert not u.near_caustic and made == (0, 0, 3)
+        assert counted(prasym.pr_value, labels)[1] == (0, 0, 0)
+        _, made = counted(scans.eval_record, labels, cli.METHODS, 17)
+        assert made == (0, 0, 3)
+        assert counted(scans.worstcase_row, labels)[1] == (0, 0, 3)
+        # each row builds its own symbol, whose j12 is one HalfInt, and
+        # no representative
+        fixed = {n: getattr(labels, n) for n in
+                 ("j1", "j2", "j3", "j4", "j23")}
+        rows, made = counted(scans.sweep_rows, fixed, "j12", cli.METHODS)
+        assert made == (0, len(rows), 4 * len(rows))
+
+    def test_near_caustic_branch_builds_its_bounds_once(self, counted):
+        labels = SixJLabels.of("1449/2", 4, "1441/2", "1831/2", 771,
+                               "1839/2")
+        u, (squares, built, _) = counted(uniform.uniform_6j, labels)
+        assert u.near_caustic and (squares, built) == (1, 0)
 
 
 class TestCanonicalUpdown:
@@ -337,23 +420,24 @@ class TestCanonicalUpdown:
     def test_equals_min_of_label_tuples(self, twice):
         labels = _labels(twice)
         want = oracles.min_updown(labels)
-        got = uniform._canonical_updown(labels)
-        assert got == want
-        assert (got is labels) == (want is labels)
+        got = uniform._canonical_updown(tuple(twice))
+        assert got == core._twice(want)
+        assert (got == tuple(twice)) == (want is labels)
 
     def test_tied_labels_are_their_own_image(self):
         for twice in ((2, 2, 2, 2, 2, 2), (3, 3, 4, 3, 3, 4),
                       (1, 5, 4, 1, 5, 4), (2, 4, 4, 2, 6, 4)):
             labels = _labels(twice)
             assert oracles.min_updown(labels) is labels
-            assert uniform._canonical_updown(labels) is labels
+            assert uniform._canonical_updown(twice) == twice
 
     def test_image_is_built_when_smaller(self):
         labels = SixJLabels.of("11/2", 6, "11/2", "9/2", 3, "17/2")
-        got = uniform._canonical_updown(labels)
-        assert got is not labels
-        assert got == oracles.min_updown(labels)
-        assert got == SixJLabels.of("9/2", 3, "11/2", "11/2", 6, "17/2")
+        got = uniform._canonical_updown(core._twice(labels))
+        assert got != core._twice(labels)
+        assert got == core._twice(oracles.min_updown(labels))
+        assert got == core._twice(
+            SixJLabels.of("9/2", 3, "11/2", "11/2", 6, "17/2"))
 
 
 # float.hex of uniform_6j value and beta and of pr_value, one symbol

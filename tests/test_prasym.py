@@ -9,6 +9,7 @@ import pytest
 import oracles
 from sixj import (HalfInt, SixJLabels, WrongRegionError, bounds, exact_sixj,
                   lengths, prasym, tetra)
+from sixj.core import _twice
 from sixj.scans import _random_labels
 
 NEAR_CAUSTIC = SixJLabels.of("9/2", 3, "9/2", "11/2", 6, "17/2")
@@ -115,14 +116,14 @@ class TestValue:
             if not reg.is_forbidden:
                 continue
             checked += 1
-            nu = prasym.nu_6j(reg, labels)
+            nu = prasym.nu_6j(reg, _twice(labels))
             assert isinstance(nu, int)
 
     def test_nu_6j_wrong_region(self):
         b = bounds("9/2", 3, "11/2", 6)
         reg = tetra.classify(lengths(NEAR_CAUSTIC), b)
         with pytest.raises(WrongRegionError):
-            prasym.nu_6j(reg, NEAR_CAUSTIC)
+            prasym.nu_6j(reg, _twice(NEAR_CAUSTIC))
 
 
 class TestFamilySweep:

@@ -195,7 +195,8 @@ class TestUniformValue:
         g = dasym.d_geometry(um.j, um.m, um.mp, beta)
         t = tetra.construct(lengths(labels))
         direct = math.sqrt(abs(g.Vd_sq)) / t.vol_abs
-        avg = uniform._near_caustic_ratio(labels, b, lengths(labels))
+        avg = uniform._near_caustic_ratio(core._twice(labels),
+                                          lengths(labels))
         assert avg == pytest.approx(direct, rel=1e-6)
 
 
@@ -254,7 +255,8 @@ class TestNearCausticBranch:
         count = 0
         while count < 500:
             labels = _random_labels(rng, j_max)
-            if uniform._canonical_updown(labels) is not labels:
+            t = core._twice(labels)
+            if uniform._canonical_updown(t) != t:
                 continue
             count += 1
             umap = uniform.uniform_6j(labels).map
@@ -1243,7 +1245,8 @@ class TestHalleySolve:
             rep = umap.solver
             if rep.iterations == 0:
                 continue
-            J = lengths(uniform._canonical_updown(labels))
+            J = tetra._lattice_point(uniform._canonical_updown(
+                core._twice(labels)))[0]
             region = tetra.classify(J)
             target = (prasym.phi_pr_bar(J, region.angles)
                       if region.is_forbidden
